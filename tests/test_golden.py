@@ -1,0 +1,1451 @@
+"""Golden draws: fixed seeds over a (route, b, z) grid reproduce these
+values bit for bit.
+
+Each case seeds a fresh ``RngStream`` from its (route, b, z) label and
+draws 64 values with ``sample_pg_batch``, then three values one at a
+time with ``sample_pg``; the uniform drawn after them pins the stream
+state the call leaves behind.  The batch samplers' ``counters=`` dicts
+are pinned for the same cells.  Expected floats are stored as
+``float.hex`` so the comparison is exact.  A change that alters any of
+these values changes the draws a seed produces: regenerate the file
+only when that is the intent.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from pgrv import PgParams, RngStream, sample_pg, sample_pg_batch
+from pgrv import alternate, devroye, saddle
+
+SIZE = 64
+SCALAR_DRAWS = 3
+TILTS = (0.0, 1.0, 8.0)
+
+ROUTE_SHAPES = {
+    "devroye": (1.0, 2.0),
+    "alternate": (1.0, 2.5, 4.0, 7.3, 12.0),
+    "saddlepoint": (13.0, 40.0, 170.0),
+    "gamma-sum": (0.3, 0.9),
+    "normal-approx": (200.0,),
+}
+
+# The route the default hybrid rule picks for each shape above.
+AUTO_ROUTE = {
+    0.3: "gamma-sum",
+    0.9: "gamma-sum",
+    1.0: "devroye",
+    2.0: "devroye",
+    2.5: "alternate",
+    4.0: "alternate",
+    7.3: "alternate",
+    12.0: "alternate",
+    13.0: "saddlepoint",
+    40.0: "saddlepoint",
+    170.0: "saddlepoint",
+    200.0: "normal-approx",
+}
+
+# (route, b, z): (64 batch draws, the uniform drawn after them)
+BATCH = {
+    ("devroye", 1.0, 0.0): (
+        "0x1.c23864f7e08d9p-1 0x1.994cfbe0bed30p-3 0x1.c27d296a11983p-3 "
+        "0x1.1025cb33d03b3p-2 0x1.dc68be4eca8dep-3 0x1.48d5e44ca01d9p-3 "
+        "0x1.67f679d18da0ep-2 0x1.b3ee8a6519b20p-4 0x1.082b9d5d65947p-3 "
+        "0x1.48853f08fc6d3p-3 0x1.23cf92d962f9ep-2 0x1.33c658fd9eedap-2 "
+        "0x1.05428402a562bp-1 0x1.622b1b06f22efp-3 0x1.be4cfb346131fp-3 "
+        "0x1.f83e132d1ec37p-4 0x1.a084142216fdap-3 0x1.33cdd25373334p-2 "
+        "0x1.d19b8371818e8p-4 0x1.21459264d6f1ep-3 0x1.1cde8e31d3ae3p+0 "
+        "0x1.01fb7db89fbb4p-2 0x1.a046e3ec070bep-2 0x1.4c3ddc3c9b2e7p-1 "
+        "0x1.496bc4525aca4p-2 0x1.99e760f4710d9p-6 0x1.7caf8d5c00778p-5 "
+        "0x1.01e9c64de3f23p-1 0x1.68a87e4d715c4p-1 0x1.4f294bcbff47ep-2 "
+        "0x1.5e1983b72fe69p-4 0x1.7945a57f231bap-3 0x1.55435227b10d8p-2 "
+        "0x1.c249563a78989p-4 0x1.35f0316261969p-4 0x1.b12d441245482p-3 "
+        "0x1.53e3f763056a7p-3 0x1.6b0a04e06f097p-3 0x1.1514a324e2910p-2 "
+        "0x1.c602e25d3dd12p-2 0x1.7f0076a9ed314p-3 0x1.3c84d843db093p-3 "
+        "0x1.a399cdd94760bp-5 0x1.6a348029675e8p-2 0x1.87551c24ca25dp-4 "
+        "0x1.581453792ef98p-3 0x1.6144e5f2f4189p-3 0x1.9513b28c68cd7p-3 "
+        "0x1.b148ab835029cp-4 0x1.771d842c7dd49p-4 0x1.a176d9cd22908p-2 "
+        "0x1.e79cae206ef40p-5 0x1.e86c6d1306159p-5 0x1.81a0c0410e8e1p-3 "
+        "0x1.c17a58eb376edp-3 0x1.548953ef136aap-2 0x1.b1c832e283d89p-5 "
+        "0x1.3842cc6eac1c2p-4 0x1.137f03db313b9p-4 0x1.be96b2f772d53p-3 "
+        "0x1.1119eb1ad8c5bp-2 0x1.e11fba4088edep-2 0x1.5edd59f1e05ddp-4 "
+        "0x1.e8f3e335286e0p-3",
+        "0x1.81cde49566e4ep-1",
+    ),
+    ("devroye", 1.0, 1.0): (
+        "0x1.d99eafe7dc925p-3 0x1.94a30a872d3afp-2 0x1.55461682c320cp-3 "
+        "0x1.74cd8a2ac4429p-3 0x1.fbd44964a08f2p-2 0x1.0c6e4b23f95b0p-1 "
+        "0x1.df2873d6c6c1fp-5 0x1.bec10b968ea4fp-3 0x1.267ef1c1571d8p-2 "
+        "0x1.7ec877bd4bb5dp-3 0x1.2cea17f9386afp-1 0x1.0f5c14d3fd299p-5 "
+        "0x1.7efddc43e04adp-2 0x1.268f861b391d7p-3 0x1.40292b95101afp-4 "
+        "0x1.4431ffb01d3f2p-3 0x1.1218dd47c8a91p-3 0x1.6978c69d3b20cp-4 "
+        "0x1.0a91149a183a0p-2 0x1.afed681489a17p-3 0x1.193d8ad2aa7bap-2 "
+        "0x1.c00edba9dce1ap-4 0x1.5f28101ca5268p-2 0x1.2f8a761fb2747p-4 "
+        "0x1.dd0e10026f501p-3 0x1.4e3f0d54cb7dep-3 0x1.d2b43956cbac1p-4 "
+        "0x1.575b9168c285cp-4 0x1.1bf97fe42da23p-3 0x1.84f2129843dc0p-4 "
+        "0x1.23ed62c22aa18p-3 0x1.4bee38975cd95p-2 0x1.3660363e909bap-3 "
+        "0x1.123d319050682p-4 0x1.0249934f0944ap-2 0x1.1a08e23c4e949p-2 "
+        "0x1.a7686c0507b74p-3 0x1.83ae748cd2cfap-6 0x1.e504627f8e404p-4 "
+        "0x1.aab7a4b99501fp-4 0x1.fbb14cf833e83p-4 0x1.0ad0c0f0f7b8cp-4 "
+        "0x1.0d9fb2ffc813bp-3 0x1.38f74a8cb009dp-2 0x1.eb2a09ffe3368p-2 "
+        "0x1.108b636522ffep-2 0x1.2d5797160dcffp-1 0x1.7c1866ee84e29p-2 "
+        "0x1.0b481f4f34804p-3 0x1.95ea05981bcb8p-3 0x1.06c48dd343a27p-2 "
+        "0x1.8da1a105c2943p-3 0x1.03083253e1365p-1 0x1.e87f14fbd70a9p-4 "
+        "0x1.efc46e5b51daep-3 0x1.96ab17c95dcf6p-3 0x1.c5013fe2a88dcp-2 "
+        "0x1.1a87de211018dp-2 0x1.485b269fa8526p-3 0x1.739b07df9001cp-4 "
+        "0x1.ddb16f06b9487p-1 0x1.9579fc5a3d8bdp-1 0x1.6f9ea90227d2cp-2 "
+        "0x1.3eff228e47e60p-2",
+        "0x1.eb3d65c826ffep-1",
+    ),
+    ("devroye", 1.0, 8.0): (
+        "0x1.e2d0732e97934p-4 0x1.08bfd3eebc9d9p-4 0x1.c91dfa7bfa0cap-5 "
+        "0x1.af45a8844b872p-5 0x1.baf0a5fb5e703p-4 0x1.0801bf34b15d7p-3 "
+        "0x1.3193a461c5424p-5 0x1.1116ece547111p-5 0x1.47060d19aacf0p-4 "
+        "0x1.2437f0249a760p-3 0x1.b1491c14980a1p-5 0x1.51c8e2b82be24p-6 "
+        "0x1.fb9da67a14797p-5 0x1.2d79f76dcaaa8p-3 0x1.2e9fadcb84e8fp-3 "
+        "0x1.bbe7d30742e84p-5 0x1.ed178f2ef415bp-5 0x1.710d842c008dfp-5 "
+        "0x1.c036b1f303576p-4 0x1.c9d0f2dfe22fep-5 0x1.d05878974751ep-5 "
+        "0x1.fd377df15b3acp-4 0x1.4ed5036b7f406p-5 0x1.41c1027d12a6ap-5 "
+        "0x1.9665f2387efcap-4 0x1.9634dc94e6fb8p-4 0x1.4c0006be64150p-5 "
+        "0x1.20ee9316c13fap-4 0x1.4e06c937e75dap-5 0x1.1817bc06dbf50p-5 "
+        "0x1.d1bd29d84c30bp-5 0x1.b53bdcf14a300p-5 0x1.4abd2d1efdd7bp-5 "
+        "0x1.eae418d363a4ap-5 0x1.d90f72dd50c7bp-5 0x1.1847165ebcfeep-5 "
+        "0x1.052637c0afdd4p-4 0x1.d15c9f48faf91p-5 0x1.d957255730bb8p-5 "
+        "0x1.d38955aefe514p-5 0x1.e87efa42200bep-4 0x1.737d70bf13d36p-5 "
+        "0x1.fd920f0dc47dcp-5 0x1.3e5e47768e7b8p-6 0x1.4642def857963p-4 "
+        "0x1.bd4511e090b42p-3 0x1.5cdd9eececc0ep-5 0x1.d1312c08142dep-5 "
+        "0x1.e6b9613d9bd98p-5 0x1.3e32c59584ac6p-5 0x1.5f0a466392cf2p-5 "
+        "0x1.ca06044c7be7ep-4 0x1.e73d8c9e4c149p-5 0x1.253abb7af2fe2p-4 "
+        "0x1.63fe9890f55ecp-6 0x1.71c97d0292d4ap-5 0x1.dbafcb4d775a4p-6 "
+        "0x1.336b0b8514072p-4 0x1.2659b1749ef51p-4 0x1.fe541dba969e9p-5 "
+        "0x1.7f8348412fbd1p-4 0x1.64ce0432b52fcp-4 0x1.4764148175ceap-5 "
+        "0x1.7337c810b68e8p-6",
+        "0x1.a0b1661f34845p-1",
+    ),
+    ("devroye", 2.0, 0.0): (
+        "0x1.0b8d759f3d4c6p+0 0x1.f598955a6fae6p-2 0x1.2095b5b859b79p-1 "
+        "0x1.b27873cb195ecp-2 0x1.fa63343ee9663p-4 0x1.6e8bef9dbe7fbp-2 "
+        "0x1.401cae8aa338ep+0 0x1.5fc92c86150f6p-1 0x1.9ec2a1d28e12dp+0 "
+        "0x1.89a11bd409c42p-1 0x1.bcffe59c4b2ddp-4 0x1.0f70d66a965e5p-2 "
+        "0x1.89b7433312678p+0 0x1.f6abf211b3101p-3 0x1.8049e6a5511afp-2 "
+        "0x1.ce0e9dbcf4f74p-2 0x1.b89288d40421ep-3 0x1.6b84057536c5bp-2 "
+        "0x1.a6e5f118da930p-2 0x1.12e525058d5bcp-1 0x1.ae95e10e4533fp-2 "
+        "0x1.164cbdfbe5374p-1 0x1.184234f4f5d46p-1 0x1.945d518e38cb0p-3 "
+        "0x1.2ff53eaad939cp-2 0x1.8641685ade2e7p-2 0x1.01e38455e6e48p-2 "
+        "0x1.b7dfed8e878bfp-1 0x1.df8b0b6dbdb26p-4 0x1.ee671ce2f6447p-2 "
+        "0x1.d864cbc8ecc0dp-2 0x1.d1f4af0f88fd2p-2 0x1.eb2df401a27d8p-2 "
+        "0x1.ac51b9dd6b4d4p-2 0x1.11df4225ccc16p-2 0x1.4e42a36d4b926p-1 "
+        "0x1.b8915406f4da8p-2 0x1.69cda777a6a8cp+0 0x1.a357209aa6298p-1 "
+        "0x1.75dd9f77e9faap-1 0x1.fa903c56a8f02p-2 0x1.fe3a2b407deeap-3 "
+        "0x1.2925a5627895ep-2 0x1.4f18ae7d5a1d4p+0 0x1.817c7f51f9c66p-1 "
+        "0x1.ad9c8f1625f9fp-2 0x1.199ff96a45e7fp-2 0x1.a556673d3c2b8p-2 "
+        "0x1.6a9b363f2de27p-3 0x1.6c2071742afa0p-1 0x1.64d50ef43ac6ep+0 "
+        "0x1.e4060b18835b7p-2 0x1.c61db4641605fp-2 0x1.3e78285c68245p-1 "
+        "0x1.4477a9fcb4754p-2 0x1.953757962c128p-2 0x1.02dc2b7ba222cp+1 "
+        "0x1.711d12a8d872ap-2 0x1.fc5448b8efd22p-2 0x1.000b4a5b4f9aep-3 "
+        "0x1.553e49766014ep-1 0x1.0e65c171f6d07p-2 0x1.cc0615bcb91cep-1 "
+        "0x1.5d46614979d5ep-3",
+        "0x1.014a865cb81a5p-1",
+    ),
+    ("devroye", 2.0, 1.0): (
+        "0x1.3f455e54980d3p-3 0x1.0df857a27e57cp-1 0x1.1242473a22b52p+0 "
+        "0x1.c47e913d6eb0ep-1 0x1.409986a340f1dp-1 0x1.2bbc61c528e24p-1 "
+        "0x1.311796a9578c4p-1 0x1.b1f832fa10c00p-2 0x1.dc2afaec70576p-3 "
+        "0x1.f1ca7ec526590p-3 0x1.7e7d653a76767p-2 0x1.4bc9e78ad85f6p-2 "
+        "0x1.66c9a1eade3e3p-2 0x1.5c3164976c094p-2 0x1.e1b3bee7eb91cp-1 "
+        "0x1.316eef18481bcp-1 0x1.c7671c6ceb8cbp-1 0x1.33ea11ab4a821p-1 "
+        "0x1.442e9c69dd1dcp-1 0x1.d81bfa2274668p-1 0x1.6513059104e09p-3 "
+        "0x1.8d9dc1c2c2e0ep-2 0x1.274dfe382a861p-1 0x1.1e34d7ee1c9a1p-1 "
+        "0x1.d851ebaee0196p-2 0x1.547cd1b81e31ep-2 0x1.4125496c9ee62p-2 "
+        "0x1.0a4642e0596ccp+0 0x1.cdf347e18ece6p-2 0x1.268b3cd5923d8p-1 "
+        "0x1.41cdc60fccdecp-2 0x1.0aaf9dad66c8ep-3 0x1.31adb4e11ee24p-2 "
+        "0x1.246f78cad02c1p-3 0x1.66dda46634d8cp-1 0x1.1c3225eece230p-1 "
+        "0x1.64bf9f3d01067p-2 0x1.988ad9b57945ap-1 0x1.9caacf2408431p-2 "
+        "0x1.062462beaa9c4p-2 0x1.beb1c357c648cp-3 0x1.85a582b3b5c07p-1 "
+        "0x1.be991f7046440p-1 0x1.5f4633623b000p-2 0x1.9a542397f6f4ap-4 "
+        "0x1.580ccaea83142p+0 0x1.08f87e958c21ap-2 0x1.df1532ed30a8fp-3 "
+        "0x1.a7936bc792620p-3 0x1.eef259533ce4dp-3 0x1.a6d20cac5644bp-3 "
+        "0x1.e91dad50af174p-3 0x1.4b7f0a11ebf0dp-2 0x1.be66477e06f46p-3 "
+        "0x1.c69362fde670ap-2 0x1.c7005b8979a7ap-1 0x1.a478333406e22p-3 "
+        "0x1.3fdcfed9a96e3p-1 0x1.e685b22b45be8p-2 0x1.2e3e9d1c76346p+0 "
+        "0x1.fcb845a759139p-4 0x1.ce0d2337c2a72p-2 0x1.32f2ed07d8c0ap-2 "
+        "0x1.8a3a9832dfbabp-2",
+        "0x1.f83fc2a0882edp-1",
+    ),
+    ("devroye", 2.0, 8.0): (
+        "0x1.bee6e31152bc6p-4 0x1.b1ca78413ab2cp-4 0x1.193549a4d1d32p-4 "
+        "0x1.95331bcac54a0p-4 0x1.a06480cc541ecp-3 0x1.f42c0d0e1e01bp-5 "
+        "0x1.66adbb73d9abcp-3 0x1.d41c59d632edep-4 0x1.5771ee244e225p-4 "
+        "0x1.3cb60df2dca60p-3 0x1.86906801f0303p-4 0x1.379fc7c4c5d43p-3 "
+        "0x1.85f429539515cp-4 0x1.0f77d4bc17b3fp-3 0x1.5fef84bd66aefp-4 "
+        "0x1.5e61755605e0dp-3 0x1.e0f186103d48fp-4 0x1.a6d8c150b045cp-4 "
+        "0x1.f413f7d19824cp-4 0x1.c2572929c0351p-3 0x1.af0568d49d25bp-3 "
+        "0x1.d16b7ae5284e5p-4 0x1.b5c2bc6df2c41p-4 0x1.4b8cb376205e4p-3 "
+        "0x1.1db1e6e1bce54p-4 0x1.9e6e1371fac86p-4 0x1.b4634cb6077bcp-3 "
+        "0x1.a4a0eff2e5b7bp-4 0x1.66a18704230c8p-3 0x1.27e132d980e0dp-4 "
+        "0x1.19f9998355780p-4 0x1.4ae4821a27568p-4 0x1.c6e5bb46ff092p-4 "
+        "0x1.e6bc39cfcccaap-4 0x1.e0907ff779a68p-3 0x1.b5031e91e40e4p-3 "
+        "0x1.08b773a2583b1p-4 0x1.875285951597fp-4 0x1.505a6f4eab060p-4 "
+        "0x1.273536267ebddp-4 0x1.f7cead21b3f30p-4 0x1.e786b3319c340p-4 "
+        "0x1.84c33e071f2b0p-4 0x1.3cf5f0ce655b8p-3 0x1.4ce62361d55fap-3 "
+        "0x1.bd91f593d9a26p-3 0x1.25f2e2ad5756dp-3 0x1.5c81eb5c49d07p-4 "
+        "0x1.2f6a65cd9fe26p-3 0x1.dc6433ff17b72p-4 0x1.f104d78e126fap-4 "
+        "0x1.bf18d8254fbd5p-4 0x1.fff8a816abe2cp-4 0x1.f4be551945736p-4 "
+        "0x1.0f5fc41245b9cp-3 0x1.aef7ae380d5e2p-3 0x1.5199cd3f4a7e6p-3 "
+        "0x1.233295b5438e1p-3 0x1.d03df4c73072ap-4 0x1.3decb9b64121cp-3 "
+        "0x1.090d20d2cb4b9p-3 0x1.d697a4d2c9bd7p-4 0x1.8ac3344560643p-4 "
+        "0x1.8213878ed0e11p-4",
+        "0x1.b037e6ad0fca1p-1",
+    ),
+    ("alternate", 1.0, 0.0): (
+        "0x1.f8e85db800d74p-1 0x1.762530d9b4bb5p-1 0x1.82fbef44407bbp-4 "
+        "0x1.5da33da1d136dp-3 0x1.3b1ed8e01501fp-5 0x1.c5de84d864e1bp-5 "
+        "0x1.7ed6a825040c2p-2 0x1.768c01490a10bp-3 0x1.f03ab8f8197dfp-5 "
+        "0x1.56209865d4c8ap-5 0x1.a9b9ba5089d99p-3 0x1.998defe2851cap-2 "
+        "0x1.3b64f278c0568p-2 0x1.7b3a207457ddcp-2 0x1.05dd621be57bep-3 "
+        "0x1.ee895625a38bcp-5 0x1.a8c7aa3960c9ap-3 0x1.b076cbd4fc844p-2 "
+        "0x1.e2cb9beb385ccp-4 0x1.5d9d97bab58bcp-1 0x1.ae5df5da7b15bp-4 "
+        "0x1.378de38ca2e70p-2 0x1.a2b1706afe092p-3 0x1.7eb259a52a518p-5 "
+        "0x1.0a11ff4dc46b9p-3 0x1.5d0689ed3b011p-3 0x1.d79dd392526c3p-4 "
+        "0x1.77ea52de610a1p-4 0x1.c3e65024a2918p-3 0x1.4de2b6f839a77p-3 "
+        "0x1.ff64378205b78p-2 0x1.8e8455cdf7e67p-1 0x1.93cbe5cb4cc24p-3 "
+        "0x1.ce41f01a14d04p-3 0x1.001039dbb71f6p-2 0x1.278d79ba9879ep-2 "
+        "0x1.cfd6548b5587fp-6 0x1.61de820d5f366p-5 0x1.928ddcbf8ff11p-4 "
+        "0x1.ceba8f05656a1p-2 0x1.c29817177dbdcp-2 0x1.830bc93396936p-4 "
+        "0x1.6a10645eaedfap-3 0x1.d16da8f879b45p-2 0x1.ea783da71b91dp-4 "
+        "0x1.1d0a78085fac8p-4 0x1.69299c6b38c60p-3 0x1.15fd91e527291p-3 "
+        "0x1.3ff5a1d4f19b1p-1 0x1.ae5980d849a85p-2 0x1.bde71000929cap-3 "
+        "0x1.8fa1af7dd745dp-6 0x1.188daabcd1630p-2 0x1.f4b4a275b7b50p-3 "
+        "0x1.b6ac560f8e667p-5 0x1.88bcf50e82e31p-4 0x1.07c1003f28168p-1 "
+        "0x1.8646d9d61c05ap-3 0x1.a386f6347341fp-2 0x1.5b6b7eb0980d5p-3 "
+        "0x1.7a882bc9e5fc1p-3 0x1.147ec164b0ba5p-2 0x1.bc05077b7634fp-5 "
+        "0x1.d0c6abb1f2f75p-2",
+        "0x1.c9437ac780fbbp-1",
+    ),
+    ("alternate", 1.0, 1.0): (
+        "0x1.7d423f8fb1167p-3 0x1.2c6b0f98bd24fp-3 0x1.46f56cc0f943ap-2 "
+        "0x1.0dbb6c1fb5c76p-4 0x1.222833e2159ffp-4 0x1.2452af3e26af1p-2 "
+        "0x1.24a796e8b98b6p-4 0x1.cd9a9710c3e51p-5 0x1.ac8df1123b884p-2 "
+        "0x1.ef74fff4a1264p-3 0x1.83c5c78817d7ap-3 0x1.895d0e4512f94p-2 "
+        "0x1.cf0a34aeac141p-2 0x1.cc5e8c37e6d50p-2 0x1.272d8ffbeca9ap-2 "
+        "0x1.ebd6a4c7d1f09p-2 0x1.8623b3d25e6f4p-3 0x1.ca6792148017cp-5 "
+        "0x1.8fe71181b6f3cp-1 0x1.c8e7105289de2p-3 0x1.33a72507e34bdp-5 "
+        "0x1.c966f8cdabab2p-3 0x1.a4a2dba405abcp-2 0x1.7cb87f716d447p-2 "
+        "0x1.80c8e46a0e23bp-2 0x1.aa1f03a120fb4p-1 0x1.bd33504230a8dp-3 "
+        "0x1.1b098807fe03ep-2 0x1.d55f24190891ap-3 0x1.2941404294819p-3 "
+        "0x1.a276d435d247bp-3 0x1.6b8c678749bf1p-3 0x1.38b2416577ed1p-3 "
+        "0x1.17dd5c1afc900p-3 0x1.06dac4086b507p-5 0x1.5ff7ec7c3b19fp-3 "
+        "0x1.b7f22b8553bb4p-3 0x1.c319eeecf3d12p-4 0x1.33125331efaffp-3 "
+        "0x1.2a2684ab603aep-3 0x1.bfb7632029758p-3 0x1.25b8674bac016p-2 "
+        "0x1.2fa8f37aa25abp-3 0x1.b81b91891935dp-2 0x1.25a6ac208f152p-1 "
+        "0x1.45f69676d07c8p-5 0x1.73630312e6249p-3 0x1.97f96777b0aa9p-3 "
+        "0x1.70ca79d3a3094p-3 0x1.a42d702af597ap-2 0x1.61dda79344f0ep-3 "
+        "0x1.360e13481a120p+0 0x1.aebd525fb23cep-3 0x1.7a7d970316c3ap-5 "
+        "0x1.e2a3a9d2fd001p-2 0x1.3dc1f10eb23afp-4 0x1.122172b3eb20fp-3 "
+        "0x1.87ebda3024c3cp-5 0x1.8d310d839b896p-2 0x1.470385f7eea58p-3 "
+        "0x1.134fd00461982p-3 0x1.97a03e8183a15p-4 0x1.eacbcc258725bp-5 "
+        "0x1.17eeadba5e1d3p-2",
+        "0x1.e2856767632f1p-1",
+    ),
+    ("alternate", 1.0, 8.0): (
+        "0x1.9979cd2960014p-5 0x1.bb32de1056cc3p-4 0x1.ccf8c5a763254p-6 "
+        "0x1.8b320cdc83c7ep-4 0x1.7a2a402c982cep-5 0x1.a0ff1d5bcf94cp-4 "
+        "0x1.84393904b3af8p-4 0x1.8a26c7c041125p-5 0x1.64fb3594c79e0p-5 "
+        "0x1.ffe3a3f479f47p-5 0x1.5d9addd77b4e4p-4 0x1.508955c62f65fp-4 "
+        "0x1.80b54138516f6p-5 0x1.dc27d8310dcb8p-5 0x1.cc37ff61263d9p-5 "
+        "0x1.986d638b64402p-5 0x1.5013ef000cc08p-5 0x1.4a9f6c4810ffdp-5 "
+        "0x1.d31220bc426c3p-5 0x1.97439d3490b18p-6 0x1.34436ba330d44p-5 "
+        "0x1.741503b15382bp-4 0x1.138bd36c0cfc2p-4 0x1.66207b02febc2p-6 "
+        "0x1.a5330d32b7a60p-5 0x1.3c22f19258967p-4 0x1.82a4b9e690528p-4 "
+        "0x1.88669dea26664p-5 0x1.fffe1b9306948p-5 0x1.405e03db4fc50p-5 "
+        "0x1.6effe6cb8c549p-4 0x1.0112f929c7458p-5 0x1.010f4049c88a2p-4 "
+        "0x1.ed125939273e3p-5 0x1.802970bfbd3e7p-4 0x1.c5f7e59398d4ap-5 "
+        "0x1.54fbcc92c3134p-5 0x1.95294b34fe6ffp-4 0x1.b4ff621a64662p-5 "
+        "0x1.cdb25d6944608p-6 0x1.9316564ae6838p-5 0x1.578f2ff4bf409p-4 "
+        "0x1.98f2c4f7695dfp-4 0x1.17a14d1fc6dd2p-3 0x1.20b0f7dc70801p-5 "
+        "0x1.26446e1f0316cp-4 0x1.76ae70012f103p-5 0x1.ec2e56f73df62p-6 "
+        "0x1.0cb4216fe1881p-3 0x1.e42ab6391c094p-6 0x1.53c21d4a749d5p-4 "
+        "0x1.b956cdae93dcep-5 0x1.cee53f0939bf8p-4 0x1.7a59981125fb8p-4 "
+        "0x1.8d7a22b4d3703p-4 0x1.5777e0c2d5d7dp-4 0x1.2ed55bca94c9fp-4 "
+        "0x1.74df21016decep-5 0x1.045eb8dec956fp-3 0x1.74da17526bdf4p-5 "
+        "0x1.8adf3029e53dap-5 0x1.706e6ce0c76aep-5 0x1.152c9050598d4p-5 "
+        "0x1.2a2fe329ffc72p-3",
+        "0x1.94a47252edba5p-1",
+    ),
+    ("alternate", 2.5, 0.0): (
+        "0x1.9be4b6dfceb0ep-2 0x1.aa782d5d56f2ep-1 0x1.c3ccce99c237fp+0 "
+        "0x1.05321da5847bbp-1 0x1.100aba3ccd142p-1 0x1.2c011aaabadc7p-2 "
+        "0x1.6316a89117625p-3 0x1.8dbd020ac368dp-2 0x1.33c2b178fa993p-1 "
+        "0x1.6d1cab670b6dfp-2 0x1.17c72303f39bep-2 0x1.b1f516d95dfcap-1 "
+        "0x1.b5d3c1250d9a0p-3 0x1.5bb5b6b9879d1p-2 0x1.18bc59029cac9p+0 "
+        "0x1.dba1624aef932p-2 0x1.72ff42ab21e69p-2 0x1.86618250db17bp-2 "
+        "0x1.8b016619cff0bp-2 0x1.1deb83a2f9cc9p-1 0x1.b737f2e21d75dp-1 "
+        "0x1.02b9077fa7d26p-1 0x1.6323d4ec620cep-1 0x1.941f217b95f69p-1 "
+        "0x1.199a2d4968ef6p-1 0x1.a8af4498e8ff4p-2 0x1.11333544d8c70p-1 "
+        "0x1.a0f11024bd072p-3 0x1.c466adff27259p-2 0x1.cbd788dd402ccp-2 "
+        "0x1.c60769a16ba44p-1 0x1.78c213f1d2c1ap-3 0x1.75ce86842ddf2p-1 "
+        "0x1.12a83cb0d2fd2p+0 0x1.0fdf6991e4ee4p-2 0x1.4d6f57be8e5a2p-1 "
+        "0x1.317236205acdbp-1 0x1.dd625df8159f2p-3 0x1.b742ba52832ebp-1 "
+        "0x1.5d43e56572f99p+0 0x1.46525b15c35eap+0 0x1.5be81c93685ebp-1 "
+        "0x1.375c01ef8f29ap-1 0x1.0db5426cbb06fp-1 0x1.621786685a865p-1 "
+        "0x1.d689eb91cd260p-2 0x1.46c2e7e454ee6p-1 0x1.0a446a9342c61p-1 "
+        "0x1.e98dcfdc55cf8p-2 0x1.62dfd1f7c061ap-2 0x1.15eb29d932d8dp-1 "
+        "0x1.6439d4c1c339bp-2 0x1.c402d4ad1b9ddp-2 0x1.0723a52d3c6f6p-1 "
+        "0x1.08866e20d38abp-2 0x1.f4a4cbc73b9f1p-2 0x1.2d18f8b5c374cp-2 "
+        "0x1.8d44d5ccf3bc9p-1 0x1.5801c01c60127p-2 0x1.6a79b146817fbp+0 "
+        "0x1.aa0870a62c470p-1 0x1.583e00be0ef51p-1 0x1.978894c843130p-1 "
+        "0x1.f9727464432f0p-3",
+        "0x1.5857cc0cd4ec0p-1",
+    ),
+    ("alternate", 2.5, 1.0): (
+        "0x1.a7cd60066b1afp-2 0x1.9673ed7771f47p-2 0x1.e1e6fd6781fddp-2 "
+        "0x1.7baf6d923536cp-2 0x1.3efc35d96a929p-1 0x1.9563ed7c26998p-2 "
+        "0x1.4caed60c9b57ap-1 0x1.a69ac4e9455bcp-2 0x1.2151f1cd88f2ap-2 "
+        "0x1.754f31c46ceabp-2 0x1.0e78f676e3c70p-3 0x1.9773169de3014p-1 "
+        "0x1.9a7dbdc3cbf9bp-1 0x1.1aa8502a59c4cp-2 0x1.8a0fe0b8df235p-2 "
+        "0x1.de5e57ef61266p-2 0x1.5d91e31368facp-1 0x1.71bcc5a331873p-1 "
+        "0x1.e5981c86dab85p-3 0x1.b6cec16550622p-1 0x1.21c4a369fdc96p-1 "
+        "0x1.a75d93f1f3013p-3 0x1.4b1cb0dbc00a4p-1 0x1.88a7889cd3944p-2 "
+        "0x1.dbdd4ef90fd47p-1 0x1.c361579862496p-2 0x1.46b50dceaa64ap-2 "
+        "0x1.0c9e1f8d1a3c7p-2 0x1.88ca57cff3d5bp+0 0x1.8526dd7a8bbebp-2 "
+        "0x1.2e1f2fe1e684cp-2 0x1.8c3d36f21a767p-1 0x1.9bf50caf4d817p-2 "
+        "0x1.f403d322cdeeap-2 0x1.468e5a26b3c08p-2 0x1.be3937a1b289dp-2 "
+        "0x1.09c7bf9510b19p+0 0x1.6aa45018c2bedp-2 0x1.27b27f6561213p-2 "
+        "0x1.2158e129116b7p-2 0x1.51c98ec28fa9ep-3 0x1.3d2541aaad676p-2 "
+        "0x1.3ba86cf364d29p-1 0x1.7d1c71d355e3ap-1 0x1.5b1644afc6beap-1 "
+        "0x1.5d8e12d3308e3p-2 0x1.0c156e92da1a2p+0 0x1.b741dd1a3b684p-2 "
+        "0x1.09569158d1c8cp-2 0x1.a0a8ffab58419p-2 0x1.69dfa36b821d5p-1 "
+        "0x1.90cb8b3683051p-2 0x1.230df9953279dp-1 0x1.2ca375a241e91p-1 "
+        "0x1.11d0cda8299e9p-1 0x1.88ac858fd59f5p-3 0x1.d88b8df3124b4p-2 "
+        "0x1.0cf6e77cbbd8bp-1 0x1.589e3f66c5ce3p-2 0x1.10e3c5d3a7bc8p-2 "
+        "0x1.903ec24da7317p-1 0x1.2bb77a67849b3p-1 0x1.8861e1493bf8fp-2 "
+        "0x1.3bf0e51d7e166p-2",
+        "0x1.b424ed8a5f4c3p-1",
+    ),
+    ("alternate", 2.5, 8.0): (
+        "0x1.a7809a33e929cp-4 0x1.36eac4f478d8fp-3 0x1.433e941b75588p-3 "
+        "0x1.af46fe3b97763p-3 0x1.204af3ab645dfp-4 0x1.47788073bf1fdp-3 "
+        "0x1.175751d79bb2bp-3 0x1.898d974f66498p-3 0x1.5dcbbfbf5f911p-3 "
+        "0x1.59b17f2e75297p-3 0x1.894514f62e95ep-4 0x1.c0c6541827e3bp-4 "
+        "0x1.250b3a62bb4a3p-3 0x1.5fd211f1fb687p-2 0x1.2b9f560884405p-3 "
+        "0x1.f352e1c1b665ap-4 0x1.26d253c4d804fp-4 0x1.d60bb0bd8d8c5p-4 "
+        "0x1.c7c89a7fb49cap-4 0x1.86abaca124513p-3 0x1.6e0d8661e2d14p-3 "
+        "0x1.e31a6801f212dp-3 0x1.719eb6355def6p-4 0x1.774eab92a0f52p-3 "
+        "0x1.6966daacfc8f5p-3 0x1.76662b6699944p-3 0x1.e6cbdb28e7067p-3 "
+        "0x1.2034810b7a405p-3 0x1.53b6b8d2bbb64p-3 0x1.17a08c7fb9eabp-3 "
+        "0x1.3622f7bbb20c3p-3 0x1.b23406589ff56p-4 0x1.5a20ea7e5fe90p-4 "
+        "0x1.d586599b55242p-4 0x1.bc33d20dd911ep-3 0x1.c5366e3731a8ep-3 "
+        "0x1.69d61a3e2cd0bp-3 0x1.6766df924c79cp-3 0x1.50c3cacc50b8dp-4 "
+        "0x1.4d09c6055d668p-3 0x1.2f487ac7e80f4p-3 0x1.56e017e5a2b14p-3 "
+        "0x1.2057e1232e874p-3 0x1.83f25d9b45838p-3 0x1.3fe7b842d2b52p-3 "
+        "0x1.afd486b7f4080p-4 0x1.c17c0e2fb4394p-4 0x1.8e56cad1a487ep-4 "
+        "0x1.f3db66bc85c4bp-4 0x1.cd4d2842c61ebp-4 0x1.a0fba2eeaa0a7p-3 "
+        "0x1.ae71129b34cbdp-3 0x1.552359b66139fp-3 0x1.f6b252eee8702p-4 "
+        "0x1.70647a25be937p-3 0x1.5b9ca36bb1db9p-3 0x1.df41ae53408c4p-4 "
+        "0x1.0748a830c2789p-3 0x1.8ba811efe75f0p-3 0x1.df3bcf6e78c29p-4 "
+        "0x1.10ea840e80413p-3 0x1.5a2315c000331p-3 0x1.41b90a34498aep-4 "
+        "0x1.72644ba1813cep-3",
+        "0x1.2f90cf556049ap-2",
+    ),
+    ("alternate", 4.0, 0.0): (
+        "0x1.4f33fbc1a9018p+0 0x1.94dede3aed529p-1 0x1.5b1b079e172fdp+0 "
+        "0x1.b30a14e01743bp-1 0x1.0e044a66e0a8fp-1 0x1.4d27aa85a6c5fp+0 "
+        "0x1.6c43a9c9ba70dp+0 0x1.65e88186da5c1p+0 0x1.5f882e025376fp-1 "
+        "0x1.4abeebc695cc1p-1 0x1.2ca4a4a5bba98p+0 0x1.56dd0a94d9877p-1 "
+        "0x1.3fcc0117da4bdp-1 0x1.332d056e68ad5p+0 0x1.27b12b1c29923p+0 "
+        "0x1.b97bff8cfaa23p-1 0x1.83039ccf44598p-2 0x1.3ab27d60d85d6p-1 "
+        "0x1.a115af328dd8ap-1 0x1.5b61a5633a884p+0 0x1.628391042d3b8p+0 "
+        "0x1.d46b2c3bc4581p-1 0x1.73e766625d99dp+0 0x1.2d75df97c07e1p-1 "
+        "0x1.3e18aa89317bfp-1 0x1.bd0e0b79cbcbfp+0 0x1.aa5c7d85919bbp-1 "
+        "0x1.cf6a7b69a22d1p+0 0x1.98304f12d12a1p+0 0x1.242974c43bc5ep-1 "
+        "0x1.44fd0d270233bp-1 0x1.fb4dc3b48b857p-1 0x1.5a711aaf599ecp-1 "
+        "0x1.0ccb881d5aad4p+0 0x1.917bf7a20f41fp+0 0x1.759c621c1f705p+0 "
+        "0x1.28255d68c348dp+0 0x1.c48a57a7e625bp-2 0x1.257e6070ba779p+0 "
+        "0x1.2cc473540294cp+1 0x1.e7d67ce1c2f25p-2 0x1.15e9868abb8bdp-1 "
+        "0x1.515552fc477cbp+0 0x1.6c87b942b1646p+0 0x1.5205954151873p-1 "
+        "0x1.f81c7ad06016cp-1 0x1.02c781371b2dfp-1 0x1.46badecd9486fp-1 "
+        "0x1.b3c328f4d37bbp+0 0x1.066ce74c55ec1p+0 0x1.2dabeb07a2e55p-1 "
+        "0x1.c5c0ce372902fp+0 0x1.d711f83b4dd89p-2 0x1.d7607e84b00d6p-1 "
+        "0x1.6f5458783a186p+0 0x1.86cf773721653p-1 0x1.9baa3e27068c2p-1 "
+        "0x1.2efcdeeade94bp-1 0x1.301736a70bfbap+0 0x1.449d677e214a6p+0 "
+        "0x1.4cef902ac270dp+0 0x1.a1d80c1e9fbdep-3 0x1.eaf344f8d8af1p-1 "
+        "0x1.0e7900458879cp+0",
+        "0x1.f09c75eda0256p-2",
+    ),
+    ("alternate", 4.0, 1.0): (
+        "0x1.1a693f4bf4537p-1 0x1.ee7d2e495884ep-1 0x1.7bcd35ab39e2dp-1 "
+        "0x1.e6438e2c9872fp-1 0x1.f2c4ae92d408fp-1 0x1.72c3a99fadd7bp-1 "
+        "0x1.f445128d90d52p-1 0x1.0c827324b30fcp+0 0x1.2b76a829e0eb1p+0 "
+        "0x1.669a71baa40eep-2 0x1.e077762073267p-2 0x1.a458010e79c7ep+0 "
+        "0x1.53b3fe0198290p-1 0x1.f9216b1175433p-1 0x1.dac5d9dea6936p-1 "
+        "0x1.1b97e85e24710p+0 0x1.ed0af8eae7da8p-2 0x1.7a5ca3ba334d2p-1 "
+        "0x1.ee8d7fc7d1ef9p+0 0x1.0522a295aca93p-1 0x1.744f3aebf6847p-2 "
+        "0x1.01a82475aef5fp+0 0x1.8560d70996906p-1 0x1.1bbbf7fa4ac7cp-1 "
+        "0x1.34da2a7d1d049p-2 0x1.fbd1c7130de5fp-2 0x1.916965532fdd0p-1 "
+        "0x1.2c88cc3a86f34p+0 0x1.bf74125c3b577p+0 0x1.da691160b0852p-2 "
+        "0x1.2d72fc564306fp+0 0x1.b407b26da995ep-1 0x1.d1d018c9bc143p-1 "
+        "0x1.ef63073b6e120p-1 0x1.141e9e92262e9p+0 0x1.9f2a90c1054aap-1 "
+        "0x1.4ae6989a1e391p-1 0x1.076f9361d95b1p+0 0x1.9bf0664b3d837p-2 "
+        "0x1.1de3eb7cbab1bp+0 0x1.53fac2ef41799p-2 0x1.1734282c941a1p+0 "
+        "0x1.38521aa3d4132p+0 0x1.0e5a33fed4d2cp+0 0x1.a620ea8f0f99cp-2 "
+        "0x1.30751e2a4c295p+0 0x1.98163475bb244p+0 0x1.3e761cd4fd287p-1 "
+        "0x1.67e5c6dd895bdp+0 0x1.9c64b98480bddp-2 0x1.2449c3c6180b2p-1 "
+        "0x1.9d32fac28b3c5p+0 0x1.4cc0a1c80045bp+0 0x1.12aaea2f3a913p-1 "
+        "0x1.dde0b6ca9f9c7p+0 0x1.225349cd7bfb6p+0 0x1.536a891838e72p-1 "
+        "0x1.3de0937039b0dp-1 0x1.98f86b8effd53p-1 0x1.e4421df4b39e4p-2 "
+        "0x1.2ee8e6c8c6fdcp+0 0x1.0529ada677a9bp+0 0x1.cbfaef17e2c81p-1 "
+        "0x1.d69b4f626ba7dp-1",
+        "0x1.97f8a1b0d2696p-1",
+    ),
+    ("alternate", 4.0, 8.0): (
+        "0x1.eef08dd1c8d0fp-3 0x1.fe07460f6de09p-3 0x1.bc9bca3926cd8p-3 "
+        "0x1.5df0f79cafce0p-2 0x1.e4ba8d3f75202p-3 0x1.c99ab1a049837p-3 "
+        "0x1.de4c28323a2fep-3 0x1.2cb9a24f7fe19p-2 0x1.7595bfa29083ep-3 "
+        "0x1.22739019fe0e5p-2 0x1.0c7ff3bb398dfp-2 0x1.6c309d9371dafp-3 "
+        "0x1.8ac27947e97fcp-3 0x1.dadc6488e6dddp-3 0x1.0fa67be0f950dp-2 "
+        "0x1.c5d74b20119abp-3 0x1.6b17fcc4074b4p-2 0x1.0a4945d06379dp-2 "
+        "0x1.58b58c0224a46p-2 0x1.29931116cf72cp-2 0x1.b471d6341a95fp-3 "
+        "0x1.9d17829e61f5ep-3 0x1.52da43ccaccafp-2 0x1.ca29d26c58b8ep-3 "
+        "0x1.3904f5d510faap-2 0x1.e52859925e9b3p-3 0x1.a9a7554a3389bp-3 "
+        "0x1.28cddf686d7e5p-2 0x1.30523a9685905p-2 0x1.4d7bf85f3e5b9p-2 "
+        "0x1.119a5ae13418fp-2 0x1.2d8807f726d33p-2 0x1.2bf25e3f59588p-3 "
+        "0x1.a4100c3ad58bcp-3 0x1.c7f8ad8f4d8b4p-3 0x1.201e5889d32c8p-2 "
+        "0x1.7fc6ede6f2fcfp-2 0x1.337d314437ebep-3 0x1.437c6dee8bccbp-2 "
+        "0x1.683bc773b6217p-2 0x1.96f18268f3c22p-3 0x1.b5368b3eaab7cp-3 "
+        "0x1.8b4539e40da99p-3 0x1.aaf4261c2ad77p-2 0x1.3787340f88814p-2 "
+        "0x1.2c6d87248a1d1p-2 0x1.609581bcd087bp-3 0x1.8154ff6e518dcp-3 "
+        "0x1.443a83d94992cp-2 0x1.11e5a4e115234p-2 0x1.07fc8125b40b1p-2 "
+        "0x1.1c6f30058bc80p-2 0x1.c15d2b42b1fd6p-3 0x1.4fa50f337b6aep-2 "
+        "0x1.16cb9000823fcp-2 0x1.3fd551db65bb0p-2 0x1.aee8a1dc8cf77p-3 "
+        "0x1.048d6a46b6df1p-2 0x1.96e8ce7a37c79p-3 0x1.8669567c2e263p-3 "
+        "0x1.c63932675756dp-3 0x1.16914bc6035d9p-2 0x1.4e96729212982p-3 "
+        "0x1.6fc43a2239b6bp-3",
+        "0x1.64089d7838b64p-1",
+    ),
+    ("alternate", 7.3, 0.0): (
+        "0x1.6620a10d0de9cp+1 0x1.04e1cf7969125p+0 0x1.f75577a0910c0p+0 "
+        "0x1.85471ec9f2814p+0 0x1.806c7e0e79232p+0 0x1.7bd835f8e1ce6p+0 "
+        "0x1.9e2583bf47c6cp+0 0x1.7bd5d3e1ef08cp+1 0x1.b90970a9a2f37p+0 "
+        "0x1.59377bc20392ep+0 0x1.c9ec4e8a95e3cp+0 0x1.e0b8e64fd0728p+1 "
+        "0x1.ac5c454a58274p+0 0x1.cf6269aaaeb5ap+0 0x1.132a9ede6d763p+0 "
+        "0x1.eda59d99192b4p+0 0x1.6b16ac2df7771p+0 0x1.b8a21ce75595bp+0 "
+        "0x1.1f3b39782f565p+1 0x1.3acb5c9b58201p+1 0x1.9de1f466e6161p+1 "
+        "0x1.aa293ecf625d9p+0 0x1.3ec1bd50ff094p+0 0x1.d9c10db30a48ep+0 "
+        "0x1.1e6f34249a04cp+1 0x1.17c4e94ea8fdap+0 0x1.4a1faafdf79f9p+1 "
+        "0x1.a32e1988b9fdcp+0 0x1.58c0a09949a63p+0 0x1.61078d758dceap+1 "
+        "0x1.76f4bf7738908p+0 0x1.0a7994ac1ccbep+0 0x1.046f1dfb5b390p+1 "
+        "0x1.b2d15d872cc3dp+0 0x1.ccf5be7ed5384p-1 0x1.81e2c11d6f8f8p+0 "
+        "0x1.4cd851e7a402ep+0 0x1.e85737656def3p+0 0x1.ad2565464f5e2p+0 "
+        "0x1.61f80f8f544aap+0 0x1.0ff1ec1707fb6p+1 0x1.c06100f2d8bf6p+0 "
+        "0x1.2eabcfaf9853cp+1 0x1.23ae5fbe07fc6p+1 0x1.9d908919259b2p+0 "
+        "0x1.9b9ce56529ff4p-1 0x1.517a070c2ba84p+0 0x1.c5b23af69da12p+0 "
+        "0x1.2d52294e85901p+1 0x1.0a1db74f744efp+1 0x1.8b376a59d84f7p+0 "
+        "0x1.178360a7ca46ep+1 0x1.79d601b791474p+0 0x1.5da0ee3ab9559p+0 "
+        "0x1.85cff5b6abed2p+0 0x1.f54f7ce92fc74p+0 0x1.36143831aa464p+1 "
+        "0x1.899cfcd420fcdp+0 0x1.4fc679f4db180p+0 0x1.55389bf506210p+0 "
+        "0x1.65d528aea5a9cp+0 0x1.76b3beff2b016p+1 0x1.0ffb160dab14ep+1 "
+        "0x1.5bf7d592a42ddp+0",
+        "0x1.a451fb163d6a4p-1",
+    ),
+    ("alternate", 7.3, 1.0): (
+        "0x1.9a1a962e956aep+0 0x1.305aeb3d3a429p+1 0x1.1a9109f40cbe6p+0 "
+        "0x1.f5be132fbb318p+0 0x1.58931b533ca08p+0 0x1.9e0ce572138bep+0 "
+        "0x1.2757caf3ed540p+1 0x1.186e429f2bde6p+1 0x1.2cc5ced80da4ep+1 "
+        "0x1.3e439f6e17117p+1 0x1.090c52aab0306p+1 0x1.0c93e1b69a7b6p+1 "
+        "0x1.22adb3792ccefp+0 0x1.660541ff6617cp+0 0x1.2e0f10c62c76cp+1 "
+        "0x1.ffc55d4ad665ap+0 0x1.07c0f73d14385p+1 0x1.7faa3cf9da1fap+0 "
+        "0x1.0656c27ccec9ep+0 0x1.da7dd04f583f1p+0 0x1.fcd7a645465b1p+0 "
+        "0x1.aa5d7e8fdeeefp+0 0x1.1dfd651981391p+1 0x1.481ccb5495cb2p+0 "
+        "0x1.7ffe1d88ceba7p+0 0x1.66edad8d4c3bep+0 0x1.5d3a647dc63c8p+0 "
+        "0x1.c2fefdada1a88p-1 0x1.366fac048a54ap+1 0x1.b9936bedde626p+0 "
+        "0x1.b7c91e3339b7dp+0 0x1.cdb0082759972p+0 0x1.27c91b11556fbp+0 "
+        "0x1.fcee439528110p+0 0x1.0a647da403fdcp+1 0x1.74475f061f93bp+0 "
+        "0x1.993c280decc3ap+0 0x1.4550d69925034p+0 0x1.8d97c307ac3b8p-1 "
+        "0x1.1dab9e32f9afcp+0 0x1.4abb35cdb4046p+0 0x1.646ded630fb5ep+1 "
+        "0x1.8290e23382314p+0 0x1.9137a3fa37c84p+0 0x1.76e082f344a48p+1 "
+        "0x1.b7eb871a722d9p+0 0x1.46b4c9a760cf8p+1 0x1.f6bd1def384f8p-1 "
+        "0x1.cfe9df50dd386p+0 0x1.e8cc8dea15642p+0 0x1.65283456af3bap+1 "
+        "0x1.8671f04040b5ep+0 0x1.cf75f5a144d7cp+0 0x1.4992950b6133cp+0 "
+        "0x1.7557d8be566e0p+1 0x1.7ffd64a64f9c7p+0 0x1.7a2ac13db5aaap+0 "
+        "0x1.065d8b4874a16p+1 0x1.6baf1ad42e02dp+0 0x1.86b182445b9e4p+0 "
+        "0x1.9e1b14e0046f0p+0 0x1.d410c77390e8ep+0 0x1.d23d771c81c96p+0 "
+        "0x1.296bd6ffd2400p+1",
+        "0x1.c3cfa972036f7p-1",
+    ),
+    ("alternate", 7.3, 8.0): (
+        "0x1.da13005a0edd0p-2 0x1.7757ecb726d3ap-2 0x1.0014873232d5bp-1 "
+        "0x1.a8ce636833923p-2 0x1.7ecbebcd99c34p-2 0x1.c14ed1e4f6907p-2 "
+        "0x1.5741c6396057cp-2 0x1.1bfe42d919136p-1 0x1.8203683d7b986p-2 "
+        "0x1.052eec351523cp-1 0x1.04e59d7739662p-1 0x1.be5bce2bd1438p-2 "
+        "0x1.da688a66dd1cdp-2 0x1.2b9844f1e6a0cp-1 0x1.7c88fdb5ffaf2p-2 "
+        "0x1.dca7e4462f50cp-2 0x1.adfdd7705a95ep-2 0x1.ab4a3203f481dp-2 "
+        "0x1.f1a91bb7951d4p-2 0x1.38469c97ac19ap-2 0x1.18aa49386d47ap-1 "
+        "0x1.9fcf2a1ade0fdp-2 0x1.91a0b181ee4cep-2 0x1.a0284a2397e65p-2 "
+        "0x1.741af17658dcap-2 0x1.bbba31e289464p-2 0x1.98250b4ec58c2p-2 "
+        "0x1.0624d21752054p-1 0x1.0d8290d27ec66p-1 0x1.c60a3287aadeep-2 "
+        "0x1.9cdfad697a6f8p-2 0x1.0c4a6c9d6ecaap-1 0x1.0a525c86451b4p-1 "
+        "0x1.19bdff779b500p-1 0x1.269065f524fe3p-1 0x1.3398bda068604p-2 "
+        "0x1.0802398c76a92p-1 0x1.16d687f1e02d2p-1 0x1.239b109c227e2p-1 "
+        "0x1.565e5bcc3758ap-2 0x1.cdb87e28dd314p-2 0x1.c4ef65322718bp-2 "
+        "0x1.8ee9dbd3aff89p-2 0x1.b43e533da765ep-2 0x1.ccb3925165a04p-2 "
+        "0x1.94d634a0e713ap-2 0x1.96e6631e1bf23p-2 0x1.6e580fb618166p-2 "
+        "0x1.ece175dcf7e47p-2 0x1.f4e63a11d1899p-2 0x1.92ab655bffea6p-2 "
+        "0x1.b3c6c2c0c6bcap-2 0x1.c5111f56224c7p-2 0x1.c2530cc7d937fp-2 "
+        "0x1.154603e6c9951p-1 0x1.876d1253bf698p-2 0x1.2514d410357fbp-1 "
+        "0x1.f3274ea163285p-2 0x1.2539ea90f20e4p-1 0x1.648b316cbda2ep-2 "
+        "0x1.0904dba4b87bap-1 0x1.9f12b7c2b51e5p-2 0x1.2fff790466852p-2 "
+        "0x1.bb46a49f4edd9p-2",
+        "0x1.4a36d1c6af376p-1",
+    ),
+    ("alternate", 12.0, 0.0): (
+        "0x1.44e110507531dp+1 0x1.900a69aef168ep+1 0x1.e8d03e14286efp+1 "
+        "0x1.bb33442e100a7p+1 0x1.5fe7f4a2bb293p+1 0x1.561e4ca8180e2p+1 "
+        "0x1.ca61ff72bbcb6p+1 0x1.32f8c2f8b6546p+1 0x1.079d1ec57bee2p+2 "
+        "0x1.88bbf429a2460p+1 0x1.e00b9b262b46ep+1 0x1.89cbaf134a4bdp+1 "
+        "0x1.26d18ae634d3dp+1 0x1.c15c415383184p+1 0x1.c2714ec9adf1fp+1 "
+        "0x1.8e4ace79e2e6dp+1 0x1.4dbef9954fb7ep+1 0x1.f0e1b80aca145p+0 "
+        "0x1.89c4bc764c178p+1 0x1.e9bfa7ac001cap+0 0x1.bbeb3790a1ec0p+1 "
+        "0x1.4af7013f4de88p+1 0x1.c893fe657e00ap+1 0x1.8eea2224f27f9p+1 "
+        "0x1.b61400a6da628p+1 0x1.93cb504addd84p+1 0x1.d3ffbc8d5c49ep+1 "
+        "0x1.de764fd27a540p+0 0x1.3bf01b6716db5p+1 0x1.17adbfc4448fdp+1 "
+        "0x1.21e6ee3218634p+1 0x1.0abb06b3c2cbep+2 0x1.2bc831d9166bap+1 "
+        "0x1.661d0a49d995cp+1 0x1.3d330f1c758f5p+1 0x1.231cad0b3e521p+1 "
+        "0x1.f7bef4533824cp+1 0x1.afc58adcd3287p+1 0x1.c5b6f03664ce2p+1 "
+        "0x1.b1dc7d6f189f0p+1 0x1.32eb77837343ap+1 0x1.679edfe3124cap+1 "
+        "0x1.6a37908ba74d5p+1 0x1.ee3f5a83cb313p+1 0x1.e10fbe2278bc8p+0 "
+        "0x1.8d333bfb2dcd8p+1 0x1.b65ca2666f6dbp+1 0x1.525a769a8553ep+0 "
+        "0x1.2bd4f92b3282fp+2 0x1.324770b5bcbb4p+1 0x1.ba8a1ff1321fcp+1 "
+        "0x1.4502fdbd46144p+1 0x1.99201dfcb5a37p+1 0x1.823556c92dbaep+1 "
+        "0x1.8ca4e16028d67p+1 0x1.dccb7261cfd2ap+1 0x1.46c06c7f17402p+1 "
+        "0x1.2bddf3ac2060bp+2 0x1.8276af29cfafep+1 0x1.d0c05fd2f86e4p+1 "
+        "0x1.6bb57e1fb8b3dp+1 0x1.6be39ff00e33bp+1 0x1.a7c87f6149069p+1 "
+        "0x1.449e10058d04cp+1",
+        "0x1.9c1191885952ap-1",
+    ),
+    ("alternate", 12.0, 1.0): (
+        "0x1.1446ef2b19a30p+1 0x1.9be35afd67265p+1 0x1.4266ac0581978p+1 "
+        "0x1.5681089d4e548p+1 0x1.1c12dab0ce991p+1 0x1.3fd409df86a09p+1 "
+        "0x1.463442c125fa2p+1 0x1.d251bcbe31ea2p+1 0x1.d1b9fac6aef4cp+1 "
+        "0x1.82ad2c3954544p+1 0x1.773fe65e32b66p+1 0x1.d476631230266p+1 "
+        "0x1.aad9066a7649cp+1 0x1.4a83654ff644ap+1 0x1.b6e62dd2fcaf1p+1 "
+        "0x1.5eab6e7b82348p+1 0x1.8272ed48ce008p+1 0x1.54a62d1dfb829p+1 "
+        "0x1.1380445798601p+1 0x1.3fc860159ab62p+2 0x1.3ffb2c9838f2fp+1 "
+        "0x1.5f50fd977f6c8p+1 0x1.d8b3e417b9261p+0 0x1.41bec07658cf6p+1 "
+        "0x1.74ad738575976p+1 0x1.32ee65a94c68ep+1 0x1.aaa97ac77af30p+1 "
+        "0x1.1312864ce943dp+2 0x1.d44baa2483470p+0 0x1.fc5d896b077f7p+1 "
+        "0x1.61bcc389f97cdp+1 0x1.1f2416a029593p+1 0x1.c04d9213af2a0p+0 "
+        "0x1.81cd1fc7b7115p+1 0x1.9c465dd367234p+1 0x1.b3ed50af1f9a6p+1 "
+        "0x1.001c805b90bfap+1 0x1.4351fcfb97648p+1 0x1.1b9e9a8add464p+1 "
+        "0x1.0d203b097d441p+1 0x1.9474c0f9bb5b6p+1 0x1.25318f86b6aecp+1 "
+        "0x1.401dedeacbc32p+1 0x1.5dc3e78bf4fe3p+1 0x1.44cf35b00334ep+1 "
+        "0x1.ba8071cb65f9ap+1 0x1.96678c1a7fc6cp+1 0x1.6c51f05714293p+1 "
+        "0x1.0ea57c1628f37p+1 0x1.08f74811bf52ap+1 0x1.2deac75623a80p+1 "
+        "0x1.1a28ed5129630p+1 0x1.4b9d731df2cbcp+1 0x1.8dbaeaa6e5daep+1 "
+        "0x1.5719627c037f0p+1 0x1.84c738f35f3eap+1 0x1.32a496f400f1fp+1 "
+        "0x1.4d90939474e6fp+1 0x1.0c0193f7992e1p+1 0x1.4f80d6c9dc7e8p+1 "
+        "0x1.2383a92ce326cp+1 0x1.a97e616c68875p+0 0x1.5ff429c849a6ap+1 "
+        "0x1.433b835fc9714p+1",
+        "0x1.3f78c7992512dp-1",
+    ),
+    ("alternate", 12.0, 8.0): (
+        "0x1.b6b8dac866842p-1 0x1.db6e1d5928840p-1 0x1.8c7b28e19fdd7p-1 "
+        "0x1.79f3afab073b6p-1 0x1.7f258d361f280p-1 0x1.ce2155f1ed5eep-1 "
+        "0x1.741751dfff7edp-1 0x1.8d67faccc5952p-1 0x1.d616f5979d36ep-1 "
+        "0x1.87d65eca89adap-1 0x1.48163d7dfa839p-1 0x1.7b15a70458914p-1 "
+        "0x1.538ca6db7ff55p-1 0x1.562ca3889d076p-1 0x1.86fa6cd25bfdap-1 "
+        "0x1.a99dd09bd55c9p-1 0x1.607eb1ecd3f96p-1 0x1.8217fdce83c04p-1 "
+        "0x1.a0797d138a825p-1 0x1.768d2c37cd7adp-1 0x1.6f36dc9324874p-1 "
+        "0x1.6d887d259a0e8p-1 0x1.6e5fa421c3158p-1 0x1.2b86ce8ce3f9ap-1 "
+        "0x1.06d2ad1d51341p-1 0x1.ea31b96e992f2p-1 0x1.a28948f3410fbp-1 "
+        "0x1.59ff74d324ec0p-1 0x1.b7a25e7c8f04ap-1 0x1.6fd3c3ee079bap-1 "
+        "0x1.6f300dc6cf50dp-1 0x1.979febd373daep-1 0x1.6d445dc8b8ca4p-1 "
+        "0x1.6557bff3ae663p-1 0x1.46b5a71c6ad64p-1 0x1.73ec2dde44cd3p-1 "
+        "0x1.994d412f7f264p-1 0x1.433140c2c1c2ep-1 0x1.616cbce44a75fp-1 "
+        "0x1.596a626c37146p-1 0x1.f25c68ddccef2p-1 0x1.a8f7520c78554p-1 "
+        "0x1.d0d7555e3bcc7p-1 0x1.6733c32f702bap-1 0x1.f47d3d6911248p-1 "
+        "0x1.6d4b1fc013900p-1 0x1.779578f83d4a2p-1 0x1.9d36eff726a5ep-1 "
+        "0x1.2234cdf0fcd4cp-1 0x1.7bf58d25a8e03p-1 0x1.ad7e0051a6583p-1 "
+        "0x1.cb0611ae0fc13p-1 0x1.41ef5c575ee52p-1 0x1.3118ccb0f86c0p-1 "
+        "0x1.cc8997504ce8ap-1 0x1.76d81775d5e7ap-1 0x1.83399d04e696fp-1 "
+        "0x1.868c11330ea5ep-1 0x1.559d56e8871dcp-1 0x1.c1bf69a298b6bp-1 "
+        "0x1.5591acb4fb6e1p-1 0x1.69fe04df12123p-1 0x1.3f33907be5f3ep-1 "
+        "0x1.789907ca12224p-1",
+        "0x1.7ca20b6384440p-2",
+    ),
+    ("saddlepoint", 13.0, 0.0): (
+        "0x1.43f2d296ca83ep+1 0x1.805f6249c5060p+1 0x1.79c5dfe663ae1p+1 "
+        "0x1.5eaa5ca6c83bep+1 0x1.cb33cad27f892p+1 0x1.1ac13d9d012ccp+1 "
+        "0x1.53ffee9af7cafp+1 0x1.303a3b1a77484p+2 0x1.e6c02cf6caa60p+1 "
+        "0x1.d394aa9873623p+1 0x1.de156b832c6a8p+1 0x1.417f087992cacp+1 "
+        "0x1.8e688fcd33bb2p+1 0x1.67f31b0bc4245p+1 0x1.962d29f3868ddp+1 "
+        "0x1.e19dc1cd7568bp+1 0x1.8d10c11143f1fp+1 0x1.010155371e439p+2 "
+        "0x1.00c98aaaf7e62p+2 0x1.77a8ed9e4c8bcp+1 0x1.9aa610159ed58p+1 "
+        "0x1.7a736a9754917p+1 0x1.862ce51965522p+1 0x1.a7a598441b549p+1 "
+        "0x1.80b64c98b9021p+1 0x1.15a5a12bfe4d3p+1 0x1.060475305b649p+2 "
+        "0x1.f5458e47f6661p+1 0x1.33b75f661fc1ep+2 0x1.517b45b9de603p+1 "
+        "0x1.6f6eb6b825689p+1 0x1.b3d146f5419ddp+1 0x1.ece49b82e2da8p+1 "
+        "0x1.d4b6887eb3890p+1 0x1.749f4c790a140p+1 0x1.16ee2cf23e78cp+2 "
+        "0x1.5b530cac7ebc9p+1 0x1.246366d755895p+1 0x1.b481d58a21a86p+1 "
+        "0x1.727d68989fbccp+1 0x1.4398290059b11p+1 0x1.9146bad432accp+1 "
+        "0x1.d7fbbcacac115p+1 0x1.c45e2a4d13466p+1 0x1.3243b4afb2dc0p+1 "
+        "0x1.3418569685c1ep+1 0x1.813d6d122da41p+1 0x1.a52b60b8f545fp+1 "
+        "0x1.2c4faa743408bp+1 0x1.f119b54ecd587p+1 0x1.a2d02bf63d1b3p+1 "
+        "0x1.5fe8d0b586baep+1 0x1.5debcbf960983p+1 0x1.0ea890f9a8af9p+1 "
+        "0x1.eaea68d84deb4p+1 0x1.8186e37de5715p+1 0x1.51c6d9c09a729p+1 "
+        "0x1.fc9b4fb543bebp+1 0x1.59dfa392dc875p+1 0x1.eb77eefbd86bap+1 "
+        "0x1.711635a395b02p+1 0x1.8ccdc7092967cp+1 0x1.648fcc3608554p+1 "
+        "0x1.044e37b1d7398p+2",
+        "0x1.d7d3879447e50p-2",
+    ),
+    ("saddlepoint", 13.0, 1.0): (
+        "0x1.f77e5218c8fd2p+1 0x1.ad4ef5f3f79f5p+1 0x1.689bf0260d7b6p+1 "
+        "0x1.ecb6f98ae11a4p+1 0x1.9836398879399p+1 0x1.3c8085bc81ceap+1 "
+        "0x1.b4c1614c37ee7p+1 0x1.b88a42ac25917p+1 0x1.73ab7222592abp+1 "
+        "0x1.e02a033c1204fp+1 0x1.bdc53ce3438a2p+1 0x1.7c4520a33e789p+1 "
+        "0x1.b166b2c7f6915p+1 0x1.0d960fc1deec0p+1 0x1.c1bb780106e68p+1 "
+        "0x1.777df7be0f9f8p+1 0x1.5a73ca7133d37p+1 0x1.2c24f8de6a6d8p+1 "
+        "0x1.00fc49210d80dp+2 0x1.8d9a0fa7f95ecp+1 0x1.2faf9d2483a98p+1 "
+        "0x1.4ebf56718ffc9p+1 0x1.5c013d4090ad7p+1 0x1.dc5ae075d93b9p+1 "
+        "0x1.82e76b3469a3ap+1 0x1.728b2b323ab20p+1 0x1.62611c4eec566p+1 "
+        "0x1.a22a013b032b0p+1 0x1.e24afd1b4efe1p+1 0x1.593d022ae5622p+1 "
+        "0x1.195f52ba4beefp+1 0x1.ec69c2b462e32p+1 0x1.51164cfafb828p+1 "
+        "0x1.98191973c74e9p+1 0x1.8133fdc3fb9e0p+1 0x1.02783eb3d5ab6p+2 "
+        "0x1.c1ee6ba0d5285p+1 0x1.54bb03c74ea2bp+1 0x1.c1bec116747a1p+1 "
+        "0x1.b7dac34635f65p+1 0x1.770e61cbceb0ep+1 0x1.8933dbca58a02p+1 "
+        "0x1.115e2bd492cbep+1 0x1.2495fd573e954p+1 0x1.6a7306ccd9b4fp+1 "
+        "0x1.085890fe684e4p+1 0x1.d2200f95123bap+1 0x1.30cff618dcf9dp+1 "
+        "0x1.b583ab1e8b645p+0 0x1.124c75b40396fp+1 0x1.a1f1c6bf23a41p+1 "
+        "0x1.8452e45db7561p+1 0x1.4b7eea58d9eecp+1 0x1.78886c544a0d8p+1 "
+        "0x1.ea95d88fefa5ap+1 0x1.384923e460424p+1 0x1.82b0142b19848p+1 "
+        "0x1.f1439862b68c7p+1 0x1.a6e89ac928fc1p+1 0x1.a3949f4a49753p+1 "
+        "0x1.7b4ab2ac37defp+1 0x1.9d9d71177e9efp+0 0x1.58314338a73b3p+1 "
+        "0x1.03b1d2dc70926p+2",
+        "0x1.86bfb737f8a82p-1",
+    ),
+    ("saddlepoint", 13.0, 8.0): (
+        "0x1.2c881ad176cc6p+0 0x1.9fcc3bb535b95p-1 0x1.a2f82f6cfb4d0p-1 "
+        "0x1.8855547d50e42p-1 0x1.706a6a2cf880ep-1 0x1.980e41e8e3d7ap-1 "
+        "0x1.6afe978479113p-1 0x1.9559647b0b3e7p-1 0x1.a7bd44c53e6f0p-1 "
+        "0x1.7a755fe7b1da8p-1 0x1.ec1f6e669db81p-1 0x1.c600d19200baep-1 "
+        "0x1.b22b9bb566763p-1 0x1.e764fe421a203p-1 0x1.479862bde19a6p-1 "
+        "0x1.ce9a38418da8ap-1 0x1.7d419e558204ep-1 0x1.50a99acc7092bp-1 "
+        "0x1.9bd0825d8c857p-1 0x1.1fc291788a800p+0 0x1.d244ed2a86ab5p-1 "
+        "0x1.af631e7d2fae5p-1 0x1.9a2f6b0e575a4p-1 0x1.9d5cbb9218ab8p-1 "
+        "0x1.8e0a58e368d14p-1 0x1.a8fcf2498e08fp-1 0x1.82c5fd58d3db9p-1 "
+        "0x1.18dcc2c029532p+0 0x1.ba7722bf71f88p-1 0x1.eadd2baba28b7p-1 "
+        "0x1.890001b37316ap-1 0x1.b19334dbaa6c6p-1 0x1.6172e56a17880p-1 "
+        "0x1.8e5be37dde729p-1 0x1.6b39cd0219342p-1 0x1.0902a0e6e6d98p+0 "
+        "0x1.951dbefe81487p-1 0x1.a9f5efa9c6edep-1 0x1.a89e62059e90ep-1 "
+        "0x1.809d4b7077113p-1 0x1.8235b1c66db61p-1 0x1.6d2c5488e35f6p-1 "
+        "0x1.8bf7d560c6107p-1 0x1.7bdfb097cab1bp-1 0x1.8d2302fa6cfefp-1 "
+        "0x1.87634e5fe267ap-1 0x1.68be47cd2e72dp-1 0x1.1395b75b190a6p+0 "
+        "0x1.6089b1811db3ep-1 0x1.6b75f2ae07757p-1 0x1.a83320a15f3f1p-1 "
+        "0x1.48f681ca28919p-1 0x1.c0a9ad099adafp-1 0x1.db7d4059ec9bep-1 "
+        "0x1.9242c577498d2p-1 0x1.eb4a75f4abfdfp-1 0x1.af848ad093100p-1 "
+        "0x1.b6a9ab0f13a1ep-1 0x1.7816771d36baap-1 0x1.da7394de1c526p-1 "
+        "0x1.f4ccecc34a35fp-1 0x1.7b9ff95bfbd5bp-1 0x1.07e9145861aedp+0 "
+        "0x1.ade5776906050p-1",
+        "0x1.55c698b922cf3p-1",
+    ),
+    ("saddlepoint", 40.0, 0.0): (
+        "0x1.305da896d9cd2p+3 0x1.4c4734706d1c0p+3 0x1.802a894375a0ap+3 "
+        "0x1.8990ba5b82602p+3 0x1.6c4c428ca1976p+3 0x1.7de716ac5433ap+3 "
+        "0x1.1f1252f15bbe8p+3 0x1.424531b51f197p+3 0x1.5f96f7f4967d7p+3 "
+        "0x1.493a52357a466p+3 0x1.059bb18ee88f2p+3 0x1.22c8cc8146363p+3 "
+        "0x1.36e6796283510p+3 0x1.38fe54307e591p+3 0x1.2a383b96e72adp+3 "
+        "0x1.4cc6e8be96f52p+3 0x1.0fdcc12725dbdp+3 0x1.2b5da07bb2b8ep+3 "
+        "0x1.6d3c8e9feb57bp+3 0x1.3907abc539b5fp+3 0x1.ecb2f00badb9ep+2 "
+        "0x1.245a6c7172cd6p+3 0x1.612695b6c0558p+3 0x1.6c1db88dd0febp+3 "
+        "0x1.92a3a5cd4f8eep+3 0x1.11321a089424cp+3 0x1.46ad8ddca8a0dp+3 "
+        "0x1.0c8b319672b8ap+3 0x1.2f1366e7fd496p+3 0x1.2519627628472p+3 "
+        "0x1.638a1cb439aaep+3 0x1.1a6d49cd0bee2p+3 0x1.47bf1c61c6c04p+3 "
+        "0x1.1f787ae9cc84dp+3 0x1.39ca21d56f43fp+3 0x1.ee2e07ae18620p+2 "
+        "0x1.658e45b4dbb6ap+3 0x1.45e54931abf8bp+3 0x1.318ec1b2c4be3p+3 "
+        "0x1.2d20f3ffcd5dbp+3 0x1.8583c4c738161p+3 0x1.5bdf7c0c9ff08p+3 "
+        "0x1.4fd0a477087e0p+3 0x1.7cd21b7963bc6p+3 0x1.3dbfedacf213ep+3 "
+        "0x1.376502c56b6c9p+3 0x1.46f5996d84637p+3 0x1.93279550c977cp+3 "
+        "0x1.ce22f06bd0893p+3 0x1.5069469050c53p+3 0x1.2d2c5e0a616a7p+3 "
+        "0x1.01e4293950ccep+3 0x1.33a103a4aab9ep+3 0x1.55a2e036b2a65p+3 "
+        "0x1.1d6cd6d18c780p+3 0x1.78d08e6a9ccefp+3 0x1.673f8a75bfa97p+3 "
+        "0x1.17c690de8288ap+3 0x1.5ce43b8e60817p+3 0x1.3442a61cbf465p+3 "
+        "0x1.f608170224462p+2 0x1.0da18ef27b48bp+3 0x1.4d8e8cd8a882fp+3 "
+        "0x1.20edca9220ea2p+3",
+        "0x1.c1d25aa61fbf4p-2",
+    ),
+    ("saddlepoint", 40.0, 1.0): (
+        "0x1.20cef5c1bc8f4p+3 0x1.1e390f3deeefdp+3 0x1.4502dcf765a68p+3 "
+        "0x1.0c9127e92e31ap+3 0x1.0cc129b06cb56p+3 0x1.00b52a3fe4c8ap+3 "
+        "0x1.3db885b0560b9p+3 0x1.33d37e33da1ddp+3 0x1.b9512bdb87781p+2 "
+        "0x1.2dd589a603a78p+3 0x1.525d02ac5de8cp+3 0x1.46453ae584c62p+3 "
+        "0x1.46cad53dfe8fap+3 0x1.19193e4e04ad2p+3 0x1.24609d86a613ap+3 "
+        "0x1.0ebae1f8d62ffp+3 0x1.27c1160cd6447p+3 0x1.2689524171bdfp+3 "
+        "0x1.3902f7ad3ad0cp+3 0x1.0abe1fce54e4fp+3 0x1.3d9769affbfcep+3 "
+        "0x1.1f0b5f11ff403p+3 0x1.680e5a5bc7c34p+3 0x1.08d3fa55ab502p+3 "
+        "0x1.467f180aedb4fp+3 0x1.22db4e028dd14p+3 0x1.28df907229eebp+3 "
+        "0x1.6261757533e4bp+3 0x1.2f88c48b15f63p+3 0x1.dc97432f4f7cep+2 "
+        "0x1.17652bbd90a88p+3 0x1.5cf8f07718453p+3 0x1.78e37110954d6p+3 "
+        "0x1.1976da36e94b0p+3 0x1.42e180159f416p+3 0x1.f26d57a947019p+2 "
+        "0x1.01c20e93f7008p+3 0x1.2cf74ff961934p+3 0x1.316cdf94afe16p+3 "
+        "0x1.0b933b09e949ep+3 0x1.288b28ce6846fp+3 0x1.3326bb213479dp+3 "
+        "0x1.571caaf4f1470p+3 0x1.4b5f397fdf250p+3 0x1.82e01014ec52fp+3 "
+        "0x1.daa03b8d23263p+2 0x1.4a7b2a7ad2520p+3 0x1.17581e110bd99p+3 "
+        "0x1.41e2549b7326cp+3 0x1.0066a93916a5cp+3 0x1.26da12b0e69c2p+3 "
+        "0x1.2dee828d1e3d5p+3 0x1.27518e18c21e5p+3 0x1.2fb374343abc4p+3 "
+        "0x1.cce0b3200123dp+2 0x1.efd08af7a990cp+2 0x1.8774b4a9080aep+3 "
+        "0x1.1ef7582c86065p+3 0x1.d8a90593b3d2dp+2 0x1.39398d9a88157p+3 "
+        "0x1.3ee50f891651fp+3 0x1.226f845c84c10p+3 0x1.0971ff5973d8bp+3 "
+        "0x1.10c676726680cp+3",
+        "0x1.9d97d388bc2bcp-2",
+    ),
+    ("saddlepoint", 40.0, 8.0): (
+        "0x1.37252ac12b34dp+1 0x1.3f44dfae942acp+1 0x1.566f42377bff3p+1 "
+        "0x1.85ac4fc6d7e07p+1 0x1.441a373cfb379p+1 0x1.44bb01b529a0fp+1 "
+        "0x1.614a73221c80dp+1 0x1.18b1f848b5859p+1 0x1.11f1b709c9a5ap+1 "
+        "0x1.206a8455ca414p+1 0x1.6509e0fcb0b32p+1 0x1.3eb82f03997b2p+1 "
+        "0x1.4239592c8d27cp+1 0x1.6f382caf47894p+1 0x1.3c07464674465p+1 "
+        "0x1.36beca9ebc096p+1 0x1.452cee4e172b2p+1 0x1.5240cb77b54a4p+1 "
+        "0x1.446566b692d47p+1 0x1.5d10334634f6bp+1 0x1.596e2b2f1ef02p+1 "
+        "0x1.4572f7b09f49fp+1 0x1.182d50dddfdcep+1 0x1.7b2a09881159cp+1 "
+        "0x1.2d65d36ae2425p+1 0x1.31ace03327796p+1 0x1.540f33e2acc8fp+1 "
+        "0x1.20c19e3ca89f1p+1 0x1.3569821507731p+1 0x1.4630078a0fd16p+1 "
+        "0x1.5959f694216d8p+1 0x1.2a9c2953ecb1dp+1 0x1.4d3499cdc9c27p+1 "
+        "0x1.221e63af06d44p+1 0x1.4bbdba53b879fp+1 0x1.39d2847abf37bp+1 "
+        "0x1.499fa910d22ccp+1 0x1.4e62b797a3b04p+1 0x1.5ba19b146fce5p+1 "
+        "0x1.37ee6a40c768dp+1 0x1.45daa1259d09ap+1 0x1.19cda11583cf8p+1 "
+        "0x1.4e979669f0874p+1 0x1.5695a4c130300p+1 0x1.4acca6a734560p+1 "
+        "0x1.3c6c5656e2f6ep+1 0x1.3c9ace63a6306p+1 0x1.4918dc98b8bbcp+1 "
+        "0x1.505d88e8cd960p+1 0x1.1adabd8969619p+1 0x1.3ebb2334ca470p+1 "
+        "0x1.43ec34ca0d29ep+1 0x1.4793a41a07d39p+1 0x1.35496d2f5e2ddp+1 "
+        "0x1.5286605b1f4f6p+1 0x1.63bf639ca8255p+1 0x1.4ded3dbeecba3p+1 "
+        "0x1.1ca5da72f677cp+1 0x1.6ac167a449513p+1 0x1.464ba2140feb7p+1 "
+        "0x1.3b5a2d8e4f0b2p+1 0x1.59a235e9afd53p+1 0x1.341d70114f616p+1 "
+        "0x1.2c7d870f21d9dp+1",
+        "0x1.4196ca329b986p-2",
+    ),
+    ("saddlepoint", 170.0, 0.0): (
+        "0x1.7614ee37b82e0p+5 0x1.48e4981d9e5cdp+5 0x1.51bea7763004bp+5 "
+        "0x1.5c2f35e438f00p+5 0x1.5c06ddee9de46p+5 0x1.40e37c72a0552p+5 "
+        "0x1.485b00e76d1dep+5 0x1.5c17fd3ad4ef5p+5 0x1.33a7067e37851p+5 "
+        "0x1.4e8622ca5ee69p+5 0x1.4563ae2ef159bp+5 0x1.5ac4021785f6bp+5 "
+        "0x1.72611e99bbd10p+5 0x1.459f40c4e92d0p+5 0x1.50ec605452d2cp+5 "
+        "0x1.5452e84fa5f8dp+5 0x1.16bf27b27af95p+5 0x1.34eb7753ff8dap+5 "
+        "0x1.6bb37e82ce579p+5 0x1.52cd3e1dd2ae1p+5 0x1.3ef935e31df5ap+5 "
+        "0x1.591916a088bddp+5 0x1.44ad157d007cap+5 0x1.76a54217a1b01p+5 "
+        "0x1.3ea229339ba6fp+5 0x1.2f748711134cdp+5 0x1.4213cc5297b7dp+5 "
+        "0x1.3d89b70f798e3p+5 0x1.46949ecd7587cp+5 0x1.7a63a4fb0f885p+5 "
+        "0x1.365bdee57077ap+5 0x1.70b91cff85057p+5 0x1.3e5db20810031p+5 "
+        "0x1.34d1b112bb4d2p+5 0x1.67298a7afe68dp+5 0x1.6955e3ed7ed5cp+5 "
+        "0x1.613b007e6bf10p+5 0x1.48fe0163c4b0ep+5 0x1.60e59adb76cafp+5 "
+        "0x1.5accd16145091p+5 0x1.5e81f4a4112fcp+5 0x1.70292c4a5bf9fp+5 "
+        "0x1.4fea8f40b7a57p+5 0x1.786bb7e51c99ep+5 0x1.6b1dea93098e1p+5 "
+        "0x1.59175fc86f1f5p+5 0x1.60d7ba9287cd5p+5 0x1.5bbfba5ab3cf7p+5 "
+        "0x1.526da886cf562p+5 0x1.2232427694143p+5 0x1.6efde9530003ap+5 "
+        "0x1.4959bec99f89dp+5 0x1.402eb160a8b1ep+5 0x1.528d73b8c68cep+5 "
+        "0x1.5532795619e2dp+5 0x1.3fef35aa39729p+5 0x1.50cfa7f9d2630p+5 "
+        "0x1.233032837c408p+5 0x1.429e78c0ad507p+5 0x1.64622ba32f530p+5 "
+        "0x1.4089de1a5a163p+5 0x1.500bd3def681dp+5 0x1.57806f8570b20p+5 "
+        "0x1.5d5db6e1c7aa0p+5",
+        "0x1.c2dea29f7a181p-1",
+    ),
+    ("saddlepoint", 170.0, 1.0): (
+        "0x1.1fb97c0bf5655p+5 0x1.52770360c31e2p+5 0x1.33cab104561efp+5 "
+        "0x1.4c595beffdd07p+5 0x1.5c7c7b4f752c0p+5 0x1.37774426a4102p+5 "
+        "0x1.1ea5bda9dae41p+5 0x1.43351bf8a17bfp+5 0x1.39eb49568d0e9p+5 "
+        "0x1.4ec42dc211116p+5 0x1.1f9f0edba0dc2p+5 0x1.496106fad9f32p+5 "
+        "0x1.5f05b950fb810p+5 0x1.247737083a190p+5 0x1.2a65ab0b0225ep+5 "
+        "0x1.436f58f04f79ep+5 0x1.304871d57f413p+5 0x1.2ff12f33c2a8cp+5 "
+        "0x1.3330d774ec857p+5 0x1.4e81aad1c5518p+5 0x1.330fa66d4fecap+5 "
+        "0x1.2f7136f064b15p+5 0x1.4d5347dc5880ap+5 0x1.268d2a235da9bp+5 "
+        "0x1.41bea7ab45721p+5 0x1.300dd81915b0fp+5 0x1.206d36c6e243cp+5 "
+        "0x1.5ebccc5a6784cp+5 0x1.50786df531ac7p+5 0x1.3bb641aae9367p+5 "
+        "0x1.35a5d3fb24944p+5 0x1.5ad0fe9866341p+5 0x1.325a4f580a10ap+5 "
+        "0x1.23d783451eaa6p+5 0x1.45faa99d1818cp+5 0x1.539281d213c41p+5 "
+        "0x1.5a31225d35675p+5 0x1.5b0aa18187f8bp+5 0x1.710692de90bb3p+5 "
+        "0x1.2b43e2b12afeep+5 0x1.3c5f081be3c5bp+5 0x1.35ad8e06a0c0cp+5 "
+        "0x1.1f71951b5ddc7p+5 0x1.1da4c970b1fbep+5 0x1.3a6128911f6dcp+5 "
+        "0x1.50284946e659cp+5 0x1.39dd623b68134p+5 0x1.45b6b338d0374p+5 "
+        "0x1.42b7fa38b25d9p+5 0x1.5303cd575498cp+5 0x1.3a7ebecb1def8p+5 "
+        "0x1.3929ea0f4241fp+5 0x1.2a1ac6f7e8aa8p+5 0x1.4f76d6992c493p+5 "
+        "0x1.2426d830f64ccp+5 0x1.2ed0dcb7ace87p+5 0x1.20545637ea66bp+5 "
+        "0x1.2a4da4e9d1894p+5 0x1.30e137b362e11p+5 0x1.62239da1f0d2ep+5 "
+        "0x1.2a55d7a041f09p+5 0x1.159f093610583p+5 0x1.531560abff7e5p+5 "
+        "0x1.39e216bf358fbp+5",
+        "0x1.e046af6df98b5p-1",
+    ),
+    ("saddlepoint", 170.0, 8.0): (
+        "0x1.51999529e7edbp+3 0x1.44f5e8cfe5e04p+3 0x1.5a503c2a8578bp+3 "
+        "0x1.57c3659899318p+3 0x1.57ab84fb99b88p+3 0x1.3ba2fda921078p+3 "
+        "0x1.46b72b700c6a6p+3 0x1.63db81b75ca67p+3 0x1.41fce73ce370cp+3 "
+        "0x1.5df6be3458b99p+3 0x1.40379b8de9e78p+3 0x1.51cb8e490e498p+3 "
+        "0x1.5b140731f3cb4p+3 0x1.547532edc8498p+3 0x1.5e00ac2c6586ap+3 "
+        "0x1.51083c1dc2310p+3 0x1.3b2a595f360b1p+3 0x1.60c94ac72a52bp+3 "
+        "0x1.54a81e98fa72fp+3 0x1.4aca60493473cp+3 0x1.3d4fed636b600p+3 "
+        "0x1.471767e0faf5ap+3 0x1.4639d4b032d16p+3 0x1.5ace28538d328p+3 "
+        "0x1.54116db6e6160p+3 0x1.6ab31fa98db4cp+3 0x1.550bd076ad574p+3 "
+        "0x1.4eb2a60a028d8p+3 0x1.496ae0ef8c787p+3 0x1.3ec25f46f3e43p+3 "
+        "0x1.50c63afaa0bdcp+3 0x1.4e347ddb5ba9bp+3 0x1.3e502ec8d28ffp+3 "
+        "0x1.5e44fe6797265p+3 0x1.57346220362dfp+3 0x1.6addfa58f1bfep+3 "
+        "0x1.47e7ff80e04abp+3 0x1.4d36d14b6f7bap+3 0x1.5b17ce1c619d2p+3 "
+        "0x1.4a57417777fdcp+3 0x1.4b321fe8198f6p+3 0x1.34acc2b5dcdf0p+3 "
+        "0x1.5a5a13ecd5a12p+3 0x1.5dc6023d1d1cep+3 0x1.5c271ac5d792bp+3 "
+        "0x1.58d22789e4176p+3 0x1.54c0b1d95c4a2p+3 0x1.5b72ad17458d0p+3 "
+        "0x1.552bc076d7eaap+3 0x1.528fc36b4c4b1p+3 0x1.529b6d2947d7cp+3 "
+        "0x1.534aa54501122p+3 0x1.534887f659816p+3 0x1.4f28653b73349p+3 "
+        "0x1.64c10cae43ab7p+3 0x1.75ed05784da65p+3 0x1.487b5bfbc127ep+3 "
+        "0x1.5361d844e5ddap+3 0x1.58b854e487df1p+3 0x1.4de55c35c6003p+3 "
+        "0x1.3b33746a20cbep+3 0x1.50ed47839106bp+3 0x1.57da59ec5c524p+3 "
+        "0x1.417c15b760e19p+3",
+        "0x1.163466d37d7fap-1",
+    ),
+    ("gamma-sum", 0.3, 0.0): (
+        "0x1.f463d2ceeb932p-8 0x1.a012e5dd4cf65p-6 0x1.46858d982c6acp-7 "
+        "0x1.5b315db5ff9e6p-7 0x1.e73a930acc1c6p-4 0x1.c9d940f70f26bp-4 "
+        "0x1.f173a6c3ac32ep-9 0x1.94cf898beb59bp-6 0x1.043097b7d1588p-3 "
+        "0x1.5133a19a9bbbfp-4 0x1.b9aaa158d5378p-7 0x1.2784be6f65af0p-4 "
+        "0x1.f7524f58eec33p-4 0x1.238ecd57d0ebdp-2 0x1.541fe1d230ff4p-7 "
+        "0x1.ff7bec8978fc6p-8 0x1.31561eed3c358p-2 0x1.4e058168ca5b5p-3 "
+        "0x1.41b53675e6ea0p-3 0x1.4ab61a2c969f4p-6 0x1.f3efd17f8d1adp-5 "
+        "0x1.75bea84146188p-8 0x1.445e428a2015dp-5 0x1.f0ccd028882ccp-3 "
+        "0x1.07277b8e851b6p-4 0x1.4a8edfd03c6a5p-6 0x1.5b2d1acca7f0ap-3 "
+        "0x1.6ed311ecb7a2ap-6 0x1.c874f98979ff6p-6 0x1.36d1567446fcap-7 "
+        "0x1.87a184ea072c0p-4 0x1.9e57ea34e877cp-6 0x1.11be3a6f199b2p-8 "
+        "0x1.d18047a66f727p-5 0x1.3f759da954f90p-5 0x1.ce3a1d8b31bb5p-4 "
+        "0x1.5e581fd39c5f4p-6 0x1.56086de9a5b55p-7 0x1.7c8ecb94dee21p-4 "
+        "0x1.b4a44da49f4e8p-6 0x1.22fac4fd9850dp-5 0x1.5922ef6044974p-3 "
+        "0x1.7e2d3faf087f3p-6 0x1.daa146ff8260bp-9 0x1.861333f4deedcp-7 "
+        "0x1.fa4d3f1581fe5p-4 0x1.bf81f3a9e6b94p-7 0x1.3ac7ce393febbp-4 "
+        "0x1.06d7e5e04297ep-6 0x1.e5c53c2d0f873p-4 0x1.45e418410230fp-5 "
+        "0x1.f9a537e5636bcp-6 0x1.4ee9bac970cc4p-5 0x1.4eef1ee616ff7p-5 "
+        "0x1.07e0bdac45234p-8 0x1.a4465247925eap-9 0x1.456a244bc22f1p-4 "
+        "0x1.63a50b420d7a8p-5 0x1.67b61c70deab2p-4 0x1.4a39afeb8615bp-4 "
+        "0x1.a3854377a80eap-5 0x1.1dbbedf658f58p-6 0x1.3b70a29d0de70p-3 "
+        "0x1.101c8b27906efp-3",
+        "0x1.f249759de8ad4p-3",
+    ),
+    ("gamma-sum", 0.3, 1.0): (
+        "0x1.c3ee2902344d1p-4 0x1.82285414d963ep-5 0x1.2cfc0fca29387p-4 "
+        "0x1.4b95b5b979deep-6 0x1.9ea7389f4f9bcp-6 0x1.5b3141516a0c7p-7 "
+        "0x1.82d97ba35e5a2p-7 0x1.09d644c33540ep-5 0x1.21de8b5af66a0p-5 "
+        "0x1.4197e73280c2fp-7 0x1.49ae8c2ec846bp-3 0x1.729e06b85775ep-6 "
+        "0x1.af1d6fefbbea8p-7 0x1.62b24cc6f94ffp-6 0x1.3c5eb7b37678bp-3 "
+        "0x1.5b708cfdeb9a8p-3 0x1.0bc6b5c76df4ep-6 0x1.45e799fb64158p-4 "
+        "0x1.2953d48b8e72dp-3 0x1.3ecb26e6f49b2p-7 0x1.400ed731d48f2p-3 "
+        "0x1.2e30aff099217p-4 0x1.eb8dc2cca2c3cp-6 0x1.b7a02a5b3862ep-6 "
+        "0x1.df5d312397d1fp-2 0x1.8836bbff99bd4p-4 0x1.c353ed450d1b1p-6 "
+        "0x1.a652bf3f9dfe4p-4 0x1.2e0946fb3c6c3p-4 0x1.18d7f087dce6ep-6 "
+        "0x1.a01b0fbcad05cp-7 0x1.392943b4b30bdp-6 0x1.0d5d4b6750ff3p-5 "
+        "0x1.9ecd0abec774ap-4 0x1.b88051fd80cf7p-8 0x1.31731eb4c629ap-6 "
+        "0x1.8e0c22f2500e0p-5 0x1.09c39296eead5p-6 0x1.00fe2882c5d2dp-6 "
+        "0x1.b4ffdcce3a70fp-5 0x1.fbcc32c1762aap-3 0x1.eba8b5aeb7beep-6 "
+        "0x1.f1296fb918432p-5 0x1.9d49f41da8906p-5 0x1.be91a20fa20a3p-6 "
+        "0x1.fc071447573a2p-8 0x1.74d02c7f5835ep-6 0x1.bdccff31eb58bp-5 "
+        "0x1.a31543566b3e1p-4 0x1.c6ae7b77b24cbp-6 0x1.a43024013307ap-5 "
+        "0x1.d5c3d68d388a8p-8 0x1.ec3314d9184f6p-7 0x1.ac87653dc948dp-6 "
+        "0x1.ece36cfc7319cp-6 0x1.1c6fcb288b52fp-3 0x1.7edfa9968c6dbp-4 "
+        "0x1.05fd4e5c9f5bap-4 0x1.bd4bc61693f7bp-9 0x1.569a1d580fed2p-7 "
+        "0x1.27d168dcd07e6p-5 0x1.d19ba2f170d11p-8 0x1.b880de7bfc982p-7 "
+        "0x1.5b2a972d5b580p-7",
+        "0x1.0e02a1ff9e300p-6",
+    ),
+    ("gamma-sum", 0.3, 8.0): (
+        "0x1.f06310b58fd36p-6 0x1.cec7c229fe2d3p-8 0x1.7363c3feac15bp-7 "
+        "0x1.b61f05a6fba96p-5 0x1.1152b2d595bf8p-7 0x1.29c307e5e333ep-4 "
+        "0x1.c90c6eca303acp-8 0x1.1aa1af8bd658ap-7 0x1.56b7456a1e4ffp-7 "
+        "0x1.f6a6976ecbf7bp-9 0x1.a42464611cb26p-6 0x1.73ec400d7e2fcp-7 "
+        "0x1.b9c74f12934f8p-8 0x1.4777a00cbc4ccp-7 0x1.cf62aebebb551p-9 "
+        "0x1.8154b45d72846p-6 0x1.011bdf0356f5cp-5 0x1.64664fbbdea13p-4 "
+        "0x1.d9551995145b4p-4 0x1.dd5b9816ec4abp-6 0x1.8daa9cc363643p-5 "
+        "0x1.5ba86ab687318p-7 0x1.6ac60b2df3952p-7 0x1.fbc7ab91b08a3p-7 "
+        "0x1.e071aad4d3fcap-6 0x1.e2489371b3e58p-8 0x1.7aa18fa97650fp-7 "
+        "0x1.fe5b0ea4215a6p-7 0x1.e3836f327cc48p-8 0x1.d7c86fcb9b5a0p-6 "
+        "0x1.8613ba6d02b42p-6 0x1.c59de77d30a50p-6 0x1.1a5bc23de70cep-8 "
+        "0x1.4261928217c5ep-4 0x1.0da6318c154ccp-6 0x1.67c6a51c64f6ep-8 "
+        "0x1.74c2136d302ebp-8 0x1.9400ce1f95397p-9 0x1.8c0a13e8a1061p-5 "
+        "0x1.74633db979705p-6 0x1.1aa8d1635a9bcp-4 0x1.7db00ac839b89p-5 "
+        "0x1.9a163c51d4eeep-8 0x1.1b28af1137608p-6 0x1.a871668ae3bbcp-7 "
+        "0x1.44f52e65b48a6p-8 0x1.32c9ac1775272p-5 0x1.089b614330d9cp-4 "
+        "0x1.18f91bf31fea2p-7 0x1.d992b37961bbbp-8 0x1.731565d56bddcp-9 "
+        "0x1.144885beb45e9p-7 0x1.5f96665c12b94p-7 0x1.3cb4b8cbb7e30p-7 "
+        "0x1.2c05e44c7a498p-8 0x1.b5ba76653344ap-7 0x1.6b4fb441b2cc9p-8 "
+        "0x1.c96c6078d497ep-7 0x1.8edffde4a92bap-6 0x1.1de2b0f25286fp-5 "
+        "0x1.02e26c6f510cdp-8 0x1.414f3f143302ep-9 0x1.152565a585de3p-6 "
+        "0x1.5c79cb89c1a8bp-6",
+        "0x1.ba92c8ce1f348p-3",
+    ),
+    ("gamma-sum", 0.9, 0.0): (
+        "0x1.2f257446a1304p-2 0x1.c915dd68ba588p-2 0x1.877e4c621bdcdp-6 "
+        "0x1.0af1894574b8bp-3 0x1.3d8035fcfc474p-3 0x1.3dfd86df865aap-3 "
+        "0x1.c2a64923f2388p-6 0x1.6ff8576c61647p-4 0x1.1272e6ffb426bp-2 "
+        "0x1.8f521e4b77b88p-2 0x1.06fa4966ad818p-4 0x1.0404c4af96f3fp-2 "
+        "0x1.7658ba02335e0p-3 0x1.b07167174e3f9p-3 0x1.633c4986067edp-3 "
+        "0x1.8224f176dd621p-4 0x1.c4268b212b714p-1 0x1.067a6b9d68903p-2 "
+        "0x1.faa6f4c232c17p-4 0x1.64159220d0acdp-3 0x1.a1a1014d81a52p-3 "
+        "0x1.78ab4104ee273p-3 0x1.aedd9b5480b0cp-5 0x1.e1e8dbd67d9f0p-5 "
+        "0x1.560036be5c9adp-3 0x1.7c453406bcdd5p-4 0x1.0142f7f2a0e9bp-1 "
+        "0x1.f72a2352c8c60p-4 0x1.270b21d7fb0acp-4 0x1.646220a62a4dap-4 "
+        "0x1.c9edca51ea04bp-2 0x1.671a35e05433cp-2 0x1.e922382fb74a5p-1 "
+        "0x1.122f4e15f035dp-2 0x1.86e6137433f24p-5 0x1.0c1f33a9c338fp-6 "
+        "0x1.9d74a13733e16p-2 0x1.206fa6abb761dp-2 0x1.055b186d82873p-1 "
+        "0x1.f30983ba0568ep-4 0x1.241a685fdc357p-3 0x1.4e0916d4d5ce6p-5 "
+        "0x1.61f7226680b1ep-4 0x1.7da5fad873cb0p-3 0x1.03c6038f1eb3cp-4 "
+        "0x1.ceb6616898d2dp-3 0x1.b4b3ceed5adb2p-2 0x1.d7a2ab155067cp-1 "
+        "0x1.5cd420ae05a16p-2 0x1.e41cdf3b33cfap-3 0x1.3bc2236af07abp-4 "
+        "0x1.15e22352b9a58p-2 0x1.b59b7c2be6d98p-5 0x1.53cb4f0d17129p-4 "
+        "0x1.c614f09621c14p-3 0x1.1a114b19af1c5p-2 0x1.cab4e58110802p-4 "
+        "0x1.74894f6708959p-2 0x1.fb88ae8e1413bp-4 0x1.88739788ee816p-1 "
+        "0x1.c0581548ec08ap-4 0x1.c005254a04514p-4 0x1.b2c076ae4249fp-4 "
+        "0x1.ae8aeb50044e0p-3",
+        "0x1.7a4253f7cda34p-1",
+    ),
+    ("gamma-sum", 0.9, 1.0): (
+        "0x1.cd7b050e10731p-3 0x1.c2de480743a87p-3 0x1.6851963c28020p-3 "
+        "0x1.e9afabeaee53cp-5 0x1.14c80e61edd3bp-1 0x1.258c3af0b21d6p-1 "
+        "0x1.04fceb258c205p-2 0x1.b5f95b69d1be0p-3 0x1.45fa0b64e3086p-2 "
+        "0x1.3128aee62de31p-5 0x1.edc9190a14182p-4 0x1.9f09cdf6c0a47p-4 "
+        "0x1.0b1d016914b32p-2 0x1.628716e104cb4p-5 0x1.0b9d9a03ebe41p-3 "
+        "0x1.6dbd173496ef9p-3 0x1.64c771398f526p-2 0x1.c97da6101590ap-4 "
+        "0x1.03154ea5080d2p-3 0x1.1131d08015e5ap-3 0x1.cf4d36ae15a31p-5 "
+        "0x1.297dc7df30123p-5 0x1.40b5661e2eb8ap-2 0x1.3d3cf6391cae7p-5 "
+        "0x1.65a62e43eb757p-1 0x1.7ebcbb6d03a30p-3 0x1.d836c6595938fp-2 "
+        "0x1.be3ecc769555fp-3 0x1.7544bb254407ap-4 0x1.dd69ac5542c19p-2 "
+        "0x1.83425672e0a90p-3 0x1.175b2ef247965p-3 0x1.e0c679a326415p-4 "
+        "0x1.407db89645d65p-5 0x1.b6a2482eb653cp-4 0x1.9196c8eacf09dp-5 "
+        "0x1.aeab5d10b845bp-4 0x1.3bbff72f26007p-3 0x1.a66422b857674p-3 "
+        "0x1.80da157f19e1cp-4 0x1.1c8308852191bp-3 0x1.14db2d333003ep-2 "
+        "0x1.07a9591e52b24p-3 0x1.ce11feecf96bap-4 0x1.5dd5b7116dc0ap-5 "
+        "0x1.f526e08bc4380p-6 0x1.7c87e627f3f0ep-1 0x1.303775d366b02p-1 "
+        "0x1.9844b41552f90p-3 0x1.b0a13dcf48a0ap-3 0x1.587da6235dd10p-2 "
+        "0x1.34c8e8294b84ap-4 0x1.2525ca9d49802p-3 0x1.62d76572e5773p-3 "
+        "0x1.8777cf2792e10p-4 0x1.d21b86cb7f888p-3 0x1.209a0d74f5e6fp-3 "
+        "0x1.4050eb12d2bd0p-3 0x1.65f7940a00e58p-1 0x1.3d45ba45345aep-4 "
+        "0x1.8a597b635fcc0p-5 0x1.b9af72800ad67p-5 0x1.b51a7cf59befdp-5 "
+        "0x1.767a0d9d94c46p-3",
+        "0x1.6d6f0fc9cfb00p-6",
+    ),
+    ("gamma-sum", 0.9, 8.0): (
+        "0x1.ba24ea48b3f36p-5 0x1.dd19514cd39eep-5 0x1.34afa759bab99p-5 "
+        "0x1.c5ae2120ffe1fp-5 0x1.286d881e7c089p-4 0x1.1e1d9423d8053p-5 "
+        "0x1.e08b1e4bcade8p-5 0x1.c624203889f0ap-6 0x1.d73aa47fbb844p-6 "
+        "0x1.5609fa087ff24p-5 0x1.424e55a9da104p-5 0x1.38821a46d6a28p-5 "
+        "0x1.042fc090947fep-4 0x1.e88bbc10d0e76p-4 0x1.d18e099d76321p-6 "
+        "0x1.1ee7fbb8c8060p-5 0x1.18d63118a4614p-5 0x1.485f43588368ap-4 "
+        "0x1.a0919d96c2930p-6 0x1.f08e7c0b3c25fp-6 0x1.936603066b9a8p-6 "
+        "0x1.6becd92b8ddc2p-4 0x1.5185cf214a86cp-4 0x1.11026a92567b5p-4 "
+        "0x1.0f48ad861f3ccp-5 0x1.2990124f9fb4bp-5 0x1.4f48ae7d75594p-4 "
+        "0x1.06b7836d05b3ep-4 0x1.8c054936c60d7p-5 0x1.67127ce4bb492p-5 "
+        "0x1.b790b526b93c0p-6 0x1.3e29c200e6a5cp-4 0x1.0d8fbb06a0e09p-4 "
+        "0x1.6af1d47365f02p-3 0x1.b689635d95a77p-4 0x1.9612d9e63341cp-5 "
+        "0x1.2966a03800c7cp-5 0x1.687f1629c203ep-5 0x1.114ba748a7804p-5 "
+        "0x1.1feb035e39270p-4 0x1.f6dfd7f5d0c4cp-5 0x1.cb0ce9bd9e1e2p-4 "
+        "0x1.9ce6c6f759cd6p-5 0x1.87b7512c73401p-6 0x1.bc509993bdab6p-4 "
+        "0x1.13a5a546bf72ep-5 0x1.e165f5385a9b1p-6 0x1.07b59f5e59fe9p-3 "
+        "0x1.bdf88e9eee114p-5 0x1.9f9d69f76eb2fp-5 0x1.2e73bca36e0a3p-4 "
+        "0x1.c138f35864006p-6 0x1.0e937b33fd878p-5 0x1.f7bc3a3af7c3dp-7 "
+        "0x1.d1b68315a1cd2p-5 0x1.f81b150f3db30p-6 0x1.0f8e85d8b4484p-4 "
+        "0x1.0ec7a397e5db4p-4 0x1.65320c4b82e94p-5 0x1.900c73987f8f2p-5 "
+        "0x1.27c70264bb30ap-5 0x1.1ecb7341edad1p-5 0x1.ac77b48aefa86p-6 "
+        "0x1.32961d2304cffp-5",
+        "0x1.e43d10b91b6c8p-4",
+    ),
+    ("normal-approx", 200.0, 0.0): (
+        "0x1.a057350a022bbp+5 0x1.b61ea85dfaa91p+5 0x1.8d97b5876dc74p+5 "
+        "0x1.73b2d83ee79aep+5 0x1.870d5c3d398e2p+5 0x1.ae6a9c81ade36p+5 "
+        "0x1.b15b79387ba0cp+5 0x1.6f0b1db12feeap+5 0x1.a182bedb3476bp+5 "
+        "0x1.998ece4f65947p+5 0x1.9ca4c1231c36bp+5 0x1.8a5e4cf6ae15ap+5 "
+        "0x1.7a1ee6068e53cp+5 0x1.85f2a5d9b4254p+5 0x1.9c4144ea46c9fp+5 "
+        "0x1.ac6030ddf4ff6p+5 0x1.7f5f5a679f89ep+5 0x1.86295b7d2fc48p+5 "
+        "0x1.70cc6439043f5p+5 0x1.c18a4f4a7000ap+5 0x1.72d0110903240p+5 "
+        "0x1.98946970737dfp+5 0x1.7ec51159daaeep+5 0x1.7c2a3e2a2d490p+5 "
+        "0x1.945c902239583p+5 0x1.8574d23f80bd1p+5 0x1.9b58a5fd35ae9p+5 "
+        "0x1.9d4bb4b132d7ap+5 0x1.a2ca85a64c815p+5 0x1.97df603ce4747p+5 "
+        "0x1.846233325e52fp+5 0x1.97e28162ce525p+5 0x1.a0785730cb299p+5 "
+        "0x1.975d63427a8c8p+5 0x1.9a1f8f36c4101p+5 0x1.867871f6b24d1p+5 "
+        "0x1.9ffdf3b458cd9p+5 0x1.8cb7e9aa8b5b2p+5 0x1.7dea4263246f6p+5 "
+        "0x1.8279fd0d37da5p+5 0x1.81809c5ad511ap+5 0x1.b0f934e30eadfp+5 "
+        "0x1.908cbf456a160p+5 0x1.9b7f09657d9d1p+5 0x1.94a56530c52bbp+5 "
+        "0x1.9e692d1393499p+5 0x1.cfedbb2d67e1cp+5 0x1.8baf88d4609cdp+5 "
+        "0x1.89907b0784a18p+5 0x1.8d037d806f8dfp+5 0x1.a3dca2be308d1p+5 "
+        "0x1.959e7b0cfcb59p+5 0x1.9be68040dbd71p+5 0x1.7254e5111c369p+5 "
+        "0x1.b5b2758f2d4ffp+5 0x1.89c557c7454f0p+5 0x1.60ac89639609ep+5 "
+        "0x1.a73cfdec403e1p+5 0x1.814ea65c10685p+5 0x1.ab31612a52a79p+5 "
+        "0x1.8ee73f503e707p+5 0x1.b9e2a612fc834p+5 0x1.98996c1a44bbbp+5 "
+        "0x1.6da786e4fb266p+5",
+        "0x1.7e182b52aa030p-4",
+    ),
+    ("normal-approx", 200.0, 1.0): (
+        "0x1.5e47ba4e8cd37p+5 0x1.3d0e94d7d843cp+5 0x1.8655902a497a2p+5 "
+        "0x1.4cd2e086965b7p+5 0x1.5f2ccc9a3cf42p+5 0x1.7a0390dfeb5c0p+5 "
+        "0x1.66769278c6b9dp+5 0x1.7ff8021b884d0p+5 0x1.75138d85aed04p+5 "
+        "0x1.5994d426d8991p+5 0x1.6b3b1df54b366p+5 0x1.7679cccef0faep+5 "
+        "0x1.4ef6d739ab916p+5 0x1.9d08fb1d0ddbdp+5 0x1.85e504fa333e8p+5 "
+        "0x1.78b32d6365bb7p+5 0x1.67d28cc7944eep+5 0x1.7c62e262a777dp+5 "
+        "0x1.7d453a35c4fd8p+5 0x1.528f8c3fe2b6ap+5 0x1.77f878b4adb4ap+5 "
+        "0x1.6c32119c8064ap+5 0x1.7a8feefde6813p+5 0x1.76f1e204bb028p+5 "
+        "0x1.6ab94a5813cb0p+5 0x1.71dbbe29df8bep+5 0x1.5bbeebc534c60p+5 "
+        "0x1.8a4ca40480469p+5 0x1.8949529eba1c2p+5 0x1.67e6edaff8333p+5 "
+        "0x1.807858e074e0cp+5 0x1.5e7269b129253p+5 0x1.68a8805ab9c8cp+5 "
+        "0x1.77a2fd411f677p+5 0x1.8471ff94f6dd8p+5 0x1.74e148a9e76cep+5 "
+        "0x1.6d5b565c31e25p+5 0x1.46c1c440225dap+5 0x1.652c0cad0f615p+5 "
+        "0x1.71704e4e1dc18p+5 0x1.5b613d70c9b8dp+5 0x1.903cb6e620c70p+5 "
+        "0x1.496cde92badb0p+5 0x1.65f42e36dff5cp+5 0x1.88417258ebac3p+5 "
+        "0x1.7e0b097c3f2adp+5 0x1.5708269a26814p+5 0x1.9d374dfcee0a5p+5 "
+        "0x1.84fde97b35656p+5 0x1.7b3846c0fcb28p+5 0x1.811ea6cbb1185p+5 "
+        "0x1.658fe21fe214ep+5 0x1.5a4508393160cp+5 0x1.954631162dba0p+5 "
+        "0x1.70ae0b34024abp+5 0x1.778a1d8fb009ap+5 0x1.483787c8c7d78p+5 "
+        "0x1.8f64d2791091ap+5 0x1.65a9d1768c95fp+5 0x1.8787e9f70ded4p+5 "
+        "0x1.93d3d16d7103cp+5 0x1.9fdeb8486e50bp+5 0x1.622f5e5a4b568p+5 "
+        "0x1.41d9ea838d5dep+5",
+        "0x1.2d468917dd048p-3",
+    ),
+    ("normal-approx", 200.0, 8.0): (
+        "0x1.883d851218e56p+3 0x1.8a9391a39f9bap+3 0x1.92606aa3da5ecp+3 "
+        "0x1.84ad16bc35952p+3 0x1.8341dadde7231p+3 0x1.8967c8662cfb8p+3 "
+        "0x1.8163fca178126p+3 0x1.7ec5565eb60aap+3 0x1.971c2c6e4f94bp+3 "
+        "0x1.79e862b98148dp+3 0x1.a9283105c8872p+3 0x1.a1748440bfafdp+3 "
+        "0x1.8a450f0f2c6c4p+3 0x1.b2da6ce788f1bp+3 0x1.962b304016532p+3 "
+        "0x1.8f557385af644p+3 0x1.7f49d08c973aep+3 0x1.86c7e0072a2c0p+3 "
+        "0x1.97d1862e784b9p+3 0x1.806a92d3cc9f0p+3 0x1.9bc6e98d9bde8p+3 "
+        "0x1.82b118b8465f6p+3 0x1.7eb72de7971dap+3 0x1.871b25f623c4ep+3 "
+        "0x1.746563bb9a0cfp+3 0x1.8c759c048fcc0p+3 0x1.9db7f16f977b0p+3 "
+        "0x1.aa5093d6f3eefp+3 0x1.9b55c58a21feap+3 0x1.788d98f89716fp+3 "
+        "0x1.887e7514ff020p+3 0x1.8c5876c171588p+3 0x1.8ea4c3077997fp+3 "
+        "0x1.841570fa3a32ap+3 0x1.94cfaa0b482d5p+3 0x1.8866debe37f18p+3 "
+        "0x1.8447ef2c323c2p+3 0x1.89a2e5171a576p+3 0x1.79fcd572f8998p+3 "
+        "0x1.87491260df48ap+3 0x1.8f3f769671798p+3 0x1.8644b04f47f30p+3 "
+        "0x1.921fcb2547010p+3 0x1.87bc62c89693dp+3 0x1.8675eeb906b7fp+3 "
+        "0x1.a384dd4333f64p+3 0x1.8fcd7e30a8610p+3 0x1.9d453e857b34cp+3 "
+        "0x1.889d2f9c3e0bdp+3 0x1.9f4fc0e98fbcep+3 0x1.8f3eef6558f03p+3 "
+        "0x1.908601bec7583p+3 0x1.96a653f156836p+3 0x1.7ab66e46b4b74p+3 "
+        "0x1.95bbe8f07b4b5p+3 0x1.94c45b6d5b54ap+3 0x1.8b578f7c0ad7ap+3 "
+        "0x1.91d7f81d5d62ap+3 0x1.89c0e8161082ep+3 0x1.98512051ad7bdp+3 "
+        "0x1.9a7d3dc9eae3dp+3 0x1.9866e8b393ba8p+3 0x1.87382d23aa005p+3 "
+        "0x1.960874e4be416p+3",
+        "0x1.394e8f454f1a5p-1",
+    ),
+}
+
+# (route, b, z): (3 scalar draws, the uniform drawn after them)
+SCALAR = {
+    ("devroye", 1.0, 0.0): (
+        "0x1.fdebade227c0ap-2 0x1.4dbfb47436432p-1 0x1.b8a689fee53acp-3",
+        "0x1.11047a49023e3p-1",
+    ),
+    ("devroye", 1.0, 1.0): (
+        "0x1.de21505384423p-1 0x1.e89ff8a626b5ap-2 0x1.2b4dab16b0b6cp-4",
+        "0x1.0ae7edb942f28p-2",
+    ),
+    ("devroye", 1.0, 8.0): (
+        "0x1.5fca54697b67cp-5 0x1.77134532264d8p-5 0x1.b898f93f6d701p-4",
+        "0x1.c2f65a086134fp-1",
+    ),
+    ("devroye", 2.0, 0.0): (
+        "0x1.54a94702263f8p-2 0x1.5d2e38409f0e1p-2 0x1.3721aae70ac72p-1",
+        "0x1.f036bc600f2a9p-1",
+    ),
+    ("devroye", 2.0, 1.0): (
+        "0x1.a9148aa5e712ap-3 0x1.717064cbba15fp-1 0x1.61ce65c7411c6p-3",
+        "0x1.ec6fe40c4daa9p-1",
+    ),
+    ("devroye", 2.0, 8.0): (
+        "0x1.914b62f6c17b7p-4 0x1.063e04a413a6dp-3 0x1.456bb39f10569p-4",
+        "0x1.7849b1696006fp-1",
+    ),
+    ("alternate", 1.0, 0.0): (
+        "0x1.405f3223cfb80p-1 0x1.b9dbb4085698bp-3 0x1.365e31034f8dep-2",
+        "0x1.9aa4ef2ee81a0p-6",
+    ),
+    ("alternate", 1.0, 1.0): (
+        "0x1.00780cbe9bae9p-2 0x1.266148aa1b829p-4 0x1.6f2c7dc6e1770p-2",
+        "0x1.fc3ae6967d9a9p-1",
+    ),
+    ("alternate", 1.0, 8.0): (
+        "0x1.94c26a72ad271p-4 0x1.d8db8973b6692p-4 0x1.215525fefc7c2p-4",
+        "0x1.e410cb2bafa60p-3",
+    ),
+    ("alternate", 2.5, 0.0): (
+        "0x1.01bd3d2140f3fp-1 0x1.a3fdfc2a56f9bp-3 0x1.032820d84fca2p-2",
+        "0x1.deeb6046fe9bcp-1",
+    ),
+    ("alternate", 2.5, 1.0): (
+        "0x1.d698343ded289p-2 0x1.1a0fa9f403737p-1 0x1.99b710b44be78p-3",
+        "0x1.c1e7dfe60bb4ap-2",
+    ),
+    ("alternate", 2.5, 8.0): (
+        "0x1.7b6b38aa493c0p-3 0x1.c0961c4c182b8p-4 0x1.9d53782eacb3fp-3",
+        "0x1.8bd416bba8a0fp-1",
+    ),
+    ("alternate", 4.0, 0.0): (
+        "0x1.ed405597fa0ccp-1 0x1.11d930937fb52p-1 0x1.e17eeed88dee3p-1",
+        "0x1.92274c10b5b20p-4",
+    ),
+    ("alternate", 4.0, 1.0): (
+        "0x1.06c7b0929f5dcp+0 0x1.4c53907cbd38dp-1 0x1.7b29fcf871a46p-1",
+        "0x1.ea5cccdff0cd9p-1",
+    ),
+    ("alternate", 4.0, 8.0): (
+        "0x1.6670455ddb04ap-2 0x1.5e276c6178ccep-3 0x1.41325f73b139dp-3",
+        "0x1.0827ee3ef3053p-1",
+    ),
+    ("alternate", 7.3, 0.0): (
+        "0x1.a3a70ba307c04p+0 0x1.871706e4f7183p+0 0x1.414777a832a0ap+0",
+        "0x1.91b3c2c0fe21fp-1",
+    ),
+    ("alternate", 7.3, 1.0): (
+        "0x1.2717e7708bb79p+0 0x1.82a26c2c62cbap+0 0x1.b0ec01c629b37p+0",
+        "0x1.1ce50cfd9c18ap-1",
+    ),
+    ("alternate", 7.3, 8.0): (
+        "0x1.bc069da8cf9dfp-2 0x1.c88e1780e0fe4p-2 0x1.f4349efd1bb87p-2",
+        "0x1.542e20b0483d0p-5",
+    ),
+    ("alternate", 12.0, 0.0): (
+        "0x1.ad8176d43e8fcp+1 0x1.41d28af533bd8p+1 0x1.a9d79baf2f2c2p+1",
+        "0x1.afdd4afb69c9fp-1",
+    ),
+    ("alternate", 12.0, 1.0): (
+        "0x1.86dc2b156f8d6p+1 0x1.aa5ea03a1acbap+1 0x1.d3052d2746176p+1",
+        "0x1.aa6f987f174e0p-4",
+    ),
+    ("alternate", 12.0, 8.0): (
+        "0x1.2dcf9f8bffae2p-1 0x1.b9ce980cc4ec4p-1 0x1.55b802cd83dc8p-1",
+        "0x1.e7e9255d46b5cp-3",
+    ),
+    ("saddlepoint", 13.0, 0.0): (
+        "0x1.7f8d9a10dba92p+1 0x1.b818c3a1dc887p+1 0x1.99a43ec81520cp+1",
+        "0x1.d0173972dc444p-2",
+    ),
+    ("saddlepoint", 13.0, 1.0): (
+        "0x1.abbcfa700025fp+1 0x1.50b3a64fb9d11p+1 0x1.e2d618c7a36a5p+1",
+        "0x1.48df8414e1dfcp-3",
+    ),
+    ("saddlepoint", 13.0, 8.0): (
+        "0x1.f4c7cb574f3b4p-1 0x1.b4e6ffbf7e22dp-1 0x1.7865930e75131p-1",
+        "0x1.edaa5a9bdf252p-1",
+    ),
+    ("saddlepoint", 40.0, 0.0): (
+        "0x1.53555a8c87691p+3 0x1.49b3183bf1e20p+3 0x1.3dcad2fc0452ep+3",
+        "0x1.cc175c9551b5ap-2",
+    ),
+    ("saddlepoint", 40.0, 1.0): (
+        "0x1.9eed271887e5ep+2 0x1.dc866bf7c9d08p+2 0x1.39d5b37e882f7p+3",
+        "0x1.7c36602ee237cp-3",
+    ),
+    ("saddlepoint", 40.0, 8.0): (
+        "0x1.3b4a9faa15fdbp+1 0x1.384da85935da4p+1 0x1.7c58bcbf1da38p+1",
+        "0x1.e6359049bddcap-1",
+    ),
+    ("saddlepoint", 170.0, 0.0): (
+        "0x1.78127bf651976p+5 0x1.5376d1d42a3adp+5 0x1.661538c0a06a4p+5",
+        "0x1.96bc908dd7211p-1",
+    ),
+    ("saddlepoint", 170.0, 1.0): (
+        "0x1.489de73cfc0dbp+5 0x1.27cfb8736eb5fp+5 0x1.2af23d1907d49p+5",
+        "0x1.1eb490a244df9p-1",
+    ),
+    ("saddlepoint", 170.0, 8.0): (
+        "0x1.4686fe03d292bp+3 0x1.55829b347037ep+3 0x1.6e7b362ab36c3p+3",
+        "0x1.a4b7def010694p-3",
+    ),
+    ("gamma-sum", 0.3, 0.0): (
+        "0x1.f463d2ceeb933p-8 0x1.a012e5dd4cf6ap-6 0x1.46858d982c6adp-7",
+        "0x1.fce58d20e44acp-3",
+    ),
+    ("gamma-sum", 0.3, 1.0): (
+        "0x1.c3ee2902344cfp-4 0x1.82285414d9640p-5 0x1.2cfc0fca29387p-4",
+        "0x1.ececd68691bd0p-2",
+    ),
+    ("gamma-sum", 0.3, 8.0): (
+        "0x1.f06310b58fd37p-6 0x1.cec7c229fe2d0p-8 0x1.7363c3feac159p-7",
+        "0x1.e2eddf61d81b1p-1",
+    ),
+    ("gamma-sum", 0.9, 0.0): (
+        "0x1.2f257446a1305p-2 0x1.c915dd68ba58cp-2 0x1.877e4c621bdcbp-6",
+        "0x1.adb16879855d4p-2",
+    ),
+    ("gamma-sum", 0.9, 1.0): (
+        "0x1.cd7b050e10730p-3 0x1.c2de480743a89p-3 0x1.6851963c2801cp-3",
+        "0x1.bc5c91daa4f40p-3",
+    ),
+    ("gamma-sum", 0.9, 8.0): (
+        "0x1.ba24ea48b3f38p-5 0x1.dd19514cd39eep-5 0x1.34afa759bab9bp-5",
+        "0x1.14964544fbebap-2",
+    ),
+    ("normal-approx", 200.0, 0.0): (
+        "0x1.a057350a022bbp+5 0x1.b61ea85dfaa91p+5 0x1.8d97b5876dc74p+5",
+        "0x1.2432d0a14ede9p-1",
+    ),
+    ("normal-approx", 200.0, 1.0): (
+        "0x1.5e47ba4e8cd37p+5 0x1.3d0e94d7d843cp+5 0x1.8655902a497a2p+5",
+        "0x1.e51d464c9b3c6p-1",
+    ),
+    ("normal-approx", 200.0, 8.0): (
+        "0x1.883d851218e56p+3 0x1.8a9391a39f9bap+3 0x1.92606aa3da5ecp+3",
+        "0x1.214cc4ec0b238p-4",
+    ),
+}
+
+# (route, b, z): counters of the J* batch sampler behind the route
+COUNTERS = {
+    ("devroye", 1.0, 0.0): {
+        "proposals": 64,
+        "left_proposals": 21,
+        "series_index_sum": 64,
+        "series_index_max": 1,
+        "accepted": 64,
+    },
+    ("devroye", 1.0, 1.0): {
+        "proposals": 64,
+        "left_proposals": 25,
+        "series_index_sum": 64,
+        "series_index_max": 1,
+        "accepted": 64,
+    },
+    ("devroye", 1.0, 8.0): {
+        "proposals": 64,
+        "left_proposals": 63,
+        "series_index_sum": 64,
+        "series_index_max": 1,
+        "accepted": 64,
+    },
+    ("devroye", 2.0, 0.0): {
+        "proposals": 128,
+        "left_proposals": 47,
+        "series_index_sum": 128,
+        "series_index_max": 1,
+        "accepted": 128,
+    },
+    ("devroye", 2.0, 1.0): {
+        "proposals": 128,
+        "left_proposals": 61,
+        "series_index_sum": 128,
+        "series_index_max": 1,
+        "accepted": 128,
+    },
+    ("devroye", 2.0, 8.0): {
+        "proposals": 128,
+        "left_proposals": 127,
+        "series_index_sum": 128,
+        "series_index_max": 1,
+        "accepted": 128,
+    },
+    ("alternate", 1.0, 0.0): {
+        "proposals": 64,
+        "left_proposals": 24,
+        "series_terms_max": 3,
+        "accepted": 64,
+    },
+    ("alternate", 1.0, 1.0): {
+        "proposals": 64,
+        "left_proposals": 23,
+        "series_terms_max": 3,
+        "accepted": 64,
+    },
+    ("alternate", 1.0, 8.0): {
+        "proposals": 64,
+        "left_proposals": 64,
+        "series_terms_max": 1,
+        "accepted": 64,
+    },
+    ("alternate", 2.5, 0.0): {
+        "proposals": 73,
+        "left_proposals": 47,
+        "series_terms_max": 5,
+        "accepted": 64,
+    },
+    ("alternate", 2.5, 1.0): {
+        "proposals": 68,
+        "left_proposals": 50,
+        "series_terms_max": 3,
+        "accepted": 64,
+    },
+    ("alternate", 2.5, 8.0): {
+        "proposals": 64,
+        "left_proposals": 64,
+        "series_terms_max": 1,
+        "accepted": 64,
+    },
+    ("alternate", 4.0, 0.0): {
+        "proposals": 96,
+        "left_proposals": 53,
+        "series_terms_max": 5,
+        "accepted": 64,
+    },
+    ("alternate", 4.0, 1.0): {
+        "proposals": 92,
+        "left_proposals": 57,
+        "series_terms_max": 4,
+        "accepted": 64,
+    },
+    ("alternate", 4.0, 8.0): {
+        "proposals": 64,
+        "left_proposals": 64,
+        "series_terms_max": 1,
+        "accepted": 64,
+    },
+    ("alternate", 7.3, 0.0): {
+        "proposals": 175,
+        "left_proposals": 91,
+        "series_terms_max": 7,
+        "accepted": 128,
+    },
+    ("alternate", 7.3, 1.0): {
+        "proposals": 165,
+        "left_proposals": 96,
+        "series_terms_max": 5,
+        "accepted": 128,
+    },
+    ("alternate", 7.3, 8.0): {
+        "proposals": 128,
+        "left_proposals": 128,
+        "series_terms_max": 1,
+        "accepted": 128,
+    },
+    ("alternate", 12.0, 0.0): {
+        "proposals": 299,
+        "left_proposals": 155,
+        "series_terms_max": 6,
+        "accepted": 192,
+    },
+    ("alternate", 12.0, 1.0): {
+        "proposals": 274,
+        "left_proposals": 167,
+        "series_terms_max": 5,
+        "accepted": 192,
+    },
+    ("alternate", 12.0, 8.0): {
+        "proposals": 193,
+        "left_proposals": 193,
+        "series_terms_max": 2,
+        "accepted": 192,
+    },
+    ("saddlepoint", 13.0, 0.0): {
+        "proposals": 75,
+        "left_proposals": 55,
+        "accepted": 64,
+    },
+    ("saddlepoint", 13.0, 1.0): {
+        "proposals": 74,
+        "left_proposals": 53,
+        "accepted": 64,
+    },
+    ("saddlepoint", 13.0, 8.0): {
+        "proposals": 66,
+        "left_proposals": 49,
+        "accepted": 64,
+    },
+    ("saddlepoint", 40.0, 0.0): {
+        "proposals": 78,
+        "left_proposals": 62,
+        "accepted": 64,
+    },
+    ("saddlepoint", 40.0, 1.0): {
+        "proposals": 71,
+        "left_proposals": 57,
+        "accepted": 64,
+    },
+    ("saddlepoint", 40.0, 8.0): {
+        "proposals": 64,
+        "left_proposals": 57,
+        "accepted": 64,
+    },
+    ("saddlepoint", 170.0, 0.0): {
+        "proposals": 76,
+        "left_proposals": 71,
+        "accepted": 64,
+    },
+    ("saddlepoint", 170.0, 1.0): {
+        "proposals": 78,
+        "left_proposals": 68,
+        "accepted": 64,
+    },
+    ("saddlepoint", 170.0, 8.0): {
+        "proposals": 64,
+        "left_proposals": 63,
+        "accepted": 64,
+    },
+}
+
+
+def _seed(route, b, z):
+    return zlib.crc32(f"{route}/{b!r}/{z!r}".encode())
+
+
+def _cases(routes=None):
+    return [(r, b, z) for r, shapes in ROUTE_SHAPES.items()
+            if routes is None or r in routes for b in shapes for z in TILTS]
+
+
+def _ids(cases):
+    return [f"{r}-b{b:g}-z{z:g}" for r, b, z in cases]
+
+
+def _hex(xs):
+    return " ".join(float(v).hex() for v in xs)
+
+
+def _batch(route, b, z, method):
+    rng = RngStream(_seed(route, b, z))
+    draws = sample_pg_batch(PgParams(b, z), rng, size=SIZE, method=method)
+    return _hex(draws), float(rng.uniform()).hex()
+
+
+def _scalar(route, b, z, method):
+    rng = RngStream(_seed(route, b, z))
+    draws = [sample_pg(PgParams(b, z), rng, method=method)
+             for _ in range(SCALAR_DRAWS)]
+    assert all(isinstance(v, float) for v in draws)
+    return _hex(draws), float(rng.uniform()).hex()
+
+
+CASES = _cases()
+AUTO_CASES = [(AUTO_ROUTE[b], b, z) for b in sorted(AUTO_ROUTE) for z in TILTS]
+
+
+def test_grid_matches_tables():
+    assert set(BATCH) == set(SCALAR) == set(CASES)
+    assert set(COUNTERS) == set(
+        _cases(("devroye", "alternate", "saddlepoint")))
+
+
+@pytest.mark.parametrize("route,b,z", CASES, ids=_ids(CASES))
+def test_batch_forced(route, b, z):
+    assert _batch(route, b, z, route) == BATCH[(route, b, z)]
+
+
+@pytest.mark.parametrize("route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
+def test_batch_auto(route, b, z):
+    assert _batch(route, b, z, "auto") == BATCH[(route, b, z)]
+
+
+@pytest.mark.parametrize("route,b,z", CASES, ids=_ids(CASES))
+def test_scalar_forced(route, b, z):
+    assert _scalar(route, b, z, route) == SCALAR[(route, b, z)]
+
+
+@pytest.mark.parametrize("route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
+def test_scalar_auto(route, b, z):
+    assert _scalar(route, b, z, "auto") == SCALAR[(route, b, z)]
+
+
+COUNTER_CASES = sorted(COUNTERS)
+
+
+@pytest.mark.parametrize("route,b,z", COUNTER_CASES, ids=_ids(COUNTER_CASES))
+def test_sampler_counters(route, b, z):
+    # the J* draws behind PG(b, z) are 4 times the PG batch draws
+    rng = RngStream(_seed(route, b, z))
+    counters = {}
+    zj = abs(z) / 2.0
+    if route == "devroye":
+        draws = devroye.sample_jstar_int_batch(int(b), zj, SIZE, rng,
+                                               counters=counters)
+    elif route == "alternate":
+        draws = alternate.sample_jstar_real_batch(b, zj, SIZE, rng,
+                                                  counters=counters)
+    else:
+        draws = saddle.sample_saddle_batch(b, zj, SIZE, rng,
+                                           counters=counters)
+    assert counters == COUNTERS[(route, b, z)]
+    assert _hex(np.asarray(draws) / 4.0) == BATCH[(route, b, z)][0]

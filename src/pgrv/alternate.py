@@ -3,10 +3,11 @@ sum-decomposition that extends it to any h >= 1.
 
 The proposal pastes the inverse-Gaussian-type left kernel and the gamma
 right kernel at the mass-minimizing point t(h) (interpolated from a
-precomputed table).  Unlike the unit-shape case the series coefficients
-may increase before they decrease, so accept/reject decisions wait until
-the observed coefficient ratio has dropped below one ("decreasing" flag);
-from that point the partial sums bracket the density.
+precomputed table).  Draws are decided by the series decider of
+:mod:`pgrv.devroye` under this module's coefficient policy: unlike the
+unit-shape case the coefficients may increase before they decrease, so
+decisions wait until the observed coefficient ratio has dropped below one
+("decreasing" flag); from that point the partial sums bracket the density.
 
 Domination of the density by the pasted kernel is numerically verified,
 not proven.  A coarse grid check runs once per shape before the first
@@ -30,21 +31,21 @@ from .density import (
     trunc_lookup,
     verify_domination,
 )
-from .errors import DominationViolationError, IterationCapError
-from .rng import sample_truncated_gamma, sample_truncated_inverse_gaussian
+from .errors import DominationViolationError
+from .rng import (
+    _fill_by_rejection,
+    _two_piece,
+    sample_truncated_gamma,
+    sample_truncated_inverse_gaussian,
+)
 
-__all__ = ["sample_jstar_alt", "sample_jstar_alt_batch", "sample_jstar_real",
-           "sample_jstar_real_batch", "acceptance_probability"]
+__all__ = ["sample_jstar_alt_batch", "sample_jstar_real_batch",
+           "acceptance_probability"]
 
 H_MIN, H_MAX = 1.0, 4.0
 
 # untilted rate of the right kernel piece (pi^2/8)
 _LAM0 = np.pi ** 2 / 8.0
-
-MAX_PROPOSAL_ROUNDS = 1_000_000
-_MAX_SERIES_TERMS = 500
-_X_FLOOR = 1e-12
-_DOM_SLACK = 1e-9
 
 # Shapes whose coarse domination guard has run; value True means the
 # alternate path may be used.  Keyed by the exact shape.
@@ -65,100 +66,55 @@ def _domination_guard(h):
     return ok
 
 
-class _AltSetup:
-    __slots__ = ("h", "z", "trunc", "left_fraction", "lam_z", "ig_mu", "ig_lam")
-
-    def __init__(self, h, z, table=None):
-        mix = build_mixture(trunc_lookup(h, table), JStarParams(h, z))
-        self.h = h
-        self.z = z
-        self.trunc = mix.trunc
-        self.left_fraction = mix.left_fraction
-        self.lam_z = mix.lam_z
-        self.ig_mu = np.inf if z == 0.0 else h / z
-        self.ig_lam = h * h
-
-
-def acceptance_probability(h, z, table=None):
+def acceptance_probability(h, z):
     """Exact acceptance probability sech^h(z)/(p+q) of one proposal."""
-    mix = build_mixture(trunc_lookup(h, table), JStarParams(h, z))
+    mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
     return float(np.exp(-h * np.log(np.cosh(z)))) / (mix.p_mass + mix.q_mass)
 
 
-def _log_kernel_unit(x, h, trunc, lam_z):
-    """Untilted pasted kernel log k(x | h), vectorized."""
-    out = np.empty_like(x)
-    left = x < trunc
-    out[left] = _log_kernel_ell_unit(x[left], h)
-    out[~left] = _log_kernel_r_unit(x[~left], h, lam_z)
-    return out
+class _RatioCoefficients:
+    """The real-shape coefficient policy for the series decider.
 
-
-def _series_decide_alt(x, u, k_bound, h, counters=None):
-    """Vectorized accept/reject with the delayed (flagged) decision rule.
-
-    ``u`` is uniform on (0, k(x)); ``k_bound = k(x)``.  No decision is
-    taken for a slot until its coefficient ratio has dropped below one.
-    A flagged lower partial sum exceeding the kernel (beyond slack) means
-    the kernel does not dominate the density at that point.
+    The left-series coefficients follow from a_0 by :func:`coef_ratio`.
+    They may increase before they decrease, so a slot takes no decision
+    until its ratio has dropped below one; the ``decreasing`` flag
+    latches then, because the ratio falls with n.  The bound is the
+    pasted kernel, not a_0, so the decider checks domination.
     """
-    accept = np.zeros(x.shape, dtype=bool)
-    undecided = np.ones(x.shape, dtype=bool)
-    a = np.exp(_log_kernel_ell_unit(x, h))  # a_0
-    s = a.copy()
-    flag = np.zeros(x.shape, dtype=bool)
-    max_n = 0
-    for n in range(1, _MAX_SERIES_TERMS + 1):
-        idx = np.nonzero(undecided)[0]
-        if idx.size == 0:
-            break
-        max_n = n
-        r = coef_ratio(n - 1, x[idx], h)
-        flag[idx] |= r < 1.0
-        a[idx] *= r
-        if n % 2:
-            s[idx] -= a[idx]
-            can = flag[idx]
-            hit = can & (u[idx] <= s[idx])
-            accept[idx[hit]] = True
-            # odd sums bound the density from below once flagged, so one
-            # of them climbing above the kernel proves f > k there (even
-            # sums may exceed k legitimately past the paste point)
-            viol = can & (s[idx] > k_bound[idx] * (1.0 + _DOM_SLACK))
-            if np.any(viol):
-                j = idx[viol][0]
-                raise DominationViolationError(
-                    f"lower partial sum exceeded the bounding kernel at "
-                    f"x={x[j]!r} (h={h!r}); kernel domination fails here"
-                )
-        else:
-            s[idx] += a[idx]
-            can = flag[idx]
-            hit = can & (u[idx] >= s[idx])
-        undecided[idx[hit]] = False
-        sub = idx[~hit]
-        stuck = sub[flag[sub] & (a[sub] <= 1e-300)]
-        if stuck.size:
-            accept[stuck] = u[stuck] <= s[stuck]
-            undecided[stuck] = False
-    if np.any(undecided):
-        raise IterationCapError(
-            "alternating series failed to decide within "
-            f"{_MAX_SERIES_TERMS} terms"
-        )
-    if counters is not None:
-        counters["series_terms_max"] = max(counters.get("series_terms_max", 0),
-                                           max_n)
-    return accept
+
+    checks_domination = True
+    counter_keys = (None, "series_terms_max")
+
+    def __init__(self, h, trunc):
+        self.h = h
+        self.trunc = trunc
+
+    def start(self, x):
+        # acceptance compares against the fully untilted kernel and
+        # series: the cosh^h(z) e^{-x z^2/2} factor cancels, so the right
+        # piece here carries the z=0 rate (the proposal draw keeps the
+        # tilted one)
+        log_k = np.empty_like(x)
+        left = x < self.trunc
+        log_k[left] = _log_kernel_ell_unit(x[left], self.h)
+        log_k[~left] = _log_kernel_r_unit(x[~left], self.h, _LAM0)
+        self.a = np.exp(_log_kernel_ell_unit(x, self.h))
+        self.decreasing = np.zeros(x.shape, dtype=bool)
+        return np.exp(log_k), self.a
+
+    def step(self, n, x, idx):
+        r = coef_ratio(n - 1, x, self.h)
+        self.decreasing[idx] |= r < 1.0
+        self.a[idx] *= r
+        return self.a[idx], self.decreasing[idx]
 
 
-def sample_jstar_alt_batch(h, z, size, rng, table=None, counters=None,
-                           max_rounds=MAX_PROPOSAL_ROUNDS):
+def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     """Fill an array with J*(h, z) draws for a single shape h in [1, 4]."""
     h = float(h)
     z = float(abs(z))
     if not (H_MIN <= h <= H_MAX):
-        raise ValueError("sample_jstar_alt: h must lie in [1, 4]")
+        raise ValueError("sample_jstar_alt_batch: h must lie in [1, 4]")
     if not _domination_guard(h):
         if h == int(h):
             return devroye.sample_jstar_int_batch(int(h), z, size, rng)
@@ -166,61 +122,23 @@ def sample_jstar_alt_batch(h, z, size, rng, table=None, counters=None,
             f"bounding kernels fail to dominate for h={h}; "
             "no exact fallback exists for non-integer shapes"
         )
-    setup = _AltSetup(h, z, table)
-    n = int(size)
-    out = np.empty(n)
-    pending = np.arange(n)
-    rounds = 0
-    while pending.size:
-        if rounds >= max_rounds:
-            raise IterationCapError(
-                "J*(h,z) alternate sampler exhausted its proposal budget")
-        rounds += 1
-        k = pending.size
-        take_left = rng.uniform(k) < setup.left_fraction
-        x = np.empty(k)
-        n_left = int(take_left.sum())
-        if n_left:
-            x[take_left] = sample_truncated_inverse_gaussian(
-                setup.ig_mu, setup.ig_lam, setup.trunc, rng, size=n_left)
-        if k - n_left:
-            if h == 1.0:
-                right = setup.trunc + rng.exponential(k - n_left) / setup.lam_z
-            else:
-                right = sample_truncated_gamma(
-                    h, setup.lam_z, setup.trunc, rng, size=k - n_left)
-            x[~take_left] = right
-        if counters is not None:
-            counters["proposals"] = counters.get("proposals", 0) + k
-            counters["left_proposals"] = (counters.get("left_proposals", 0)
-                                          + n_left)
-        u = rng.uniform(k)
-        ok = np.zeros(k, dtype=bool)
-        valid = np.nonzero(x > _X_FLOOR)[0]
-        if valid.size:
-            xv = x[valid]
-            # acceptance compares against the fully untilted kernel and
-            # series: the cosh^h(z) e^{-x z^2/2} factor cancels, so the
-            # right piece here carries the z=0 rate (the proposal draw
-            # above keeps the tilted one)
-            kb = np.exp(_log_kernel_unit(xv, h, setup.trunc, _LAM0))
-            # an underflowed kernel bound means the density vanished there;
-            # reject rather than let 0 <= 0 accept a zero-density point
-            live = kb > 0.0
-            valid, xv, kb = valid[live], xv[live], kb[live]
-        if valid.size:
-            ok[valid] = _series_decide_alt(xv, u[valid] * kb, kb, h, counters)
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
-        if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + int(ok.sum())
-    return out
+    mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
+    mu = np.inf if z == 0.0 else h / z
+    policy = _RatioCoefficients(h, mix.trunc)
 
+    def draw_right(m):
+        if h == 1.0:
+            return mix.trunc + rng.exponential(m) / mix.lam_z
+        return sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=m)
 
-def sample_jstar_alt(h, z, rng, table=None, counters=None):
-    """One exact draw from J*(h, z), h in [1, 4]."""
-    return float(sample_jstar_alt_batch(h, z, 1, rng, table=table,
-                                        counters=counters)[0])
+    propose = _two_piece(
+        rng, mix.left_fraction,
+        lambda m: sample_truncated_inverse_gaussian(mu, h * h, mix.trunc, rng,
+                                                    size=m),
+        draw_right, counters)
+    return _fill_by_rejection(
+        int(size), propose,
+        lambda x: devroye._series_decide(x, rng, policy, counters), counters)
 
 
 def _pieces(h):
@@ -229,7 +147,7 @@ def _pieces(h):
     return m, h / m
 
 
-def sample_jstar_real_batch(h, z, size, rng, table=None, counters=None):
+def sample_jstar_real_batch(h, z, size, rng, counters=None):
     """J*(h, z) draws for any real h >= 1.
 
     Shapes above 4 are drawn as a sum of m = ceil(h/4) independent
@@ -238,17 +156,10 @@ def sample_jstar_real_batch(h, z, size, rng, table=None, counters=None):
     """
     h = float(h)
     if h < H_MIN:
-        raise ValueError("sample_jstar_real: h must be >= 1")
+        raise ValueError("sample_jstar_real_batch: h must be >= 1")
     m, piece = _pieces(h)
     if m == 1:
-        return sample_jstar_alt_batch(h, z, size, rng, table=table,
-                                      counters=counters)
-    draws = sample_jstar_alt_batch(piece, z, m * int(size), rng, table=table,
+        return sample_jstar_alt_batch(h, z, size, rng, counters=counters)
+    draws = sample_jstar_alt_batch(piece, z, m * int(size), rng,
                                    counters=counters)
     return draws.reshape(int(size), m).sum(axis=1)
-
-
-def sample_jstar_real(h, z, rng, table=None, counters=None):
-    """One exact draw from J*(h, z) for any real h >= 1."""
-    return float(sample_jstar_real_batch(h, z, 1, rng, table=table,
-                                         counters=counters)[0])

@@ -418,7 +418,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, IterationCapError, DominationViolationError,
-            EnvelopeValidityError, FloatingPointError) as exc:
+            EnvelopeValidityError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -2,11 +2,13 @@
 
 The J*(h) density is an alternating series of inverse-Gaussian-type
 terms; tilting by z multiplies it by cosh^h(z) exp(-x z^2/2).  This
-module provides the series coefficients and partial sums, the left/right
-bounding kernels with their mixture weights, the truncation-point solver
-and lookup table, analytic moments, the truncated gamma-convolution
-sampler used as a validation oracle, and the numerical domination check
-for the bounding kernels.
+module provides the series coefficients, the one coefficient-ratio
+recurrence and the one partial-sum routine built on it (numpy or, for
+verification, mpmath arithmetic), the left/right bounding kernels with
+their mixture weights, the truncation-point solver and lookup table,
+analytic moments, the truncated gamma-convolution sampler used as a
+validation oracle, and the numerical domination check for the bounding
+kernels.
 
 Everything here is pure and thread-safe except :func:`sample_gamma_sum`
 (which consumes an RngStream) and the process-wide default truncation
@@ -31,17 +33,13 @@ from .special import (
 
 __all__ = [
     "JStarParams",
-    "SeriesEvalState",
     "ProposalMixture",
     "c_index",
     "d_index",
     "coef_left",
     "coef_right_h1",
     "coef_ratio",
-    "series_start",
-    "partial_sum_step",
     "density",
-    "density_exact",
     "sample_gamma_sum",
     "jstar_mean",
     "jstar_var",
@@ -112,22 +110,19 @@ def tilt_rate(z):
 
 
 def coef_ratio(n, x, h):
-    """Ratio a_{n+1}/a_n of successive left-series coefficients.
+    """Ratio a_{n+1}/a_n of successive left-series coefficients, for x > 0.
 
     Independent of the tilt.  Strictly decreasing in n and increasing in
     x, so once it drops below 1 the coefficients decrease for every
-    larger n.
+    larger n.  The arithmetic follows ``x``: numpy for floats and arrays,
+    mpmath (at its working precision) for an ``mpf``.
     """
-    n = np.asarray(n, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("coef_ratio: x must be positive")
-    if h < 1.0:
+    if h < 1:
         raise ValueError("coef_ratio: requires h >= 1")
-    out = ((1.0 + (h - 1.0) / (n + 1.0))
-           * (1.0 + 2.0 / (2.0 * n + h))
-           * np.exp(-(2.0 / x) * ((2.0 * n + h) + 1.0)))
-    return float(out) if out.ndim == 0 else out
+    exp = getattr(x, "context", np).exp
+    return ((1 + (h - 1) / (n + 1))
+            * (1 + 2 / (2 * n + h))
+            * exp(-(2 / x) * ((2 * n + h) + 1)))
 
 
 def _log_coef_left_unit(n, x, h):
@@ -169,69 +164,26 @@ def coef_right_h1(n, x, z):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SeriesEvalState:
-    """State of an alternating partial-sum evaluation at a fixed x.
-
-    ``decreasing`` latches to True the first time a coefficient ratio
-    drops below 1; by the monotonicity of the ratio it never reverts,
-    and from that index on the partial sums bracket the density.
-    """
-
-    x: float
-    n: int
-    partial_sum: float
-    coef: float
-    decreasing: bool
-
-
-def series_start(x, params):
-    """Initial partial-sum state S_0 = a_0(x)."""
-    a0 = coef_left(0, x, params)
-    return SeriesEvalState(x=float(x), n=0, partial_sum=a0, coef=a0,
-                           decreasing=False)
-
-
-def partial_sum_step(state, params):
-    """Advance one series term: S_{n+1} = S_n + (-1)^{n+1} a_{n+1}."""
-    r = coef_ratio(state.n, state.x, params.h)
-    coef = state.coef * r
-    n = state.n + 1
-    sign = -1.0 if n % 2 else 1.0
-    return SeriesEvalState(
-        x=state.x,
-        n=n,
-        partial_sum=state.partial_sum + sign * coef,
-        coef=coef,
-        decreasing=state.decreasing or (r < 1.0),
-    )
-
-
-def _ratio_alternating_sum(x, h, rel_tol=1e-13, max_terms=10_000):
-    """Alternating sum of the coefficient ratios t_n = a_n/a_0.
+def _ratio_sum(x, h, rel_tol, max_terms):
+    """Alternating sum of the coefficient ratios t_n = a_n/a_0, i.e. f/a_0.
 
     Returns (sum, sum of |terms|); the latter feeds cancellation-error
     estimates.  Working with ratios keeps the arithmetic well scaled even
-    where a_0 itself would under- or overflow.
+    where a_0 itself would under- or overflow.  ``x`` may be a float, an
+    array (summed until every entry has converged) or an mpmath ``mpf``.
     """
-    t = 1.0
-    s = 1.0
-    absum = 1.0
+    t = s = absum = 1.0
     sign = -1.0
-    n = 0
-    while n < max_terms:
-        r = ((1.0 + (h - 1.0) / (n + 1.0))
-             * (1.0 + 2.0 / (2.0 * n + h))
-             * np.exp(-(2.0 / x) * ((2.0 * n + h) + 1.0)))
-        t *= r
-        s += sign * t
-        absum += t
+    for n in range(max_terms):
+        r = coef_ratio(n, x, h)
+        t = t * r
+        s = s + sign * t
+        absum = absum + t
         sign = -sign
-        n += 1
-        if r < 1.0 and t <= rel_tol * abs(s):
+        if np.all(r < 1.0) and np.all(t <= rel_tol * abs(s) + 1e-300):
             return s, absum
     raise ConvergenceError(
-        f"density series did not converge within {max_terms} terms at x={x}"
+        f"ratio series did not converge within {max_terms} terms"
     )
 
 
@@ -248,46 +200,12 @@ def density(x, params, rel_tol=1e-13, max_terms=10_000):
     if x <= 0.0:
         raise ValueError("density: x must be positive")
     h, z = params.h, params.z
-    s, _ = _ratio_alternating_sum(x, h, rel_tol, max_terms)
+    s, _ = _ratio_sum(x, h, rel_tol, max_terms)
     if s <= 0.0:
         return 0.0
     log_f = (h * log_cosh(z) - 0.5 * x * z * z
              + _log_coef_left_unit(0.0, x, h) + np.log(s))
     return float(np.exp(log_f))
-
-
-def density_exact(x, h, dps=50, max_terms=100_000):
-    """Untilted density evaluated in extended precision.
-
-    Slow; intended for verification where the double-precision series
-    loses digits to cancellation (large x).
-    """
-    import mpmath as mp
-
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("density_exact: x must be positive")
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        hm = mp.mpf(h)
-        t = mp.mpf(1)
-        s = mp.mpf(1)
-        sign = -1
-        floor = mp.mpf(10) ** (-dps)
-        for n in range(max_terms):
-            r = ((1 + (hm - 1) / (n + 1)) * (1 + 2 / (2 * n + hm))
-                 * mp.e ** (-(2 / xm) * ((2 * n + hm) + 1)))
-            t *= r
-            s += sign * t
-            sign = -sign
-            if r < 1 and t <= floor * abs(s):
-                break
-        else:
-            raise ConvergenceError("density_exact: series did not converge")
-        log_a0 = (hm * mp.log(2) + mp.log(hm)
-                  - mp.log(2 * mp.pi) / 2 - 3 * mp.log(xm) / 2
-                  - hm * hm / (2 * xm))
-        return float(mp.e ** log_a0 * s)
 
 
 def sample_gamma_sum(params, n_terms, rng, size=None):
@@ -300,15 +218,13 @@ def sample_gamma_sum(params, n_terms, rng, size=None):
     if n_terms < 1:
         raise ValueError("sample_gamma_sum: n_terms must be >= 1")
     w = 1.0 / d_index(np.arange(n_terms), params.z)
-    if size is None:
-        return float(rng.gamma(params.h, size=n_terms) @ w)
-    n = int(size)
+    n = 1 if size is None else int(size)
     out = np.empty(n)
     chunk = max(1, 4_000_000 // n_terms)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         out[lo:hi] = rng.gamma(params.h, size=(hi - lo, n_terms)) @ w
-    return out
+    return float(out[0]) if size is None else out
 
 
 def _mean_factor(z):
@@ -559,11 +475,9 @@ def set_default_trunc_table(table):
         _default_table = table
 
 
-def trunc_lookup(h, table=None):
-    """Interpolated paste point t(h) from ``table`` (default table if None)."""
-    if table is None:
-        table = default_trunc_table()
-    return table.lookup(h)
+def trunc_lookup(h):
+    """Interpolated paste point t(h) from the process-wide default table."""
+    return default_trunc_table().lookup(h)
 
 
 @dataclass(frozen=True)
@@ -593,51 +507,6 @@ class DominationReport:
         return self.max_rho_left <= lim and self.max_rho_right <= lim
 
 
-def _ratio_sum_grid(x, h, rel_tol=1e-17, max_terms=400):
-    """Vectorized alternating ratio sum f(x)/a_0(x) over a grid.
-
-    Returns (sum, sum |terms|) arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.ones_like(x)
-    s = np.ones_like(x)
-    absum = np.ones_like(x)
-    sign = -1.0
-    for n in range(max_terms):
-        r = ((1.0 + (h - 1.0) / (n + 1.0))
-             * (1.0 + 2.0 / (2.0 * n + h))
-             * np.exp(-(2.0 / x) * ((2.0 * n + h) + 1.0)))
-        t = t * r
-        s = s + sign * t
-        absum = absum + t
-        sign = -sign
-        if np.all(r < 1.0) and np.all(t <= rel_tol * np.abs(s) + 1e-300):
-            return s, absum
-    raise ConvergenceError("domination grid series did not converge")
-
-
-def _ratio_sum_exact(x, h, dps=50, max_terms=4000):
-    """f(x)/a_0(x) in extended precision, for cancellation-heavy points."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        xm = mp.mpf(float(x))
-        hm = mp.mpf(float(h))
-        t = mp.mpf(1)
-        s = mp.mpf(1)
-        sign = -1
-        floor = mp.mpf(10) ** (-dps + 5)
-        for n in range(max_terms):
-            r = ((1 + (hm - 1) / (n + 1)) * (1 + 2 / (2 * n + hm))
-                 * mp.e ** (-(2 / xm) * ((2 * n + hm) + 1)))
-            t *= r
-            s += sign * t
-            sign = -sign
-            if r < 1 and t <= floor * abs(s):
-                return float(s)
-        raise ConvergenceError("exact ratio series did not converge")
-
-
 def verify_domination(h, x_grid=None, refine=True):
     """Evaluate f/ell and f/r over a grid and report their maxima.
 
@@ -652,15 +521,20 @@ def verify_domination(h, x_grid=None, refine=True):
     if x_grid is None:
         x_grid = np.logspace(np.log10(0.01), np.log10(20.0), 2000)
     x = np.asarray(x_grid, dtype=float)
-    s, absum = _ratio_sum_grid(x, h)
+    s, absum = _ratio_sum(x, h, rel_tol=1e-17, max_terms=400)
     log_ell_over_r = (_log_kernel_ell_unit(x, h)
                       - _log_kernel_r_unit(x, h, tilt_rate(0.0)))
     # estimated absolute cancellation error of s, and its impact on f/r
     err = 1e-15 * absum
     bad = (err > 1e-11) | (err * np.exp(log_ell_over_r) > 1e-11)
     if refine and np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            s[i] = _ratio_sum_exact(x[i], h)
+        import mpmath as mp
+
+        with mp.workdps(50):
+            for i in np.nonzero(bad)[0]:
+                s_exact, _ = _ratio_sum(mp.mpf(x[i]), mp.mpf(h),
+                                        mp.mpf(10) ** -45, 4000)
+                s[i] = float(s_exact)
     rho_left = np.maximum(s, 0.0)
     rho_right = rho_left * np.exp(log_ell_over_r)
     return DominationReport(h=h, x=x, rho_left=rho_left, rho_right=rho_right)

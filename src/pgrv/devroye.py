@@ -1,4 +1,6 @@
-"""Exact J*(1, z) sampler and integer-shape J*(n, z) by summation.
+"""Exact J*(1, z) sampler, integer-shape J*(n, z) by summation, and the
+alternating-series decider that both exact samplers use, each with its
+own coefficient policy.
 
 The unit-shape density has two alternating-series representations whose
 coefficients decrease on overlapping intervals; pasting them at
@@ -14,42 +16,25 @@ and the partial sums.
 
 import numpy as np
 
-from .density import JStarParams, build_mixture
-from .errors import IterationCapError
-from .rng import sample_truncated_inverse_gaussian
+from .density import DOMINATION_SLACK, JStarParams, build_mixture
+from .errors import DominationViolationError, IterationCapError
+from .rng import (
+    _fill_by_rejection,
+    _two_piece,
+    sample_truncated_inverse_gaussian,
+)
 
-__all__ = ["TRUNC_POINT", "DevroyeProposal", "sample_jstar1",
-           "sample_jstar1_batch", "sample_jstar_int", "sample_jstar_int_batch"]
+__all__ = ["TRUNC_POINT", "sample_jstar1_batch", "sample_jstar_int_batch"]
 
 # Paste point between the two series representations; also where the two
 # leading coefficients are equal.
 TRUNC_POINT = 2.0 / np.pi
 
-MAX_PROPOSAL_ROUNDS = 1_000_000
-_MAX_SERIES_TERMS = 200
+_MAX_SERIES_TERMS = 500
 
 # Proposals this close to zero are rejected outright: their acceptance
 # probability is negligible and the series is numerically unstable there.
 _X_FLOOR = 1e-12
-
-
-class DevroyeProposal:
-    """Frozen per-tilt setup: paste point, component masses, and rates."""
-
-    __slots__ = ("z", "trunc", "p_mass", "q_mass", "left_fraction", "lam_z",
-                 "ig_mu", "ig_lam")
-
-    def __init__(self, z):
-        z = float(abs(z))
-        mix = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
-        self.z = z
-        self.trunc = TRUNC_POINT
-        self.p_mass = mix.p_mass
-        self.q_mass = mix.q_mass
-        self.left_fraction = mix.left_fraction
-        self.lam_z = mix.lam_z
-        self.ig_mu = np.inf if z == 0.0 else 1.0 / z
-        self.ig_lam = 1.0
 
 
 def _coef_unit(n, x):
@@ -65,105 +50,105 @@ def _coef_unit(n, x):
     return out
 
 
-def _series_decide(x, u, s0, counters=None):
-    """Alternating-sum accept/reject decisions, vectorized.
+class _PastedCoefficients:
+    """Devroye's coefficient policy for shape 1: the bound is a_0(x)
+    itself, and the pasted coefficients decrease from n = 1."""
 
-    ``u`` is uniform on (0, a_0(x)) and ``s0 = a_0(x)``.  Coefficients of
-    the pasted representation decrease from the start, so the partial
-    sums bracket the density immediately: accept at the first odd index
-    with u <= S_n, reject at the first even index with u >= S_n.
+    checks_domination = False
+    counter_keys = ("series_index_sum", "series_index_max")
+
+    def start(self, x):
+        a0 = _coef_unit(0, x)
+        return a0, a0
+
+    def step(self, n, x, idx):
+        return _coef_unit(n, x), True
+
+
+def _series_decide(x, rng, policy, counters=None):
+    """Accept mask for the candidates ``x``, by the alternating series.
+
+    ``policy.start(x)`` returns the untilted bounding kernel k(x) and the
+    leading coefficient a_0(x); a uniform u on (0, k(x)) is drawn per
+    candidate.  ``policy.step(n, x, idx)`` returns a_n at the slots
+    ``idx`` and whether their coefficients are known to decrease from n
+    on.  Only then do the partial sums S_n bracket the density: accept at
+    the first odd n with u <= S_n, reject at the first even n with
+    u >= S_n.  Under a policy that ``checks_domination``, a bracketing
+    odd sum above k (beyond slack) proves the kernel does not dominate
+    there and raises :class:`DominationViolationError`.
     """
+    u = rng.uniform(x.size)
+    bound, s = policy.start(np.maximum(x, _X_FLOOR))
+    u = u * bound
+    s = s.copy()
     accept = np.zeros(x.shape, dtype=bool)
-    undecided = np.ones(x.shape, dtype=bool)
-    s = s0.copy()
-    decided_at = np.zeros(x.shape, dtype=np.int64)
+    terms = np.zeros(x.shape, dtype=np.int64)
+    # an underflowed bound means the density vanished there; reject
+    # rather than let 0 <= 0 accept a zero-density point
+    undecided = (x > _X_FLOOR) & (bound > 0.0)
     for n in range(1, _MAX_SERIES_TERMS + 1):
         idx = np.nonzero(undecided)[0]
         if idx.size == 0:
             break
-        coef = _coef_unit(n, x[idx])
+        coef, can = policy.step(n, x[idx], idx)
+        # once the increments vanish the current sum decides (a measure-
+        # zero event): an odd sum that does not accept rejects, an even
+        # sum that does not reject accepts
+        vanished = can & (coef <= 1e-300)
         if n % 2:
             s[idx] -= coef
-            hit = u[idx] <= s[idx]
+            hit = can & (u[idx] <= s[idx])
             accept[idx[hit]] = True
+            # only odd sums are checked: even ones may exceed k
+            # legitimately past a paste point
+            if policy.checks_domination:
+                viol = can & (s[idx] > bound[idx] * (1.0 + DOMINATION_SLACK))
+                if np.any(viol):
+                    raise DominationViolationError(
+                        f"lower partial sum exceeded the bounding kernel at "
+                        f"x={x[idx[viol][0]]!r}; kernel domination fails here"
+                    )
         else:
             s[idx] += coef
-            hit = u[idx] >= s[idx]
-        undecided[idx[hit]] = False
-        decided_at[idx[hit]] = n
-        # vanished increments: the comparison sits at machine precision,
-        # decide by the best estimate (a measure-zero event)
-        stuck = idx[~hit][coef[~hit] <= 1e-300]
-        if stuck.size:
-            accept[stuck] = u[stuck] <= s[stuck]
-            undecided[stuck] = False
-            decided_at[stuck] = n
-    if counters is not None:
-        counters["series_index_sum"] = (counters.get("series_index_sum", 0)
-                                        + int(decided_at.sum()))
-        counters["series_index_max"] = max(counters.get("series_index_max", 0),
-                                           int(decided_at.max(initial=0)))
+            hit = can & (u[idx] >= s[idx])
+            accept[idx[vanished & ~hit]] = True
+        done = idx[hit | vanished]
+        undecided[done] = False
+        terms[done] = n
+    if undecided.any():
+        raise IterationCapError(
+            "alternating series failed to decide within "
+            f"{_MAX_SERIES_TERMS} terms"
+        )
+    if counters is not None and terms.any():
+        # decision terms, under the policy's (sum, max) counter keys
+        sum_key, max_key = policy.counter_keys
+        if sum_key:
+            counters[sum_key] = counters.get(sum_key, 0) + int(terms.sum())
+        counters[max_key] = max(counters.get(max_key, 0), int(terms.max()))
     return accept
 
 
-def sample_jstar1_batch(z, size, rng, counters=None,
-                        max_rounds=MAX_PROPOSAL_ROUNDS):
+def sample_jstar1_batch(z, size, rng, counters=None):
     """Fill an array with exact J*(1, z) draws."""
-    setup = DevroyeProposal(z)
-    n = int(size)
-    out = np.empty(n)
-    pending = np.arange(n)
-    rounds = 0
-    while pending.size:
-        if rounds >= max_rounds:
-            raise IterationCapError("J*(1,z) sampler exhausted its proposal budget")
-        rounds += 1
-        k = pending.size
-        take_left = rng.uniform(k) < setup.left_fraction
-        x = np.empty(k)
-        n_left = int(take_left.sum())
-        if n_left:
-            x[take_left] = sample_truncated_inverse_gaussian(
-                setup.ig_mu, setup.ig_lam, setup.trunc, rng, size=n_left)
-        if k - n_left:
-            x[~take_left] = setup.trunc + rng.exponential(k - n_left) / setup.lam_z
-        if counters is not None:
-            counters["proposals"] = counters.get("proposals", 0) + k
-            counters["left_proposals"] = (counters.get("left_proposals", 0)
-                                          + n_left)
-        u = rng.uniform(k)
-        ok = np.zeros(k, dtype=bool)
-        valid = np.nonzero(x > _X_FLOOR)[0]
-        if valid.size:
-            xv = x[valid]
-            a0 = _coef_unit(0, xv)
-            # a vanished leading coefficient means the density underflowed;
-            # reject rather than let 0 <= 0 accept a zero-density point
-            live = a0 > 0.0
-            valid, xv, a0 = valid[live], xv[live], a0[live]
-        if valid.size:
-            ok[valid] = _series_decide(xv, u[valid] * a0, a0, counters)
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
-        if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + int(ok.sum())
-    return out
-
-
-def sample_jstar1(z, rng, counters=None):
-    """One exact draw from J*(1, z)."""
-    return float(sample_jstar1_batch(abs(z), 1, rng, counters=counters)[0])
+    mix = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
+    mu = np.inf if mix.z == 0.0 else 1.0 / mix.z
+    policy = _PastedCoefficients()
+    propose = _two_piece(
+        rng, mix.left_fraction,
+        lambda m: sample_truncated_inverse_gaussian(mu, 1.0, TRUNC_POINT, rng,
+                                                    size=m),
+        lambda m: TRUNC_POINT + rng.exponential(m) / mix.lam_z, counters)
+    return _fill_by_rejection(
+        int(size), propose, lambda x: _series_decide(x, rng, policy, counters),
+        counters)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):
     """Exact J*(n, z) draws for integer n >= 1, by summing unit draws."""
     n = int(n)
     if n < 1:
-        raise ValueError("sample_jstar_int: n must be a positive integer")
+        raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
     draws = sample_jstar1_batch(z, n * int(size), rng, counters=counters)
     return draws.reshape(int(size), n).sum(axis=1)
-
-
-def sample_jstar_int(n, z, rng, counters=None):
-    """One exact draw from J*(n, z) for integer n >= 1."""
-    return float(sample_jstar_int_batch(n, z, 1, rng, counters=counters)[0])

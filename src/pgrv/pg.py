@@ -21,6 +21,7 @@ import numpy as np
 
 from . import alternate, devroye, saddle
 from .density import JStarParams, jstar_mean, jstar_var, sample_gamma_sum
+from .rng import MAX_REJECTION_ROUNDS, _fill_by_rejection
 
 __all__ = [
     "PgParams",
@@ -147,17 +148,10 @@ def sample_pg_normal(params, rng, size=None):
     """
     mean = pg_mean(params)
     sd = np.sqrt(pg_var(params))
-    if size is None:
-        x = mean + sd * rng.normal()
-        while x <= 0.0:
-            x = mean + sd * rng.normal()
-        return float(x)
-    out = mean + sd * rng.normal(int(size))
-    bad = out <= 0.0
-    while np.any(bad):
-        out[bad] = mean + sd * rng.normal(int(bad.sum()))
-        bad = out <= 0.0
-    return out
+    x = _fill_by_rejection(1 if size is None else int(size),
+                           lambda k: mean + sd * rng.normal(k),
+                           lambda x: x > 0.0, max_rounds=MAX_REJECTION_ROUNDS)
+    return float(x[0]) if size is None else x
 
 
 def sample_pg(params, rng, method="auto", thresholds=None):
@@ -166,18 +160,8 @@ def sample_pg(params, rng, method="auto", thresholds=None):
     ``method`` overrides the hybrid rule; invalid method/shape pairings
     (e.g. devroye with a non-integer shape) raise ValueError.
     """
-    m = _resolve_method(method, params.b, thresholds)
-    b = params.b
-    zj = abs(params.z) / 2.0
-    if m is Method.DEVROYE:
-        return devroye.sample_jstar_int(int(b), zj, rng) / 4.0
-    if m is Method.ALTERNATE:
-        return alternate.sample_jstar_real(b, zj, rng) / 4.0
-    if m is Method.SADDLEPOINT:
-        return saddle.sample_saddle(b, zj, rng) / 4.0
-    if m is Method.GAMMA_SUM:
-        return sample_gamma_sum(params.jstar, GAMMA_SUM_TERMS, rng) / 4.0
-    return sample_pg_normal(params, rng)
+    return float(sample_pg_batch(params, rng, size=1, method=method,
+                                 thresholds=thresholds)[0])
 
 
 def sample_pg_batch(params, rng, size=None, out=None, method="auto",

@@ -1,11 +1,14 @@
-"""Seedable RNG stream and the elementary distribution samplers.
+"""Seedable RNG stream, the truncated proposal draws, and the rejection
+engine every sampler fills its output with.
 
 Every sampler in the package draws exclusively from an :class:`RngStream`,
 which wraps a PCG64 generator: identical seed, identical draw sequence.
 A stream is single-owner -- never share one instance between threads;
 derive independent substreams with :meth:`RngStream.spawn` instead.
 
-All samplers take an optional ``size``; ``size=None`` returns a scalar.
+:func:`_fill_by_rejection` is the one rejection loop: the samplers and
+the truncated inverse-Gaussian draw differ only in the proposal and the
+accept test they hand it.
 """
 
 import numpy as np
@@ -14,20 +17,16 @@ from .errors import IterationCapError
 
 __all__ = [
     "RngStream",
-    "TruncationSide",
-    "sample_uniform",
-    "sample_normal",
-    "sample_gamma",
-    "sample_inverse_gaussian",
-    "sample_truncated_exponential",
     "sample_truncated_inverse_gaussian",
     "sample_truncated_gamma",
 ]
 
 # Rejection loops bail out after this many whole-array retry rounds; each
 # round redraws every still-pending slot, so the per-draw attempt budget
-# is far larger than the round count suggests.
+# is far larger than the round count suggests.  Proposal kernels get the
+# smaller budget, the J* samplers built on them the larger one.
 MAX_REJECTION_ROUNDS = 10_000
+MAX_PROPOSAL_ROUNDS = 1_000_000
 
 
 class RngStream:
@@ -88,115 +87,55 @@ class RngStream:
         return self._gen.wald(mu, lam, size=size)
 
 
-class TruncationSide:
-    """A one-sided truncation: keep draws left or right of ``bound``."""
+def _fill_by_rejection(n, propose, accept, counters=None,
+                       max_rounds=MAX_PROPOSAL_ROUNDS):
+    """Fill ``n`` slots by rejection sampling and return them.
 
-    LEFT_OF_BOUND = "left-of-bound"
-    RIGHT_OF_BOUND = "right-of-bound"
-
-    def __init__(self, bound, side):
-        bound = float(bound)
-        if not np.isfinite(bound) or bound <= 0.0:
-            raise ValueError("TruncationSide: bound must be finite and positive")
-        if side not in (self.LEFT_OF_BOUND, self.RIGHT_OF_BOUND):
-            raise ValueError(f"TruncationSide: unknown side {side!r}")
-        self.bound = bound
-        self.side = side
-
-    def __repr__(self):
-        return f"TruncationSide(bound={self.bound}, side={self.side!r})"
-
-
-def sample_uniform(rng, size=None):
-    """Uniform draw(s) in the open interval (0, 1)."""
-    return rng.uniform(size)
-
-
-def sample_normal(rng, size=None):
-    """Standard normal draw(s)."""
-    return rng.normal(size)
-
-
-def sample_gamma(shape, rate, rng, size=None):
-    """Gamma(shape, rate) draw(s); density x^(shape-1) e^(-rate x)."""
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValueError("sample_gamma: shape and rate must be positive")
-    return rng.gamma(shape, size=size) / rate
-
-
-def sample_inverse_gaussian(mu, lam, rng, size=None):
-    """Inverse-Gaussian(mu, lam) draw(s) (exact transform method)."""
-    if mu <= 0.0 or lam <= 0.0 or not np.isfinite(mu):
-        raise ValueError("sample_inverse_gaussian: parameters must be positive")
-    return rng.wald(mu, lam, size=size)
-
-
-def sample_truncated_exponential(rate, left, rng, size=None):
-    """Exponential(rate) conditioned on exceeding ``left``.
-
-    By memorylessness this is just ``left`` plus a fresh exponential.
+    Each round ``propose(k)`` draws candidates for the k still-pending
+    slots and ``accept(x)`` returns the mask of those kept; the rest are
+    redrawn next round.  Raises :class:`IterationCapError` when slots are
+    still pending after ``max_rounds`` rounds.  ``counters``, when given,
+    accumulates ``proposals`` and ``accepted``.
     """
-    if rate <= 0.0:
-        raise ValueError("sample_truncated_exponential: rate must be positive")
-    if left <= 0.0:
-        raise ValueError("sample_truncated_exponential: left bound must be positive")
-    return left + rng.exponential(size) / rate
-
-
-def _right_trunc_ig_unit(mu, right, rng, size, max_rounds):
-    """IG(mu, 1) restricted to (0, right), for the regime mu > right.
-
-    Proposes from the zero-drift kernel x^(-3/2) exp(-1/(2x)) on
-    (0, right) -- realized exactly by X = right/(1 + right*E1)^2 with
-    E1 ~ Exp(1) accepted when E1^2 <= 2 E2 / right -- then thins with the
-    drift factor exp(-x/(2 mu^2)).  ``mu=inf`` (zero drift) skips the
-    thinning.
-    """
-    n = 1 if size is None else int(np.prod(size))
-    out = np.empty(n)
-    pending = np.arange(n)
-    inv_two_musq = 0.0 if np.isinf(mu) else 0.5 / (mu * mu)
-    for _ in range(max_rounds):
-        k = pending.size
-        if k == 0:
-            break
-        e1 = rng.exponential(k)
-        e2 = rng.exponential(k)
-        ok = e1 * e1 <= 2.0 * e2 / right
-        x = right / (1.0 + right * e1) ** 2
-        if inv_two_musq > 0.0:
-            ok &= rng.uniform(k) <= np.exp(-x * inv_two_musq)
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise IterationCapError(
-            "truncated inverse-Gaussian sampler exhausted its iteration budget"
-        )
-    return out
-
-
-def _right_trunc_ig_by_rejection(mu, right, rng, size, max_rounds):
-    """IG(mu, 1) restricted to (0, right) via unconditioned redraws.
-
-    Efficient exactly when the untruncated distribution already places
-    most of its mass below ``right`` (mu <= right).
-    """
-    n = 1 if size is None else int(np.prod(size))
     out = np.empty(n)
     pending = np.arange(n)
     for _ in range(max_rounds):
         k = pending.size
         if k == 0:
             break
-        x = rng.wald(mu, 1.0, size=k)
-        ok = x < right
+        if counters is not None:
+            counters["proposals"] = counters.get("proposals", 0) + k
+        x = propose(k)
+        ok = accept(x)
         out[pending[ok]] = x[ok]
         pending = pending[~ok]
+        if counters is not None:
+            counters["accepted"] = counters.get("accepted", 0) + int(ok.sum())
     if pending.size:
         raise IterationCapError(
-            "truncated inverse-Gaussian sampler exhausted its iteration budget"
+            f"rejection sampler exhausted its budget of {max_rounds} rounds"
         )
     return out
+
+
+def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
+    """``propose`` for :func:`_fill_by_rejection`: each candidate comes
+    from ``draw_left(m)`` with probability ``left_fraction``, else from
+    ``draw_right(m)``; ``counters`` accumulates ``left_proposals``."""
+    def propose(k):
+        take_left = rng.uniform(k) < left_fraction
+        x = np.empty(k)
+        n_left = int(take_left.sum())
+        if n_left:
+            x[take_left] = draw_left(n_left)
+        if k - n_left:
+            x[~take_left] = draw_right(k - n_left)
+        if counters is not None:
+            counters["left_proposals"] = (counters.get("left_proposals", 0)
+                                          + n_left)
+        return x
+
+    return propose
 
 
 def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
@@ -211,20 +150,41 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
     Notes
     -----
     Everything is rescaled to lam=1 first (X ~ IG(mu, lam) iff
-    X/lam ~ IG(mu/lam, 1)).  When the mean sits beyond the bound the
-    zero-drift proposal with drift thinning is used; otherwise
-    unconditioned draws are thinned on {x < right}.
+    X/lam ~ IG(mu/lam, 1)).  When the mean sits within the bound, most of
+    the untruncated mass lies below it, and unconditioned draws are
+    thinned on {x < right}.  Otherwise the proposal is the zero-drift
+    kernel on (0, right) -- realized exactly by X = right/(1 + right*E1)^2
+    with E1 ~ Exp(1) accepted when E1^2 <= 2 E2 / right -- thinned with
+    the drift factor exp(-x/(2 mu^2)); ``mu=inf`` skips the thinning.
     """
     if mu <= 0.0 or lam <= 0.0 or right <= 0.0:
         raise ValueError(
             "sample_truncated_inverse_gaussian: parameters must be positive"
         )
-    mu_u = mu / lam
-    right_u = right / lam
-    if mu_u > right_u:
-        x = _right_trunc_ig_unit(mu_u, right_u, rng, size, max_rounds)
+    mu, right = mu / lam, right / lam
+    n = 1 if size is None else int(np.prod(size))
+    inv_two_musq = 0.0 if np.isinf(mu) else 0.5 / (mu * mu)
+
+    def propose_kernel(k):
+        e1 = rng.exponential(k)
+        kernel_ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
+        x = right / (1.0 + right * e1) ** 2
+        # a candidate the kernel rejects is moved outside (0, right]
+        x[~kernel_ok] = np.inf
+        return x
+
+    def accept_kernel(x):
+        ok = x <= right
+        if inv_two_musq > 0.0:
+            ok &= rng.uniform(x.size) <= np.exp(-x * inv_two_musq)
+        return ok
+
+    if mu > right:
+        propose, accept = propose_kernel, accept_kernel
     else:
-        x = _right_trunc_ig_by_rejection(mu_u, right_u, rng, size, max_rounds)
+        propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
+                           lambda x: x < right)
+    x = _fill_by_rejection(n, propose, accept, max_rounds=max_rounds)
     x *= lam
     if size is None:
         return float(x[0])

@@ -29,9 +29,14 @@ import numpy as np
 from scipy import special as sc
 
 from .density import _mean_factor
-from .errors import ConvergenceError, EnvelopeValidityError, IterationCapError
-from .rng import sample_truncated_gamma, sample_truncated_inverse_gaussian
-from .special import log_cosh, log_gamma_fn, utan
+from .errors import ConvergenceError, EnvelopeValidityError
+from .rng import (
+    _fill_by_rejection,
+    _two_piece,
+    sample_truncated_gamma,
+    sample_truncated_inverse_gaussian,
+)
+from .special import inverse_gaussian_log_cdf, log_cosh, log_gamma_fn, utan
 
 __all__ = [
     "U_MAX",
@@ -47,7 +52,6 @@ __all__ = [
     "build_envelope",
     "sp_density",
     "log_sp_density",
-    "sample_saddle",
     "sample_saddle_batch",
     "check_curvature_monotonicity",
 ]
@@ -57,20 +61,7 @@ U_MAX = np.pi ** 2 / 8.0
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-MAX_PROPOSAL_ROUNDS = 1_000_000
 _ENVELOPE_SLACK = 1e-9
-
-
-def _log_cos_sqrt(s):
-    """log cos(sqrt(s)) for s >= 0, log cosh(sqrt(-s)) for s < 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    neg = s < 0
-    out[pos] = np.log(np.cos(np.sqrt(s[pos])))
-    rn = np.sqrt(-s[neg])
-    out[neg] = rn + np.log1p(np.exp(-2.0 * rn)) - np.log(2.0)
-    return out
 
 
 def _check_u_domain(u):
@@ -83,7 +74,13 @@ def cgf(s, z):
     s = np.asarray(s, dtype=float)
     u = s - 0.5 * float(z) ** 2
     _check_u_domain(u)
-    out = log_cosh(z) - _log_cos_sqrt(2.0 * u)
+    # log cos(sqrt(2u)), continued to log cosh(sqrt(-2u)) for u < 0
+    u2 = 2.0 * u
+    log_cos = np.zeros_like(u2)
+    pos, neg = u2 > 0, u2 < 0
+    log_cos[pos] = np.log(np.cos(np.sqrt(u2[pos])))
+    log_cos[neg] = log_cosh(np.sqrt(-u2[neg]))
+    out = log_cosh(z) - log_cos
     return float(out) if out.ndim == 0 else out
 
 
@@ -300,7 +297,8 @@ def sp_density(x, n, z):
     return float(out[()]) if np.ndim(out) == 0 else out
 
 
-def _build_envelope_impl(n, z):
+@lru_cache(maxsize=512)
+def _build_envelope_cached(n, z):
     m = _mean_factor(z)
     x_l = m
     x_c = 1.1 * m
@@ -338,8 +336,6 @@ def _build_envelope_impl(n, z):
                    + log_gamma_fn(n) - n * np.log(n * rho_r))
 
     ig_mu = 1.0 / np.sqrt(rho_l)
-    from .special import inverse_gaussian_log_cdf
-
     log_mass_left = log_kappa_l + inverse_gaussian_log_cdf(x_c, ig_mu, n)
     tail = sc.gammaincc(n, n * rho_r * x_c)
     log_mass_right = (log_kappa_r + np.log(tail)) if tail > 0.0 else -np.inf
@@ -372,11 +368,6 @@ def _build_envelope_impl(n, z):
     return env
 
 
-@lru_cache(maxsize=512)
-def _build_envelope_cached(n, z):
-    return _build_envelope_impl(n, z)
-
-
 def build_envelope(n, z):
     """Envelope for the shape-n saddlepoint density, cached per (n, z).
 
@@ -389,8 +380,7 @@ def build_envelope(n, z):
     return _build_envelope_cached(n, float(abs(z)))
 
 
-def sample_saddle_batch(n, z, size, rng, counters=None,
-                        max_rounds=MAX_PROPOSAL_ROUNDS):
+def sample_saddle_batch(n, z, size, rng, counters=None):
     """Fill an array with approximate J*(n, z) draws (saddlepoint method).
 
     Intended for large shapes (n of order 10 and up); the relative density
@@ -399,41 +389,19 @@ def sample_saddle_batch(n, z, size, rng, counters=None,
     n = float(n)
     z = float(abs(z))
     env = build_envelope(n, z)
-    m = int(size)
-    out = np.empty(m)
-    pending = np.arange(m)
-    rounds = 0
-    while pending.size:
-        if rounds >= max_rounds:
-            raise IterationCapError(
-                "saddlepoint sampler exhausted its proposal budget")
-        rounds += 1
-        k = pending.size
-        take_left = rng.uniform(k) < env.left_fraction
-        x = np.empty(k)
-        n_left = int(take_left.sum())
-        if n_left:
-            x[take_left] = sample_truncated_inverse_gaussian(
-                env.ig_mu, n, env.x_c, rng, size=n_left)
-        if k - n_left:
-            x[~take_left] = sample_truncated_gamma(
-                n, env.gamma_rate, env.x_c, rng, size=k - n_left)
-        if counters is not None:
-            counters["proposals"] = counters.get("proposals", 0) + k
-            counters["left_proposals"] = (counters.get("left_proposals", 0)
-                                          + n_left)
-        log_u = np.log(rng.uniform(k))
-        ok = log_u + _log_envelope(env, x) <= _log_sp_vec(x, n, z)
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
-        if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + int(ok.sum())
-    return n * out
+    propose = _two_piece(
+        rng, env.left_fraction,
+        lambda m: sample_truncated_inverse_gaussian(env.ig_mu, n, env.x_c, rng,
+                                                    size=m),
+        lambda m: sample_truncated_gamma(n, env.gamma_rate, env.x_c, rng,
+                                         size=m),
+        counters)
 
+    def accept(x):
+        log_u = np.log(rng.uniform(x.size))
+        return log_u + _log_envelope(env, x) <= _log_sp_vec(x, n, z)
 
-def sample_saddle(n, z, rng, counters=None):
-    """One approximate draw from J*(n, z)."""
-    return float(sample_saddle_batch(n, z, 1, rng, counters=counters)[0])
+    return n * _fill_by_rejection(int(size), propose, accept, counters)
 
 
 def check_curvature_monotonicity(z, x_grid=None, warn=True):

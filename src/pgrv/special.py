@@ -13,8 +13,6 @@ __all__ = [
     "utan",
     "log_cosh",
     "upper_gamma_reg",
-    "lower_gamma_reg",
-    "inverse_gaussian_cdf",
     "inverse_gaussian_log_cdf",
     "log_gamma_fn",
     "UTAN_SINGULARITY",
@@ -28,10 +26,6 @@ UTAN_SINGULARITY = np.pi ** 2 / 4.0
 _UTAN_TAYLOR_CUT = 1e-6
 
 _LOG2 = np.log(2.0)
-
-
-def _maybe_scalar(out, scalar):
-    return float(out[0]) if scalar else out
 
 
 def utan(s):
@@ -65,7 +59,7 @@ def utan(s):
     neg = (s <= -_UTAN_TAYLOR_CUT)
     rn = np.sqrt(-s[neg])
     out[neg] = np.tanh(rn) / rn
-    return _maybe_scalar(out, scalar)
+    return float(out[0]) if scalar else out
 
 
 def log_cosh(z):
@@ -92,18 +86,6 @@ def upper_gamma_reg(a, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def lower_gamma_reg(a, x):
-    """Regularized lower incomplete gamma function P(a, x) = 1 - Q(a, x)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("lower_gamma_reg: a must be positive")
-    if np.any(x < 0.0):
-        raise ValueError("lower_gamma_reg: x must be nonnegative")
-    out = sc.gammainc(a, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def inverse_gaussian_log_cdf(x, mu, lam):
     """log of the inverse-Gaussian distribution function.
 
@@ -124,20 +106,6 @@ def inverse_gaussian_log_cdf(x, mu, lam):
     a = sc.log_ndtr(rt * (ratio - 1.0))
     b = drift + sc.log_ndtr(-rt * (ratio + 1.0))
     out = np.logaddexp(a, b)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def inverse_gaussian_cdf(x, mu, lam):
-    """Inverse-Gaussian distribution function F(x; mu, lam) in [0, 1].
-
-    Parameters
-    ----------
-    x, mu, lam : float or array_like
-        Evaluation point, mean, and shape; all must be positive
-        (``mu=inf`` gives the zero-drift limit).
-    """
-    out = np.exp(inverse_gaussian_log_cdf(x, mu, lam))
-    out = np.minimum(out, 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -9,12 +9,18 @@ from scipy.integrate import quad
 from pgrv.alternate import (
     _pieces,
     acceptance_probability,
-    sample_jstar_alt,
     sample_jstar_alt_batch,
-    sample_jstar_real,
     sample_jstar_real_batch,
 )
-from pgrv.density import JStarParams, build_trunc_table, density, jstar_mean, jstar_var
+from pgrv.density import (
+    JStarParams,
+    build_trunc_table,
+    default_trunc_table,
+    density,
+    jstar_mean,
+    jstar_var,
+    set_default_trunc_table,
+)
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.rng import RngStream
 
@@ -57,22 +63,28 @@ def test_ks_against_gamma_sum_oracle():
 
 def test_shape_domain():
     with pytest.raises(ValueError):
-        sample_jstar_alt(0.8, 0.0, RngStream(0))
+        sample_jstar_alt_batch(0.8, 0.0, 1, RngStream(0))
     with pytest.raises(ValueError):
-        sample_jstar_alt(4.2, 0.0, RngStream(0))
+        sample_jstar_alt_batch(4.2, 0.0, 1, RngStream(0))
     with pytest.raises(ValueError):
-        sample_jstar_real(0.9, 0.0, RngStream(0))
+        sample_jstar_real_batch(0.9, 0.0, 1, RngStream(0))
 
 
 def test_scalar_draw():
-    v = sample_jstar_alt(2.0, 0.5, RngStream(7))
-    assert isinstance(v, float) and v > 0
+    v = sample_jstar_alt_batch(2.0, 0.5, 1, RngStream(7))
+    assert v.shape == (1,) and v[0] > 0
 
 
 def test_explicit_table_accepted():
-    table = build_trunc_table(step=0.05)
-    v = sample_jstar_alt(2.0, 0.5, RngStream(7), table=table)
-    assert v > 0
+    # an installed default table (what the CLI's --ttable does) feeds the
+    # paste point the sampler uses
+    saved = default_trunc_table()
+    try:
+        set_default_trunc_table(build_trunc_table(step=0.05))
+        v = sample_jstar_alt_batch(2.0, 0.5, 1, RngStream(7))
+    finally:
+        set_default_trunc_table(saved)
+    assert v[0] > 0
 
 
 class TestPieces:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pgrv.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from pgrv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from pgrv.density import load_trunc_table, solve_trunc_point
 from pgrv.pg import PgParams, pg_mean
 
@@ -60,6 +60,14 @@ class TestSample:
             capsys)
         assert code == EXIT_USAGE
         assert "saddlepoint" in err
+
+    def test_arithmetic_failure_exits_numerical(self, capsys):
+        # at this tilt the mixture masses underflow and left_fraction
+        # divides 0 by 0; that is a numerical failure, not exit 1
+        code, _, err = run_cli(
+            ["sample", "--b", "1", "--z", "3e5", "--n", "5"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure:")
 
     def test_unknown_flag_exits_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

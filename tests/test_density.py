@@ -24,22 +24,21 @@ from pgrv.density import (
     coef_ratio,
     d_index,
     density,
-    density_exact,
     jstar_mean,
     jstar_var,
     kernel_ell,
     kernel_r,
     load_trunc_table,
     mixture_weights,
-    partial_sum_step,
     sample_gamma_sum,
     save_trunc_table,
-    series_start,
     solve_trunc_point,
     tilt_rate,
     trunc_lookup,
     verify_domination,
+    _ratio_sum,
 )
+from pgrv.alternate import _RatioCoefficients
 from pgrv.errors import ConvergenceError
 from pgrv.rng import RngStream
 
@@ -171,54 +170,58 @@ class TestCoefficients:
             coef_ratio(0, 1.0, 0.5)
 
 
+def partial_sums(x, h, terms):
+    """Untilted partial sums S_0..S_terms at x and the "decreasing" flags,
+    as the real-shape sampler's coefficient policy produces them."""
+    policy = _RatioCoefficients(h, trunc_lookup(h))
+    xs = np.array([x])
+    _, a0 = policy.start(xs)
+    s = a0[0]
+    sums, flags = [s], [False]
+    for n in range(1, terms + 1):
+        coef, decreasing = policy.step(n, xs, np.array([0]))
+        s = s - coef[0] if n % 2 else s + coef[0]
+        sums.append(s)
+        flags.append(bool(decreasing[0]))
+    return sums, flags
+
+
 class TestPartialSums:
     def test_start_is_leading_coefficient(self):
-        p = JStarParams(2.0, 0.5)
-        st = series_start(1.1, p)
-        assert st.partial_sum == coef_left(0, 1.1, p)
-        assert st.n == 0 and not st.decreasing
+        sums, flags = partial_sums(1.1, 2.0, 0)
+        assert sums[0] == pytest.approx(
+            coef_left(0, 1.1, JStarParams(2.0, 0.0)), rel=1e-13)
+        assert not flags[0]
 
     def test_first_step_decreases(self):
-        p = JStarParams(1.0, 0.0)
-        s0 = series_start(0.8, p)
-        s1 = partial_sum_step(s0, p)
-        assert s1.n == 1
-        assert s1.partial_sum < s0.partial_sum
+        sums, _ = partial_sums(0.8, 1.0, 1)
+        assert sums[1] < sums[0]
 
     def test_convergence_unit_shape(self):
-        p = JStarParams(1.0, 0.0)
-        st = series_start(1.0, p)
-        sums = [st.partial_sum]
-        for _ in range(12):
-            st = partial_sum_step(st, p)
-            sums.append(st.partial_sum)
+        sums, _ = partial_sums(1.0, 1.0, 12)
         assert abs(sums[12] - sums[11]) < 1e-12 * sums[11]
 
     def test_decreasing_flag_latches(self):
-        p = JStarParams(4.0, 0.0)
-        st = series_start(3.0, p)  # coefficients rise before they fall
-        flags = []
-        for _ in range(20):
-            st = partial_sum_step(st, p)
-            flags.append(st.decreasing)
+        # coefficients rise before they fall at this (x, h)
+        _, flags = partial_sums(20.0, 4.0, 40)
         first = flags.index(True)
+        assert first > 1
         assert all(flags[first:])
 
     def test_bracketing_after_flag(self):
         # once the flag is set, even sums sit above the density and odd
-        # sums below it
+        # sums below it (the policy is untilted; the tilt factor cancels)
         for (h, z) in [(2.5, 0.0), (4.0, 1.0)]:
             p = JStarParams(h, z)
             for x in np.geomspace(0.1, 5.0, 12):
-                f = density(x, p)
-                st = series_start(x, p)
-                for _ in range(60):
-                    st = partial_sum_step(st, p)
-                    if st.decreasing:
-                        if st.n % 2:
-                            assert st.partial_sum <= f * (1 + 1e-12) + 1e-300
+                f = density(x, p) / (np.cosh(z) ** h * np.exp(-x * z * z / 2))
+                sums, flags = partial_sums(x, h, 60)
+                for n, (s, flag) in enumerate(zip(sums, flags)):
+                    if flag:
+                        if n % 2:
+                            assert s <= f * (1 + 1e-12) + 1e-300
                         else:
-                            assert st.partial_sum >= f * (1 - 1e-12) - 1e-300
+                            assert s >= f * (1 - 1e-12) - 1e-300
 
 
 class TestDensity:
@@ -254,9 +257,16 @@ class TestDensity:
                     assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_extended_precision_agrees(self):
+        # the ratio sum in mpmath arithmetic, times a_0 = kernel_ell
+        import mpmath as mp
+
         for (h, x) in [(1.0, 1.0), (2.5, 3.0), (4.0, 0.5)]:
+            with mp.workdps(50):
+                s, _ = _ratio_sum(mp.mpf(x), mp.mpf(h), mp.mpf(10) ** -50,
+                                  100_000)
+            exact = kernel_ell(x, JStarParams(h, 0.0)) * float(s)
             assert density(x, JStarParams(h, 0.0)) == pytest.approx(
-                density_exact(x, h), rel=1e-11)
+                exact, rel=1e-11)
 
     def test_domain_and_convergence_errors(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from pgrv.density import JStarParams, density, jstar_var, sample_gamma_sum
+from pgrv.density import (
+    JStarParams,
+    build_mixture,
+    density,
+    jstar_var,
+    sample_gamma_sum,
+)
 from pgrv.devroye import (
     TRUNC_POINT,
-    DevroyeProposal,
     _coef_unit,
-    sample_jstar1,
     sample_jstar1_batch,
-    sample_jstar_int,
     sample_jstar_int_batch,
 )
 from pgrv.rng import RngStream
@@ -22,9 +25,9 @@ KS_LEVEL = 0.001
 
 
 def test_scalar_draw_deterministic():
-    a = sample_jstar1(0.5, RngStream(42))
-    b = sample_jstar1(0.5, RngStream(42))
-    assert a == b and a > 0
+    a = sample_jstar1_batch(0.5, 1, RngStream(42))
+    b = sample_jstar1_batch(0.5, 1, RngStream(42))
+    assert a.shape == (1,) and a[0] == b[0] and a[0] > 0
 
 
 def test_mean_zero_tilt():
@@ -51,14 +54,14 @@ def test_ks_against_gamma_sum_oracle(z, seed):
 
 
 def test_integer_shape_reduces_to_unit():
-    a = sample_jstar_int(1, 0.7, RngStream(9))
-    b = sample_jstar1(0.7, RngStream(9))
-    assert a == b
+    a = sample_jstar_int_batch(1, 0.7, 5, RngStream(9))
+    b = sample_jstar1_batch(0.7, 5, RngStream(9))
+    assert np.array_equal(a, b)
 
 
 def test_integer_shape_validation():
     with pytest.raises(ValueError):
-        sample_jstar_int(0, 0.0, RngStream(0))
+        sample_jstar_int_batch(0, 0.0, 1, RngStream(0))
 
 
 def test_sum_of_four_mean():
@@ -95,7 +98,7 @@ def test_proposal_dominates_density(z):
 
 def test_component_weight_fraction():
     z = 1.0
-    setup = DevroyeProposal(z)
+    setup = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
     counters = {}
     sample_jstar1_batch(z, N, RngStream(12), counters=counters)
     frac = counters["left_proposals"] / counters["proposals"]
@@ -117,7 +120,7 @@ def test_acceptance_loop_terminates_early(z):
 def test_acceptance_rate_matches_mass_ratio():
     # acceptance probability is sech(z)/(p+q) for the unit shape
     z = 0.5
-    setup = DevroyeProposal(z)
+    setup = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
     counters = {}
     sample_jstar1_batch(z, N, RngStream(14), counters=counters)
     rate = counters["accepted"] / counters["proposals"]

@@ -20,7 +20,6 @@ from pgrv.saddle import (
     eta,
     log_sp_density,
     phi,
-    sample_saddle,
     sample_saddle_batch,
     solve_saddle,
     sp_density,
@@ -278,8 +277,8 @@ class TestSampler:
         assert errs[0] > errs[1]
 
     def test_scalar_draw(self):
-        v = sample_saddle(20.0, 0.5, RngStream(33))
-        assert isinstance(v, float) and v > 0
+        v = sample_saddle_batch(20.0, 0.5, 1, RngStream(33))
+        assert v.shape == (1,) and v[0] > 0
 
     def test_acceptance_rate_reasonable(self):
         counters = {}

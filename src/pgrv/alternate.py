@@ -38,6 +38,7 @@ from .rng import (
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
+from .special import log_cosh
 
 __all__ = ["sample_jstar_alt_batch", "sample_jstar_real_batch",
            "acceptance_probability"]
@@ -69,7 +70,7 @@ def _domination_guard(h):
 def acceptance_probability(h, z):
     """Exact acceptance probability sech^h(z)/(p+q) of one proposal."""
     mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
-    return float(np.exp(-h * np.log(np.cosh(z)))) / (mix.p_mass + mix.q_mass)
+    return float(np.exp(-h * log_cosh(z) - np.logaddexp(mix.log_p, mix.log_q)))
 
 
 class _RatioCoefficients:

@@ -304,22 +304,30 @@ class ProposalMixture:
 
     Left of the paste point the kernel is inverse-Gaussian type
     (IG(mu=h/z, lam=h^2); the inverse-gamma limit at z=0), right of it a
-    Gamma(h, lam_z).  The masses ``p_mass``/``q_mass`` deliberately omit
-    the common cosh^h(z) factor, which cancels from both the component
-    probability p/(p+q) and the acceptance ratio; keeping it out avoids
-    overflow at large h z.
+    Gamma(h, lam_z).  The masses are kept as logs ``log_p``/``log_q``,
+    so p/(p+q) stays defined where both underflow at large h z.  They
+    omit the common cosh^h(z) factor, which cancels from both the
+    component probability and the acceptance ratio.
     """
 
     trunc: float
-    p_mass: float
-    q_mass: float
+    log_p: float
+    log_q: float
     h: float
     z: float
     lam_z: float
 
     @property
+    def p_mass(self):
+        return float(np.exp(self.log_p))
+
+    @property
+    def q_mass(self):
+        return float(np.exp(self.log_q))
+
+    @property
     def left_fraction(self):
-        return self.p_mass / (self.p_mass + self.q_mass)
+        return float(np.exp(self.log_p - np.logaddexp(self.log_p, self.log_q)))
 
 
 def mixture_weights(trunc, params):
@@ -329,30 +337,28 @@ def mixture_weights(trunc, params):
     (trunc, inf); both omit the cosh^h(z) factor (see
     :class:`ProposalMixture`).
     """
-    trunc = float(trunc)
-    if trunc <= 0.0:
-        raise ValueError("mixture_weights: trunc must be positive")
-    h, z = params.h, params.z
-    lam_z = tilt_rate(z)
-    if z == 0.0:
-        p = np.exp(h * _LOG2) * upper_gamma_reg(0.5, h * h / (2.0 * trunc))
-    else:
-        log_p = (h * (_LOG2 - z)
-                 + inverse_gaussian_log_cdf(trunc, h / z, h * h))
-        p = float(np.exp(log_p))
-    q_tail = upper_gamma_reg(h, lam_z * trunc)
-    if q_tail > 0.0:
-        q = float(np.exp(h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)))
-    else:
-        q = 0.0
-    return p, q
+    mix = build_mixture(trunc, params)
+    return mix.p_mass, mix.q_mass
 
 
 def build_mixture(trunc, params):
-    """Bundle the paste point and weights into a :class:`ProposalMixture`."""
-    p, q = mixture_weights(trunc, params)
-    return ProposalMixture(trunc=float(trunc), p_mass=p, q_mass=q,
-                           h=params.h, z=params.z, lam_z=tilt_rate(params.z))
+    """The paste point and the log masses as a :class:`ProposalMixture`."""
+    trunc = float(trunc)
+    if trunc <= 0.0:
+        raise ValueError("build_mixture: trunc must be positive")
+    h, z = params.h, params.z
+    lam_z = tilt_rate(z)
+    if z == 0.0:
+        log_p = h * _LOG2 + np.log(upper_gamma_reg(0.5, h * h / (2.0 * trunc)))
+    else:
+        log_p = (h * (_LOG2 - z)
+                 + inverse_gaussian_log_cdf(trunc, h / z, h * h))
+    q_tail = upper_gamma_reg(h, lam_z * trunc)
+    # once the tail underflows, q/p < e^-500 and the fraction is exactly 1
+    log_q = (h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)
+             if q_tail > 0.0 else -np.inf)
+    return ProposalMixture(trunc=trunc, log_p=float(log_p),
+                           log_q=float(log_q), h=h, z=z, lam_z=lam_z)
 
 
 def solve_trunc_point(h, max_iter=200):

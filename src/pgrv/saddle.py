@@ -19,7 +19,8 @@ hundred would otherwise overflow Gamma(n) and e^{n b}.
 
 Envelopes are immutable and cached per (n, z); building one runs a
 pointwise dominance spot check and refuses to return an envelope that
-fails it.
+fails it.  A build makes one vectorised root solve, shared by the
+tangent points, the paste point and the spot-check points.
 """
 
 from dataclasses import dataclass
@@ -92,16 +93,17 @@ def cgf_p1(s, z):
     return utan(2.0 * u)
 
 
-def _utan_minus_one_over(s):
-    """(utan(s) - 1)/s with a series where the quotient cancels."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    tiny = np.abs(s) < 1e-3
-    st = s[tiny]
-    out[tiny] = 1.0 / 3.0 + 2.0 * st / 15.0 + 17.0 * st * st / 315.0
+def _k2_from_utan(t, u2):
+    """K'' = t^2 - (t - 1)/(2u) from t = utan(2u), with a series for the
+    quotient where it cancels."""
+    t = np.asarray(t, dtype=float)
+    quot = np.empty_like(u2)
+    tiny = np.abs(u2) < 1e-3
+    st = u2[tiny]
+    quot[tiny] = 1.0 / 3.0 + 2.0 * st / 15.0 + 17.0 * st * st / 315.0
     big = ~tiny
-    out[big] = (utan(s[big]) - 1.0) / s[big]
-    return out
+    quot[big] = (t[big] - 1.0) / u2[big]
+    return t * t - quot
 
 
 def cgf_p2(s, z):
@@ -109,8 +111,7 @@ def cgf_p2(s, z):
     s = np.asarray(s, dtype=float)
     u2 = 2.0 * (s - 0.5 * float(z) ** 2)
     _check_u_domain(u2 / 2.0)
-    x = utan(u2)
-    out = x * x - _utan_minus_one_over(u2)
+    out = _k2_from_utan(utan(u2), u2)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -127,45 +128,47 @@ class CgfPoint:
 
 
 def _u_bracket(x):
-    """Bracket (lo, hi) containing the root of utan(2u) = x, and a seed."""
-    if x < 1.0:
-        lo = -0.5 / (x * x) - 1.0
-        hi = 0.0
-        seed = max(lo + 1e-12, min(-1e-18, 1.5 * (x - 1.0))) if x > 0.8 \
-            else -0.5 / (x * x)
-    else:
-        lo = 0.0
-        theta = 0.5 * np.pi - 1.0 / (np.pi * x)
-        hi = 0.5 * theta * theta
-        seed = min(1.5 * (x - 1.0), 0.95 * hi)
-        seed = max(seed, 1e-18)
+    """Brackets (lo, hi) containing the roots of utan(2u) = x, and seeds."""
+    left = x < 1.0
+    inv = -0.5 / (x * x)
+    theta = 0.5 * np.pi - 1.0 / (np.pi * x)
+    lo = np.where(left, inv - 1.0, 0.0)
+    hi = np.where(left, 0.0, 0.5 * theta * theta)
+    newton = 1.5 * (x - 1.0)
+    seed = np.where(
+        left,
+        np.where(x > 0.8, np.maximum(lo + 1e-12, np.minimum(-1e-18, newton)),
+                 inv),
+        np.maximum(np.minimum(newton, 0.95 * hi), 1e-18))
     return lo, hi, seed
 
 
 def _solve_u_vec(x, tol=1e-12, max_iter=200):
-    """Solve utan(2u) = x elementwise by safeguarded Newton."""
+    """Solve utan(2u) = x elementwise by safeguarded Newton.
+
+    Each element iterates on its own, so solving an array gives the same
+    roots, bit for bit, as solving its elements one at a time.
+    """
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.empty_like(x)
-    lo = np.empty_like(x)
-    hi = np.empty_like(x)
+    lo, hi, u = _u_bracket(x)
     exact = x == 1.0
     u[exact] = 0.0
     active = np.nonzero(~exact)[0]
-    for j in active:
-        lo[j], hi[j], u[j] = _u_bracket(x[j])
     target = tol * np.maximum(1.0, x)
     for _ in range(max_iter):
         if active.size == 0:
             return u.reshape(shape)
         ua = u[active]
-        f = utan(2.0 * ua) - x[active]
+        u2 = 2.0 * ua
+        t = utan(u2)
+        f = t - x[active]
         done = np.abs(f) <= target[active]
         pos = f > 0.0
         hi[active[pos]] = np.minimum(hi[active[pos]], ua[pos])
         neg = ~pos
         lo[active[neg]] = np.maximum(lo[active[neg]], ua[neg])
-        k2 = cgf_p2(ua, 0.0)
+        k2 = _k2_from_utan(t, u2)
         step = np.where(k2 > 0.0, f / np.where(k2 > 0.0, k2, 1.0), np.inf)
         un = ua - step
         bad = ~((lo[active] < un) & (un < hi[active]))
@@ -271,13 +274,17 @@ def _log_envelope(env, x):
     return out
 
 
-def _log_sp_vec(x, n, z):
-    x = np.asarray(x, dtype=float)
-    u = _solve_u_vec(x)
+def _log_sp_at(x, u, n, z):
+    """log saddlepoint density at x, given the solved shifted dual u."""
     s = u + 0.5 * float(z) ** 2
     k2 = cgf_p2(s, z)
     return (0.5 * (np.log(n) - _LOG_2PI) - 0.5 * np.log(k2)
             + n * (cgf(s, z) - s * x))
+
+
+def _log_sp_vec(x, n, z):
+    x = np.asarray(x, dtype=float)
+    return _log_sp_at(x, _solve_u_vec(x), n, z)
 
 
 def log_sp_density(x, n, z):
@@ -303,16 +310,20 @@ def _build_envelope_cached(n, z):
     x_l = m
     x_c = 1.1 * m
     x_r = 1.2 * m
-    half_z2 = 0.5 * z * z
+    spots = np.concatenate([
+        np.logspace(np.log10(m / 20.0), np.log10(20.0 * m), 24),
+        np.array([0.5 * m, x_l, x_c * (1.0 - 1e-9), x_c * (1.0 + 1e-9), x_r]),
+    ])
+    # one root solve for the tangent points, the paste point and the spots
+    u = _solve_u_vec(np.concatenate([[x_l, x_r, x_c], spots]))
+    s_l, s_r, s_c = u[:3] + 0.5 * z ** 2
 
     # tangent of eta at x_l (left piece): eta' = phi' - 1/(2x^2), phi' = -s
-    s_l = solve_saddle(x_l, z).s
     slope_l = -s_l - 0.5 / (x_l * x_l)
     eta_l = (cgf(s_l, z) - s_l * x_l) - (0.5 / x_c - 0.5 / x_l)
     intercept_l = eta_l - slope_l * x_l
 
     # tangent of eta at x_r (right piece): eta' = phi' - 1/x
-    s_r = solve_saddle(x_r, z).s
     slope_r = -s_r - 1.0 / x_r
     eta_r = (cgf(s_r, z) - s_r * x_r) - np.log(x_r / x_c)
     intercept_r = eta_r - slope_r * x_r
@@ -324,7 +335,6 @@ def _build_envelope_cached(n, z):
 
     # ratio bounds, tightest constants consistent with the monotonicity
     # of K''/x^3 (decreasing) and K''/x^2 (increasing)
-    s_c = solve_saddle(x_c, z).s
     k2_c = cgf_p2(s_c, z)
     alpha_l = k2_c / x_c ** 3
     alpha_r = k2_c / x_c ** 2
@@ -355,11 +365,7 @@ def _build_envelope_cached(n, z):
     )
 
     # dominance spot check before the envelope is allowed out the door
-    spots = np.concatenate([
-        np.logspace(np.log10(m / 20.0), np.log10(20.0 * m), 24),
-        np.array([0.5 * m, x_l, x_c * (1.0 - 1e-9), x_c * (1.0 + 1e-9), x_r]),
-    ])
-    gap = _log_envelope(env, spots) - _log_sp_vec(spots, n, z)
+    gap = _log_envelope(env, spots) - _log_sp_at(spots, u[3:], n, z)
     if gap.min() < np.log1p(-_ENVELOPE_SLACK):
         raise EnvelopeValidityError(
             f"saddlepoint envelope fails dominance at n={n}, z={z} "

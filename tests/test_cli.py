@@ -61,11 +61,17 @@ class TestSample:
         assert code == EXIT_USAGE
         assert "saddlepoint" in err
 
-    def test_arithmetic_failure_exits_numerical(self, capsys):
-        # at this tilt the mixture masses underflow and left_fraction
-        # divides 0 by 0; that is a numerical failure, not exit 1
+    def test_arithmetic_failure_exits_numerical(self, capsys, monkeypatch):
+        # an ArithmeticError inside a sampler is a numerical failure, not
+        # exit 1
+        from pgrv import devroye
+
+        def divide_by_zero(*args, **kwargs):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(devroye, "sample_jstar_int_batch", divide_by_zero)
         code, _, err = run_cli(
-            ["sample", "--b", "1", "--z", "3e5", "--n", "5"], capsys)
+            ["sample", "--b", "1", "--z", "1", "--n", "5"], capsys)
         assert code == EXIT_NUMERICAL
         assert err.startswith("numerical failure:")
 

@@ -15,6 +15,7 @@ from pgrv.density import (
 from pgrv.devroye import (
     TRUNC_POINT,
     _coef_unit,
+    _PastedCoefficients,
     sample_jstar1_batch,
     sample_jstar_int_batch,
 )
@@ -94,6 +95,19 @@ def test_proposal_dominates_density(z):
                      * np.exp(-((n + 0.5) ** 2) * np.pi ** 2 * x / 2.0))
             f[i] = np.sum(terms * (-1.0) ** n)
     assert np.all(a0 >= f * (1.0 - 1e-9))
+
+
+def test_scaled_coefficients_match_pasted_series():
+    # the decider runs on a_n/a_0, which stays finite where a_0 underflows
+    xs = np.geomspace(1e-4, 20.0, 400)
+    policy = _PastedCoefficients()
+    bound, lead = policy.start(xs)
+    assert np.all(bound == 1.0) and np.all(lead == 1.0)
+    for n in range(1, 6):
+        ratio, decreasing = policy.step(n, xs, np.arange(xs.size))
+        assert decreasing and np.all(np.isfinite(ratio))
+        np.testing.assert_allclose(ratio * _coef_unit(0, xs), _coef_unit(n, xs),
+                                   rtol=1e-12, atol=1e-300)
 
 
 def test_component_weight_fraction():

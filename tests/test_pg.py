@@ -195,6 +195,18 @@ class TestSampling:
                                 method=method)
             assert x.min() > 0.0
 
+    @pytest.mark.parametrize("b,z,method", [(1.0, 1e5, "devroye"),
+                                            (2.5, 1e3, "alternate")])
+    def test_large_tilt_with_underflowing_masses(self, b, z, method):
+        # both mixture masses underflow to 0 here, so the component
+        # fraction must come from their logs, not from p/(p+q)
+        p = PgParams(b, z)
+        n = 4000
+        x = sample_pg_batch(p, RngStream(17), size=n, method=method)
+        assert np.all(np.isfinite(x)) and x.min() > 0.0
+        score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
+        assert abs(score) <= 5.0
+
 
 class TestNormalApprox:
     def test_moments(self):

@@ -25,6 +25,8 @@ from pgrv.saddle import (
     sp_density,
     _log_envelope,
     _log_sp_vec,
+    _solve_u_vec,
+    _u_bracket,
 )
 
 N = 100_000
@@ -99,6 +101,35 @@ class TestSolveSaddle:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             solve_saddle(0.0, 0.0)
+
+    # crosses every bracket branch: x < 0.8, 0.8 < x < 1, x == 1, x > 1
+    BRANCH_GRID = np.concatenate([
+        np.geomspace(1e-3, 0.79, 25), np.linspace(0.81, 0.999, 12), [1.0],
+        np.geomspace(1.0 + 1e-6, 1e3, 25),
+    ])
+
+    def test_bracket_matches_scalar_reference(self):
+        def scalar_bracket(x):
+            if x < 1.0:
+                lo = -0.5 / (x * x) - 1.0
+                hi = 0.0
+                seed = max(lo + 1e-12, min(-1e-18, 1.5 * (x - 1.0))) \
+                    if x > 0.8 else -0.5 / (x * x)
+            else:
+                lo = 0.0
+                theta = 0.5 * np.pi - 1.0 / (np.pi * x)
+                hi = 0.5 * theta * theta
+                seed = max(min(1.5 * (x - 1.0), 0.95 * hi), 1e-18)
+            return lo, hi, seed
+
+        xs = self.BRANCH_GRID
+        want = np.array([scalar_bracket(float(x)) for x in xs]).T
+        assert np.array_equal(np.array(_u_bracket(xs)), want)
+
+    def test_array_solve_matches_elementwise(self):
+        xs = self.BRANCH_GRID
+        one_by_one = np.array([_solve_u_vec(np.array([x]))[0] for x in xs])
+        assert np.array_equal(_solve_u_vec(xs), one_by_one)
 
 
 class TestDualFunctions:
@@ -204,6 +235,21 @@ class TestEnvelope:
 
     def test_cache_returns_same_object(self):
         assert build_envelope(32.0, 0.5) is build_envelope(32.0, 0.5)
+
+    def test_fresh_envelope_solves_once(self, monkeypatch):
+        from pgrv import saddle
+
+        calls = []
+        solve = saddle._solve_u_vec
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(saddle, "_solve_u_vec", counting_solve)
+        saddle._build_envelope_cached.cache_clear()
+        build_envelope(24.0, 0.8)
+        assert len(calls) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

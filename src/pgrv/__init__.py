@@ -14,7 +14,6 @@ from .density import (
     jstar_mean,
     jstar_var,
     load_trunc_table,
-    mixture_weights,
     sample_gamma_sum,
     save_trunc_table,
     solve_trunc_point,
@@ -61,7 +60,6 @@ __all__ = [
     "jstar_mean",
     "jstar_var",
     "load_trunc_table",
-    "mixture_weights",
     "pg_mean",
     "pg_var",
     "sample_gamma_sum",

@@ -81,6 +81,10 @@ class _RatioCoefficients:
     until its ratio has dropped below one; the ``decreasing`` flag
     latches then, because the ratio falls with n.  The bound is the
     pasted kernel, not a_0, so the decider checks domination.
+
+    Every coefficient and the bound are divided by a_0(x), the bound
+    formed in log space: a_0 underflows at the proposals x ~ h/z once
+    h z passes about 1,500, but k/a_0 and the ratios a_n/a_0 do not.
     """
 
     checks_domination = True
@@ -95,19 +99,18 @@ class _RatioCoefficients:
         # series: the cosh^h(z) e^{-x z^2/2} factor cancels, so the right
         # piece here carries the z=0 rate (the proposal draw keeps the
         # tilted one)
-        log_k = np.empty_like(x)
-        left = x < self.trunc
-        log_k[left] = _log_kernel_ell_unit(x[left], self.h)
-        log_k[~left] = _log_kernel_r_unit(x[~left], self.h, _LAM0)
-        self.a = np.exp(_log_kernel_ell_unit(x, self.h))
+        log_a0 = _log_kernel_ell_unit(x, self.h)
+        log_k = np.where(x < self.trunc, log_a0,
+                         _log_kernel_r_unit(x, self.h, _LAM0))
+        self.a = np.ones(x.shape)
         self.decreasing = np.zeros(x.shape, dtype=bool)
-        return np.exp(log_k), self.a
+        return np.exp(log_k - log_a0), self.a
 
     def step(self, n, x, idx):
         r = coef_ratio(n - 1, x, self.h)
-        self.decreasing[idx] |= r < 1.0
-        self.a[idx] *= r
-        return self.a[idx], self.decreasing[idx]
+        self.a[idx] = a = self.a[idx] * r
+        self.decreasing[idx] = dec = self.decreasing[idx] | (r < 1.0)
+        return a, dec
 
 
 def sample_jstar_alt_batch(h, z, size, rng, counters=None):

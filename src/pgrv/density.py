@@ -17,10 +17,12 @@ table, which is built once and read-only afterwards.
 
 import csv
 import io
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError
@@ -28,7 +30,6 @@ from .special import (
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
-    upper_gamma_reg,
 )
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "kernel_ell",
     "kernel_r",
     "tilt_rate",
-    "mixture_weights",
     "solve_trunc_point",
     "TruncTable",
     "build_trunc_table",
@@ -83,9 +83,9 @@ class JStarParams:
     z: float = 0.0
 
     def __post_init__(self):
-        if not (self.h > 0.0) or not np.isfinite(self.h):
+        if not (self.h > 0.0) or not math.isfinite(self.h):
             raise ValueError("JStarParams: shape h must be positive and finite")
-        if not np.isfinite(self.z):
+        if not math.isfinite(self.z):
             raise ValueError("JStarParams: tilt z must be finite")
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "z", float(abs(self.z)))
@@ -106,7 +106,7 @@ def d_index(n, z):
 
 def tilt_rate(z):
     """Rate pi^2/8 + z^2/2 of the right-hand (gamma) bounding kernel."""
-    return d_index(0, z)
+    return np.pi ** 2 / 8.0 + 0.5 * float(z) ** 2
 
 
 def coef_ratio(n, x, h):
@@ -330,17 +330,6 @@ class ProposalMixture:
         return float(np.exp(self.log_p - np.logaddexp(self.log_p, self.log_q)))
 
 
-def mixture_weights(trunc, params):
-    """Component masses (p, q) of the pasted bounding kernel.
-
-    p integrates the left kernel over (0, trunc), q the right kernel over
-    (trunc, inf); both omit the cosh^h(z) factor (see
-    :class:`ProposalMixture`).
-    """
-    mix = build_mixture(trunc, params)
-    return mix.p_mass, mix.q_mass
-
-
 def build_mixture(trunc, params):
     """The paste point and the log masses as a :class:`ProposalMixture`."""
     trunc = float(trunc)
@@ -349,11 +338,11 @@ def build_mixture(trunc, params):
     h, z = params.h, params.z
     lam_z = tilt_rate(z)
     if z == 0.0:
-        log_p = h * _LOG2 + np.log(upper_gamma_reg(0.5, h * h / (2.0 * trunc)))
+        log_p = h * _LOG2 + np.log(sc.gammaincc(0.5, h * h / (2.0 * trunc)))
     else:
         log_p = (h * (_LOG2 - z)
                  + inverse_gaussian_log_cdf(trunc, h / z, h * h))
-    q_tail = upper_gamma_reg(h, lam_z * trunc)
+    q_tail = sc.gammaincc(h, lam_z * trunc)
     # once the tail underflows, q/p < e^-500 and the fraction is exactly 1
     log_q = (h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)
              if q_tail > 0.0 else -np.inf)

@@ -63,7 +63,7 @@ class _PastedCoefficients:
     counter_keys = ("series_index_sum", "series_index_max")
 
     def start(self, x):
-        one = np.ones_like(x)
+        one = np.ones(x.shape)
         return one, one
 
     def step(self, n, x, idx):
@@ -75,7 +75,8 @@ def _series_decide(x, rng, policy, counters=None):
     """Accept mask for the candidates ``x``, by the alternating series.
 
     ``policy.start(x)`` returns the untilted bounding kernel k(x) and the
-    leading coefficient a_0(x); a uniform u on (0, k(x)) is drawn per
+    leading coefficient a_0(x), both divided by a common positive factor
+    (a_0 itself in both policies); a uniform u on (0, k(x)) is drawn per
     candidate.  ``policy.step(n, x, idx)`` returns a_n at the slots
     ``idx`` and whether their coefficients are known to decrease from n
     on.  Only then do the partial sums S_n bracket the density: accept at
@@ -87,52 +88,59 @@ def _series_decide(x, rng, policy, counters=None):
     u = rng.uniform(x.size)
     bound, s = policy.start(np.maximum(x, _X_FLOOR))
     u = u * bound
-    s = s.copy()
     accept = np.zeros(x.shape, dtype=bool)
-    terms = np.zeros(x.shape, dtype=np.int64)
     # an underflowed bound means the density vanished there; reject
-    # rather than let 0 <= 0 accept a zero-density point
-    undecided = (x > _X_FLOOR) & (bound > 0.0)
+    # rather than let 0 <= 0 accept a zero-density point.  The series
+    # runs on the undecided slots idx only: x, u and s are gathered to
+    # them and shrink as slots decide.
+    idx = np.nonzero((x > _X_FLOOR) & (bound > 0.0))[0]
+    x, u, s = x[idx], u[idx], s[idx]
+    term_sum = term_max = 0
     for n in range(1, _MAX_SERIES_TERMS + 1):
-        idx = np.nonzero(undecided)[0]
-        if idx.size == 0:
+        if not idx.size:
             break
-        coef, can = policy.step(n, x[idx], idx)
+        coef, can = policy.step(n, x, idx)
         # once the increments vanish the current sum decides (a measure-
         # zero event): an odd sum that does not accept rejects, an even
         # sum that does not reject accepts
         vanished = can & (coef <= 1e-300)
         if n % 2:
-            s[idx] -= coef
-            hit = can & (u[idx] <= s[idx])
+            s = s - coef
+            hit = can & (u <= s)
             accept[idx[hit]] = True
             # only odd sums are checked: even ones may exceed k
             # legitimately past a paste point
             if policy.checks_domination:
-                viol = can & (s[idx] > bound[idx] * (1.0 + DOMINATION_SLACK))
-                if np.any(viol):
+                viol = can & (s > bound[idx] * (1.0 + DOMINATION_SLACK))
+                if viol.any():
                     raise DominationViolationError(
                         f"lower partial sum exceeded the bounding kernel at "
-                        f"x={x[idx[viol][0]]!r}; kernel domination fails here"
+                        f"x={x[viol][0]!r}; kernel domination fails here"
                     )
         else:
-            s[idx] += coef
-            hit = can & (u[idx] >= s[idx])
+            s = s + coef
+            hit = can & (u >= s)
             accept[idx[vanished & ~hit]] = True
-        done = idx[hit | vanished]
-        undecided[done] = False
-        terms[done] = n
-    if undecided.any():
+        decided = hit | vanished
+        n_decided = np.count_nonzero(decided)
+        if n_decided:
+            term_sum += n * n_decided
+            term_max = n
+            keep = ~decided
+            idx = idx[keep]
+            if idx.size:
+                x, u, s = x[keep], u[keep], s[keep]
+    if idx.size:
         raise IterationCapError(
             "alternating series failed to decide within "
             f"{_MAX_SERIES_TERMS} terms"
         )
-    if counters is not None and terms.any():
+    if counters is not None and term_max:
         # decision terms, under the policy's (sum, max) counter keys
         sum_key, max_key = policy.counter_keys
         if sum_key:
-            counters[sum_key] = counters.get(sum_key, 0) + int(terms.sum())
-        counters[max_key] = max(counters.get(max_key, 0), int(terms.max()))
+            counters[sum_key] = counters.get(sum_key, 0) + term_sum
+        counters[max_key] = max(counters.get(max_key, 0), term_max)
     return accept
 
 
@@ -157,4 +165,6 @@ def sample_jstar_int_batch(n, z, size, rng, counters=None):
     if n < 1:
         raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
     draws = sample_jstar1_batch(z, n * int(size), rng, counters=counters)
+    if n == 1:
+        return draws
     return draws.reshape(int(size), n).sum(axis=1)

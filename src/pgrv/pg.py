@@ -14,6 +14,7 @@ The sign of z is irrelevant (the density depends on z^2 and cosh), so
 |z| is used throughout.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,9 +54,9 @@ class PgParams:
     z: float = 0.0
 
     def __post_init__(self):
-        if not (self.b > 0.0) or not np.isfinite(self.b):
+        if not (self.b > 0.0) or not math.isfinite(self.b):
             raise ValueError("PgParams: shape b must be positive and finite")
-        if not np.isfinite(self.z):
+        if not math.isfinite(self.z):
             raise ValueError("PgParams: tilt z must be finite")
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "z", float(self.z))

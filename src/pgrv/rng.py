@@ -8,8 +8,13 @@ derive independent substreams with :meth:`RngStream.spawn` instead.
 
 :func:`_fill_by_rejection` is the one rejection loop: the samplers and
 the truncated inverse-Gaussian draw differ only in the proposal and the
-accept test they hand it.
+accept test they hand it.  The engine is meant to be cheap at k = 1 (one
+draw per call, as in a Gibbs sweep where every tilt differs) as well as
+at large k: a round costs a fixed handful of array operations, and the
+first round's candidates become the output without a copy.
 """
+
+import math
 
 import numpy as np
 
@@ -27,6 +32,8 @@ __all__ = [
 # smaller budget, the J* samplers built on them the larger one.
 MAX_REJECTION_ROUNDS = 10_000
 MAX_PROPOSAL_ROUNDS = 1_000_000
+
+_NO_SLOTS = np.empty(0, dtype=np.intp)
 
 
 class RngStream:
@@ -65,13 +72,12 @@ class RngStream:
         """Uniform draw(s) strictly inside (0, 1)."""
         u = self._gen.random(size)
         if size is None:
-            while u == 0.0:  # pragma: no cover - probability 2^-53
+            while u == 0.0:
                 u = self._gen.random()
             return u
-        zero = u == 0.0
-        while np.any(zero):  # pragma: no cover
-            u[zero] = self._gen.random(int(zero.sum()))
+        while np.count_nonzero(u) < u.size:
             zero = u == 0.0
+            u[zero] = self._gen.random(np.count_nonzero(zero))
         return u
 
     def normal(self, size=None):
@@ -97,25 +103,31 @@ def _fill_by_rejection(n, propose, accept, counters=None,
     still pending after ``max_rounds`` rounds.  ``counters``, when given,
     accumulates ``proposals`` and ``accepted``.
     """
-    out = np.empty(n)
-    pending = np.arange(n)
+    if n == 0:
+        return np.empty(0)
+    # the first round proposes for every slot, so its candidates become
+    # the output; later rounds redraw only the rejected slots
+    pending = None
     for _ in range(max_rounds):
-        k = pending.size
-        if k == 0:
-            break
+        k = n if pending is None else pending.size
         if counters is not None:
             counters["proposals"] = counters.get("proposals", 0) + k
         x = propose(k)
         ok = accept(x)
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
+        n_ok = np.count_nonzero(ok)
         if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + int(ok.sum())
-    if pending.size:
-        raise IterationCapError(
-            f"rejection sampler exhausted its budget of {max_rounds} rounds"
-        )
-    return out
+            counters["accepted"] = counters.get("accepted", 0) + n_ok
+        if pending is None:
+            out = x
+            pending = np.nonzero(~ok)[0] if n_ok < k else _NO_SLOTS
+        elif n_ok:
+            out[pending[ok]] = x[ok]
+            pending = pending[~ok]
+        if not pending.size:
+            return out
+    raise IterationCapError(
+        f"rejection sampler exhausted its budget of {max_rounds} rounds"
+    )
 
 
 def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
@@ -124,15 +136,17 @@ def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
     ``draw_right(m)``; ``counters`` accumulates ``left_proposals``."""
     def propose(k):
         take_left = rng.uniform(k) < left_fraction
-        x = np.empty(k)
-        n_left = int(take_left.sum())
-        if n_left:
-            x[take_left] = draw_left(n_left)
-        if k - n_left:
-            x[~take_left] = draw_right(k - n_left)
+        n_left = np.count_nonzero(take_left)
         if counters is not None:
             counters["left_proposals"] = (counters.get("left_proposals", 0)
                                           + n_left)
+        if n_left == k:
+            return draw_left(k)
+        if n_left == 0:
+            return draw_right(k)
+        x = np.empty(k)
+        x[take_left] = draw_left(n_left)
+        x[~take_left] = draw_right(k - n_left)
         return x
 
     return propose
@@ -162,16 +176,18 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
             "sample_truncated_inverse_gaussian: parameters must be positive"
         )
     mu, right = mu / lam, right / lam
-    n = 1 if size is None else int(np.prod(size))
-    inv_two_musq = 0.0 if np.isinf(mu) else 0.5 / (mu * mu)
+    if size is None:
+        n = 1
+    else:
+        n = math.prod(size) if np.iterable(size) else int(size)
+    # exactly 0 at mu=inf: no drift to thin with
+    inv_two_musq = 0.5 / (mu * mu)
 
     def propose_kernel(k):
         e1 = rng.exponential(k)
         kernel_ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
-        x = right / (1.0 + right * e1) ** 2
         # a candidate the kernel rejects is moved outside (0, right]
-        x[~kernel_ok] = np.inf
-        return x
+        return np.where(kernel_ok, right / (1.0 + right * e1) ** 2, np.inf)
 
     def accept_kernel(x):
         ok = x <= right

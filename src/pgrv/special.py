@@ -1,9 +1,8 @@
 """Numerically stable scalar special functions shared by every sampler.
 
 All functions accept floats or numpy arrays and are pure; they are safe to
-call concurrently.  Incomplete-gamma and log-gamma evaluations are backed
-by scipy.special, which already implements the standard series /
-continued-fraction split.
+call concurrently.  Log-gamma and normal log-CDF evaluations are backed
+by scipy.special.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from scipy import special as sc
 __all__ = [
     "utan",
     "log_cosh",
-    "upper_gamma_reg",
     "inverse_gaussian_log_cdf",
     "log_gamma_fn",
     "UTAN_SINGULARITY",
@@ -71,21 +69,6 @@ def log_cosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - _LOG2
 
 
-def upper_gamma_reg(a, x):
-    """Regularized upper incomplete gamma function Q(a, x).
-
-    Q(a, 0) = 1 and Q is decreasing in x.  Requires a > 0 and x >= 0.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("upper_gamma_reg: a must be positive")
-    if np.any(x < 0.0):
-        raise ValueError("upper_gamma_reg: x must be nonnegative")
-    out = sc.gammaincc(a, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def inverse_gaussian_log_cdf(x, mu, lam):
     """log of the inverse-Gaussian distribution function.
 
@@ -93,26 +76,25 @@ def inverse_gaussian_log_cdf(x, mu, lam):
         F(x) = Phi(sqrt(lam/x)(x/mu - 1)) + exp(2 lam/mu) Phi(-sqrt(lam/x)(x/mu + 1))
     with both terms combined in log space, so large lam/mu does not
     overflow.  ``mu=inf`` is accepted and gives the zero-drift limit
-    2 Phi(-sqrt(lam/x)).
+    2 Phi(-sqrt(lam/x)).  Float arguments cost float arithmetic and
+    give a float; arrays broadcast.
     """
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(x <= 0.0) or np.any(mu <= 0.0) or np.any(lam <= 0.0):
+    bad = (x <= 0.0) | (mu <= 0.0) | (lam <= 0.0)
+    if bad if type(bad) is bool else bad.any():
         raise ValueError("inverse_gaussian_log_cdf: arguments must be positive")
+    # x/mu and 2 lam/mu are exactly 0 at mu=inf: the zero-drift limit
     rt = np.sqrt(lam / x)
-    ratio = np.where(np.isinf(mu), 0.0, x / mu)
-    drift = np.where(np.isinf(mu), 0.0, 2.0 * lam / mu)
+    ratio = x / mu
     a = sc.log_ndtr(rt * (ratio - 1.0))
-    b = drift + sc.log_ndtr(-rt * (ratio + 1.0))
+    b = 2.0 * lam / mu + sc.log_ndtr(-rt * (ratio + 1.0))
     out = np.logaddexp(a, b)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def log_gamma_fn(x):
     """log Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    bad = x <= 0.0
+    if bad if type(bad) is bool else bad.any():
         raise ValueError("log_gamma_fn: argument must be positive")
     out = sc.gammaln(x)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out

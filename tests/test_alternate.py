@@ -6,7 +6,9 @@ import pytest
 from scipy import stats as spstats
 from scipy.integrate import quad
 
+from pgrv import devroye
 from pgrv.alternate import (
+    _RatioCoefficients,
     _pieces,
     acceptance_probability,
     sample_jstar_alt_batch,
@@ -14,12 +16,14 @@ from pgrv.alternate import (
 )
 from pgrv.density import (
     JStarParams,
+    build_mixture,
     build_trunc_table,
     default_trunc_table,
     density,
     jstar_mean,
     jstar_var,
     set_default_trunc_table,
+    trunc_lookup,
 )
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.rng import RngStream
@@ -114,12 +118,11 @@ class TestAcceptance:
     def test_rate_times_mass_matches_quadrature(self, h, z, seed):
         # acceptance * (p+q) equals the tilted-but-uncosh'd density mass,
         # computed here by quadrature
-        from pgrv.density import mixture_weights, trunc_lookup
-
         counters = {}
         sample_jstar_alt_batch(h, z, N, RngStream(seed), counters=counters)
         rate = counters["accepted"] / counters["proposals"]
-        pm, qm = mixture_weights(trunc_lookup(h), JStarParams(h, z))
+        mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
+        pm, qm = mix.p_mass, mix.q_mass
         p0 = JStarParams(h, 0.0)
         mass, err = quad(
             lambda x: np.exp(-x * z * z / 2.0) * density(x, p0),
@@ -141,11 +144,24 @@ class TestAcceptance:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("h", [1.0, 2.5, 4.0])
+def test_series_decides_where_a0_underflows(h):
+    # at h z = 2,000 the kernel and a_0 are below the smallest double at
+    # the proposals x ~ h/z; the policy runs on a_n/a_0, so its bound
+    # there is 1 and the first odd partial sum accepts
+    x = np.array([h / (2000.0 / h)])
+    bound, s0 = _RatioCoefficients(h, trunc_lookup(h)).start(x)
+    assert bound.tolist() == [1.0] and s0.tolist() == [1.0]
+    counters = {}
+    accept = devroye._series_decide(
+        x, RngStream(0), _RatioCoefficients(h, trunc_lookup(h)), counters)
+    assert accept.tolist() == [True]
+    assert counters["series_terms_max"] == 1
+
+
 def test_proposal_support_respects_paste_point():
     # left component lands below t(h), right component above it; check
     # via the pooled draws covering both sides
-    from pgrv.density import trunc_lookup
-
     x = sample_jstar_alt_batch(2.5, 1.0, 50_000, RngStream(13))
     t = trunc_lookup(2.5)
     assert x.min() > 0.0

@@ -53,6 +53,35 @@ class TestUniform:
         u = RngStream(2).uniform(N)
         assert spstats.kstest(u, "uniform").pvalue > KS_LEVEL
 
+    def test_exact_zero_redrawn_scalar(self):
+        s = RngStream(5)
+        want = RngStream(5)._gen.random()
+        s._gen = _ZeroFirst(s._gen)
+        assert s.uniform() == want
+        assert s._gen.sizes == [None, None]
+
+    def test_exact_zeros_redrawn_array(self):
+        s = RngStream(5)
+        want = RngStream(5)._gen.random(2)
+        s._gen = _ZeroFirst(s._gen)
+        assert s.uniform(3).tolist() == [0.5, want[0], want[1]]
+        assert s._gen.sizes == [3, 2]
+
+
+class _ZeroFirst:
+    """Generator stub: the first draw holds exact zeros (0.0, or
+    [0.5, 0.0, 0.0] for an array), later draws come from ``gen``."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        if len(self.sizes) > 1:
+            return self.gen.random(size)
+        return 0.0 if size is None else np.array([0.5, 0.0, 0.0])
+
 
 class TestNormal:
     def test_moments(self):

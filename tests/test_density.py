@@ -17,6 +17,7 @@ from scipy.special import polygamma
 
 from pgrv.density import (
     JStarParams,
+    build_mixture,
     build_trunc_table,
     c_index,
     coef_left,
@@ -29,7 +30,6 @@ from pgrv.density import (
     kernel_ell,
     kernel_r,
     load_trunc_table,
-    mixture_weights,
     sample_gamma_sum,
     save_trunc_table,
     solve_trunc_point,
@@ -171,12 +171,13 @@ class TestCoefficients:
 
 
 def partial_sums(x, h, terms):
-    """Untilted partial sums S_0..S_terms at x and the "decreasing" flags,
-    as the real-shape sampler's coefficient policy produces them."""
+    """Untilted partial sums S_0..S_terms at x, divided by a_0(x), and the
+    "decreasing" flags, as the real-shape sampler's coefficient policy
+    produces them."""
     policy = _RatioCoefficients(h, trunc_lookup(h))
     xs = np.array([x])
-    _, a0 = policy.start(xs)
-    s = a0[0]
+    _, s0 = policy.start(xs)
+    s = s0[0]
     sums, flags = [s], [False]
     for n in range(1, terms + 1):
         coef, decreasing = policy.step(n, xs, np.array([0]))
@@ -188,10 +189,18 @@ def partial_sums(x, h, terms):
 
 class TestPartialSums:
     def test_start_is_leading_coefficient(self):
+        # the policy runs on a_n/a_0: S_0 is 1 and the bound is the
+        # pasted kernel over a_0 (t(2) = 2.02: left piece at 0.3, right
+        # piece at 3.0)
         sums, flags = partial_sums(1.1, 2.0, 0)
-        assert sums[0] == pytest.approx(
-            coef_left(0, 1.1, JStarParams(2.0, 0.0)), rel=1e-13)
+        assert sums[0] == 1.0
         assert not flags[0]
+        p = JStarParams(2.0, 0.0)
+        x = np.array([0.3, 3.0])
+        bound, _ = _RatioCoefficients(2.0, trunc_lookup(2.0)).start(x)
+        want = (np.array([kernel_ell(0.3, p), kernel_r(3.0, p)])
+                / coef_left(0, x, p))
+        assert bound == pytest.approx(want, rel=1e-13)
 
     def test_first_step_decreases(self):
         sums, _ = partial_sums(0.8, 1.0, 1)
@@ -210,11 +219,13 @@ class TestPartialSums:
 
     def test_bracketing_after_flag(self):
         # once the flag is set, even sums sit above the density and odd
-        # sums below it (the policy is untilted; the tilt factor cancels)
+        # sums below it (the policy is untilted, so the tilt factor
+        # cancels, and divided by a_0)
         for (h, z) in [(2.5, 0.0), (4.0, 1.0)]:
             p = JStarParams(h, z)
             for x in np.geomspace(0.1, 5.0, 12):
-                f = density(x, p) / (np.cosh(z) ** h * np.exp(-x * z * z / 2))
+                f = (density(x, p) / (np.cosh(z) ** h * np.exp(-x * z * z / 2))
+                     / coef_left(0, x, JStarParams(h, 0.0)))
                 sums, flags = partial_sums(x, h, 60)
                 for n, (s, flag) in enumerate(zip(sums, flags)):
                     if flag:
@@ -378,7 +389,8 @@ class TestKernels:
 class TestMixtureWeights:
     def test_total_mass_matches_quadrature(self):
         p = JStarParams(1.0, 0.0)
-        pm, qm = mixture_weights(TRUNC1, p)
+        mix = build_mixture(TRUNC1, p)
+        pm, qm = mix.p_mass, mix.q_mass
         left, el = quad(lambda x: kernel_ell(x, p), 0.0, TRUNC1)
         right, er = quad(lambda x: kernel_r(x, p), TRUNC1, np.inf)
         assert pm == pytest.approx(left, abs=1e-8 + 10 * el)
@@ -388,7 +400,8 @@ class TestMixtureWeights:
         # weights omit cosh^h(z); integrate the kernels without it
         p = JStarParams(2.0, 1.5)
         t = 1.0
-        pm, qm = mixture_weights(t, p)
+        mix = build_mixture(t, p)
+        pm, qm = mix.p_mass, mix.q_mass
         c = np.cosh(p.z) ** p.h
         left, el = quad(lambda x: kernel_ell(x, p) / c, 0.0, t)
         right, er = quad(lambda x: kernel_r(x, p) / c, t, np.inf)
@@ -397,19 +410,36 @@ class TestMixtureWeights:
 
     def test_continuity_in_tilt(self):
         for h in (1.0, 3.0):
-            p0, _ = mixture_weights(0.8, JStarParams(h, 0.0))
-            p1, _ = mixture_weights(0.8, JStarParams(h, 1e-8))
+            p0 = build_mixture(0.8, JStarParams(h, 0.0)).p_mass
+            p1 = build_mixture(0.8, JStarParams(h, 1e-8)).p_mass
             assert p1 == pytest.approx(p0, rel=1e-6)
 
     def test_right_mass_closed_form(self):
         # Q(1, x) = e^-x turns the right mass into (4/pi) e^{-pi/4}
-        _, qm = mixture_weights(TRUNC1, JStarParams(1.0, 0.0))
+        qm = build_mixture(TRUNC1, JStarParams(1.0, 0.0)).q_mass
         assert qm == pytest.approx((4.0 / np.pi) * np.exp(-np.pi / 4.0),
                                    rel=1e-12)
 
+    def test_left_mass_untilted_is_erfc(self):
+        # p = 2^h Q(1/2, h^2/(2t)) = 2^h erfc(h/sqrt(2t)) at z = 0
+        for h in (1.0, 2.5, 4.0):
+            for t in (0.3, 0.64, 2.0):
+                pm = build_mixture(t, JStarParams(h, 0.0)).p_mass
+                want = 2.0 ** h * math.erfc(h / math.sqrt(2.0 * t))
+                assert pm == pytest.approx(want, rel=1e-12)
+
+    def test_right_mass_exponential_tail(self):
+        # at h = 1, Q(1, x) = e^-x: q = (pi/2)/lam_z e^{-lam_z t}
+        for z in (0.0, 1.0, 3.0):
+            lam = tilt_rate(z)
+            for t in (0.1, 0.64, 5.0):
+                qm = build_mixture(t, JStarParams(1.0, z)).q_mass
+                want = (np.pi / 2.0) / lam * math.exp(-lam * t)
+                assert qm == pytest.approx(want, rel=1e-13)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            mixture_weights(0.0, JStarParams(1.0, 0.0))
+            build_mixture(0.0, JStarParams(1.0, 0.0))
 
 
 class TestTruncationPoint:
@@ -428,8 +458,8 @@ class TestTruncationPoint:
         p = JStarParams(h, 0.0)
 
         def total(tt):
-            pm, qm = mixture_weights(tt, p)
-            return pm + qm
+            mix = build_mixture(tt, p)
+            return mix.p_mass + mix.q_mass
 
         assert total(t - 0.05) > total(t)
         assert total(t + 0.05) > total(t)

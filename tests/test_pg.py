@@ -196,10 +196,13 @@ class TestSampling:
             assert x.min() > 0.0
 
     @pytest.mark.parametrize("b,z,method", [(1.0, 1e5, "devroye"),
-                                            (2.5, 1e3, "alternate")])
+                                            (2.5, 1e3, "alternate"),
+                                            (2.5, 4e3, "alternate")])
     def test_large_tilt_with_underflowing_masses(self, b, z, method):
         # both mixture masses underflow to 0 here, so the component
-        # fraction must come from their logs, not from p/(p+q)
+        # fraction must come from their logs, not from p/(p+q); at
+        # PG(2.5, 4e3) the kernel and a_0 underflow at the proposals too,
+        # so the series must run on a_n/a_0
         p = PgParams(b, z)
         n = 4000
         x = sample_pg_batch(p, RngStream(17), size=n, method=method)

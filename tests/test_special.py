@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as sc
 from scipy.integrate import quad
 
 from pgrv.special import (
@@ -14,7 +13,6 @@ from pgrv.special import (
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
-    upper_gamma_reg,
     utan,
 )
 
@@ -95,42 +93,6 @@ class TestLogCosh:
         assert -1e-15 <= gap <= math.log(2.0) + 1e-15
 
 
-class TestUpperGammaReg:
-    def test_at_zero(self):
-        for a in (0.5, 1.0, 2.5, 10.0):
-            assert upper_gamma_reg(a, 0.0) == 1.0
-
-    def test_exponential_tail(self):
-        for x in (0.1, 1.0, 5.0):
-            assert upper_gamma_reg(1.0, x) == pytest.approx(math.exp(-x),
-                                                            rel=1e-13)
-
-    def test_half_shape_is_erfc(self):
-        # Q(1/2, x) = erfc(sqrt(x)); cross-checked by quadrature
-        val = upper_gamma_reg(0.5, 2.0)
-        assert val == pytest.approx(math.erfc(math.sqrt(2.0)), rel=1e-12)
-        integrand = lambda t: t ** (-0.5) * math.exp(-t) / math.gamma(0.5)
-        by_quad, err = quad(integrand, 2.0, np.inf)
-        assert val == pytest.approx(by_quad, abs=10 * err + 1e-12)
-
-    def test_partition_of_unity(self):
-        for a in (0.5, 1.0, 2.5, 10.0):
-            for x in (0.1, 1.0, 10.0):
-                total = upper_gamma_reg(a, x) + sc.gammainc(a, x)
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_decreasing_in_x(self):
-        xs = np.linspace(0.0, 20.0, 50)
-        vals = upper_gamma_reg(2.5, xs)
-        assert np.all(np.diff(vals) < 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            upper_gamma_reg(0.0, 1.0)
-        with pytest.raises(ValueError):
-            upper_gamma_reg(1.0, -0.1)
-
-
 class TestInverseGaussianCdf:
     def test_total_mass(self):
         assert inverse_gaussian_cdf(1e12, 1.0, 1.0) == pytest.approx(1.0,
@@ -169,6 +131,28 @@ class TestInverseGaussianCdf:
         for bad in [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)]:
             with pytest.raises(ValueError):
                 inverse_gaussian_log_cdf(*bad)
+            with pytest.raises(ValueError):
+                inverse_gaussian_log_cdf(*(np.array([1.0, v]) for v in bad))
+
+    def test_scalar_matches_array(self):
+        # a float call gives a float equal, bit for bit, to the matching
+        # element of the array call; the grid includes the zero-drift
+        # limit mu=inf and large lam/mu, where the drift term dominates
+        xs = np.array([1e-3, 0.05, 0.64, 1.0, 7.5, 300.0])
+        mus = np.array([1e-4, 0.01, 0.5, 2.0, 1e3, np.inf])
+        lams = np.array([1e-2, 1.0, 16.0, 1e4])
+        x, mu, lam = np.meshgrid(xs, mus, lams, indexing="ij")
+        arr = inverse_gaussian_log_cdf(x, mu, lam)
+        assert arr.shape == x.shape
+        for i in np.ndindex(x.shape):
+            got = inverse_gaussian_log_cdf(float(x[i]), float(mu[i]),
+                                           float(lam[i]))
+            assert type(got) is float
+            assert got == arr[i], i
+        # the zero-drift limit log 2 Phi(-sqrt(lam/x))
+        got = inverse_gaussian_log_cdf(0.7, np.inf, 3.0)
+        assert got == pytest.approx(
+            math.log(math.erfc(math.sqrt(3.0 / (2.0 * 0.7)))), rel=1e-14)
 
 
 class TestLogGammaFn:

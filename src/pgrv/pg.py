@@ -2,13 +2,18 @@
 hybrid method dispatcher.
 
 PG(b, z) = J*(b, z/2)/4, so every draw is produced by one of the J*
-samplers and rescaled.  The hybrid rule picks the sampler by shape:
-unit-draw summation for integer b up to ``devroye_max``, the direct
-real-shape sampler below ``alternate_max``, the saddlepoint method up to
-``saddle_max``, and a moment-matched normal beyond that.  Shapes below 1
-sit outside every exact sampler's validated range and fall back to the
-truncated gamma-convolution; that method (like the saddlepoint and
-normal routes) is approximate, which :attr:`Method.is_exact` records.
+samplers and rescaled.  The hybrid rule picks the sampler by shape and
+batch size: unit-draw summation for integer b up to ``devroye_max``, the
+direct real-shape sampler below ``alternate_max``, the saddlepoint
+method up to ``saddle_max``, and a moment-matched normal beyond that.
+The saddlepoint builds an envelope for every (b, z) before its first
+draw, which only a batch of at least ``SADDLE_MIN_SIZE`` draws repays;
+smaller batches, and every single draw, of shapes in
+[``alternate_max``, ``saddle_max``] take the exact real-shape sampler
+instead.  Shapes below 1 sit outside every exact sampler's validated
+range and fall back to the truncated gamma-convolution; that method
+(like the saddlepoint and normal routes) is approximate, which
+:attr:`Method.is_exact` records.
 
 The sign of z is irrelevant (the density depends on z^2 and cosh), so
 |z| is used throughout.
@@ -82,6 +87,16 @@ class Method(str, Enum):
         return self in (Method.DEVROYE, Method.ALTERNATE)
 
 
+# Smallest batch the hybrid rule sends to the saddlepoint route; below it
+# the saddlepoint shapes take the exact alternate sampler.  It is the
+# smallest n of the ROADMAP's PR 5 crossover table (CPU time per call, a
+# new tilt for every call) at which the saddlepoint beats the alternate
+# sampler by 1.5x or more at some shape of its range: b = 169.5, 0.76x
+# at n = 128 and 1.88x at n = 512.  Only shapes near 170 meet that bar at
+# this size; at b = 13.5-40.5 the saddlepoint is still slower at n = 512.
+SADDLE_MIN_SIZE = 512
+
+
 @dataclass(frozen=True)
 class SamplerThresholds:
     """Shape cutoffs of the hybrid rule; must be strictly increasing.
@@ -101,8 +116,13 @@ class SamplerThresholds:
 DEFAULT_THRESHOLDS = SamplerThresholds()
 
 
-def choose_method(b, thresholds=None):
-    """Pick the sampling route for shape b under the hybrid rule."""
+def choose_method(b, thresholds=None, size=None):
+    """Pick the sampling route for shape b under the hybrid rule.
+
+    ``size`` is the number of draws the route is asked for; below
+    ``SADDLE_MIN_SIZE`` the saddlepoint shapes go to the alternate
+    sampler.  ``size=None`` gives the answer by shape alone.
+    """
     th = thresholds or DEFAULT_THRESHOLDS
     b = float(b)
     if b <= 0.0:
@@ -114,6 +134,8 @@ def choose_method(b, thresholds=None):
     if b < th.alternate_max:
         return Method.ALTERNATE
     if b <= th.saddle_max:
+        if size is not None and size < SADDLE_MIN_SIZE:
+            return Method.ALTERNATE
         return Method.SADDLEPOINT
     return Method.NORMAL
 
@@ -125,9 +147,9 @@ def _validate_method(method, b):
         raise ValueError(f"{method.value} method requires shape b >= 1")
 
 
-def _resolve_method(method, b, thresholds):
+def _resolve_method(method, b, thresholds, size):
     if method is None or method == "auto":
-        return choose_method(b, thresholds)
+        return choose_method(b, thresholds, size)
     method = Method(method)
     _validate_method(method, b)
     return method
@@ -161,8 +183,10 @@ def sample_pg_normal(params, rng, size=None):
 def sample_pg(params, rng, method="auto", thresholds=None):
     """One draw from PG(b, z).
 
-    ``method`` overrides the hybrid rule; invalid method/shape pairings
-    (e.g. devroye with a non-integer shape) raise ValueError.
+    The hybrid rule sees a batch of one, so it never picks the
+    saddlepoint route.  ``method`` overrides the rule; invalid
+    method/shape pairings (e.g. devroye with a non-integer shape) raise
+    ValueError.
     """
     return float(sample_pg_batch(params, rng, size=1, method=method,
                                  thresholds=thresholds)[0])
@@ -173,7 +197,8 @@ def sample_pg_batch(params, rng, size=None, out=None, method="auto",
     """Fill a buffer with PG(b, z) draws.
 
     Either ``size`` or a preallocated 1-d ``out`` array must be given;
-    the filled array is returned.
+    the filled array is returned.  The hybrid rule picks the route from
+    the shape and this batch's length.
     """
     if out is None:
         if size is None:
@@ -184,7 +209,7 @@ def sample_pg_batch(params, rng, size=None, out=None, method="auto",
     n = out.shape[0]
     if n == 0:
         return out
-    m = _resolve_method(method, params.b, thresholds)
+    m = _resolve_method(method, params.b, thresholds, n)
     b = params.b
     zj = abs(params.z) / 2.0
     if m is Method.NORMAL:

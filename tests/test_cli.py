@@ -10,7 +10,7 @@ import pytest
 
 from pgrv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from pgrv.density import load_trunc_table, solve_trunc_point
-from pgrv.pg import PgParams, pg_mean
+from pgrv.pg import SADDLE_MIN_SIZE, PgParams, pg_mean, pg_var
 
 
 def run_cli(argv, capsys):
@@ -171,6 +171,21 @@ class TestValidate:
             ["validate", "--suites", "moments", "--n", "20000", "--seed",
              "1"], capsys)
         assert code == EXIT_OK
+
+    def test_saddle_allowance_only_where_saddle_ran(self, capsys):
+        # b = 50 runs the saddlepoint only for batches of SADDLE_MIN_SIZE
+        # or more; the 1% mean allowance goes with that route
+        for n, allow in ((50, 0.0), (SADDLE_MIN_SIZE, 0.01)):
+            _, out, _ = run_cli(
+                ["validate", "--suites", "moments", "--n", str(n)], capsys)
+            rows = [r for r in csv.DictReader(io.StringIO(out))
+                    if r["test"] == "mean" and float(r["b"]) == 50.0]
+            assert len(rows) == 2
+            for row in rows:
+                p = PgParams(50.0, float(row["z"]))
+                want = 4.0 * np.sqrt(pg_var(p) / n) + allow * pg_mean(p)
+                assert float(row["threshold"]) == pytest.approx(want,
+                                                                rel=1e-5)
 
     def test_fault_injection_fails_and_names_record(self, capsys):
         code, out, err = run_cli(

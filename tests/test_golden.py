@@ -18,6 +18,7 @@ import pytest
 
 from pgrv import PgParams, RngStream, sample_pg, sample_pg_batch
 from pgrv import alternate, devroye, saddle
+from pgrv.pg import SADDLE_MIN_SIZE, choose_method
 
 SIZE = 64
 SCALAR_DRAWS = 3
@@ -25,13 +26,15 @@ TILTS = (0.0, 1.0, 8.0)
 
 ROUTE_SHAPES = {
     "devroye": (1.0, 2.0),
-    "alternate": (1.0, 2.5, 4.0, 7.3, 12.0),
+    "alternate": (1.0, 2.5, 4.0, 7.3, 12.0, 13.0, 40.0, 170.0),
     "saddlepoint": (13.0, 40.0, 170.0),
     "gamma-sum": (0.3, 0.9),
     "normal-approx": (200.0,),
 }
 
-# The route the default hybrid rule picks for each shape above.
+# The route the default hybrid rule picks for each shape above, for a
+# batch of SIZE draws and for one draw alike: both sizes are below
+# SADDLE_MIN_SIZE, so the saddlepoint shapes take the alternate route.
 AUTO_ROUTE = {
     0.3: "gamma-sum",
     0.9: "gamma-sum",
@@ -41,9 +44,9 @@ AUTO_ROUTE = {
     4.0: "alternate",
     7.3: "alternate",
     12.0: "alternate",
-    13.0: "saddlepoint",
-    40.0: "saddlepoint",
-    170.0: "saddlepoint",
+    13.0: "alternate",
+    40.0: "alternate",
+    170.0: "alternate",
     200.0: "normal-approx",
 }
 
@@ -573,6 +576,231 @@ BATCH = {
         "0x1.5591acb4fb6e1p-1 0x1.69fe04df12123p-1 0x1.3f33907be5f3ep-1 "
         "0x1.789907ca12224p-1",
         "0x1.7ca20b6384440p-2",
+    ),
+    ("alternate", 13.0, 0.0): (
+        "0x1.0dded103495c8p+2 0x1.7060e8325421ep+1 0x1.030a856d406a0p+2 "
+        "0x1.071b6b2ae11d8p+2 0x1.d59746598c156p+1 0x1.b328007a39571p+1 "
+        "0x1.f4999aca6a29ap+1 0x1.c2b0e3241a82ep+1 0x1.60aa2555f9b9cp+1 "
+        "0x1.4844106aeda6ep+1 0x1.03a2365e0d802p+2 0x1.f124f6a70e776p+1 "
+        "0x1.0545062a07ecep+1 0x1.089f2390f3a4fp+1 0x1.7481bd1d11a3cp+1 "
+        "0x1.67bb20e1a4e53p+1 0x1.d23600d041c63p+1 0x1.3fd167b1698efp+1 "
+        "0x1.4ab51e1b939b3p+1 0x1.27dea0626c0e1p+2 0x1.abe00d934c580p+1 "
+        "0x1.2e47ee2484e62p+2 0x1.3cd303db36de2p+1 0x1.11cd1554eefaap+2 "
+        "0x1.afb932354a79fp+1 0x1.e4306eaa7bc86p+1 0x1.ff3ed4b9aa0a4p+1 "
+        "0x1.057f25b6e961fp+2 0x1.af68181f86b3ep+1 0x1.f0e8873836460p+0 "
+        "0x1.08f8fac9cb9acp+1 0x1.bdf6e8791d9eep+1 0x1.f8d7645184c84p+0 "
+        "0x1.a6692ec99f6bep+1 0x1.7308b95354092p+1 0x1.16c413203dd67p+2 "
+        "0x1.985f855c5d0bep+1 0x1.277025e2f7a9ep+1 0x1.cad86a8d5b7a0p+1 "
+        "0x1.fbf04709a2086p+1 0x1.1f4d6d2f45114p+1 0x1.58a896a393f68p+1 "
+        "0x1.933d6d3e7a8bep+1 0x1.d8a2452a50db8p+1 0x1.4830ee7194364p+1 "
+        "0x1.e74bfbf8c3bb4p+1 0x1.466ef8ff9366cp+1 0x1.6f718eb16231dp+1 "
+        "0x1.a9c7533a8d19ap+1 0x1.b4461a1c18588p+1 0x1.eb0facded4aa9p+1 "
+        "0x1.a58fb511b3983p+0 0x1.23c889d31390ep+1 0x1.f2ef16daa72b8p+1 "
+        "0x1.48c0dd47063c6p+1 0x1.3450a67ecc300p+2 0x1.8b823fc184066p+1 "
+        "0x1.0a32edfca636dp+2 0x1.0d5319e2da89ap+1 0x1.18a2e25b5bdbdp+2 "
+        "0x1.7e8a858c076a0p+1 0x1.71935509f65e4p+1 0x1.a3a8c294a8e1dp+1 "
+        "0x1.3dd8b6855eba9p+1",
+        "0x1.7caa08958ccb0p-1",
+    ),
+    ("alternate", 13.0, 1.0): (
+        "0x1.a819623abc119p+1 0x1.12d52a4c1efe3p+1 0x1.013c22a052b00p+1 "
+        "0x1.792166f2a50e7p+1 0x1.d5d9e817ff1f1p+1 0x1.7a5781c2fd0a6p+1 "
+        "0x1.b518275f6a740p+1 0x1.753311a03aaebp+1 0x1.4d59276a28debp+1 "
+        "0x1.71713575b903ep+1 0x1.7c88e2a146995p+1 0x1.51db7260a8878p+1 "
+        "0x1.849a61a4d0e48p+1 0x1.2fadac5a08d88p+1 0x1.d1d0ecb695191p+1 "
+        "0x1.646c52478f726p+1 0x1.09b6de00b4031p+2 0x1.6ae18bd5cddccp+1 "
+        "0x1.87735de802eb0p+1 0x1.a89e79b360f7fp+1 0x1.c8bc5b34d3469p+1 "
+        "0x1.22da9c9a4ef8cp+2 0x1.8282a52c10e80p+1 0x1.655e2d1a5b19cp+1 "
+        "0x1.3b571cea57470p+1 0x1.28aab42475e12p+1 0x1.0eb282f1a602ep+2 "
+        "0x1.796d9f77641d0p+1 0x1.c106541b0280dp+1 0x1.1bfd6da7616d6p+1 "
+        "0x1.00391fb59c1cep+1 0x1.a5598c5ac9038p+1 0x1.29f3f828413fep+1 "
+        "0x1.10c58a0e5d9bdp+2 0x1.79cd967f1b7b9p+1 0x1.b44f8201f7c20p+1 "
+        "0x1.c11c44295174ap+1 0x1.7f20fd1a124e4p+1 0x1.7ca9f7402b705p+1 "
+        "0x1.7be45e1f326b3p+1 0x1.eae5ef01a68ddp+1 0x1.7b3ae01f498aep+1 "
+        "0x1.59aeee71944a2p+1 0x1.e7e71aa3302f8p+0 0x1.704dfea3d1808p+1 "
+        "0x1.46d11a4021b63p+1 0x1.270e31ea0dc49p+1 0x1.655e594f44670p+1 "
+        "0x1.66ee0a0ee8020p+1 0x1.b40c328947b7cp+1 0x1.619184f5584d4p+1 "
+        "0x1.0c12ca5b71903p+1 0x1.18de729b2ff21p+2 0x1.124006cc80daep+1 "
+        "0x1.44dca3d4694bcp+1 0x1.500677b014e8cp+1 0x1.081a72f2d340dp+2 "
+        "0x1.0c148d888b5b7p+2 0x1.250ce4c641abbp+2 0x1.613b039bdb0e2p+1 "
+        "0x1.01877493b065fp+2 0x1.fdaadec10c0e2p+1 0x1.fe6e64bbae10cp+0 "
+        "0x1.275d60c25c392p+1",
+        "0x1.3daa93ff60db8p-1",
+    ),
+    ("alternate", 13.0, 8.0): (
+        "0x1.67b94183bf8ecp-1 0x1.bd654cdd5a010p-1 0x1.a486555da4cd6p-1 "
+        "0x1.e899d1c5efc30p-1 0x1.818ebab97117bp-1 0x1.74162d50a9631p-1 "
+        "0x1.c86e43d7448e6p-1 0x1.83314309b78c5p-1 0x1.a066ea720165cp-1 "
+        "0x1.942a7a7c002d8p-1 0x1.f2c5acc3a72e8p-1 0x1.a14bec1cbcdd7p-1 "
+        "0x1.3eb5d6477afaap-1 0x1.820489b8d52fcp-1 0x1.9052a95a9804cp-1 "
+        "0x1.96c4f71f13735p-1 0x1.65d4e3887c45fp-1 0x1.8177e6f77ec38p-1 "
+        "0x1.ba77dec300146p-1 0x1.7661d4eb80362p-1 0x1.9b68712ea069ap-1 "
+        "0x1.6c6fd8e9bcb5cp-1 0x1.a124df7d91015p-1 0x1.7355f9fd71265p-1 "
+        "0x1.9e88bd5f76182p-1 0x1.040148bb452a6p+0 0x1.cb21e8ea2535ap-1 "
+        "0x1.cefc18bd7ae42p-1 0x1.a22e6d68aa3ffp-1 0x1.b277ad0b4cdabp-1 "
+        "0x1.629a1eeaf5287p-1 0x1.e634bb1e295e0p-1 0x1.f58966a46f0d4p-1 "
+        "0x1.2b30dc5001755p-1 0x1.76fa5aa9b25bap-1 0x1.89baf22433324p-1 "
+        "0x1.8f220c4b001a2p-1 0x1.839bb85151062p-1 0x1.65e749e9ba56fp-1 "
+        "0x1.e7871e7d11f2dp-1 0x1.78a8fd9c9de3fp-1 0x1.a29d4cc4a7914p-1 "
+        "0x1.dd23ed15215a4p-1 0x1.6a3470409a955p-1 0x1.b1616e04769c5p-1 "
+        "0x1.92ccd94c04d0ap-1 0x1.61721d8632a9fp-1 0x1.d4a519697b3f7p-1 "
+        "0x1.46f84b8605ce8p-1 0x1.59fe8267ed86ap-1 0x1.9971c19d546cbp-1 "
+        "0x1.bf716ccf5935ep-1 0x1.a0874a7e0cfe2p-1 0x1.e980d139f6754p-1 "
+        "0x1.b66f4fa6cdaadp-1 0x1.56a5ccd98b1d2p-1 0x1.d3f47b2a9a946p-1 "
+        "0x1.af1b691129b2cp-1 0x1.8d0739d6b0939p-1 0x1.7bde7258a0d60p-1 "
+        "0x1.c79164dc8fdcap-1 0x1.05181e8f4ad78p+0 0x1.31b4ede47f6f6p+0 "
+        "0x1.83145b8e09974p-1",
+        "0x1.f13ea6d4572c0p-4",
+    ),
+    ("alternate", 40.0, 0.0): (
+        "0x1.25fbdd22346bdp+3 0x1.0e83a16d078cbp+3 0x1.545858f11724dp+3 "
+        "0x1.0600f71d74d55p+3 0x1.0110e4a8f1a8dp+3 0x1.d7e9e79b6d441p+2 "
+        "0x1.08468a1f10112p+3 0x1.1e440b767ca61p+3 0x1.59e67c466e81dp+3 "
+        "0x1.5cedcf7cd730cp+3 0x1.728159bae4525p+3 0x1.35b47029d23c8p+3 "
+        "0x1.7ce9502644bc1p+3 0x1.6ffafe016a1f8p+3 0x1.44d6386ec98cbp+3 "
+        "0x1.0e1268838318ap+3 0x1.05a11679875bfp+3 0x1.2817e3c8061ccp+3 "
+        "0x1.1ef31442a4486p+3 0x1.51e9838508842p+3 0x1.2b5d0d32fae7bp+3 "
+        "0x1.18c26fc8ab2b6p+3 0x1.827a5682f0024p+3 0x1.52597e805e2d0p+3 "
+        "0x1.4500c6867734ap+3 0x1.91194d31ccde1p+3 0x1.2040a3495e338p+3 "
+        "0x1.3aedfc169b9fdp+3 0x1.36f015d3d0213p+3 0x1.41b3be9b65d71p+3 "
+        "0x1.7209adf47b997p+3 0x1.5f9f90f9a4ad3p+3 0x1.871d8865cf067p+3 "
+        "0x1.4e02bf03b5297p+3 0x1.87c0b7eeff61bp+3 0x1.6aa703f542db5p+3 "
+        "0x1.4f03117ab039cp+3 0x1.65ec414477c5ep+3 0x1.257cf494383bep+3 "
+        "0x1.591ab9dcaedf5p+3 0x1.58183875cb833p+3 0x1.dc6cd4ab60513p+2 "
+        "0x1.66632ca1f52bep+3 0x1.675cecaece9e5p+3 0x1.afdf8ab4a45b7p+2 "
+        "0x1.c098e110437cep+3 0x1.3ca2cca8a34a0p+3 0x1.347a4399df3c9p+3 "
+        "0x1.0fac5b3ad1d40p+3 0x1.4bf3250e85156p+3 0x1.4bab3a20d9419p+3 "
+        "0x1.3311dec03c7ffp+3 0x1.459be0fa3da1fp+3 0x1.36480bbacce24p+3 "
+        "0x1.558d912bd4ad1p+3 0x1.17c1a9909301dp+3 0x1.11459ddaaa3bdp+3 "
+        "0x1.088c1b2e2a4d4p+3 0x1.26355c825a06bp+3 0x1.2a4853688d87dp+3 "
+        "0x1.1692dc400d124p+3 0x1.58b061ae7fe81p+3 0x1.09c668c971f95p+3 "
+        "0x1.22f21c7ada95ep+3",
+        "0x1.fdcf8d7708e86p-1",
+    ),
+    ("alternate", 40.0, 1.0): (
+        "0x1.eeb7363cadb70p+2 0x1.57c5361c93828p+3 0x1.306b58880901cp+3 "
+        "0x1.2afe19dcd42ebp+3 0x1.020fcced582bep+3 0x1.1157b7007b402p+3 "
+        "0x1.1b4d911e90d37p+3 0x1.b04c7ffec1ae4p+2 0x1.32e20091ed6f3p+3 "
+        "0x1.14381827d44ddp+3 0x1.648fcc66d7e5dp+3 0x1.049c352b4e54ep+3 "
+        "0x1.0adc4e22cf0c7p+3 0x1.4566d45cc62dcp+3 0x1.05e92e2b57b5cp+3 "
+        "0x1.a8005f6c073bbp+2 0x1.00cbb69efa37ap+3 0x1.6aeec6f63f060p+3 "
+        "0x1.558ac3a1b3266p+3 0x1.03c810d853b04p+3 0x1.3e27c8bfccc64p+3 "
+        "0x1.0dc4ed9964e90p+3 0x1.14e5bca0e19c8p+3 0x1.07a376d0d9060p+3 "
+        "0x1.275b8224a5c68p+3 0x1.42f126bdce921p+3 0x1.03f3be420a2f5p+3 "
+        "0x1.2f1ce38354900p+3 0x1.73b96b3f67354p+3 0x1.2f7a0467c4669p+3 "
+        "0x1.1d64750850a96p+3 0x1.d6224703dfdcbp+2 0x1.16ce203068039p+3 "
+        "0x1.ff05370f30498p+2 0x1.034c186ce64d0p+3 0x1.63848c4b90a58p+3 "
+        "0x1.638a1f7e12e53p+2 0x1.11089c88de525p+3 0x1.118e9d13eaba7p+3 "
+        "0x1.0b47133df9ebcp+3 0x1.03e1a56558e25p+3 0x1.cd7211bc907a7p+2 "
+        "0x1.0bf13b306bb89p+3 0x1.38a7934fc1698p+3 0x1.607b36a37a22cp+3 "
+        "0x1.31c87a6a097d9p+3 0x1.fe147be436ff6p+2 0x1.2d29c8ba110cap+3 "
+        "0x1.ae70d7494facfp+2 0x1.48da75c111fa6p+3 0x1.036b68dbc52c1p+3 "
+        "0x1.14716b1633d09p+3 0x1.1c7419ca65e80p+3 0x1.dfc0872ffdda3p+2 "
+        "0x1.7e57f3424591cp+3 0x1.cfb1d4c3b3afcp+2 0x1.2a6ad5a3ade57p+3 "
+        "0x1.2a19c7c6811e9p+3 0x1.03457fdaadbfep+3 0x1.487834a0456d7p+3 "
+        "0x1.199b43e8c0d24p+3 0x1.49862c5e99deep+3 0x1.5aa1b30a4546ap+3 "
+        "0x1.487a5298fb2c0p+3",
+        "0x1.88f7a8664fab4p-3",
+    ),
+    ("alternate", 40.0, 8.0): (
+        "0x1.45cd893b7a44dp+1 0x1.528c8819f39d9p+1 0x1.31faddba6e29dp+1 "
+        "0x1.5178038508cc4p+1 0x1.2885379514a3fp+1 0x1.ffedb4cb9cec4p+0 "
+        "0x1.398657db6d0d3p+1 0x1.256c89b3fe3f1p+1 0x1.306161177d7ecp+1 "
+        "0x1.39ca6d9334045p+1 0x1.4b2814aa7806cp+1 0x1.3d52dc2440a61p+1 "
+        "0x1.77a533cacbab9p+1 0x1.6591fe4c7b37fp+1 0x1.35de3f7c5c623p+1 "
+        "0x1.564ec6236a933p+1 0x1.565200478a4cep+1 0x1.1da67e5a95775p+1 "
+        "0x1.5427b8ef58588p+1 0x1.5223d6c56ac5cp+1 0x1.313208bf17343p+1 "
+        "0x1.611f12566ec6cp+1 0x1.2525f49ebb8d2p+1 0x1.4e09a4750710cp+1 "
+        "0x1.32a8e2bad214ap+1 0x1.3e4862eeef9aap+1 0x1.214c974cca44dp+1 "
+        "0x1.4433220753b58p+1 0x1.42fef4d0d55c0p+1 0x1.7da61953f1b0ap+1 "
+        "0x1.361924fd0a91ap+1 0x1.2952792861846p+1 0x1.46c148121a35ep+1 "
+        "0x1.263de9832f946p+1 0x1.08c1369f2bf0ap+1 0x1.526d45182619fp+1 "
+        "0x1.285bfd0ef60f8p+1 0x1.3ce714c4340f9p+1 0x1.3966dd71bb726p+1 "
+        "0x1.513397cb8ad04p+1 0x1.42b706d5eb02cp+1 0x1.5bcafafe110dep+1 "
+        "0x1.3262ad963f042p+1 0x1.3ab404a700875p+1 0x1.480eed3b8bc6bp+1 "
+        "0x1.5f214d63a2993p+1 0x1.55fe398485cc3p+1 0x1.3f1b2c4d80b2bp+1 "
+        "0x1.f6a0f2e6b9391p+0 0x1.56c4912440772p+1 0x1.276357b407dd2p+1 "
+        "0x1.4c255c90f4593p+1 0x1.2fd92cce2cf18p+1 0x1.23af923411fa9p+1 "
+        "0x1.404861038f9fcp+1 0x1.f234e8e0b7205p+0 0x1.5935574f022c6p+1 "
+        "0x1.6109c1166fe34p+1 0x1.78ddb777129afp+1 0x1.53e1646b7cd24p+1 "
+        "0x1.116bf716bdb01p+1 0x1.33de14be33f7ap+1 0x1.517647e1a3b7dp+1 "
+        "0x1.5438f6ec4c86fp+1",
+        "0x1.d0991e689b1eep-1",
+    ),
+    ("alternate", 170.0, 0.0): (
+        "0x1.4c579e6fc60f0p+5 0x1.38c1855ed050ap+5 0x1.4e1052f34f047p+5 "
+        "0x1.4ead2a849c454p+5 0x1.5e3a07ff607bcp+5 0x1.484d94d4450dep+5 "
+        "0x1.52a30393aefbbp+5 0x1.38468674edb16p+5 0x1.3e7ebf3bb9fd3p+5 "
+        "0x1.48763af78dacfp+5 0x1.75465f34746bcp+5 0x1.4b388d6f12d8fp+5 "
+        "0x1.60b1e5c3cab2fp+5 0x1.4de5a84c30f58p+5 0x1.4407ab339c876p+5 "
+        "0x1.60d19cc35f0e0p+5 0x1.4c1541bc9a6afp+5 0x1.363f3cc2ce007p+5 "
+        "0x1.5d4ed938e173ap+5 0x1.4c1f25b0c6e63p+5 0x1.7410f108c6137p+5 "
+        "0x1.75877925d9e20p+5 0x1.5c75491ef5eb1p+5 0x1.4d97a4fd182a8p+5 "
+        "0x1.6306f1dec0f54p+5 0x1.4a2c7feceb6dfp+5 0x1.5035f14efdb88p+5 "
+        "0x1.6ac26ab186862p+5 0x1.52b81a10655d0p+5 0x1.3fd231392a70ep+5 "
+        "0x1.4fb4b7ca2b294p+5 0x1.31af993423650p+5 0x1.6028e7bb6331ap+5 "
+        "0x1.402e960c85156p+5 0x1.5eb6dd60eea68p+5 0x1.5f94efd726e18p+5 "
+        "0x1.428d977995a25p+5 0x1.49dd8eca0b7c2p+5 0x1.58c451c1f05eap+5 "
+        "0x1.77b183bc150d4p+5 0x1.6e817a2684ebep+5 0x1.363e3af6c6c2cp+5 "
+        "0x1.535768a1c5e3fp+5 0x1.3b281d78cdd46p+5 0x1.532742d3bd298p+5 "
+        "0x1.40a404a0ee92bp+5 0x1.369611dcf06f1p+5 0x1.81d1df2ed7d85p+5 "
+        "0x1.3e80ee115123bp+5 0x1.3501f29695e39p+5 0x1.5347d2adcc9d2p+5 "
+        "0x1.752fa11b9d8adp+5 0x1.4c300cf84133fp+5 0x1.28ece1d7775ffp+5 "
+        "0x1.38ba284a492e3p+5 0x1.38ebf5d22343dp+5 0x1.56969022ac82dp+5 "
+        "0x1.398413d25ed6dp+5 0x1.2f44ece9d912ap+5 0x1.43e0fc090bee9p+5 "
+        "0x1.5c455d524a6e7p+5 0x1.6ee35da0a52c4p+5 0x1.62d484ada662bp+5 "
+        "0x1.3f3dbeed5eeeep+5",
+        "0x1.d510be469e410p-3",
+    ),
+    ("alternate", 170.0, 1.0): (
+        "0x1.3d20c6a2e13e5p+5 0x1.529d22a3b1d33p+5 0x1.3e08723d84938p+5 "
+        "0x1.50aaa067cbf84p+5 0x1.2cbe649084d31p+5 0x1.43b4f9f5e073cp+5 "
+        "0x1.21895e2ccbd39p+5 0x1.63942b2c79827p+5 0x1.2d37bae78cbb9p+5 "
+        "0x1.506440e65b6f7p+5 0x1.3d6259af731c8p+5 0x1.2db7e0b074a4ap+5 "
+        "0x1.36e572b368b64p+5 0x1.19d03035d86b4p+5 0x1.589a7cf171d63p+5 "
+        "0x1.350f04c3a0d2fp+5 0x1.305fcee1e82bap+5 0x1.37b277bfe1cafp+5 "
+        "0x1.33f07505b5853p+5 0x1.1299e190b9cefp+5 0x1.11d10fd8a7319p+5 "
+        "0x1.3a71962d17b39p+5 0x1.625f317cbce32p+5 0x1.2eae08128b44ap+5 "
+        "0x1.2894d5fc6b8fap+5 0x1.2da68dd6be0a1p+5 0x1.2de6e573e00dbp+5 "
+        "0x1.406a1a14633f0p+5 0x1.57b07209b9715p+5 0x1.3af05ae794537p+5 "
+        "0x1.3c282601d66b5p+5 0x1.4043a7cf506dbp+5 0x1.3643efd23bad7p+5 "
+        "0x1.34a0cf9af4fd5p+5 0x1.5ac69575804c2p+5 0x1.2ef112f5c0c48p+5 "
+        "0x1.457843feede4ep+5 0x1.2f24b1d96b871p+5 0x1.18f2a916684b7p+5 "
+        "0x1.119d767ac6c1ap+5 0x1.2f88238926dd2p+5 0x1.64258d8f6cce7p+5 "
+        "0x1.3e99c165bcb32p+5 0x1.4a93f510fcb87p+5 0x1.3d43d516ed5b3p+5 "
+        "0x1.33a2559132105p+5 0x1.22b11a2ff01d6p+5 0x1.1fcb41cbc1b1ep+5 "
+        "0x1.315debe4525acp+5 0x1.3d80f773892b1p+5 0x1.3ea4985c9f4dbp+5 "
+        "0x1.2d3a5e4c72259p+5 0x1.113f6cecdec20p+5 0x1.42519e3c92957p+5 "
+        "0x1.3cb76c36bd5a2p+5 0x1.355b3cb81bf8fp+5 0x1.0d2677a996de9p+5 "
+        "0x1.4a7da67955eb5p+5 0x1.38c0b18ffd10dp+5 0x1.34d1a202128d9p+5 "
+        "0x1.58ead7c7957b4p+5 0x1.33d8ce301a4fep+5 0x1.3c948daa67435p+5 "
+        "0x1.411131c93d11bp+5",
+        "0x1.d4f3e53b65620p-2",
+    ),
+    ("alternate", 170.0, 8.0): (
+        "0x1.5fe5119ca643cp+3 0x1.461e7c227dde1p+3 0x1.5abe25ce8df62p+3 "
+        "0x1.55af80e47f15dp+3 0x1.588786b9c00eep+3 0x1.57cea43c8a7b5p+3 "
+        "0x1.389ac1183e269p+3 0x1.659405cd4f491p+3 0x1.5294003cf2807p+3 "
+        "0x1.681b4976139fap+3 0x1.58b83f22c31a8p+3 0x1.51707e0dfa120p+3 "
+        "0x1.4bf499774d3dep+3 0x1.4c4bfbc364799p+3 0x1.570ef500bca3ep+3 "
+        "0x1.4686d28524ba6p+3 0x1.4553036563d63p+3 0x1.451deae5718d3p+3 "
+        "0x1.6b988f0bb5971p+3 0x1.46a1badb871d3p+3 0x1.4db95a39ff1aap+3 "
+        "0x1.5d3e67e0c6c73p+3 0x1.64fa17a2f8652p+3 0x1.416615428a1bap+3 "
+        "0x1.38861e1d1ee61p+3 0x1.4be31c596cce9p+3 0x1.48c60dc61393ap+3 "
+        "0x1.55e53dbeceb96p+3 0x1.4f9d886ac63c6p+3 0x1.4241dca7a84a8p+3 "
+        "0x1.54f286405902fp+3 0x1.38a3a873ff995p+3 0x1.6a47adb4136e1p+3 "
+        "0x1.4ed6660ffa273p+3 0x1.414c5c2453bbep+3 0x1.45d6ba32c15e5p+3 "
+        "0x1.5e9145491ce01p+3 0x1.6ca3c825a2e8bp+3 0x1.6aa53b6121657p+3 "
+        "0x1.4ea2eca851c67p+3 0x1.5442092d61dc7p+3 0x1.5f4250d51f0e2p+3 "
+        "0x1.4e25806125d9bp+3 0x1.60bef021ec717p+3 0x1.5149ff9fb7669p+3 "
+        "0x1.59a028f27d56cp+3 0x1.5ac8b790da627p+3 0x1.5e7fff9f995eap+3 "
+        "0x1.5b54c49986d08p+3 0x1.61ae00259f1d6p+3 0x1.62c5b6154997dp+3 "
+        "0x1.4d41b8d6c961bp+3 0x1.611b29da6fd8dp+3 0x1.56336647c1774p+3 "
+        "0x1.5d513934be044p+3 0x1.5fd3eaeb5db1ep+3 0x1.3ef04271a3ac0p+3 "
+        "0x1.4343372645741p+3 0x1.62cb020091154p+3 0x1.6415a88768798p+3 "
+        "0x1.5553ab80a293ap+3 0x1.49976bc6f7bcdp+3 0x1.4b09637503764p+3 "
+        "0x1.4f42175aafe4ep+3",
+        "0x1.47236c608a126p-1",
     ),
     ("saddlepoint", 13.0, 0.0): (
         "0x1.43f2d296ca83ep+1 0x1.805f6249c5060p+1 0x1.79c5dfe663ae1p+1 "
@@ -1112,6 +1340,42 @@ SCALAR = {
         "0x1.2dcf9f8bffae2p-1 0x1.b9ce980cc4ec4p-1 0x1.55b802cd83dc8p-1",
         "0x1.e7e9255d46b5cp-3",
     ),
+    ("alternate", 13.0, 0.0): (
+        "0x1.2f2345ce30ea4p+2 0x1.9ec977766ee8cp+1 0x1.61bc6cedd6bbbp+1",
+        "0x1.25d3ffb9d7270p-5",
+    ),
+    ("alternate", 13.0, 1.0): (
+        "0x1.7e1349cb599f4p+1 0x1.776a697f473cbp+1 0x1.1ea4ac394a1cep+2",
+        "0x1.0a3d800544897p-1",
+    ),
+    ("alternate", 13.0, 8.0): (
+        "0x1.6c5c476c245d7p-1 0x1.75a4b877dd8edp-1 0x1.85d96d9f92b31p-1",
+        "0x1.805bf9fe36955p-1",
+    ),
+    ("alternate", 40.0, 0.0): (
+        "0x1.68efbdb83982cp+3 0x1.10b7341599296p+3 0x1.5de7b8d9501fcp+3",
+        "0x1.fd8f9f5cdce3ep-2",
+    ),
+    ("alternate", 40.0, 1.0): (
+        "0x1.1f403d9ec144ap+3 0x1.52fcd607cabc8p+3 0x1.26a292dfb60b8p+3",
+        "0x1.fe9f47c930fb2p-1",
+    ),
+    ("alternate", 40.0, 8.0): (
+        "0x1.2c7aa47f8b3bcp+1 0x1.342b828016e0bp+1 0x1.65dd2ba746882p+1",
+        "0x1.c3bacd2cbf910p-2",
+    ),
+    ("alternate", 170.0, 0.0): (
+        "0x1.63b3bd88de99dp+5 0x1.5fe9fe5b483b5p+5 0x1.46e57c7fb6dc1p+5",
+        "0x1.bdd6a9c97cd88p-3",
+    ),
+    ("alternate", 170.0, 1.0): (
+        "0x1.53e02414961fap+5 0x1.37be39de3c410p+5 0x1.3803689f0b7c7p+5",
+        "0x1.de3e77b5eac2bp-1",
+    ),
+    ("alternate", 170.0, 8.0): (
+        "0x1.533ca901d02d2p+3 0x1.4d98d16a70de3p+3 0x1.72f3608ea40e7p+3",
+        "0x1.c3026c132eca6p-2",
+    ),
     ("saddlepoint", 13.0, 0.0): (
         "0x1.7f8d9a10dba92p+1 0x1.b818c3a1dc887p+1 0x1.99a43ec81520cp+1",
         "0x1.d0173972dc444p-2",
@@ -1320,6 +1584,60 @@ COUNTERS = {
         "series_terms_max": 2,
         "accepted": 192,
     },
+    ("alternate", 13.0, 0.0): {
+        "proposals": 334,
+        "left_proposals": 189,
+        "series_terms_max": 6,
+        "accepted": 256,
+    },
+    ("alternate", 13.0, 1.0): {
+        "proposals": 323,
+        "left_proposals": 190,
+        "series_terms_max": 5,
+        "accepted": 256,
+    },
+    ("alternate", 13.0, 8.0): {
+        "proposals": 257,
+        "left_proposals": 257,
+        "series_terms_max": 2,
+        "accepted": 256,
+    },
+    ("alternate", 40.0, 0.0): {
+        "proposals": 944,
+        "left_proposals": 526,
+        "series_terms_max": 8,
+        "accepted": 640,
+    },
+    ("alternate", 40.0, 1.0): {
+        "proposals": 905,
+        "left_proposals": 595,
+        "series_terms_max": 6,
+        "accepted": 640,
+    },
+    ("alternate", 40.0, 8.0): {
+        "proposals": 641,
+        "left_proposals": 641,
+        "series_terms_max": 2,
+        "accepted": 640,
+    },
+    ("alternate", 170.0, 0.0): {
+        "proposals": 4016,
+        "left_proposals": 2173,
+        "series_terms_max": 7,
+        "accepted": 2752,
+    },
+    ("alternate", 170.0, 1.0): {
+        "proposals": 3831,
+        "left_proposals": 2377,
+        "series_terms_max": 9,
+        "accepted": 2752,
+    },
+    ("alternate", 170.0, 8.0): {
+        "proposals": 2757,
+        "left_proposals": 2757,
+        "series_terms_max": 2,
+        "accepted": 2752,
+    },
     ("saddlepoint", 13.0, 0.0): {
         "proposals": 75,
         "left_proposals": 55,
@@ -1400,10 +1718,15 @@ def _scalar(route, b, z, method):
 
 
 CASES = _cases()
-AUTO_CASES = [(AUTO_ROUTE[b], b, z) for b in sorted(AUTO_ROUTE) for z in TILTS]
+# One auto cell per shape and tilt, named after the shape's range in the
+# hybrid rule (its route by shape alone); it checks the draws of the
+# route auto takes at this size, AUTO_ROUTE[b].
+AUTO_CASES = [(choose_method(b).value, b, z) for b in sorted(AUTO_ROUTE)
+              for z in TILTS]
 
 
 def test_grid_matches_tables():
+    assert SIZE < SADDLE_MIN_SIZE
     assert set(BATCH) == set(SCALAR) == set(CASES)
     assert set(COUNTERS) == set(
         _cases(("devroye", "alternate", "saddlepoint")))
@@ -1414,8 +1737,9 @@ def test_batch_forced(route, b, z):
     assert _batch(route, b, z, route) == BATCH[(route, b, z)]
 
 
-@pytest.mark.parametrize("route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
-def test_batch_auto(route, b, z):
+@pytest.mark.parametrize("shape_route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
+def test_batch_auto(shape_route, b, z):
+    route = AUTO_ROUTE[b]
     assert _batch(route, b, z, "auto") == BATCH[(route, b, z)]
 
 
@@ -1424,8 +1748,9 @@ def test_scalar_forced(route, b, z):
     assert _scalar(route, b, z, route) == SCALAR[(route, b, z)]
 
 
-@pytest.mark.parametrize("route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
-def test_scalar_auto(route, b, z):
+@pytest.mark.parametrize("shape_route,b,z", AUTO_CASES, ids=_ids(AUTO_CASES))
+def test_scalar_auto(shape_route, b, z):
+    route = AUTO_ROUTE[b]
     assert _scalar(route, b, z, "auto") == SCALAR[(route, b, z)]
 
 

@@ -9,6 +9,7 @@ from pgrv.devroye import sample_jstar1_batch
 from pgrv.pg import (
     GAMMA_SUM_TERMS,
     Method,
+    SADDLE_MIN_SIZE,
     PgParams,
     SamplerThresholds,
     choose_method,
@@ -21,6 +22,7 @@ from pgrv.pg import (
 from pgrv.rng import RngStream
 
 N = 100_000
+CUT = SADDLE_MIN_SIZE
 
 
 def series_pg_moments(b, z, n_terms=1_000_000):
@@ -90,10 +92,30 @@ class TestDispatch:
         assert choose_method(3.0, th) is Method.DEVROYE
         assert choose_method(15.0, th) is Method.ALTERNATE
         assert choose_method(101.0, th) is Method.NORMAL
+        assert choose_method(50.0, th, size=CUT - 1) is Method.ALTERNATE
+        assert choose_method(50.0, th, size=CUT) is Method.SADDLEPOINT
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             SamplerThresholds(devroye_max=5, alternate_max=3.0)
+
+    @pytest.mark.parametrize("b", [13.0, 13.5, 40.0, 100.5, 170.0])
+    def test_small_batches_of_saddle_shapes_take_alternate(self, b):
+        for size in (1, 2, CUT - 1):
+            assert choose_method(b, size=size) is Method.ALTERNATE
+        for size in (CUT, 4 * CUT, 10 ** 6):
+            assert choose_method(b, size=size) is Method.SADDLEPOINT
+        assert choose_method(b, size=None) is Method.SADDLEPOINT
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 2.5, 12.9])
+    def test_size_leaves_smaller_shapes_alone(self, b):
+        for size in (1, CUT - 1, CUT, 10 ** 6):
+            assert choose_method(b, size=size) is choose_method(b)
+
+    @pytest.mark.parametrize("b", [170.5, 1e4])
+    def test_normal_above_saddle_max_at_any_size(self, b):
+        for size in (None, 1, CUT - 1, CUT, 10 ** 6):
+            assert choose_method(b, size=size) is Method.NORMAL
 
     def test_method_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -194,6 +216,31 @@ class TestSampling:
             x = sample_pg_batch(PgParams(b, 1.0), RngStream(16), size=5000,
                                 method=method)
             assert x.min() > 0.0
+
+    @pytest.mark.parametrize("b", [13.5, 40.0, 170.0])
+    def test_auto_route_follows_batch_size(self, b):
+        # one draw and a batch below the cut are the alternate sampler's
+        # draws bit for bit, a batch at the cut the saddlepoint's
+        p = PgParams(b, 3.4)
+        rng, ref = RngStream(18), RngStream(18)
+        for _ in range(3):
+            assert sample_pg(p, rng) == sample_pg(p, ref, method="alternate")
+        for size, method in ((CUT - 1, "alternate"), (CUT, "saddlepoint")):
+            got = sample_pg_batch(p, rng, size=size)
+            want = sample_pg_batch(p, ref, size=size, method=method)
+            assert np.array_equal(got, want)
+        assert rng.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("b,z", [(100.0, 1e5), (14.0, 1e8), (40.0, 1e6)])
+    def test_single_draws_where_saddle_envelope_fails(self, b, z):
+        # the saddlepoint envelope fails its dominance spot check at these
+        # tilts (EnvelopeValidityError); one draw takes the exact route
+        p = PgParams(b, z)
+        rng = RngStream(19)
+        x = np.array([sample_pg(p, rng) for _ in range(200)])
+        assert np.all(np.isfinite(x)) and x.min() > 0.0
+        score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / x.size)
+        assert abs(score) <= 5.0
 
     @pytest.mark.parametrize("b,z,method", [(1.0, 1e5, "devroye"),
                                             (2.5, 1e3, "alternate"),

@@ -6,11 +6,18 @@ draws 64 values with ``sample_pg_batch``, then three values one at a
 time with ``sample_pg``; the uniform drawn after them pins the stream
 state the call leaves behind.  The batch samplers' ``counters=`` dicts
 are pinned for the same cells.  Expected floats are stored as
-``float.hex`` so the comparison is exact.  A change that alters any of
+``float.hex`` so the comparison is exact.
+
+A second, one-draw table pins ``sample_pg`` on the routes whose single
+draw fills one J* candidate slot (devroye at b = 1, alternate at
+b <= 4): 200 draws cycled over a tilt ladder, stored as the sha256 of
+their ``float.hex`` strings, plus the uniform drawn after them and the
+counters of one size-1 J* call.  A change that alters any of
 these values changes the draws a seed produces: regenerate the file
 only when that is the intent.
 """
 
+import hashlib
 import zlib
 
 import numpy as np
@@ -1774,3 +1781,104 @@ def test_sampler_counters(route, b, z):
                                            counters=counters)
     assert counters == COUNTERS[(route, b, z)]
     assert _hex(np.asarray(draws) / 4.0) == BATCH[(route, b, z)][0]
+
+
+# One-draw table.  The ladder holds PG tilts: 0, a negative tilt, both
+# sides of every switch between the truncated-IG kernel and the Wald
+# draw (PG z = 2h/t(h): 1.938 at h = 4, 1.958 at 2.5, 2.062 at 1.5,
+# pi at 1), and tilts large enough that a_0 underflows at the proposals.
+ONE_DRAW_TILTS = (0.0, 1.0, -1.0, 1.9, 1.95, 2.0, 2.1, 3.1, 3.2, 8.0, 30.0,
+                  100.0, 1e3, 4e3, 1e5)
+ONE_DRAW_COUNT = 200
+
+# (route, b): (sha256 of the 200 draws' float.hex strings, joined by
+# spaces; the uniform drawn after them)
+ONE_DRAW = {
+    ("devroye", 1.0): (
+        "aa4d1b9c0c50d71c14997d6a5a28e8bce35ac900a7e7e319b2cd6e70beae3225",
+        "0x1.8fc5d83bef004p-1",
+    ),
+    ("alternate", 1.0): (
+        "5b5674e29969182df35127ab9bd4e2ca254c2319032194ed0c79f1da36ec7825",
+        "0x1.e97195aec46ccp-1",
+    ),
+    ("alternate", 1.5): (
+        "662deafaed72efc6941f5da552b9d2482e9448f888d0ece0bdc6b35f6dec2dc0",
+        "0x1.bdb7ac6a94e7fp-1",
+    ),
+    ("alternate", 2.5): (
+        "b2ba0a9b9f7b7301a51d4472a75f1e86404547a5f7114772a0495c18d3e38c9b",
+        "0x1.9b3d3c70f322ap-1",
+    ),
+    ("alternate", 4.0): (
+        "037e328effdc30913e2823c51352a0a3d4428ca951a91d47138a67ab649c1aed",
+        "0x1.00611abe983fep-2",
+    ),
+}
+
+# (route, b, z): counters of one size-1 call of the J* sampler
+ONE_DRAW_COUNTERS = {
+    ("devroye", 1.0, 0.0): {"proposals": 1, "left_proposals": 0,
+                            "series_index_sum": 1, "series_index_max": 1,
+                            "accepted": 1},
+    ("devroye", 1.0, 1.0): {"proposals": 1, "left_proposals": 0,
+                            "series_index_sum": 1, "series_index_max": 1,
+                            "accepted": 1},
+    ("devroye", 1.0, 8.0): {"proposals": 1, "left_proposals": 1,
+                            "series_index_sum": 1, "series_index_max": 1,
+                            "accepted": 1},
+    ("alternate", 1.0, 0.0): {"proposals": 1, "left_proposals": 0,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 1.0, 1.0): {"proposals": 1, "left_proposals": 0,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 1.0, 8.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 1.5, 0.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 1.5, 1.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 1.5, 8.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 2.5, 0.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 2.5, 1.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 2.5, 8.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 4.0, 0.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 4.0, 1.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+    ("alternate", 4.0, 8.0): {"proposals": 1, "left_proposals": 1,
+                              "series_terms_max": 1, "accepted": 1},
+}
+
+
+def _one_draw_ids(keys):
+    return ["-".join(f"{v:g}" if isinstance(v, float) else v for v in key)
+            for key in keys]
+
+
+@pytest.mark.parametrize("route,b", sorted(ONE_DRAW),
+                         ids=_one_draw_ids(sorted(ONE_DRAW)))
+def test_one_draw(route, b):
+    rng = RngStream(zlib.crc32(f"one/{route}/{b!r}".encode()))
+    draws = [sample_pg(PgParams(b, ONE_DRAW_TILTS[i % len(ONE_DRAW_TILTS)]),
+                       rng, method=route)
+             for i in range(ONE_DRAW_COUNT)]
+    assert all(isinstance(v, float) for v in draws)
+    digest = hashlib.sha256(_hex(draws).encode()).hexdigest()
+    assert (digest, float(rng.uniform()).hex()) == ONE_DRAW[(route, b)]
+
+
+@pytest.mark.parametrize("route,b,z", sorted(ONE_DRAW_COUNTERS),
+                         ids=_one_draw_ids(sorted(ONE_DRAW_COUNTERS)))
+def test_one_draw_counters(route, b, z):
+    rng = RngStream(_seed(route, b, z))
+    counters = {}
+    if route == "devroye":
+        devroye.sample_jstar1_batch(z / 2.0, 1, rng, counters=counters)
+    else:
+        alternate.sample_jstar_alt_batch(b, z / 2.0, 1, rng,
+                                         counters=counters)
+    assert counters == ONE_DRAW_COUNTERS[(route, b, z)]

@@ -100,6 +100,11 @@ class _RatioCoefficients:
         # piece here carries the z=0 rate (the proposal draw keeps the
         # tilted one)
         log_a0 = _log_kernel_ell_unit(x, self.h)
+        if isinstance(x, float):
+            log_k = (log_a0 if x < self.trunc
+                     else _log_kernel_r_unit(x, self.h, _LAM0))
+            self.a, self.decreasing = 1.0, False
+            return float(np.exp(log_k - log_a0)), 1.0
         log_k = np.where(x < self.trunc, log_a0,
                          _log_kernel_r_unit(x, self.h, _LAM0))
         self.a = np.ones(x.shape)
@@ -108,13 +113,18 @@ class _RatioCoefficients:
 
     def step(self, n, x, idx):
         r = coef_ratio(n - 1, x, self.h)
+        if idx is None:
+            self.a = a = self.a * r
+            self.decreasing = dec = self.decreasing or r < 1.0
+            return a, dec
         self.a[idx] = a = self.a[idx] * r
         self.decreasing[idx] = dec = self.decreasing[idx] | (r < 1.0)
         return a, dec
 
 
 def sample_jstar_alt_batch(h, z, size, rng, counters=None):
-    """Fill an array with J*(h, z) draws for a single shape h in [1, 4]."""
+    """Fill an array with J*(h, z) draws for a single shape h in [1, 4];
+    ``size=None`` gives one float."""
     h = float(h)
     z = float(abs(z))
     if not (H_MIN <= h <= H_MAX):
@@ -141,7 +151,7 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
                                                     size=m),
         draw_right, counters)
     return _fill_by_rejection(
-        int(size), propose,
+        size, propose,
         lambda x: devroye._series_decide(x, rng, policy, counters), counters)
 
 
@@ -156,7 +166,7 @@ def sample_jstar_real_batch(h, z, size, rng, counters=None):
 
     Shapes above 4 are drawn as a sum of m = ceil(h/4) independent
     equal-shape pieces; equal pieces keep the worst per-piece acceptance
-    constant as small as possible.
+    constant as small as possible.  ``size=None`` gives one float.
     """
     h = float(h)
     if h < H_MIN:
@@ -164,6 +174,7 @@ def sample_jstar_real_batch(h, z, size, rng, counters=None):
     m, piece = _pieces(h)
     if m == 1:
         return sample_jstar_alt_batch(h, z, size, rng, counters=counters)
-    draws = sample_jstar_alt_batch(piece, z, m * int(size), rng,
-                                   counters=counters)
-    return draws.reshape(int(size), m).sum(axis=1)
+    k = 1 if size is None else int(size)
+    draws = sample_jstar_alt_batch(piece, z, m * k, rng, counters=counters)
+    sums = draws.reshape(k, m).sum(axis=1)
+    return float(sums[0]) if size is None else sums

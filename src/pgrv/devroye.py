@@ -63,11 +63,16 @@ class _PastedCoefficients:
     counter_keys = ("series_index_sum", "series_index_max")
 
     def start(self, x):
+        if isinstance(x, float):
+            return 1.0, 1.0
         one = np.ones(x.shape)
         return one, one
 
     def step(self, n, x, idx):
-        rate = np.where(x <= TRUNC_POINT, 2.0 / x, 0.5 * np.pi ** 2 * x)
+        if idx is None:
+            rate = 2.0 / x if x <= TRUNC_POINT else 0.5 * np.pi ** 2 * x
+        else:
+            rate = np.where(x <= TRUNC_POINT, 2.0 / x, 0.5 * np.pi ** 2 * x)
         return (2.0 * n + 1.0) * np.exp(-n * (n + 1.0) * rate), True
 
 
@@ -83,8 +88,11 @@ def _series_decide(x, rng, policy, counters=None):
     the first odd n with u <= S_n, reject at the first even n with
     u >= S_n.  Under a policy that ``checks_domination``, a bracketing
     odd sum above k (beyond slack) proves the kernel does not dominate
-    there and raises :class:`DominationViolationError`.
+    there and raises :class:`DominationViolationError`.  A float ``x``
+    is decided by :func:`_decide_one` and gives a bool.
     """
+    if isinstance(x, float):
+        return _decide_one(x, rng, policy, counters)
     u = rng.uniform(x.size)
     bound, s = policy.start(np.maximum(x, _X_FLOOR))
     u = u * bound
@@ -113,10 +121,7 @@ def _series_decide(x, rng, policy, counters=None):
             if policy.checks_domination:
                 viol = can & (s > bound[idx] * (1.0 + DOMINATION_SLACK))
                 if viol.any():
-                    raise DominationViolationError(
-                        f"lower partial sum exceeded the bounding kernel at "
-                        f"x={x[viol][0]!r}; kernel domination fails here"
-                    )
+                    raise _domination_error(x[viol][0])
         else:
             s = s + coef
             hit = can & (u >= s)
@@ -131,21 +136,69 @@ def _series_decide(x, rng, policy, counters=None):
             if idx.size:
                 x, u, s = x[keep], u[keep], s[keep]
     if idx.size:
-        raise IterationCapError(
-            "alternating series failed to decide within "
-            f"{_MAX_SERIES_TERMS} terms"
-        )
+        raise _series_cap_error()
     if counters is not None and term_max:
-        # decision terms, under the policy's (sum, max) counter keys
-        sum_key, max_key = policy.counter_keys
-        if sum_key:
-            counters[sum_key] = counters.get(sum_key, 0) + term_sum
-        counters[max_key] = max(counters.get(max_key, 0), term_max)
+        _count_terms(counters, policy, term_sum, term_max)
     return accept
 
 
+def _decide_one(x, rng, policy, counters):
+    """:func:`_series_decide` for one float candidate, on floats.
+
+    It draws the same uniform, takes the same decisions at the same n
+    and raises the same errors as the array path does for a 1-element
+    array; the policy's ``step`` gets ``idx=None``.
+    """
+    u = rng.uniform()
+    bound, s = policy.start(max(x, _X_FLOOR))
+    u = u * bound
+    if not (x > _X_FLOOR and bound > 0.0):
+        return False
+    for n in range(1, _MAX_SERIES_TERMS + 1):
+        coef, can = policy.step(n, x, None)
+        vanished = can and coef <= 1e-300
+        if n % 2:
+            s = s - coef
+            hit = can and u <= s
+            if (policy.checks_domination and can
+                    and s > bound * (1.0 + DOMINATION_SLACK)):
+                raise _domination_error(x)
+            accept = hit
+        else:
+            s = s + coef
+            hit = can and u >= s
+            accept = vanished and not hit
+        if hit or vanished:
+            if counters is not None:
+                _count_terms(counters, policy, n, n)
+            return bool(accept)
+    raise _series_cap_error()
+
+
+def _domination_error(x):
+    return DominationViolationError(
+        f"lower partial sum exceeded the bounding kernel at x={x!r}; "
+        "kernel domination fails here"
+    )
+
+
+def _series_cap_error():
+    return IterationCapError(
+        f"alternating series failed to decide within {_MAX_SERIES_TERMS} terms"
+    )
+
+
+def _count_terms(counters, policy, term_sum, term_max):
+    # decision terms, under the policy's (sum, max) counter keys
+    sum_key, max_key = policy.counter_keys
+    if sum_key:
+        counters[sum_key] = counters.get(sum_key, 0) + term_sum
+    counters[max_key] = max(counters.get(max_key, 0), term_max)
+
+
 def sample_jstar1_batch(z, size, rng, counters=None):
-    """Fill an array with exact J*(1, z) draws."""
+    """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
+    float."""
     mix = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
     mu = np.inf if mix.z == 0.0 else 1.0 / mix.z
     policy = _PastedCoefficients()
@@ -155,16 +208,19 @@ def sample_jstar1_batch(z, size, rng, counters=None):
                                                     size=m),
         lambda m: TRUNC_POINT + rng.exponential(m) / mix.lam_z, counters)
     return _fill_by_rejection(
-        int(size), propose, lambda x: _series_decide(x, rng, policy, counters),
+        size, propose, lambda x: _series_decide(x, rng, policy, counters),
         counters)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):
-    """Exact J*(n, z) draws for integer n >= 1, by summing unit draws."""
+    """Exact J*(n, z) draws for integer n >= 1, by summing unit draws;
+    ``size=None`` gives one float."""
     n = int(n)
     if n < 1:
         raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
-    draws = sample_jstar1_batch(z, n * int(size), rng, counters=counters)
     if n == 1:
-        return draws
-    return draws.reshape(int(size), n).sum(axis=1)
+        return sample_jstar1_batch(z, size, rng, counters=counters)
+    k = 1 if size is None else int(size)
+    draws = sample_jstar1_batch(z, n * k, rng, counters=counters)
+    sums = draws.reshape(k, n).sum(axis=1)
+    return float(sums[0]) if size is None else sums

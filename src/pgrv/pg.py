@@ -125,8 +125,8 @@ def choose_method(b, thresholds=None, size=None):
     """
     th = thresholds or DEFAULT_THRESHOLDS
     b = float(b)
-    if b <= 0.0:
-        raise ValueError("choose_method: b must be positive")
+    if not (b > 0.0) or not math.isfinite(b):
+        raise ValueError("choose_method: b must be positive and finite")
     if b < 1.0:
         return Method.GAMMA_SUM
     if b == int(b) and b <= th.devroye_max:
@@ -174,22 +174,40 @@ def sample_pg_normal(params, rng, size=None):
     """
     mean = pg_mean(params)
     sd = np.sqrt(pg_var(params))
-    x = _fill_by_rejection(1 if size is None else int(size),
-                           lambda k: mean + sd * rng.normal(k),
+    x = _fill_by_rejection(size, lambda k: mean + sd * rng.normal(k),
                            lambda x: x > 0.0, max_rounds=MAX_REJECTION_ROUNDS)
-    return float(x[0]) if size is None else x
+    return float(x) if size is None else x
+
+
+def _draw(m, params, rng, size):
+    """PG(b, z) draws on route ``m``; ``size=None`` gives one float."""
+    if m is Method.NORMAL:
+        return sample_pg_normal(params, rng, size)
+    b, zj = params.b, abs(params.z) / 2.0
+    if m is Method.DEVROYE:
+        x = devroye.sample_jstar_int_batch(int(b), zj, size, rng)
+    elif m is Method.ALTERNATE:
+        x = alternate.sample_jstar_real_batch(b, zj, size, rng)
+    elif m is Method.SADDLEPOINT:
+        x = saddle.sample_saddle_batch(b, zj, size, rng)
+    else:
+        x = sample_gamma_sum(params.jstar, GAMMA_SUM_TERMS, rng, size=size)
+    x /= 4.0
+    return x
 
 
 def sample_pg(params, rng, method="auto", thresholds=None):
-    """One draw from PG(b, z).
+    """One draw from PG(b, z), as a float.
 
     The hybrid rule sees a batch of one, so it never picks the
     saddlepoint route.  ``method`` overrides the rule; invalid
     method/shape pairings (e.g. devroye with a non-integer shape) raise
-    ValueError.
+    ValueError.  Where the draw fills one J* candidate (devroye at b = 1,
+    the alternate sampler at b <= 4) it runs on floats end to end, with
+    the draws and stream state of a batch of one.
     """
-    return float(sample_pg_batch(params, rng, size=1, method=method,
-                                 thresholds=thresholds)[0])
+    m = _resolve_method(method, params.b, thresholds, 1)
+    return float(_draw(m, params, rng, None))
 
 
 def sample_pg_batch(params, rng, size=None, out=None, method="auto",
@@ -209,19 +227,6 @@ def sample_pg_batch(params, rng, size=None, out=None, method="auto",
     n = out.shape[0]
     if n == 0:
         return out
-    m = _resolve_method(method, params.b, thresholds, n)
-    b = params.b
-    zj = abs(params.z) / 2.0
-    if m is Method.NORMAL:
-        out[:] = sample_pg_normal(params, rng, size=n)
-        return out
-    if m is Method.DEVROYE:
-        out[:] = devroye.sample_jstar_int_batch(int(b), zj, n, rng)
-    elif m is Method.ALTERNATE:
-        out[:] = alternate.sample_jstar_real_batch(b, zj, n, rng)
-    elif m is Method.SADDLEPOINT:
-        out[:] = saddle.sample_saddle_batch(b, zj, n, rng)
-    else:
-        out[:] = sample_gamma_sum(params.jstar, GAMMA_SUM_TERMS, rng, size=n)
-    out /= 4.0
+    out[:] = _draw(_resolve_method(method, params.b, thresholds, n), params,
+                   rng, n)
     return out

@@ -8,10 +8,15 @@ derive independent substreams with :meth:`RngStream.spawn` instead.
 
 :func:`_fill_by_rejection` is the one rejection loop: the samplers and
 the truncated inverse-Gaussian draw differ only in the proposal and the
-accept test they hand it.  The engine is meant to be cheap at k = 1 (one
-draw per call, as in a Gibbs sweep where every tilt differs) as well as
-at large k: a round costs a fixed handful of array operations, and the
-first round's candidates become the output without a copy.
+accept test they hand it.  A batch runs its rounds on arrays, and the
+first round's candidates become the output without a copy.  One draw
+per call, as in a Gibbs sweep where every tilt differs, takes the
+one-candidate path: ``size=None`` (the convention of the
+:class:`RngStream` draws) runs every round on Python floats, through the
+same proposals and accept tests, each of which has a float branch.  Both
+paths consume the stream identically and give bit-identical draws; the
+float branches use numpy's ``exp``/``log``, whose results can differ
+from :mod:`math` in the last ulp.
 """
 
 import math
@@ -32,9 +37,6 @@ __all__ = [
 # smaller budget, the J* samplers built on them the larger one.
 MAX_REJECTION_ROUNDS = 10_000
 MAX_PROPOSAL_ROUNDS = 1_000_000
-
-_NO_SLOTS = np.empty(0, dtype=np.intp)
-
 
 class RngStream:
     """Deterministic uniform random source (PCG64 behind the scenes).
@@ -93,38 +95,52 @@ class RngStream:
         return self._gen.wald(mu, lam, size=size)
 
 
-def _fill_by_rejection(n, propose, accept, counters=None,
+def _fill_by_rejection(size, propose, accept, counters=None,
                        max_rounds=MAX_PROPOSAL_ROUNDS):
-    """Fill ``n`` slots by rejection sampling and return them.
+    """Fill ``size`` slots by rejection sampling and return them.
 
     Each round ``propose(k)`` draws candidates for the k still-pending
     slots and ``accept(x)`` returns the mask of those kept; the rest are
-    redrawn next round.  Raises :class:`IterationCapError` when slots are
-    still pending after ``max_rounds`` rounds.  ``counters``, when given,
-    accumulates ``proposals`` and ``accepted``.
+    redrawn next round.  ``size=None`` fills one slot on floats:
+    ``propose(None)`` returns one float candidate, ``accept`` one bool,
+    and the accepted float is returned.  Raises
+    :class:`IterationCapError` when slots are still pending after
+    ``max_rounds`` rounds.  ``counters``, when given, accumulates
+    ``proposals`` and ``accepted``.
     """
-    if n == 0:
+    if size is None:
+        for _ in range(max_rounds):
+            if counters is not None:
+                counters["proposals"] = counters.get("proposals", 0) + 1
+            x = propose(None)
+            ok = bool(accept(x))
+            if counters is not None:
+                counters["accepted"] = counters.get("accepted", 0) + ok
+            if ok:
+                return x
+    elif int(size) == 0:
         return np.empty(0)
-    # the first round proposes for every slot, so its candidates become
-    # the output; later rounds redraw only the rejected slots
-    pending = None
-    for _ in range(max_rounds):
-        k = n if pending is None else pending.size
-        if counters is not None:
-            counters["proposals"] = counters.get("proposals", 0) + k
-        x = propose(k)
-        ok = accept(x)
-        n_ok = np.count_nonzero(ok)
-        if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + n_ok
-        if pending is None:
-            out = x
-            pending = np.nonzero(~ok)[0] if n_ok < k else _NO_SLOTS
-        elif n_ok:
-            out[pending[ok]] = x[ok]
-            pending = pending[~ok]
-        if not pending.size:
-            return out
+    else:
+        # the first round proposes for every slot, so its candidates
+        # become the output; later rounds redraw only the rejected slots
+        n, pending = int(size), None
+        for _ in range(max_rounds):
+            k = n if pending is None else pending.size
+            if counters is not None:
+                counters["proposals"] = counters.get("proposals", 0) + k
+            x = propose(k)
+            ok = accept(x)
+            n_ok = np.count_nonzero(ok)
+            if counters is not None:
+                counters["accepted"] = counters.get("accepted", 0) + n_ok
+            if pending is None:
+                out = x
+                pending = np.nonzero(~ok)[0]
+            elif n_ok:
+                out[pending[ok]] = x[ok]
+                pending = pending[~ok]
+            if not pending.size:
+                return out
     raise IterationCapError(
         f"rejection sampler exhausted its budget of {max_rounds} rounds"
     )
@@ -133,8 +149,15 @@ def _fill_by_rejection(n, propose, accept, counters=None,
 def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
     """``propose`` for :func:`_fill_by_rejection`: each candidate comes
     from ``draw_left(m)`` with probability ``left_fraction``, else from
-    ``draw_right(m)``; ``counters`` accumulates ``left_proposals``."""
+    ``draw_right(m)``; ``counters`` accumulates ``left_proposals``.  One
+    float candidate calls one side with ``m=None``."""
     def propose(k):
+        if k is None:
+            left = rng.uniform() < left_fraction
+            if counters is not None:
+                counters["left_proposals"] = (counters.get("left_proposals", 0)
+                                              + left)
+            return draw_left(None) if left else draw_right(None)
         take_left = rng.uniform(k) < left_fraction
         n_left = np.count_nonzero(take_left)
         if counters is not None:
@@ -176,23 +199,23 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
             "sample_truncated_inverse_gaussian: parameters must be positive"
         )
     mu, right = mu / lam, right / lam
-    if size is None:
-        n = 1
-    else:
-        n = math.prod(size) if np.iterable(size) else int(size)
     # exactly 0 at mu=inf: no drift to thin with
     inv_two_musq = 0.5 / (mu * mu)
 
     def propose_kernel(k):
         e1 = rng.exponential(k)
         kernel_ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
+        d = 1.0 + right * e1
         # a candidate the kernel rejects is moved outside (0, right]
-        return np.where(kernel_ok, right / (1.0 + right * e1) ** 2, np.inf)
+        if k is None:
+            return right / (d * d) if kernel_ok else math.inf
+        return np.where(kernel_ok, right / (d * d), np.inf)
 
     def accept_kernel(x):
         ok = x <= right
         if inv_two_musq > 0.0:
-            ok &= rng.uniform(x.size) <= np.exp(-x * inv_two_musq)
+            u = rng.uniform(None if isinstance(x, float) else x.size)
+            ok &= u <= np.exp(-x * inv_two_musq)
         return ok
 
     if mu > right:
@@ -200,10 +223,12 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
     else:
         propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
                            lambda x: x < right)
+    if size is None:
+        return lam * _fill_by_rejection(None, propose, accept,
+                                        max_rounds=max_rounds)
+    n = math.prod(size) if np.iterable(size) else int(size)
     x = _fill_by_rejection(n, propose, accept, max_rounds=max_rounds)
     x *= lam
-    if size is None:
-        return float(x[0])
     return x.reshape(size)
 
 

@@ -387,7 +387,8 @@ def build_envelope(n, z):
 
 
 def sample_saddle_batch(n, z, size, rng, counters=None):
-    """Fill an array with approximate J*(n, z) draws (saddlepoint method).
+    """Fill an array with approximate J*(n, z) draws (saddlepoint method);
+    ``size=None`` gives one float.
 
     Intended for large shapes (n of order 10 and up); the relative density
     error of the saddlepoint approximation decays like 1/n.
@@ -407,7 +408,9 @@ def sample_saddle_batch(n, z, size, rng, counters=None):
         log_u = np.log(rng.uniform(x.size))
         return log_u + _log_envelope(env, x) <= _log_sp_vec(x, n, z)
 
-    return n * _fill_by_rejection(int(size), propose, accept, counters)
+    x = n * _fill_by_rejection(1 if size is None else size, propose, accept,
+                               counters)
+    return float(x[0]) if size is None else x
 
 
 def check_curvature_monotonicity(z, x_grid=None, warn=True):

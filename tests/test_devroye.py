@@ -11,15 +11,23 @@ from pgrv.density import (
     density,
     jstar_var,
     sample_gamma_sum,
+    trunc_lookup,
 )
+from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import (
     TRUNC_POINT,
     _coef_unit,
     _PastedCoefficients,
+    _series_decide,
     sample_jstar1_batch,
     sample_jstar_int_batch,
 )
-from pgrv.rng import RngStream
+from pgrv.errors import DominationViolationError, IterationCapError
+from pgrv.rng import (
+    RngStream,
+    _fill_by_rejection,
+    sample_truncated_inverse_gaussian,
+)
 
 N = 100_000
 KS_LEVEL = 0.001
@@ -146,3 +154,74 @@ def test_acceptance_rate_matches_mass_ratio():
 def test_support_strictly_positive():
     x = sample_jstar1_batch(1.0, 1_000_000, RngStream(15))
     assert x.min() > 0.0
+
+
+# -- one-candidate path: a float candidate keeps every check of the array
+# path for a 1-element array, with the same stream use and counters
+
+class _HalfBound(_RatioCoefficients):
+    """Ratio policy with its bound halved: the kernel no longer dominates."""
+
+    def start(self, x):
+        bound, lead = super().start(x)
+        return bound * 0.5, lead
+
+
+class _NeverDecreasing(_PastedCoefficients):
+    """Pasted policy that never lets the series decide."""
+
+    def step(self, n, x, idx):
+        coef, _ = super().step(n, x, idx)
+        return coef, (False if idx is None else np.zeros(np.shape(x), bool))
+
+
+def _float_and_array(x):
+    return [float(x), np.array([float(x)])]
+
+
+@pytest.mark.parametrize("x,policy", [
+    (1e-13, _PastedCoefficients()),                      # below _X_FLOOR
+    (1e-13, _RatioCoefficients(2.5, trunc_lookup(2.5))),
+    (1e4, _RatioCoefficients(2.5, trunc_lookup(2.5))),   # bound underflows
+])
+def test_one_candidate_rejects_unusable_points(x, policy):
+    results = []
+    for cand in _float_and_array(x):
+        rng, counters = RngStream(3), {}
+        accept = _series_decide(cand, rng, policy, counters)
+        results.append((bool(np.all(accept)), counters, rng.uniform()))
+    assert results[0] == results[1]
+    assert results[0][:2] == (False, {})
+
+
+def test_one_candidate_checks_domination():
+    policy = _HalfBound(2.5, trunc_lookup(2.5))
+    for cand in _float_and_array(0.2):
+        with pytest.raises(DominationViolationError):
+            _series_decide(cand, RngStream(4), policy)
+
+
+def test_one_candidate_series_cap():
+    for cand in _float_and_array(0.5):
+        with pytest.raises(IterationCapError):
+            _series_decide(cand, RngStream(5), _NeverDecreasing())
+
+
+def test_one_candidate_round_caps():
+    with pytest.raises(IterationCapError):
+        _fill_by_rejection(None, lambda k: 1.0, lambda x: False, max_rounds=3)
+    with pytest.raises(IterationCapError):
+        sample_truncated_inverse_gaussian(1e9, 1e-6, 1e8, RngStream(23),
+                                          max_rounds=2)
+
+
+@pytest.mark.parametrize("mu,right", [(10.0, 0.64), (0.3, 0.64),
+                                      (np.inf, 0.64), (2.0, 1.5)])
+def test_one_candidate_truncated_ig_matches_array(mu, right):
+    # both regimes (zero-drift kernel with thinning, Wald) and mu=inf
+    for seed in range(200):
+        a, b = RngStream(seed), RngStream(seed)
+        x = sample_truncated_inverse_gaussian(mu, 5.0, right, a)
+        y = sample_truncated_inverse_gaussian(mu, 5.0, right, b, size=1)
+        assert type(x) is float and x.hex() == float(y[0]).hex()
+        assert a.uniform() == b.uniform()

@@ -1882,3 +1882,23 @@ def test_one_draw_counters(route, b, z):
         alternate.sample_jstar_alt_batch(b, z / 2.0, 1, rng,
                                          counters=counters)
     assert counters == ONE_DRAW_COUNTERS[(route, b, z)]
+
+
+@pytest.mark.parametrize("route,b", sorted(ONE_DRAW),
+                         ids=_one_draw_ids(sorted(ONE_DRAW)))
+def test_one_candidate_path_matches_batch_of_one(route, b):
+    # size=None runs the rejection on floats; over the ladder it must give
+    # the draw, counters and stream state of a size-1 array call
+    for i, z in enumerate(ONE_DRAW_TILTS):
+        results = []
+        for size in (None, 1):
+            rng, counters = RngStream(i), {}
+            if route == "devroye":
+                x = devroye.sample_jstar1_batch(abs(z) / 2.0, size, rng,
+                                                counters=counters)
+            else:
+                x = alternate.sample_jstar_alt_batch(b, abs(z) / 2.0, size,
+                                                     rng, counters=counters)
+            x = float(x if size is None else x[0])
+            results.append((x.hex(), counters, rng.uniform()))
+        assert results[0] == results[1]

@@ -95,6 +95,12 @@ class TestDispatch:
         assert choose_method(50.0, th, size=CUT - 1) is Method.ALTERNATE
         assert choose_method(50.0, th, size=CUT) is Method.SADDLEPOINT
 
+    @pytest.mark.parametrize("b", [float("inf"), float("nan"),
+                                   float("-inf"), 0.0, -1.0])
+    def test_shape_must_be_positive_and_finite(self, b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            choose_method(b)
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             SamplerThresholds(devroye_max=5, alternate_max=3.0)

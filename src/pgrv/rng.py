@@ -205,8 +205,10 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
     def propose_kernel(k):
         e1 = rng.exponential(k)
         kernel_ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
+        # d * d, not d ** 2, so the float branch rounds as numpy's
+        # array square does; a candidate the kernel rejects is moved
+        # outside (0, right]
         d = 1.0 + right * e1
-        # a candidate the kernel rejects is moved outside (0, right]
         if k is None:
             return right / (d * d) if kernel_ok else math.inf
         return np.where(kernel_ok, right / (d * d), np.inf)

@@ -13,9 +13,7 @@ from .density import (
     density,
     jstar_mean,
     jstar_var,
-    load_trunc_table,
     sample_gamma_sum,
-    save_trunc_table,
     solve_trunc_point,
     trunc_lookup,
     verify_domination,
@@ -27,10 +25,8 @@ from .errors import (
     IterationCapError,
 )
 from .pg import (
-    DEFAULT_THRESHOLDS,
     Method,
     PgParams,
-    SamplerThresholds,
     choose_method,
     pg_mean,
     pg_var,
@@ -44,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "DEFAULT_THRESHOLDS",
     "DominationViolationError",
     "EnvelopeValidityError",
     "IterationCapError",
@@ -52,21 +47,18 @@ __all__ = [
     "Method",
     "PgParams",
     "RngStream",
-    "SamplerThresholds",
     "TruncTable",
     "build_trunc_table",
     "choose_method",
     "density",
     "jstar_mean",
     "jstar_var",
-    "load_trunc_table",
     "pg_mean",
     "pg_var",
     "sample_gamma_sum",
     "sample_pg",
     "sample_pg_batch",
     "sample_pg_normal",
-    "save_trunc_table",
     "solve_trunc_point",
     "trunc_lookup",
     "verify_domination",

@@ -17,6 +17,7 @@ lower partial sum that climbs above the kernel aborts the draw instead of
 silently returning biased output.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -48,23 +49,12 @@ H_MIN, H_MAX = 1.0, 4.0
 # untilted rate of the right kernel piece (pi^2/8)
 _LAM0 = np.pi ** 2 / 8.0
 
-# Shapes whose coarse domination guard has run; value True means the
-# alternate path may be used.  Keyed by the exact shape.
-_guard_cache = {}
-_GUARD_CACHE_MAX = 8192
-
-
+@functools.lru_cache(maxsize=8192)
 def _domination_guard(h):
-    """Run the coarse domination check once per shape."""
-    ok = _guard_cache.get(h)
-    if ok is None:
-        grid = np.logspace(np.log10(0.02), np.log10(10.0), 200)
-        report = verify_domination(h, grid, refine=False)
-        ok = report.passed
-        if len(_guard_cache) >= _GUARD_CACHE_MAX:
-            _guard_cache.clear()
-        _guard_cache[h] = ok
-    return ok
+    """Run the coarse domination check once per shape; True means the
+    alternate path may be used."""
+    grid = np.logspace(np.log10(0.02), np.log10(10.0), 200)
+    return verify_domination(h, grid, refine=False).passed
 
 
 def acceptance_probability(h, z):

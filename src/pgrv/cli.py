@@ -1,5 +1,5 @@
 """Command-line tool: draw samples, run the benchmark grid, run the
-validation suites, and build the truncation table.  Everything emits CSV.
+validation suites, and print the paste points t(h).  All output is CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure.  All statistical output is deterministic for a fixed seed; only
@@ -19,9 +19,7 @@ from . import alternate, saddle
 from .density import (
     build_trunc_table,
     default_trunc_table,
-    load_trunc_table,
     sample_gamma_sum,
-    set_default_trunc_table,
     verify_domination,
 )
 from .errors import (
@@ -31,10 +29,11 @@ from .errors import (
     IterationCapError,
 )
 from .pg import (
-    DEFAULT_THRESHOLDS,
+    ALTERNATE_MAX,
     GAMMA_SUM_TERMS,
     Method,
     PgParams,
+    SADDLE_MAX,
     choose_method,
     pg_mean,
     pg_var,
@@ -73,8 +72,6 @@ def _build_parser():
                         help="base RNG seed (default 0)")
     shared.add_argument("--out", default="-",
                         help="output path ('-' for stdout, the default)")
-    shared.add_argument("--ttable", default=None,
-                        help="path to a precomputed truncation table CSV")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -107,17 +104,12 @@ def _build_parser():
                    help=argparse.SUPPRESS)
 
     p = sub.add_parser("table", parents=[shared],
-                       help="precompute the truncation-point table as CSV")
+                       help="print the truncation points t(h) as CSV")
     p.add_argument("--h-min", type=float, default=1.0)
     p.add_argument("--h-max", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.01)
 
     return parser
-
-
-def _install_ttable(path):
-    if path is not None:
-        set_default_trunc_table(load_trunc_table(path))
 
 
 class _Out:
@@ -163,9 +155,9 @@ def _bench_methods(b, z):
         methods.append(Method.DEVROYE)
     if b >= 1.0:
         methods.append(Method.ALTERNATE)
-    if b >= DEFAULT_THRESHOLDS.alternate_max:
+    if b >= ALTERNATE_MAX:
         methods.append(Method.SADDLEPOINT)
-    if b > DEFAULT_THRESHOLDS.saddle_max:
+    if b > SADDLE_MAX:
         methods.append(Method.NORMAL)
     methods.append(Method.GAMMA_SUM)
     return methods
@@ -174,6 +166,8 @@ def _bench_methods(b, z):
 def _cmd_bench(args):
     if not args.grid_b or not args.grid_z:
         raise ValueError("bench: grids must be nonempty")
+    if args.n < 1:
+        raise ValueError("bench: --n must be >= 1")
     cells = []
     for b in args.grid_b:
         for z in args.grid_z:
@@ -351,6 +345,8 @@ def _cmd_validate(args):
     unknown = set(suites) - set(VALIDATE_SUITES)
     if unknown:
         raise ValueError(f"validate: unknown suites {sorted(unknown)}")
+    if args.n < 2:
+        raise ValueError("validate: --n must be >= 2")
     # A corrupted threshold must surface as a failing record, proving the
     # harness cannot silently pass.
     allow_scale = 1e-6 if args.inject_fault else 1.0
@@ -413,7 +409,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _install_ttable(args.ttable)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

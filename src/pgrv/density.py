@@ -15,8 +15,6 @@ Everything here is pure and thread-safe except :func:`sample_gamma_sum`
 table, which is built once and read-only afterwards.
 """
 
-import csv
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -51,10 +49,7 @@ __all__ = [
     "TruncTable",
     "build_trunc_table",
     "trunc_lookup",
-    "save_trunc_table",
-    "load_trunc_table",
     "default_trunc_table",
-    "set_default_trunc_table",
     "DominationReport",
     "verify_domination",
 ]
@@ -414,35 +409,6 @@ def build_trunc_table(h_min=TRUNC_H_MIN, h_max=TRUNC_H_MAX, step=0.01):
     return TruncTable(h=hs, t=ts)
 
 
-def save_trunc_table(table, path_or_file):
-    """Write a table as two-column CSV (header ``h,t``), full precision."""
-    own = isinstance(path_or_file, (str, bytes))
-    f = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        w = csv.writer(f)
-        w.writerow(["h", "t"])
-        for h, t in zip(table.h, table.t):
-            w.writerow([f"{h:.17g}", f"{t:.17g}"])
-    finally:
-        if own:
-            f.close()
-
-
-def load_trunc_table(path_or_file):
-    """Read a table written by :func:`save_trunc_table`."""
-    own = isinstance(path_or_file, (str, bytes))
-    f = open(path_or_file, "r", newline="") if own else path_or_file
-    try:
-        rows = list(csv.reader(f))
-    finally:
-        if own:
-            f.close()
-    if not rows or rows[0] != ["h", "t"]:
-        raise ValueError("load_trunc_table: expected header 'h,t'")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    return TruncTable(h=data[:, 0], t=data[:, 1])
-
-
 _default_table = None
 _default_table_lock = threading.Lock()
 
@@ -459,15 +425,6 @@ def default_trunc_table():
             if _default_table is None:
                 _default_table = build_trunc_table(step=0.0025)
     return _default_table
-
-
-def set_default_trunc_table(table):
-    """Install a prebuilt or loaded table as the process-wide default."""
-    global _default_table
-    if not isinstance(table, TruncTable):
-        raise TypeError("set_default_trunc_table: expected a TruncTable")
-    with _default_table_lock:
-        _default_table = table
 
 
 def trunc_lookup(h):

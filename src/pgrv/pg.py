@@ -3,13 +3,13 @@ hybrid method dispatcher.
 
 PG(b, z) = J*(b, z/2)/4, so every draw is produced by one of the J*
 samplers and rescaled.  The hybrid rule picks the sampler by shape and
-batch size: unit-draw summation for integer b up to ``devroye_max``, the
-direct real-shape sampler below ``alternate_max``, the saddlepoint
-method up to ``saddle_max``, and a moment-matched normal beyond that.
+batch size: unit-draw summation for integer b up to ``DEVROYE_MAX``, the
+direct real-shape sampler below ``ALTERNATE_MAX``, the saddlepoint
+method up to ``SADDLE_MAX``, and a moment-matched normal beyond that.
 The saddlepoint builds an envelope for every (b, z) before its first
 draw, which only a batch of at least ``SADDLE_MIN_SIZE`` draws repays;
 smaller batches, and every single draw, of shapes in
-[``alternate_max``, ``saddle_max``] take the exact real-shape sampler
+[``ALTERNATE_MAX``, ``SADDLE_MAX``] take the exact real-shape sampler
 instead.  Shapes below 1 sit outside every exact sampler's validated
 range and fall back to the truncated gamma-convolution; that method
 (like the saddlepoint and normal routes) is approximate, which
@@ -32,8 +32,10 @@ from .rng import MAX_REJECTION_ROUNDS, _fill_by_rejection
 __all__ = [
     "PgParams",
     "Method",
-    "SamplerThresholds",
-    "DEFAULT_THRESHOLDS",
+    "DEVROYE_MAX",
+    "ALTERNATE_MAX",
+    "SADDLE_MAX",
+    "SADDLE_MIN_SIZE",
     "GAMMA_SUM_TERMS",
     "choose_method",
     "sample_pg",
@@ -87,6 +89,12 @@ class Method(str, Enum):
         return self in (Method.DEVROYE, Method.ALTERNATE)
 
 
+# Shape cutoffs of the hybrid rule; DEVROYE_MAX applies to integer
+# shapes only.
+DEVROYE_MAX = 2
+ALTERNATE_MAX = 13.0
+SADDLE_MAX = 170.0
+
 # Smallest batch the hybrid rule sends to the saddlepoint route; below it
 # the saddlepoint shapes take the exact alternate sampler.  It is the
 # smallest n of the ROADMAP's PR 5 crossover table (CPU time per call, a
@@ -97,43 +105,23 @@ class Method(str, Enum):
 SADDLE_MIN_SIZE = 512
 
 
-@dataclass(frozen=True)
-class SamplerThresholds:
-    """Shape cutoffs of the hybrid rule; must be strictly increasing.
-
-    ``devroye_max`` applies to integer shapes only.
-    """
-
-    devroye_max: int = 2
-    alternate_max: float = 13.0
-    saddle_max: float = 170.0
-
-    def __post_init__(self):
-        if not (0 < self.devroye_max < self.alternate_max < self.saddle_max):
-            raise ValueError("SamplerThresholds must be strictly increasing")
-
-
-DEFAULT_THRESHOLDS = SamplerThresholds()
-
-
-def choose_method(b, thresholds=None, size=None):
+def choose_method(b, size=None):
     """Pick the sampling route for shape b under the hybrid rule.
 
     ``size`` is the number of draws the route is asked for; below
     ``SADDLE_MIN_SIZE`` the saddlepoint shapes go to the alternate
     sampler.  ``size=None`` gives the answer by shape alone.
     """
-    th = thresholds or DEFAULT_THRESHOLDS
     b = float(b)
     if not (b > 0.0) or not math.isfinite(b):
         raise ValueError("choose_method: b must be positive and finite")
     if b < 1.0:
         return Method.GAMMA_SUM
-    if b == int(b) and b <= th.devroye_max:
+    if b == int(b) and b <= DEVROYE_MAX:
         return Method.DEVROYE
-    if b < th.alternate_max:
+    if b < ALTERNATE_MAX:
         return Method.ALTERNATE
-    if b <= th.saddle_max:
+    if b <= SADDLE_MAX:
         if size is not None and size < SADDLE_MIN_SIZE:
             return Method.ALTERNATE
         return Method.SADDLEPOINT
@@ -147,9 +135,9 @@ def _validate_method(method, b):
         raise ValueError(f"{method.value} method requires shape b >= 1")
 
 
-def _resolve_method(method, b, thresholds, size):
+def _resolve_method(method, b, size):
     if method is None or method == "auto":
-        return choose_method(b, thresholds, size)
+        return choose_method(b, size)
     method = Method(method)
     _validate_method(method, b)
     return method
@@ -196,7 +184,7 @@ def _draw(m, params, rng, size):
     return x
 
 
-def sample_pg(params, rng, method="auto", thresholds=None):
+def sample_pg(params, rng, method="auto"):
     """One draw from PG(b, z), as a float.
 
     The hybrid rule sees a batch of one, so it never picks the
@@ -206,27 +194,20 @@ def sample_pg(params, rng, method="auto", thresholds=None):
     the alternate sampler at b <= 4) it runs on floats end to end, with
     the draws and stream state of a batch of one.
     """
-    m = _resolve_method(method, params.b, thresholds, 1)
+    m = _resolve_method(method, params.b, 1)
     return float(_draw(m, params, rng, None))
 
 
-def sample_pg_batch(params, rng, size=None, out=None, method="auto",
-                    thresholds=None):
-    """Fill a buffer with PG(b, z) draws.
+def sample_pg_batch(params, rng, size, method="auto"):
+    """A fresh 1-d array of ``size`` PG(b, z) draws.
 
-    Either ``size`` or a preallocated 1-d ``out`` array must be given;
-    the filled array is returned.  The hybrid rule picks the route from
-    the shape and this batch's length.
+    The hybrid rule picks the route from the shape and this batch's
+    length.  ``size=0`` gives an empty array; a negative size raises
+    ValueError.
     """
-    if out is None:
-        if size is None:
-            raise ValueError("sample_pg_batch: provide size or out")
-        out = np.empty(int(size))
-    elif size is not None and int(size) != out.shape[0]:
-        raise ValueError("sample_pg_batch: size disagrees with out")
-    n = out.shape[0]
+    n = int(size)
+    if n < 0:
+        raise ValueError("sample_pg_batch: size must be >= 0")
     if n == 0:
-        return out
-    out[:] = _draw(_resolve_method(method, params.b, thresholds, n), params,
-                   rng, n)
-    return out
+        return np.empty(0)
+    return _draw(_resolve_method(method, params.b, n), params, rng, n)

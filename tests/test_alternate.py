@@ -17,12 +17,9 @@ from pgrv.alternate import (
 from pgrv.density import (
     JStarParams,
     build_mixture,
-    build_trunc_table,
-    default_trunc_table,
     density,
     jstar_mean,
     jstar_var,
-    set_default_trunc_table,
     trunc_lookup,
 )
 from pgrv.devroye import sample_jstar1_batch
@@ -77,18 +74,6 @@ def test_shape_domain():
 def test_scalar_draw():
     v = sample_jstar_alt_batch(2.0, 0.5, 1, RngStream(7))
     assert v.shape == (1,) and v[0] > 0
-
-
-def test_explicit_table_accepted():
-    # an installed default table (what the CLI's --ttable does) feeds the
-    # paste point the sampler uses
-    saved = default_trunc_table()
-    try:
-        set_default_trunc_table(build_trunc_table(step=0.05))
-        v = sample_jstar_alt_batch(2.0, 0.5, 1, RngStream(7))
-    finally:
-        set_default_trunc_table(saved)
-    assert v[0] > 0
 
 
 class TestPieces:

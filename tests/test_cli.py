@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pgrv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from pgrv.density import load_trunc_table, solve_trunc_point
+from pgrv.density import solve_trunc_point
 from pgrv.pg import SADDLE_MIN_SIZE, PgParams, pg_mean, pg_var
 
 
@@ -17,17 +17,6 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_trunc_table():
-    # --ttable installs a process-wide table; put back whatever was there
-    import importlib
-
-    density_mod = importlib.import_module("pgrv.density")
-    saved = density_mod._default_table
-    yield
-    density_mod._default_table = saved
 
 
 class TestSample:
@@ -112,16 +101,10 @@ class TestTable:
             ["table", "--h-min", "1", "--h-max", "4", "--step", "0.5",
              "--out", str(path)], capsys)
         assert code == EXIT_OK
-        table = load_trunc_table(str(path))
-        for h in (1.0, 1.5, 4.0):
-            assert table.lookup(h) == solve_trunc_point(h)
-
-    def test_ttable_flag_feeds_sampler(self, tmp_path, capsys):
-        path = tmp_path / "t.csv"
-        run_cli(["table", "--out", str(path), "--step", "0.05"], capsys)
-        code, out, _ = run_cli(
-            ["sample", "--b", "3", "--n", "2", "--ttable", str(path)], capsys)
-        assert code == EXIT_OK and len(out.splitlines()) == 2
+        rows = list(csv.reader(path.open()))
+        assert rows[0] == ["h", "t"] and len(rows) == 1 + 7
+        for h, t in rows[1:]:
+            assert float(t) == solve_trunc_point(float(h))
 
     def test_bad_range_exits_usage(self, capsys):
         code, _, err = run_cli(["table", "--h-min", "0.5"], capsys)
@@ -153,6 +136,15 @@ class TestBench:
     def test_empty_grid_usage_error(self, capsys):
         code, _, _ = run_cli(["bench", "--grid-b", ""], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_draw_count_below_one_exits_usage(self, n, capsys):
+        # zero draws would time nothing and print NaN moment columns
+        code, out, err = run_cli(
+            ["bench", "--grid-b", "1", "--grid-z", "0", "--n", n,
+             "--reps", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "--n" in err
 
 
 class TestValidate:
@@ -209,6 +201,15 @@ class TestValidate:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(["validate", "--suites", "nope"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_draw_count_below_two_exits_usage(self, n, capsys):
+        # one draw has no sample variance: the input is at fault, not
+        # the sampler
+        code, out, err = run_cli(
+            ["validate", "--suites", "moments", "--n", n], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "FAILED" not in err and "--n" in err
 
 
 def test_console_script_runs():

@@ -6,7 +6,6 @@ stated next to them (quadrature, a second series representation, or the
 gamma-convolution series), computed here rather than trusted.
 """
 
-import io
 import math
 
 import numpy as np
@@ -29,9 +28,7 @@ from pgrv.density import (
     jstar_var,
     kernel_ell,
     kernel_r,
-    load_trunc_table,
     sample_gamma_sum,
-    save_trunc_table,
     solve_trunc_point,
     tilt_rate,
     trunc_lookup,
@@ -508,19 +505,6 @@ class TestTruncTable:
             table.lookup(0.99)
         with pytest.raises(ValueError):
             table.lookup(4.01)
-
-    def test_csv_round_trip_bit_exact(self, table, tmp_path):
-        path = tmp_path / "trunc.csv"
-        save_trunc_table(table, str(path))
-        loaded = load_trunc_table(str(path))
-        assert np.array_equal(loaded.h, table.h)
-        assert np.array_equal(loaded.t, table.t)
-        for h in (1.0, 1.77, 3.99):
-            assert loaded.lookup(h) == table.lookup(h)
-
-    def test_csv_header_enforced(self):
-        with pytest.raises(ValueError):
-            load_trunc_table(io.StringIO("a,b\n1,2\n"))
 
     def test_module_level_lookup(self):
         assert trunc_lookup(1.0) == pytest.approx(TRUNC1, abs=1e-6)

@@ -7,11 +7,13 @@ import pytest
 from pgrv.density import JStarParams, sample_gamma_sum
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.pg import (
+    ALTERNATE_MAX,
+    DEVROYE_MAX,
     GAMMA_SUM_TERMS,
     Method,
+    SADDLE_MAX,
     SADDLE_MIN_SIZE,
     PgParams,
-    SamplerThresholds,
     choose_method,
     pg_mean,
     pg_var,
@@ -86,24 +88,21 @@ class TestDispatch:
     def test_threshold_probe(self, b, want):
         assert choose_method(b) is want
 
-    def test_threshold_override(self):
-        th = SamplerThresholds(devroye_max=4, alternate_max=20.0,
-                               saddle_max=100.0)
-        assert choose_method(3.0, th) is Method.DEVROYE
-        assert choose_method(15.0, th) is Method.ALTERNATE
-        assert choose_method(101.0, th) is Method.NORMAL
-        assert choose_method(50.0, th, size=CUT - 1) is Method.ALTERNATE
-        assert choose_method(50.0, th, size=CUT) is Method.SADDLEPOINT
+    def test_break_points_are_the_module_constants(self):
+        assert choose_method(float(DEVROYE_MAX)) is Method.DEVROYE
+        assert choose_method(DEVROYE_MAX + 1.0) is Method.ALTERNATE
+        below = np.nextafter(ALTERNATE_MAX, 0.0)
+        assert choose_method(below) is Method.ALTERNATE
+        assert choose_method(ALTERNATE_MAX) is Method.SADDLEPOINT
+        assert choose_method(SADDLE_MAX) is Method.SADDLEPOINT
+        above = np.nextafter(SADDLE_MAX, np.inf)
+        assert choose_method(above) is Method.NORMAL
 
     @pytest.mark.parametrize("b", [float("inf"), float("nan"),
                                    float("-inf"), 0.0, -1.0])
     def test_shape_must_be_positive_and_finite(self, b):
         with pytest.raises(ValueError, match="positive and finite"):
             choose_method(b)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            SamplerThresholds(devroye_max=5, alternate_max=3.0)
 
     @pytest.mark.parametrize("b", [13.0, 13.5, 40.0, 100.5, 170.0])
     def test_small_batches_of_saddle_shapes_take_alternate(self, b):
@@ -206,13 +205,14 @@ class TestSampling:
         assert abs(x.mean() - pg_mean(p)) < 4 * se + deficit
 
     def test_batch_buffer_contract(self):
-        out = np.empty(500)
-        res = sample_pg_batch(PgParams(1.0, 0.0), RngStream(13), out=out)
-        assert res is out and out.min() > 0
+        res = sample_pg_batch(PgParams(1.0, 0.0), RngStream(13), size=500)
+        assert res.shape == (500,) and res.dtype == np.float64
+        assert res.min() > 0
+        empty = sample_pg_batch(PgParams(1.0, 0.0), RngStream(14), size=0)
+        assert empty.shape == (0,)
         with pytest.raises(ValueError):
-            sample_pg_batch(PgParams(1.0, 0.0), RngStream(14), size=10,
-                            out=np.empty(5))
-        with pytest.raises(ValueError):
+            sample_pg_batch(PgParams(1.0, 0.0), RngStream(15), size=-1)
+        with pytest.raises(TypeError):
             sample_pg_batch(PgParams(1.0, 0.0), RngStream(15))
 
     def test_all_paths_positive_support(self):

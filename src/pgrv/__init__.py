@@ -8,7 +8,6 @@ exposes everything through the PG(b, z) = J*(b, z/2)/4 scaling.
 
 from .density import (
     JStarParams,
-    TruncTable,
     build_trunc_table,
     density,
     jstar_mean,
@@ -47,7 +46,6 @@ __all__ = [
     "Method",
     "PgParams",
     "RngStream",
-    "TruncTable",
     "build_trunc_table",
     "choose_method",
     "density",

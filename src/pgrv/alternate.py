@@ -25,6 +25,8 @@ import numpy as np
 from . import devroye
 from .density import (
     JStarParams,
+    TRUNC_H_MAX,
+    TRUNC_H_MIN,
     _log_kernel_ell_unit,
     _log_kernel_r_unit,
     build_mixture,
@@ -43,8 +45,6 @@ from .special import log_cosh
 
 __all__ = ["sample_jstar_alt_batch", "sample_jstar_real_batch",
            "acceptance_probability"]
-
-H_MIN, H_MAX = 1.0, 4.0
 
 # untilted rate of the right kernel piece (pi^2/8)
 _LAM0 = np.pi ** 2 / 8.0
@@ -117,7 +117,7 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     ``size=None`` gives one float."""
     h = float(h)
     z = float(abs(z))
-    if not (H_MIN <= h <= H_MAX):
+    if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
         raise ValueError("sample_jstar_alt_batch: h must lie in [1, 4]")
     if not _domination_guard(h):
         if h == int(h):
@@ -147,7 +147,7 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
 
 def _pieces(h):
     """Equal-piece decomposition: m parts of shape h/m, each in (1, 4]."""
-    m = max(1, math.ceil(h / H_MAX))
+    m = max(1, math.ceil(h / TRUNC_H_MAX))
     return m, h / m
 
 
@@ -159,7 +159,7 @@ def sample_jstar_real_batch(h, z, size, rng, counters=None):
     constant as small as possible.  ``size=None`` gives one float.
     """
     h = float(h)
-    if h < H_MIN:
+    if h < TRUNC_H_MIN:
         raise ValueError("sample_jstar_real_batch: h must be >= 1")
     m, piece = _pieces(h)
     if m == 1:

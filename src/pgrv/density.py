@@ -5,14 +5,15 @@ terms; tilting by z multiplies it by cosh^h(z) exp(-x z^2/2).  This
 module provides the series coefficients, the one coefficient-ratio
 recurrence and the one partial-sum routine built on it (numpy or, for
 verification, mpmath arithmetic), the left/right bounding kernels with
-their mixture weights, the truncation-point solver and lookup table,
+their mixture weights, the truncation-point solver and the one t(h)
+table the samplers read ([1, 4] by 0.0025, which ``pgrv table`` prints),
 analytic moments, the truncated gamma-convolution sampler used as a
 validation oracle, and the numerical domination check for the bounding
 kernels.
 
 Everything here is pure and thread-safe except :func:`sample_gamma_sum`
-(which consumes an RngStream) and the process-wide default truncation
-table, which is built once and read-only afterwards.
+(which consumes an RngStream) and the process-wide t(h) table, which is
+built on the first lookup, under a lock, and read-only afterwards.
 """
 
 import math
@@ -46,7 +47,6 @@ __all__ = [
     "kernel_r",
     "tilt_rate",
     "solve_trunc_point",
-    "TruncTable",
     "build_trunc_table",
     "trunc_lookup",
     "default_trunc_table",
@@ -345,7 +345,7 @@ def build_mixture(trunc, params):
                            log_q=float(log_q), h=h, z=z, lam_z=lam_z)
 
 
-def solve_trunc_point(h, max_iter=200):
+def solve_trunc_point(h):
     """Paste point t(h): the root of ell(x|h) = r(x|h) at zero tilt.
 
     The same point minimizes the total envelope mass p + q, and it does
@@ -363,50 +363,23 @@ def solve_trunc_point(h, max_iter=200):
 
     try:
         return brentq(log_diff, 0.05, 10.0, xtol=1e-13, rtol=8.9e-16,
-                      maxiter=max_iter)
+                      maxiter=200)
     except RuntimeError as exc:  # pragma: no cover - brentq is reliable here
         raise ConvergenceError(f"solve_trunc_point failed for h={h}") from exc
 
 
-@dataclass(frozen=True)
-class TruncTable:
-    """Precomputed paste points t(h) on a uniform grid, linearly
-    interpolated between grid values."""
+def build_trunc_table():
+    """Solve t(h) on the built-in grid: [1, 4] by 0.0025, 1,201 points.
 
-    h: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        if self.h.ndim != 1 or self.h.shape != self.t.shape or self.h.size < 2:
-            raise ValueError("TruncTable: need matching 1-d grids")
-        if np.any(np.diff(self.h) <= 0.0):
-            raise ValueError("TruncTable: h grid must be strictly increasing")
-
-    def lookup(self, h):
-        h = float(h)
-        if h < self.h[0] or h > self.h[-1]:
-            raise ValueError(
-                f"trunc_lookup: h={h} outside table range "
-                f"[{self.h[0]}, {self.h[-1]}]"
-            )
-        return float(np.interp(h, self.h, self.t))
-
-
-def build_trunc_table(h_min=TRUNC_H_MIN, h_max=TRUNC_H_MAX, step=0.01):
-    """Solve t(h) on a uniform grid (inclusive of both endpoints).
-
-    t(h) is smooth but strongly curved near h = 1 (second derivative
-    around -39), so linear interpolation on a 0.01 grid is only good to
-    about 5e-4 there; use a step of 0.0025 or finer when lookups must be
-    within 1e-4 of the direct solve everywhere.
+    Returns the ``(h, t)`` arrays that :func:`trunc_lookup` interpolates
+    in and ``pgrv table`` prints.  t(h) curves hardest just above h = 1
+    (second derivative around -39); at this step linear interpolation
+    stays within 1e-4 of the direct solve everywhere.
     """
-    if not (TRUNC_H_MIN <= h_min < h_max <= TRUNC_H_MAX):
-        raise ValueError("build_trunc_table: need 1 <= h_min < h_max <= 4")
-    n = int(round((h_max - h_min) / step)) + 1
-    hs = h_min + step * np.arange(n)
-    hs[-1] = min(hs[-1], h_max)
+    hs = TRUNC_H_MIN + 0.0025 * np.arange(1201)
+    hs[-1] = min(hs[-1], TRUNC_H_MAX)
     ts = np.array([solve_trunc_point(h) for h in hs])
-    return TruncTable(h=hs, t=ts)
+    return hs, ts
 
 
 _default_table = None
@@ -414,22 +387,26 @@ _default_table_lock = threading.Lock()
 
 
 def default_trunc_table():
-    """Process-wide table on the standard [1, 4] grid, built on first use.
-
-    Uses a 0.0025 step so interpolated lookups stay within 1e-4 of the
-    direct solve even where t(h) curves hardest (near h = 1).
-    """
+    """The process-wide ``(h, t)`` table, built on first use and shared
+    read-only afterwards."""
     global _default_table
     if _default_table is None:
         with _default_table_lock:
             if _default_table is None:
-                _default_table = build_trunc_table(step=0.0025)
+                hs, ts = build_trunc_table()
+                hs.flags.writeable = ts.flags.writeable = False
+                _default_table = hs, ts
     return _default_table
 
 
 def trunc_lookup(h):
-    """Interpolated paste point t(h) from the process-wide default table."""
-    return default_trunc_table().lookup(h)
+    """Paste point t(h), linearly interpolated in the built-in table."""
+    h = float(h)
+    hs, ts = default_trunc_table()
+    if h < hs[0] or h > hs[-1]:
+        raise ValueError(
+            f"trunc_lookup: h={h} outside table range [{hs[0]}, {hs[-1]}]")
+    return float(np.interp(h, hs, ts))
 
 
 @dataclass(frozen=True)

@@ -225,13 +225,8 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
     else:
         propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
                            lambda x: x < right)
-    if size is None:
-        return lam * _fill_by_rejection(None, propose, accept,
-                                        max_rounds=max_rounds)
-    n = math.prod(size) if np.iterable(size) else int(size)
-    x = _fill_by_rejection(n, propose, accept, max_rounds=max_rounds)
-    x *= lam
-    return x.reshape(size)
+    return lam * _fill_by_rejection(size, propose, accept,
+                                    max_rounds=max_rounds)
 
 
 def sample_truncated_gamma(shape, rate, left, rng, size=None):

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from pgrv import cli
 from pgrv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from pgrv.density import solve_trunc_point
+from pgrv.density import solve_trunc_point, trunc_lookup
 from pgrv.pg import SADDLE_MIN_SIZE, PgParams, pg_mean, pg_var
 
 
@@ -79,36 +80,36 @@ class TestSample:
 
 
 class TestTable:
+    """``pgrv table`` prints the one table that trunc_lookup reads."""
+
     def test_unit_row_six_decimals(self, capsys):
-        code, out, _ = run_cli(
-            ["table", "--h-min", "1", "--h-max", "1.1", "--step", "0.1"],
-            capsys)
+        code, out, _ = run_cli(["table"], capsys)
         assert code == EXIT_OK
         first = out.splitlines()[1].split(",")
         assert first[0] == "1"
         assert f"{float(first[1]):.6f}" == "0.636620"
 
     def test_row_count(self, capsys):
-        code, out, _ = run_cli(
-            ["table", "--h-min", "1", "--h-max", "2", "--step", "0.05"],
-            capsys)
+        code, out, _ = run_cli(["table"], capsys)
         assert code == EXIT_OK
-        assert len(out.splitlines()) == 1 + 21
+        assert len(out.splitlines()) == 1 + 1201
 
     def test_round_trip_reproduces_lookups(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
-        code, _, _ = run_cli(
-            ["table", "--h-min", "1", "--h-max", "4", "--step", "0.5",
-             "--out", str(path)], capsys)
+        code, _, _ = run_cli(["table", "--out", str(path)], capsys)
         assert code == EXIT_OK
         rows = list(csv.reader(path.open()))
-        assert rows[0] == ["h", "t"] and len(rows) == 1 + 7
+        assert rows[0] == ["h", "t"] and len(rows) == 1 + 1201
         for h, t in rows[1:]:
+            assert float(t) == trunc_lookup(float(h))
             assert float(t) == solve_trunc_point(float(h))
 
-    def test_bad_range_exits_usage(self, capsys):
-        code, _, err = run_cli(["table", "--h-min", "0.5"], capsys)
-        assert code == EXIT_USAGE
+    def test_grid_flags_exit_usage(self, capsys):
+        # the table is fixed: there is no grid to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--step", "0.1"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestBench:
@@ -146,6 +147,15 @@ class TestBench:
         assert code == EXIT_USAGE
         assert out == "" and "--n" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-4"])
+    def test_reps_below_one_exits_usage(self, reps, capsys):
+        # zero repetitions would time nothing
+        code, out, err = run_cli(
+            ["bench", "--grid-b", "1", "--grid-z", "0", "--n", "10",
+             "--reps", reps], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "--reps" in err
+
 
 class TestValidate:
     def test_fast_suites_pass(self, capsys):
@@ -179,10 +189,13 @@ class TestValidate:
                 assert float(row["threshold"]) == pytest.approx(want,
                                                                 rel=1e-5)
 
-    def test_fault_injection_fails_and_names_record(self, capsys):
+    def test_fault_injection_fails_and_names_record(self, capsys,
+                                                    monkeypatch):
+        # a wrong exact mean must surface as a failing record: the
+        # harness cannot silently pass
+        monkeypatch.setattr(cli, "pg_mean", lambda p: 2.0 * pg_mean(p))
         code, out, err = run_cli(
-            ["validate", "--suites", "moments", "--n", "2000",
-             "--inject-fault"], capsys)
+            ["validate", "--suites", "moments", "--n", "2000"], capsys)
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
         assert "FAILED: moments/" in err

@@ -17,12 +17,12 @@ from scipy.special import polygamma
 from pgrv.density import (
     JStarParams,
     build_mixture,
-    build_trunc_table,
     c_index,
     coef_left,
     coef_right_h1,
     coef_ratio,
     d_index,
+    default_trunc_table,
     density,
     jstar_mean,
     jstar_var,
@@ -468,46 +468,41 @@ class TestTruncationPoint:
             solve_trunc_point(4.2)
 
 
-@pytest.fixture(scope="module")
-def table():
-    return build_trunc_table()
-
-
 class TestTruncTable:
+    """The one built-in t(h) table that trunc_lookup interpolates in."""
 
-    def test_grid_shape(self, table):
-        assert table.h.size == 301
-        assert table.h[0] == 1.0 and table.h[-1] == pytest.approx(4.0)
+    def test_grid_shape(self):
+        hs, ts = default_trunc_table()
+        assert hs.size == ts.size == 1201
+        assert hs[0] == 1.0 and hs[-1] == 4.0
 
-    def test_on_grid_exact(self, table):
-        assert table.lookup(1.0) == solve_trunc_point(1.0)
-        assert table.lookup(2.5) == pytest.approx(solve_trunc_point(2.5),
-                                                  abs=1e-12)
-
-    def test_interpolation_error_away_from_unit_shape(self, table):
-        assert table.lookup(2.345) == pytest.approx(solve_trunc_point(2.345),
-                                                    abs=1e-4)
+    def test_on_grid_exact(self):
+        hs, ts = default_trunc_table()
+        assert all(t == solve_trunc_point(h) for h, t in zip(hs, ts))
+        assert all(trunc_lookup(h) == t for h, t in zip(hs, ts))
 
     @pytest.mark.parametrize("h", [2.345, 1.019, 1.0042, 3.7771])
     def test_default_table_interpolation_error(self, h):
-        # the process default uses a finer step because t(h) curves
-        # hardest just above h = 1
-        from pgrv.density import default_trunc_table
+        # off the grid; t(h) curves hardest just above h = 1
+        assert trunc_lookup(h) == pytest.approx(solve_trunc_point(h),
+                                                abs=1e-4)
 
-        assert default_trunc_table().lookup(h) == pytest.approx(
-            solve_trunc_point(h), abs=1e-4)
+    def test_smoothness(self):
+        assert np.all(np.abs(np.diff(default_trunc_table()[1])) < 0.05)
 
-    def test_smoothness(self, table):
-        assert np.all(np.abs(np.diff(table.t)) < 0.05)
-
-    def test_range_error(self, table):
+    def test_range_error(self):
         with pytest.raises(ValueError):
-            table.lookup(0.99)
+            trunc_lookup(0.99)
         with pytest.raises(ValueError):
-            table.lookup(4.01)
+            trunc_lookup(4.01)
 
     def test_module_level_lookup(self):
         assert trunc_lookup(1.0) == pytest.approx(TRUNC1, abs=1e-6)
+
+    def test_read_only(self):
+        hs, ts = default_trunc_table()
+        with pytest.raises(ValueError):
+            ts[0] = 0.5
 
 
 class TestDomination:

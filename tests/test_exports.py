@@ -10,7 +10,7 @@ import pgrv
 MODULES = ["alternate", "cli", "density", "devroye", "errors", "pg", "rng",
            "saddle", "special"]
 REMOVED = ["SamplerThresholds", "DEFAULT_THRESHOLDS", "load_trunc_table",
-           "save_trunc_table", "set_default_trunc_table"]
+           "save_trunc_table", "set_default_trunc_table", "TruncTable"]
 
 
 def _modules_with_all():

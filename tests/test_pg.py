@@ -1,6 +1,10 @@
 """Public PG interface: moments, hybrid dispatch, scaling, and the
 normal approximation."""
 
+from importlib import import_module
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,10 @@ from pgrv.pg import (
     sample_pg_normal,
 )
 from pgrv.rng import RngStream
+
+# by module name: the package namespace shadows ``pgrv.density`` with the
+# function ``density``
+density = import_module("pgrv.density")
 
 N = 100_000
 CUT = SADDLE_MIN_SIZE
@@ -262,6 +270,28 @@ class TestSampling:
         assert np.all(np.isfinite(x)) and x.min() > 0.0
         score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
         assert abs(score) <= 5.0
+
+    def test_devroye_draw_builds_no_trunc_table(self, monkeypatch):
+        # the t(h) table is built on the first alternate lookup, never at
+        # import or for a devroye draw (logistic Gibbs never reads it)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pgrv; "
+             "print(sys.modules['pgrv.density']._default_table)"],
+            capture_output=True, text=True)
+        assert proc.stdout == "None\n"
+
+        class Built(Exception):
+            pass
+
+        def build():
+            raise Built
+
+        monkeypatch.setattr(density, "_default_table", None)
+        monkeypatch.setattr(density, "build_trunc_table", build)
+        x = sample_pg(PgParams(1.0, 0.5), RngStream(4), method="devroye")
+        assert np.isfinite(x) and x > 0.0
+        with pytest.raises(Built):
+            sample_pg(PgParams(2.5, 0.5), RngStream(4), method="alternate")
 
 
 class TestNormalApprox:

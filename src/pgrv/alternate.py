@@ -24,7 +24,6 @@ import numpy as np
 
 from . import devroye
 from .density import (
-    JStarParams,
     TRUNC_H_MAX,
     TRUNC_H_MIN,
     _log_kernel_ell_unit,
@@ -59,7 +58,7 @@ def _domination_guard(h):
 
 def acceptance_probability(h, z):
     """Exact acceptance probability sech^h(z)/(p+q) of one proposal."""
-    mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
+    mix = build_mixture(trunc_lookup(h), h, z)
     return float(np.exp(-h * log_cosh(z) - np.logaddexp(mix.log_p, mix.log_q)))
 
 
@@ -126,7 +125,7 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
             f"bounding kernels fail to dominate for h={h}; "
             "no exact fallback exists for non-integer shapes"
         )
-    mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
+    mix = build_mixture(trunc_lookup(h), h, z)
     mu = np.inf if z == 0.0 else h / z
     policy = _RatioCoefficients(h, mix.trunc)
 

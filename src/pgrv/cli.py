@@ -66,15 +66,17 @@ def _build_parser():
         description="Polya-Gamma random variate sampling, benchmarking, "
                     "and validation.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0,
+    # the table is deterministic, so only the drawing commands take a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="base RNG seed (default 0)")
-    shared.add_argument("--out", default="-",
-                        help="output path ('-' for stdout, the default)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-",
+                     help="output path ('-' for stdout, the default)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[shared],
+    p = sub.add_parser("sample", parents=[seeded, out],
                        help="draw PG(b, z) variates")
     p.add_argument("--b", type=float, required=True, help="shape b > 0")
     p.add_argument("--z", type=float, default=0.0, help="tilt z (any sign)")
@@ -82,7 +84,7 @@ def _build_parser():
     p.add_argument("--method", choices=_METHOD_CHOICES, default="auto")
     p.add_argument("--format", choices=["plain", "csv"], default="plain")
 
-    p = sub.add_parser("bench", parents=[shared],
+    p = sub.add_parser("bench", parents=[seeded, out],
                        help="time every applicable method over a (b, z) grid")
     p.add_argument("--grid-b", type=_parse_grid,
                    default=[float(b) for b in BENCH_GRID_B])
@@ -91,14 +93,14 @@ def _build_parser():
     p.add_argument("--reps", type=int, default=3,
                    help="timing repetitions per cell (median reported)")
 
-    p = sub.add_parser("validate", parents=[shared],
+    p = sub.add_parser("validate", parents=[seeded, out],
                        help="run the statistical/numerical validation suites")
     p.add_argument("--suites", default=",".join(VALIDATE_SUITES),
                    help="comma-separated subset of: " + ", ".join(VALIDATE_SUITES))
     p.add_argument("--n", type=int, default=100_000,
                    help="draws per statistical test")
 
-    sub.add_parser("table", parents=[shared],
+    sub.add_parser("table", parents=[out],
                    help="print the built-in t(h) table as CSV")
 
     return parser

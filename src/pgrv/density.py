@@ -19,6 +19,7 @@ built on the first lookup, under a lock, and read-only afterwards.
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -26,6 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .special import (
+    _logaddexp,
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
@@ -54,9 +56,10 @@ __all__ = [
     "verify_domination",
 ]
 
-_LOG2 = np.log(2.0)
-_LOG_2PI = np.log(2.0 * np.pi)
-_LOG_HALF_PI = np.log(np.pi / 2.0)
+# Python floats with numpy's bits, so float arithmetic stays in floats
+_LOG2 = float(np.log(2.0))
+_LOG_2PI = float(np.log(2.0 * np.pi))
+_LOG_HALF_PI = float(np.log(np.pi / 2.0))
 
 TRUNC_H_MIN = 1.0
 TRUNC_H_MAX = 4.0
@@ -293,8 +296,7 @@ def kernel_r(x, params):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ProposalMixture:
+class ProposalMixture(NamedTuple):
     """Two-component bounding-kernel mixture pasted at ``trunc``.
 
     Left of the paste point the kernel is inverse-Gaussian type
@@ -302,12 +304,17 @@ class ProposalMixture:
     Gamma(h, lam_z).  The masses are kept as logs ``log_p``/``log_q``,
     so p/(p+q) stays defined where both underflow at large h z.  They
     omit the common cosh^h(z) factor, which cancels from both the
-    component probability and the acceptance ratio.
+    component probability and the acceptance ratio.  ``left_fraction``
+    is p/(p+q), the chance that a proposal comes from the left kernel.
+
+    A tuple, not a frozen dataclass: the exact samplers build one per
+    call, and a tuple costs half as much to build.
     """
 
     trunc: float
     log_p: float
     log_q: float
+    left_fraction: float
     h: float
     z: float
     lam_z: float
@@ -320,17 +327,18 @@ class ProposalMixture:
     def q_mass(self):
         return float(np.exp(self.log_q))
 
-    @property
-    def left_fraction(self):
-        return float(np.exp(self.log_p - np.logaddexp(self.log_p, self.log_q)))
 
+def build_mixture(trunc, h, z):
+    """The :class:`ProposalMixture` of J*(h, |z|) pasted at ``trunc``.
 
-def build_mixture(trunc, params):
-    """The paste point and the log masses as a :class:`ProposalMixture`."""
-    trunc = float(trunc)
+    The exact samplers build one per call, so it runs on floats.  Its
+    values keep the bits of numpy's arithmetic: ``exp`` and ``log``
+    stay numpy's, whose results can differ from :mod:`math`'s in the
+    last ulp.
+    """
+    trunc, h, z = float(trunc), float(h), abs(float(z))
     if trunc <= 0.0:
         raise ValueError("build_mixture: trunc must be positive")
-    h, z = params.h, params.z
     lam_z = tilt_rate(z)
     if z == 0.0:
         log_p = h * _LOG2 + np.log(sc.gammaincc(0.5, h * h / (2.0 * trunc)))
@@ -340,9 +348,10 @@ def build_mixture(trunc, params):
     q_tail = sc.gammaincc(h, lam_z * trunc)
     # once the tail underflows, q/p < e^-500 and the fraction is exactly 1
     log_q = (h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)
-             if q_tail > 0.0 else -np.inf)
-    return ProposalMixture(trunc=trunc, log_p=float(log_p),
-                           log_q=float(log_q), h=h, z=z, lam_z=lam_z)
+             if q_tail > 0.0 else -math.inf)
+    log_p, log_q = float(log_p), float(log_q)
+    left_fraction = float(np.exp(log_p - _logaddexp(log_p, log_q)))
+    return ProposalMixture(trunc, log_p, log_q, left_fraction, h, z, lam_z)
 
 
 def solve_trunc_point(h):

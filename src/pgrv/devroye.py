@@ -12,11 +12,16 @@ truncated-exponential mixture.
 The accept/reject comparison uses the untilted coefficients: the common
 factor cosh(z) e^{-x z^2/2} cancels between the uniform's upper bound
 and the partial sums.
+
+The decider runs the series on whole arrays of candidates, except for
+one float candidate and for arrays of at most ``_SHORT`` candidates,
+such as the pieces of one multi-piece draw: those are decided slot by
+slot on floats, with the same mask, stream use and counters.
 """
 
 import numpy as np
 
-from .density import DOMINATION_SLACK, JStarParams, build_mixture
+from .density import DOMINATION_SLACK, build_mixture
 from .errors import DominationViolationError, IterationCapError
 from .rng import (
     _fill_by_rejection,
@@ -35,6 +40,14 @@ _MAX_SERIES_TERMS = 500
 # Proposals this close to zero are rejected outright: their acceptance
 # probability is negligible and the series is numerically unstable there.
 _X_FLOOR = 1e-12
+
+# Longest candidate array the series decider takes slot by slot: the
+# largest k of the decider crossover table in ROADMAP (CPU us per call)
+# at which slot by slot wins under every policy.  At k = 8 it takes 15.0
+# vs 16.8 us for the array path under the devroye policy, 27.2 vs 39.5
+# under the alternate one at h = 3.875 and 26.6 vs 31.8 at h = 1.5; at
+# k = 12 the array path wins under the devroye policy and at h = 1.5.
+_SHORT = 8
 
 
 def _coef_unit(n, x):
@@ -88,12 +101,21 @@ def _series_decide(x, rng, policy, counters=None):
     the first odd n with u <= S_n, reject at the first even n with
     u >= S_n.  Under a policy that ``checks_domination``, a bracketing
     odd sum above k (beyond slack) proves the kernel does not dominate
-    there and raises :class:`DominationViolationError`.  A float ``x``
-    is decided by :func:`_decide_one` and gives a bool.
+    there and raises :class:`DominationViolationError`.
+
+    A float ``x`` gives a bool.  An array of at most ``_SHORT``
+    candidates draws its uniforms in one call, as a long one does, and
+    then decides slot by slot on floats: the array path's few dozen
+    numpy calls per series term cost more than it saves there.  Both
+    give the same mask, stream use and counters.
     """
     if isinstance(x, float):
-        return _decide_one(x, rng, policy, counters)
+        return _decide_one(x, rng.uniform(), policy, counters)
     u = rng.uniform(x.size)
+    if x.size <= _SHORT:
+        return np.array([_decide_one(xi, ui, policy, counters)
+                         for xi, ui in zip(x.tolist(), u.tolist())],
+                        dtype=bool)
     bound, s = policy.start(np.maximum(x, _X_FLOOR))
     u = u * bound
     accept = np.zeros(x.shape, dtype=bool)
@@ -142,14 +164,14 @@ def _series_decide(x, rng, policy, counters=None):
     return accept
 
 
-def _decide_one(x, rng, policy, counters):
-    """:func:`_series_decide` for one float candidate, on floats.
+def _decide_one(x, u, policy, counters):
+    """:func:`_series_decide` for one float candidate ``x`` and its
+    uniform ``u`` on (0, 1), on floats.
 
-    It draws the same uniform, takes the same decisions at the same n
-    and raises the same errors as the array path does for a 1-element
-    array; the policy's ``step`` gets ``idx=None``.
+    It takes the same decisions at the same n and raises the same errors
+    as the array path does for that slot; the policy's ``step`` gets
+    ``idx=None``.
     """
-    u = rng.uniform()
     bound, s = policy.start(max(x, _X_FLOOR))
     u = u * bound
     if not (x > _X_FLOOR and bound > 0.0):
@@ -199,7 +221,7 @@ def _count_terms(counters, policy, term_sum, term_max):
 def sample_jstar1_batch(z, size, rng, counters=None):
     """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
     float."""
-    mix = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
+    mix = build_mixture(TRUNC_POINT, 1.0, z)
     mu = np.inf if mix.z == 0.0 else 1.0 / mix.z
     policy = _PastedCoefficients()
     propose = _two_piece(

@@ -13,7 +13,10 @@ first round's candidates become the output without a copy.  One draw
 per call, as in a Gibbs sweep where every tilt differs, takes the
 one-candidate path: ``size=None`` (the convention of the
 :class:`RngStream` draws) runs every round on Python floats, through the
-same proposals and accept tests, each of which has a float branch.  Both
+same proposals and accept tests, each of which has a float branch.  A
+multi-piece draw (the alternate sampler at b > 4) fills a short array
+of J* candidates, one per piece: its rounds run on arrays, but the
+series decider takes an array that short slot by slot on floats.  All
 paths consume the stream identically and give bit-identical draws; the
 float branches use numpy's ``exp``/``log``, whose results can differ
 from :mod:`math` in the last ulp.

@@ -106,7 +106,7 @@ class TestAcceptance:
         counters = {}
         sample_jstar_alt_batch(h, z, N, RngStream(seed), counters=counters)
         rate = counters["accepted"] / counters["proposals"]
-        mix = build_mixture(trunc_lookup(h), JStarParams(h, z))
+        mix = build_mixture(trunc_lookup(h), h, z)
         pm, qm = mix.p_mass, mix.q_mass
         p0 = JStarParams(h, 0.0)
         mass, err = quad(

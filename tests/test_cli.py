@@ -111,6 +111,13 @@ class TestTable:
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    def test_seed_flag_exits_usage(self, capsys):
+        # the table is deterministic: a seed would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--seed", "5"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestBench:
     def test_small_grid_schema_and_pivot(self, tmp_path, capsys):

@@ -386,7 +386,7 @@ class TestKernels:
 class TestMixtureWeights:
     def test_total_mass_matches_quadrature(self):
         p = JStarParams(1.0, 0.0)
-        mix = build_mixture(TRUNC1, p)
+        mix = build_mixture(TRUNC1, p.h, p.z)
         pm, qm = mix.p_mass, mix.q_mass
         left, el = quad(lambda x: kernel_ell(x, p), 0.0, TRUNC1)
         right, er = quad(lambda x: kernel_r(x, p), TRUNC1, np.inf)
@@ -397,7 +397,7 @@ class TestMixtureWeights:
         # weights omit cosh^h(z); integrate the kernels without it
         p = JStarParams(2.0, 1.5)
         t = 1.0
-        mix = build_mixture(t, p)
+        mix = build_mixture(t, p.h, p.z)
         pm, qm = mix.p_mass, mix.q_mass
         c = np.cosh(p.z) ** p.h
         left, el = quad(lambda x: kernel_ell(x, p) / c, 0.0, t)
@@ -407,13 +407,13 @@ class TestMixtureWeights:
 
     def test_continuity_in_tilt(self):
         for h in (1.0, 3.0):
-            p0 = build_mixture(0.8, JStarParams(h, 0.0)).p_mass
-            p1 = build_mixture(0.8, JStarParams(h, 1e-8)).p_mass
+            p0 = build_mixture(0.8, h, 0.0).p_mass
+            p1 = build_mixture(0.8, h, 1e-8).p_mass
             assert p1 == pytest.approx(p0, rel=1e-6)
 
     def test_right_mass_closed_form(self):
         # Q(1, x) = e^-x turns the right mass into (4/pi) e^{-pi/4}
-        qm = build_mixture(TRUNC1, JStarParams(1.0, 0.0)).q_mass
+        qm = build_mixture(TRUNC1, 1.0, 0.0).q_mass
         assert qm == pytest.approx((4.0 / np.pi) * np.exp(-np.pi / 4.0),
                                    rel=1e-12)
 
@@ -421,7 +421,7 @@ class TestMixtureWeights:
         # p = 2^h Q(1/2, h^2/(2t)) = 2^h erfc(h/sqrt(2t)) at z = 0
         for h in (1.0, 2.5, 4.0):
             for t in (0.3, 0.64, 2.0):
-                pm = build_mixture(t, JStarParams(h, 0.0)).p_mass
+                pm = build_mixture(t, h, 0.0).p_mass
                 want = 2.0 ** h * math.erfc(h / math.sqrt(2.0 * t))
                 assert pm == pytest.approx(want, rel=1e-12)
 
@@ -430,13 +430,28 @@ class TestMixtureWeights:
         for z in (0.0, 1.0, 3.0):
             lam = tilt_rate(z)
             for t in (0.1, 0.64, 5.0):
-                qm = build_mixture(t, JStarParams(1.0, z)).q_mass
+                qm = build_mixture(t, 1.0, z).q_mass
                 want = (np.pi / 2.0) / lam * math.exp(-lam * t)
                 assert qm == pytest.approx(want, rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            build_mixture(0.0, JStarParams(1.0, 0.0))
+            build_mixture(0.0, 1.0, 0.0)
+
+    def test_left_fraction_stored_bit_for_bit(self):
+        # stored once, computed on floats, it equals numpy's formula bit
+        # for bit; the grid reaches log_q = -inf (the right tail mass
+        # underflows) and z = 1e5
+        underflowed = 0
+        for h in (1.0, 1.5, 2.5, 3.875, 4.0):
+            t = TRUNC1 if h == 1.0 else trunc_lookup(h)
+            for z in (0.0, 1e-8, 0.3, 1.0, 4.0, 40.0, 1e3, 1e5):
+                mix = build_mixture(t, h, z)
+                want = np.exp(mix.log_p - np.logaddexp(mix.log_p, mix.log_q))
+                assert type(mix.left_fraction) is float
+                assert mix.left_fraction.hex() == float(want).hex(), (h, z)
+                underflowed += mix.log_q == -np.inf
+        assert underflowed
 
 
 class TestTruncationPoint:
@@ -455,7 +470,7 @@ class TestTruncationPoint:
         p = JStarParams(h, 0.0)
 
         def total(tt):
-            mix = build_mixture(tt, p)
+            mix = build_mixture(tt, p.h, p.z)
             return mix.p_mass + mix.q_mass
 
         assert total(t - 0.05) > total(t)

@@ -13,6 +13,7 @@ from pgrv.density import (
     sample_gamma_sum,
     trunc_lookup,
 )
+from pgrv import devroye
 from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import (
     TRUNC_POINT,
@@ -120,7 +121,7 @@ def test_scaled_coefficients_match_pasted_series():
 
 def test_component_weight_fraction():
     z = 1.0
-    setup = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
+    setup = build_mixture(TRUNC_POINT, 1.0, z)
     counters = {}
     sample_jstar1_batch(z, N, RngStream(12), counters=counters)
     frac = counters["left_proposals"] / counters["proposals"]
@@ -142,7 +143,7 @@ def test_acceptance_loop_terminates_early(z):
 def test_acceptance_rate_matches_mass_ratio():
     # acceptance probability is sech(z)/(p+q) for the unit shape
     z = 0.5
-    setup = build_mixture(TRUNC_POINT, JStarParams(1.0, z))
+    setup = build_mixture(TRUNC_POINT, 1.0, z)
     counters = {}
     sample_jstar1_batch(z, N, RngStream(14), counters=counters)
     rate = counters["accepted"] / counters["proposals"]
@@ -225,3 +226,70 @@ def test_one_candidate_truncated_ig_matches_array(mu, right):
         y = sample_truncated_inverse_gaussian(mu, 5.0, right, b, size=1)
         assert type(x) is float and x.hex() == float(y[0]).hex()
         assert a.uniform() == b.uniform()
+
+
+# -- short candidate arrays: up to devroye._SHORT slots are decided one
+# by one on floats; _SHORT = 0 sends every array down the array path,
+# which is the reference
+
+def _policy(h):
+    # h = 1 stands for the devroye policy, any other h for the alternate
+    return (_PastedCoefficients() if h == 1.0
+            else _RatioCoefficients(h, trunc_lookup(h)))
+
+
+def _decide(x, h, seed, short, monkeypatch):
+    monkeypatch.setattr(devroye, "_SHORT", short)
+    rng, counters = RngStream(seed), {}
+    accept = _series_decide(x, rng, _policy(h), counters)
+    assert accept.dtype == bool and accept.shape == x.shape
+    return accept.tolist(), counters, rng.uniform()
+
+
+@pytest.mark.parametrize("h", [1.0, 1.5, 2.5, 3.875])
+@pytest.mark.parametrize("hz", [0.0, 1.0, 20.0, 2000.0])
+def test_short_array_matches_array_path(h, hz, monkeypatch):
+    # candidates spread about the J*(h, z) mean, capped at 10 like the
+    # domination guard's grid; at h z = 2,000 they sit where a_0
+    # underflows, at z = 0 on both sides of the paste point
+    z = hz / h
+    mean = h * (np.tanh(z) / z if z else 1.0)
+    draw = np.random.default_rng(int(10 * h + hz))
+    short = devroye._SHORT
+    decided = []
+    for k in range(1, 2 * short + 1):
+        for seed in range(4):
+            x = np.minimum(mean * np.exp(draw.normal(0.0, 0.8, k)), 10.0)
+            got = _decide(x, h, seed, short, monkeypatch)
+            want = _decide(x, h, seed, 0, monkeypatch)
+            assert got == want, (k, seed)
+            decided += got[0]
+    # both outcomes are compared where both occur: the devroye bound is
+    # within 0.6% of the density, and at h z = 2,000 the first odd sum
+    # accepts every proposal
+    assert any(decided)
+    if h != 1.0 and hz < 2000.0:
+        assert not all(decided)
+
+
+@pytest.mark.parametrize("x,h", [(1e-13, 1.0), (1e-13, 2.5), (1e4, 2.5)])
+def test_short_array_rejects_unusable_points(x, h, monkeypatch):
+    # below _X_FLOOR, or where the alternate bound underflows, a slot is
+    # rejected without a series term, next to slots that do decide
+    cand = np.array([x, 0.5, x, 0.3])
+    got = _decide(cand, h, 6, devroye._SHORT, monkeypatch)
+    assert got == _decide(cand, h, 6, 0, monkeypatch)
+    assert got[0][0] is False and got[0][2] is False
+
+
+@pytest.mark.parametrize("k", [3, 2 * devroye._SHORT + 1])
+def test_short_and_long_arrays_check_domination(k):
+    policy = _HalfBound(2.5, trunc_lookup(2.5))
+    with pytest.raises(DominationViolationError):
+        _series_decide(np.full(k, 0.2), RngStream(4), policy)
+
+
+@pytest.mark.parametrize("k", [3, 2 * devroye._SHORT + 1])
+def test_short_and_long_arrays_series_cap(k):
+    with pytest.raises(IterationCapError):
+        _series_decide(np.full(k, 0.5), RngStream(5), _NeverDecreasing())

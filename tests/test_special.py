@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from pgrv.special import (
     UTAN_SINGULARITY,
+    _logaddexp,
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
@@ -153,6 +154,25 @@ class TestInverseGaussianCdf:
         got = inverse_gaussian_log_cdf(0.7, np.inf, 3.0)
         assert got == pytest.approx(
             math.log(math.erfc(math.sqrt(3.0 / (2.0 * 0.7)))), rel=1e-14)
+
+
+class TestLogAddExp:
+    def test_float_steps_match_numpy(self):
+        # the float version follows np.logaddexp's own libm steps, so
+        # every pair, infinities and equal arguments included, agrees to
+        # the bit
+        draw = np.random.default_rng(0)
+        vals = np.concatenate([
+            draw.normal(0.0, 1.0, 40), draw.normal(0.0, 1e3, 40),
+            [0.0, -0.0, 1e-300, -745.0, 709.0, 1e308, -1e308,
+             np.inf, -np.inf]])
+        a, b = np.meshgrid(vals, vals)
+        with np.errstate(over="ignore"):   # 1e308 - (-1e308)
+            want = np.logaddexp(a, b)
+        for i in np.ndindex(a.shape):
+            got = _logaddexp(float(a[i]), float(b[i]))
+            assert got == want[i] or (np.isnan(got) and np.isnan(want[i])), i
+            assert math.copysign(1.0, got) == math.copysign(1.0, want[i])
 
 
 class TestLogGammaFn:

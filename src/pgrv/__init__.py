@@ -22,6 +22,7 @@ from .errors import (
     DominationViolationError,
     EnvelopeValidityError,
     IterationCapError,
+    TailUnderflowError,
 )
 from .pg import (
     Method,
@@ -46,6 +47,7 @@ __all__ = [
     "Method",
     "PgParams",
     "RngStream",
+    "TailUnderflowError",
     "build_trunc_table",
     "choose_method",
     "density",

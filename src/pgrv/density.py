@@ -7,15 +7,16 @@ recurrence and the one partial-sum routine built on it (numpy or, for
 verification, mpmath arithmetic), the left/right bounding kernels with
 their mixture weights, the truncation-point solver and the one t(h)
 table the samplers read ([1, 4] by 0.0025, which ``pgrv table`` prints),
-analytic moments, the truncated gamma-convolution sampler used as a
-validation oracle, and the numerical domination check for the bounding
-kernels.
+analytic moments, the gamma-convolution sampler (the route below shape
+1, and the validation oracle), and the numerical domination check for
+the bounding kernels.
 
 Everything here is pure and thread-safe except :func:`sample_gamma_sum`
 (which consumes an RngStream) and the process-wide t(h) table, which is
 built on the first lookup, under a lock, and read-only afterwards.
 """
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -206,23 +207,59 @@ def density(x, params, rel_tol=1e-13, max_terms=10_000):
     return float(np.exp(log_f))
 
 
-def sample_gamma_sum(params, n_terms, rng, size=None):
-    """Truncated gamma-convolution draw: sum_{n<n_terms} g_n / d_n(z).
+@functools.lru_cache(maxsize=16)
+def _gamma_sum_rates(n_terms):
+    """The untilted rates c_0, ..., c_{n_terms-1}, shared read-only."""
+    c = c_index(np.arange(n_terms))
+    c.flags.writeable = False
+    return c
 
-    The g_n are iid Gamma(h, 1).  With a couple hundred terms this is an
-    accurate approximate sampler and serves as the validation oracle for
-    the exact methods.
+
+def sample_gamma_sum(params, n_terms, rng, size=None):
+    """Gamma-convolution draw: sum_{n<n_terms} g_n / d_n(z) plus one gamma
+    remainder standing in for the dropped terms.
+
+    The g_n are iid Gamma(h, 1).  The remainder is a gamma variate with
+    the mean and variance of sum_{n>=n_terms} g_n / d_n(z), that is
+    ``jstar_mean``/``jstar_var`` minus the explicit terms' share; it is
+    skipped when either moment rounds to zero or below.  So every draw
+    has the exact mean and variance of J*(h, z), whatever ``n_terms``
+    is, and only the shape beyond the variance is approximate:
+
+    - Third cumulant.  Every cumulant is h times a sum over n, so its
+      relative error does not depend on h.  With 20 terms it is at most
+      1.5e-5 of the total for PG tilts |z| <= 20, 1.6% at 100, 8.8% at
+      200 and 28% at 1e3, tending to a third (too small) as |z| grows
+      and the remainder carries all the variance.
+    - KS distance.  The remainder's shape is about 3 h n_terms at
+      z = 0; below h n_terms = 2 it puts too much mass near 0 (KS
+      distance to a long reference 0.015 at h n_terms = 0.5, 0.075 at
+      0.2, 0.55 at 0.02).  With h n_terms >= 2 and n_terms >= 20 (the
+      PG route's rule), the distance stayed at or below 0.018 at
+      h = 1e-4, 1e-3, 0.01, 0.05, 0.1 and 0.5 and PG |z| = 0, 20, 1e3
+      and 1e5, the largest at h = 1e-3 and at h = 0.05, |z| = 1e3.
+      (Samples of 20,000-50,000 draws against 10,000-20,000 reference
+      draws of at least 20,000 terms, so distances below about 0.01-0.017
+      are noise.)
     """
     if n_terms < 1:
         raise ValueError("sample_gamma_sum: n_terms must be >= 1")
-    w = 1.0 / d_index(np.arange(n_terms), params.z)
-    n = 1 if size is None else int(size)
-    out = np.empty(n)
-    chunk = max(1, 4_000_000 // n_terms)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        out[lo:hi] = rng.gamma(params.h, size=(hi - lo, n_terms)) @ w
-    return float(out[0]) if size is None else out
+    h = params.h
+    w = 1.0 / (_gamma_sum_rates(n_terms) + 0.5 * params.z * params.z)
+    tail_mean = jstar_mean(params) - h * float(np.add.reduce(w))
+    tail_var = jstar_var(params) - h * float(w @ w)
+    if size is None:
+        x = float(rng.gamma(h, size=n_terms) @ w)
+    else:
+        x = np.empty(int(size))
+        chunk = max(1, 4_000_000 // n_terms)
+        for lo in range(0, x.size, chunk):
+            hi = min(lo + chunk, x.size)
+            x[lo:hi] = rng.gamma(h, size=(hi - lo, n_terms)) @ w
+    if tail_mean > 0.0 and tail_var > 0.0:
+        x += (rng.gamma(tail_mean * tail_mean / tail_var, size=size)
+              * (tail_var / tail_mean))
+    return x
 
 
 def _mean_factor(z):
@@ -377,6 +414,11 @@ def solve_trunc_point(h):
         raise ConvergenceError(f"solve_trunc_point failed for h={h}") from exc
 
 
+# the built-in t(h) grid: TRUNC_H_MIN + _TRUNC_STEP * i, i < _TRUNC_ROWS
+_TRUNC_STEP = 0.0025
+_TRUNC_ROWS = 1201
+
+
 def build_trunc_table():
     """Solve t(h) on the built-in grid: [1, 4] by 0.0025, 1,201 points.
 
@@ -385,37 +427,57 @@ def build_trunc_table():
     (second derivative around -39); at this step linear interpolation
     stays within 1e-4 of the direct solve everywhere.
     """
-    hs = TRUNC_H_MIN + 0.0025 * np.arange(1201)
+    hs = TRUNC_H_MIN + _TRUNC_STEP * np.arange(_TRUNC_ROWS)
     hs[-1] = min(hs[-1], TRUNC_H_MAX)
     ts = np.array([solve_trunc_point(h) for h in hs])
     return hs, ts
 
 
+# (h array, t array, h list, t list), built on the first lookup
 _default_table = None
 _default_table_lock = threading.Lock()
 
 
-def default_trunc_table():
-    """The process-wide ``(h, t)`` table, built on first use and shared
-    read-only afterwards."""
+def _trunc_table():
     global _default_table
     if _default_table is None:
         with _default_table_lock:
             if _default_table is None:
                 hs, ts = build_trunc_table()
                 hs.flags.writeable = ts.flags.writeable = False
-                _default_table = hs, ts
+                _default_table = hs, ts, hs.tolist(), ts.tolist()
     return _default_table
 
 
+def default_trunc_table():
+    """The process-wide ``(h, t)`` table, built on first use and shared
+    read-only afterwards."""
+    hs, ts, _, _ = _trunc_table()
+    return hs, ts
+
+
 def trunc_lookup(h):
-    """Paste point t(h), linearly interpolated in the built-in table."""
+    """Paste point t(h), linearly interpolated in the built-in table.
+
+    The grid is uniform, so the bracketing row is found from h directly
+    (and corrected by at most a row or two against the stored nodes);
+    the slope and offset steps are ``np.interp``'s, so the result has
+    its bits, on Python floats.
+    """
     h = float(h)
-    hs, ts = default_trunc_table()
-    if h < hs[0] or h > hs[-1]:
+    _, _, hs, ts = _trunc_table()
+    if not (hs[0] <= h <= hs[-1]):
         raise ValueError(
             f"trunc_lookup: h={h} outside table range [{hs[0]}, {hs[-1]}]")
-    return float(np.interp(h, hs, ts))
+    last = _TRUNC_ROWS - 1
+    j = min(int((h - TRUNC_H_MIN) / _TRUNC_STEP), last)
+    while hs[j] > h:
+        j -= 1
+    while j < last and hs[j + 1] <= h:
+        j += 1
+    if j == last or hs[j] == h:
+        return ts[j]
+    return (ts[j + 1] - ts[j]) / (hs[j + 1] - hs[j]) * (h - hs[j]) + ts[j]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Domain violations on plain arguments raise :class:`ValueError` directly;
-the classes below cover failures that arise *during* iteration, where the
-caller may want to distinguish a numerical breakdown from bad input.
+the classes below cover numerical failures (most arise *during*
+iteration), where the caller may want to distinguish a numerical
+breakdown from bad input.
 """
 
 
@@ -23,3 +24,8 @@ class DominationViolationError(RuntimeError):
 class EnvelopeValidityError(RuntimeError):
     """A freshly built saddlepoint envelope failed its pointwise
     dominance spot check."""
+
+
+class TailUnderflowError(ArithmeticError):
+    """The gamma tail mass beyond a truncation bound underflowed to zero,
+    so no draw can be taken from it by inversion."""

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import IterationCapError
+from .errors import IterationCapError, TailUnderflowError
 
 __all__ = [
     "RngStream",
@@ -236,7 +236,11 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
     """Exact draw(s) from Gamma(shape, rate) conditioned on (left, inf).
 
     Uses inversion of the regularized upper tail, which stays
-    well-conditioned for the moderate shapes this package needs.
+    well-conditioned for the moderate shapes this package needs.  Raises
+    :class:`TailUnderflowError` when that tail mass underflows to zero.
+    Neither the alternate nor the saddlepoint route reaches it: where
+    the tail underflows, both weigh their gamma piece at exactly zero,
+    from the same ``gammaincc`` value.
     """
     from scipy import special as sc
 
@@ -246,7 +250,7 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
         raise ValueError("sample_truncated_gamma: left bound must be positive")
     q_left = sc.gammaincc(shape, rate * left)
     if q_left <= 0.0:
-        raise ValueError(
+        raise TailUnderflowError(
             "sample_truncated_gamma: upper tail mass beyond the bound underflows"
         )
     u = rng.uniform(size)

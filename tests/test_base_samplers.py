@@ -7,7 +7,8 @@ import pytest
 from scipy import stats as spstats
 from scipy.integrate import quad
 
-from pgrv.errors import IterationCapError
+from pgrv import PgParams, alternate, saddle, sample_pg, sample_pg_batch
+from pgrv.errors import IterationCapError, TailUnderflowError
 from pgrv.rng import (
     RngStream,
     sample_truncated_gamma,
@@ -236,5 +237,23 @@ class TestTruncatedGamma:
         assert spstats.kstest(x, cdf).pvalue > KS_LEVEL
 
     def test_underflowing_tail_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TailUnderflowError):
             sample_truncated_gamma(2.0, 1.0, 1e6, RngStream(0))
+
+    @pytest.mark.parametrize("b,z,method,size", [
+        (2.5, 200.0, "alternate", None),
+        (2.5, 200.0, "alternate", 64),
+        (40.0, 2000.0, "saddlepoint", 600),
+    ])
+    def test_routes_never_draw_an_underflowing_tail(self, b, z, method, size,
+                                                    monkeypatch):
+        # where the gamma tail underflows, both routes weigh the right
+        # piece at exactly 0 (same gammaincc), so it is never proposed
+        def refuse(*args, **kwargs):
+            raise TailUnderflowError
+        monkeypatch.setattr(alternate, "sample_truncated_gamma", refuse)
+        monkeypatch.setattr(saddle, "sample_truncated_gamma", refuse)
+        p = PgParams(b, z)
+        x = (sample_pg(p, RngStream(3), method=method) if size is None
+             else sample_pg_batch(p, RngStream(3), size, method=method))
+        assert np.all(np.isfinite(x) & (np.asarray(x) > 0.0))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 from scipy.integrate import quad
-from scipy.special import polygamma
 
 from pgrv.density import (
     JStarParams,
@@ -289,30 +288,27 @@ class TestDensity:
 
 
 class TestGammaSum:
-    def test_expectation_matches_partial_rates(self):
+    # the remainder gamma carries the dropped terms' mean and variance,
+    # so the draws have J*'s whatever the explicit term count
+    @pytest.mark.parametrize("terms", [1, 10, 200])
+    def test_mean_is_exact(self, terms):
         p = JStarParams(2.0, 1.0)
-        terms = 50
         draws = sample_gamma_sum(p, terms, RngStream(5), size=100_000)
-        d = 0.5 * np.pi ** 2 * (np.arange(terms) + 0.5) ** 2 + 0.5
-        want = 2.0 * np.sum(1.0 / d)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - want) < 4 * se
+        assert abs(draws.mean() - jstar_mean(p)) < 4 * se
+
+    @pytest.mark.parametrize("terms", [1, 10, 200])
+    def test_variance_is_exact(self, terms):
+        p = JStarParams(1.5, 0.5)
+        draws = sample_gamma_sum(p, terms, RngStream(7), size=100_000)
+        assert draws.var(ddof=1) / jstar_var(p) == pytest.approx(1.0,
+                                                                 abs=0.03)
 
     def test_unit_shape_200_terms(self):
         draws = sample_gamma_sum(JStarParams(1.0, 0.0), 200, RngStream(6),
                                  size=100_000)
-        # analytic tail of the rate series: sum_{n>=200} 1/c_n via trigamma
-        tail = (2.0 / np.pi ** 2) * float(polygamma(1, 200.5))
-        want = 1.0 - tail
         se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - want) < 4 * se
-
-    def test_monotone_in_terms(self):
-        a = sample_gamma_sum(JStarParams(1.5, 0.5), 200, RngStream(7),
-                             size=20_000)
-        b = sample_gamma_sum(JStarParams(1.5, 0.5), 10, RngStream(7),
-                             size=20_000)
-        assert a.mean() > b.mean()
+        assert abs(draws.mean() - 1.0) < 4 * se
 
     def test_scalar_draw(self):
         v = sample_gamma_sum(JStarParams(1.0, 0.0), 200, RngStream(8))
@@ -518,6 +514,19 @@ class TestTruncTable:
         hs, ts = default_trunc_table()
         with pytest.raises(ValueError):
             ts[0] = 0.5
+
+    def test_lookup_has_np_interp_bits(self):
+        # every node, every midpoint, both float neighbours of each node
+        # and 200k uniform points
+        hs, ts = default_trunc_table()
+        pts = np.concatenate([
+            hs, (hs[:-1] + hs[1:]) / 2.0, np.nextafter(hs[1:], 0.0),
+            np.nextafter(hs[:-1], 5.0),
+            np.random.default_rng(0).uniform(1.0, 4.0, 200_000)])
+        got = np.array([trunc_lookup(h) for h in pts.tolist()])
+        assert pts.size == 204_801
+        assert np.array_equal(got, np.interp(pts, hs, ts))
+        assert type(trunc_lookup(2.0)) is float
 
 
 class TestDomination:

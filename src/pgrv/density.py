@@ -2,14 +2,15 @@
 
 The J*(h) density is an alternating series of inverse-Gaussian-type
 terms; tilting by z multiplies it by cosh^h(z) exp(-x z^2/2).  This
-module provides the series coefficients, the one coefficient-ratio
-recurrence and the one partial-sum routine built on it (numpy or, for
-verification, mpmath arithmetic), the left/right bounding kernels with
-their mixture weights, the truncation-point solver and the one t(h)
-table the samplers read ([1, 4] by 0.0025, which ``pgrv table`` prints),
-analytic moments, the gamma-convolution sampler (the route below shape
-1, and the validation oracle), and the numerical domination check for
-the bounding kernels.
+module provides the density, the one coefficient-ratio recurrence and
+the one partial-sum routine built on it (numpy or, for verification,
+mpmath arithmetic), the proposal mixture of the left/right bounding
+kernels, the truncation-point solver and the one t(h) table the samplers
+read ([1, 4] by 0.0025, which ``pgrv table`` prints), analytic moments,
+the gamma-convolution sampler (the route below shape 1, and the
+validation oracle), and the numerical domination check for the bounding
+kernels.  The series coefficients and the kernels are kept as untilted
+logs, the form the samplers use.
 
 Everything here is pure and thread-safe except :func:`sample_gamma_sum`
 (which consumes an RngStream) and the process-wide t(h) table, which is
@@ -38,16 +39,11 @@ __all__ = [
     "JStarParams",
     "ProposalMixture",
     "c_index",
-    "d_index",
-    "coef_left",
-    "coef_right_h1",
     "coef_ratio",
     "density",
     "sample_gamma_sum",
     "jstar_mean",
     "jstar_var",
-    "kernel_ell",
-    "kernel_r",
     "tilt_rate",
     "solve_trunc_point",
     "build_trunc_table",
@@ -68,6 +64,10 @@ TRUNC_H_MAX = 4.0
 # Relative slack allowed before a bounding-kernel ratio counts as a
 # domination failure.
 DOMINATION_SLACK = 1e-9
+
+# Stopping rule of density(): relative increment, and the term cap
+_DENSITY_REL_TOL = 1e-13
+_DENSITY_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,6 @@ def c_index(n):
     n = np.asarray(n, dtype=float)
     out = 0.5 * np.pi ** 2 * (n + 0.5) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def d_index(n, z):
-    """Tilted rate c_n + z^2/2 of the gamma-convolution representation."""
-    out = c_index(n) + 0.5 * float(z) ** 2
-    return out
 
 
 def tilt_rate(z):
@@ -133,36 +127,6 @@ def _log_coef_left_unit(n, x, h):
             - (2.0 * n + h) ** 2 / (2.0 * x))
 
 
-def coef_left(n, x, params):
-    """Left-series coefficient a_n^L(x | h, z), tilt included.
-
-    Computed in log space so large shapes do not overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("coef_left: x must be positive")
-    n = np.asarray(n, dtype=float)
-    h, z = params.h, params.z
-    out = np.exp(h * log_cosh(z) - 0.5 * x * z * z
-                 + _log_coef_left_unit(n, x, h))
-    return float(out) if out.ndim == 0 else out
-
-
-def coef_right_h1(n, x, z):
-    """Right-series coefficient pi (n+1/2) e^{-(n+1/2)^2 pi^2 x/2}, tilted.
-
-    Only the unit shape has this second representation.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("coef_right_h1: x must be positive")
-    n = np.asarray(n, dtype=float)
-    out = np.exp(log_cosh(z) - 0.5 * x * z * z
-                 + np.log(np.pi * (n + 0.5))
-                 - (n + 0.5) ** 2 * np.pi ** 2 * x / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _ratio_sum(x, h, rel_tol, max_terms):
     """Alternating sum of the coefficient ratios t_n = a_n/a_0, i.e. f/a_0.
 
@@ -186,20 +150,25 @@ def _ratio_sum(x, h, rel_tol, max_terms):
     )
 
 
-def density(x, params, rel_tol=1e-13, max_terms=10_000):
-    """Density of J*(h, z) at x > 0.
+def density(x, params):
+    """Density of J*(h, z) at x > 0, for shapes h >= 1.
 
     The alternating series is summed until the relative increment falls
-    below ``rel_tol``; a :class:`ConvergenceError` is raised when
-    ``max_terms`` terms do not suffice.  Severe cancellation deep in the
-    right tail can shrink the result below its true value, but never below
-    zero and never by more than a few ulps of the leading coefficient.
+    below 1e-13; a :class:`ConvergenceError` is raised when 10,000 terms
+    do not suffice.  The series is proven to converge only for h >= 1
+    (see :func:`coef_ratio`), so smaller shapes raise ValueError.
+    Severe cancellation deep in the right tail can shrink the result
+    below its true value, but never below zero and never by more than a
+    few ulps of the leading coefficient.
     """
     x = float(x)
     if x <= 0.0:
         raise ValueError("density: x must be positive")
     h, z = params.h, params.z
-    s, _ = _ratio_sum(x, h, rel_tol, max_terms)
+    if h < 1.0:
+        raise ValueError(f"density: shape h={h} is below 1, where the "
+                         "series is not known to converge")
+    s, _ = _ratio_sum(x, h, _DENSITY_REL_TOL, _DENSITY_MAX_TERMS)
     if s <= 0.0:
         return 0.0
     log_f = (h * log_cosh(z) - 0.5 * x * z * z
@@ -292,45 +261,20 @@ def jstar_var(params):
 
 
 def _log_kernel_ell_unit(x, h):
-    """log of the untilted left bounding kernel (no cosh factor, no tilt)."""
+    """log of the untilted left bounding kernel 2^h (h/sqrt(2 pi))
+    x^{-3/2} e^{-h^2/(2x)}: the leading coefficient a_0^L(x | h), and 2^h
+    times an inverse-gamma(1/2, h^2/2) density.  Tilting multiplies it by
+    cosh^h(z) e^{-x z^2/2}."""
     return (h * _LOG2 + np.log(h) - 0.5 * _LOG_2PI
             - 1.5 * np.log(x) - h * h / (2.0 * x))
 
 
 def _log_kernel_r_unit(x, h, lam_z):
-    """log of the right bounding kernel with rate lam_z (no cosh factor)."""
+    """log of the right bounding kernel (pi/2)^h x^{h-1} e^{-lam_z x}/Gamma(h),
+    proportional to a Gamma(h, lam_z) density; the tilted kernel has
+    lam_z = :func:`tilt_rate` (z) and a cosh^h(z) factor."""
     return (h * _LOG_HALF_PI - log_gamma_fn(h)
             + (h - 1.0) * np.log(x) - lam_z * x)
-
-
-def kernel_ell(x, params):
-    """Left bounding kernel: cosh^h(z) 2^h (h/sqrt(2 pi)) x^{-3/2}
-    e^{-h^2/(2x) - x z^2/2}.
-
-    Equals the leading series coefficient a_0^L(x | h, z); at z = 0 it is
-    2^h times an inverse-gamma(1/2, h^2/2) density.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("kernel_ell: x must be positive")
-    h, z = params.h, params.z
-    out = np.exp(h * log_cosh(z) - 0.5 * x * z * z + _log_kernel_ell_unit(x, h))
-    return float(out) if out.ndim == 0 else out
-
-
-def kernel_r(x, params):
-    """Right bounding kernel: cosh^h(z) (pi/2)^h x^{h-1} e^{-lam_z x}/Gamma(h),
-    lam_z = pi^2/8 + z^2/2.
-
-    Proportional to a Gamma(h, lam_z) density; it matches the right tail
-    of the target.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("kernel_r: x must be positive")
-    h, z = params.h, params.z
-    out = np.exp(h * log_cosh(z) + _log_kernel_r_unit(x, h, tilt_rate(z)))
-    return float(out) if out.ndim == 0 else out
 
 
 class ProposalMixture(NamedTuple):
@@ -355,14 +299,6 @@ class ProposalMixture(NamedTuple):
     h: float
     z: float
     lam_z: float
-
-    @property
-    def p_mass(self):
-        return float(np.exp(self.log_p))
-
-    @property
-    def q_mass(self):
-        return float(np.exp(self.log_q))
 
 
 def build_mixture(trunc, h, z):

@@ -20,6 +20,7 @@ The sign of z is irrelevant (the density depends on z^2 and cosh), so
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,12 +214,16 @@ def sample_pg_batch(params, rng, size, method="auto"):
     """A fresh 1-d array of ``size`` PG(b, z) draws.
 
     The hybrid rule picks the route from the shape and this batch's
-    length.  ``size=0`` gives an empty array; a negative size raises
-    ValueError.
+    length.  ``size=0`` gives an empty array; a negative size, or one
+    that is not an integer (a float, a bool), raises ValueError.
     """
-    n = int(size)
-    if n < 0:
-        raise ValueError("sample_pg_batch: size must be >= 0")
+    try:
+        n = operator.index(size)
+    except TypeError:
+        n = -1
+    if n < 0 or isinstance(size, bool):
+        raise ValueError(
+            f"sample_pg_batch: size must be an integer >= 0, got {size!r}")
     if n == 0:
         return np.empty(0)
     return _draw(_resolve_method(method, params.b, n), params, rng, n)

@@ -57,7 +57,10 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(self._ss))
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed})"
+        # a spawned child shares its root's seed; its spawn key tells it apart
+        key = self._ss.spawn_key
+        return (f"RngStream(seed={self.seed}, spawn_key={key})" if key
+                else f"RngStream(seed={self.seed})")
 
     def spawn(self, n):
         """Return ``n`` independent child streams (deterministic in seed)."""
@@ -178,14 +181,13 @@ def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
     return propose
 
 
-def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
-                                      max_rounds=MAX_REJECTION_ROUNDS):
+def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
     """Exact draw(s) from IG(mu, lam) conditioned on (0, right).
 
     ``mu=inf`` is accepted and means the zero-drift limit (the kernel
     x^(-3/2) exp(-lam/(2x))).  Raises :class:`IterationCapError` when the
-    rejection loop exhausts its budget, which signals a numerically
-    hopeless parameter combination.
+    rejection loop exhausts its budget of ``MAX_REJECTION_ROUNDS``
+    rounds, which signals a numerically hopeless parameter combination.
 
     Notes
     -----
@@ -229,7 +231,7 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None,
         propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
                            lambda x: x < right)
     return lam * _fill_by_rejection(size, propose, accept,
-                                    max_rounds=max_rounds)
+                                    max_rounds=MAX_REJECTION_ROUNDS)
 
 
 def sample_truncated_gamma(shape, rate, left, rng, size=None):

@@ -10,17 +10,19 @@ sqrt(n/(2 pi)) K''(s(x))^{-1/2} exp(n [K(s(x)) - s(x) x]).
 
 Rather than bounding the kernel itself, the envelope bounds the exponent
 phi(x) = K(s(x)) - s(x) x after subtracting the tail-shape correction
-delta; the corrected function eta = phi - delta is concave on each side
-of the paste point x_c, so two tangent lines enclose it.  Folding the
-correction back in turns the pieces into inverse-Gaussian and gamma
-kernels, with the K'' factor absorbed by the ratio bounds alpha_l,
-alpha_r.  Every constant is kept in log space: shapes up to a few
+delta(x) = 1/(2 x_c) - 1/(2x) left of the paste point x_c and log(x/x_c)
+right of it; the corrected function eta = phi - delta is concave on each
+side of x_c, so two tangent lines enclose it.  Folding the correction
+back in turns the pieces into inverse-Gaussian and gamma kernels, with
+the K'' factor absorbed by the ratio bounds alpha_l, alpha_r.  Every constant is kept in log space: shapes up to a few
 hundred would otherwise overflow Gamma(n) and e^{n b}.
 
 Envelopes are immutable and cached per (n, z); building one runs a
 pointwise dominance spot check and refuses to return an envelope that
-fails it.  A build makes one vectorised root solve, shared by the
-tangent points, the paste point and the spot-check points.
+fails it.  A build makes one vectorised root solve (:func:`_solve_u_vec`),
+shared by the tangent points, the paste point and the spot-check points;
+the sampler's accept test solves its candidates the same way, inside
+:func:`_log_sp_vec`.
 """
 
 from dataclasses import dataclass
@@ -41,18 +43,11 @@ from .special import inverse_gaussian_log_cdf, log_cosh, log_gamma_fn, utan
 
 __all__ = [
     "U_MAX",
-    "CgfPoint",
     "SaddleEnvelope",
     "cgf",
     "cgf_p1",
     "cgf_p2",
-    "solve_saddle",
-    "phi",
-    "delta",
-    "eta",
     "build_envelope",
-    "sp_density",
-    "log_sp_density",
     "sample_saddle_batch",
     "check_curvature_monotonicity",
 ]
@@ -115,18 +110,6 @@ def cgf_p2(s, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class CgfPoint:
-    """A solved saddle: mean coordinate x, dual s, shifted dual u = s - z^2/2.
-
-    x < 1 iff u < 0, x = 1 iff u = 0, x > 1 iff u > 0.
-    """
-
-    x: float
-    s: float
-    u: float
-
-
 def _u_bracket(x):
     """Brackets (lo, hi) containing the roots of utan(2u) = x, and seeds."""
     left = x < 1.0
@@ -144,7 +127,10 @@ def _u_bracket(x):
 
 
 def _solve_u_vec(x, tol=1e-12, max_iter=200):
-    """Solve utan(2u) = x elementwise by safeguarded Newton.
+    """Solve utan(2u) = x elementwise by safeguarded Newton, for x > 0.
+
+    The root is the shifted dual u = s - z^2/2 of the saddle K'(s) = x:
+    u < 0 for x < 1, 0 < u < pi^2/8 for x > 1, and u = 0 exactly at x = 1.
 
     Each element iterates on its own, so solving an array gives the same
     roots, bit for bit, as solving its elements one at a time.
@@ -176,48 +162,6 @@ def _solve_u_vec(x, tol=1e-12, max_iter=200):
         u[active] = np.where(done, ua, un)
         active = active[~done]
     raise ConvergenceError("saddle solve did not converge")
-
-
-def solve_saddle(x, z):
-    """Solve K'(s) = x for the saddle s; returns a :class:`CgfPoint`.
-
-    Newton iteration on the shifted dual u, safeguarded by a bracketing
-    interval (u < 0 for x < 1, 0 < u < pi^2/8 for x > 1; u = 0 exactly at
-    x = 1).
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("solve_saddle: x must be positive")
-    u = float(_solve_u_vec(np.array([x]))[0])
-    return CgfPoint(x=x, s=u + 0.5 * float(z) ** 2, u=u)
-
-
-def phi(x, z):
-    """Concave dual phi(x) = min_s {K(s) - s x} = K(s(x)) - s(x) x.
-
-    Its derivative is -s(x); the maximum value 0 is attained at the mode
-    m = K'(0) = tanh(z)/z.
-    """
-    pt = solve_saddle(x, z)
-    return cgf(pt.s, z) - pt.s * pt.x
-
-
-def delta(x, x_c):
-    """Tail-shape correction: 1/(2 x_c) - 1/(2x) left of x_c, log(x/x_c)
-    right of it.  Continuous, zero at x_c."""
-    x = np.asarray(x, dtype=float)
-    x_c = float(x_c)
-    if np.any(x <= 0.0) or x_c <= 0.0:
-        raise ValueError("delta: arguments must be positive")
-    out = np.where(x <= x_c,
-                   0.5 / x_c - 0.5 / x,
-                   np.log(np.maximum(x, x_c) / x_c))
-    return float(out) if out.ndim == 0 else out
-
-
-def eta(x, z, x_c):
-    """phi - delta; concave on (0, x_c) and on (x_c, inf)."""
-    return phi(x, z) - delta(x, x_c)
 
 
 @dataclass(frozen=True)
@@ -283,25 +227,9 @@ def _log_sp_at(x, u, n, z):
 
 
 def _log_sp_vec(x, n, z):
+    """log saddlepoint density of J*(n, z)/n at x, saddles solved here."""
     x = np.asarray(x, dtype=float)
     return _log_sp_at(x, _solve_u_vec(x), n, z)
-
-
-def log_sp_density(x, n, z):
-    """log of the saddlepoint density of J*(n, z)/n at x."""
-    if n <= 0.0:
-        raise ValueError("log_sp_density: n must be positive")
-    out = _log_sp_vec(x, n, z)
-    return float(out[()]) if np.ndim(out) == 0 else out
-
-
-def sp_density(x, n, z):
-    """Saddlepoint density sqrt(n/2pi) K''^{-1/2} e^{n phi(x)} of J*(n,z)/n."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("sp_density: x must be positive")
-    out = np.exp(_log_sp_vec(x, n, z))
-    return float(out[()]) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=512)

@@ -107,7 +107,7 @@ class TestAcceptance:
         sample_jstar_alt_batch(h, z, N, RngStream(seed), counters=counters)
         rate = counters["accepted"] / counters["proposals"]
         mix = build_mixture(trunc_lookup(h), h, z)
-        pm, qm = mix.p_mass, mix.q_mass
+        pm, qm = np.exp(mix.log_p), np.exp(mix.log_q)
         p0 = JStarParams(h, 0.0)
         mass, err = quad(
             lambda x: np.exp(-x * z * z / 2.0) * density(x, p0),

@@ -40,6 +40,17 @@ def test_spawn_deterministic_and_distinct():
     assert not np.array_equal(kids1[0].uniform(50), kids1[1].uniform(50))
 
 
+def test_spawned_children_show_their_spawn_key():
+    # a child shares its parent's seed but not its draws, so its repr
+    # names the spawn key; a root stream's repr is unchanged
+    parent = RngStream(1)
+    kids = parent.spawn(2)
+    assert repr(parent) == "RngStream(seed=1)"
+    assert repr(kids[0]) == "RngStream(seed=1, spawn_key=(0,))"
+    assert len({repr(parent), repr(kids[0]), repr(kids[1])}) == 3
+    assert repr(kids[1].spawn(1)[0]) == "RngStream(seed=1, spawn_key=(1, 0))"
+
+
 class TestUniform:
     def test_open_support(self):
         u = RngStream(0).uniform(1_000_000)
@@ -209,10 +220,12 @@ class TestTruncatedInverseGaussian:
                                               RngStream(22), size=50_000)
         assert x.max() < self.RIGHT
 
-    def test_iteration_cap(self):
-        with pytest.raises(IterationCapError):
+    def test_iteration_cap(self, monkeypatch):
+        # the cap is read when the draw runs
+        monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 2)
+        with pytest.raises(IterationCapError, match="budget of 2 rounds"):
             sample_truncated_inverse_gaussian(1e9, 1e-6, 1e8, RngStream(23),
-                                              size=4, max_rounds=2)
+                                              size=4)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Density machinery: series coefficients, partial sums, kernels, weights,
 truncation table, moments, and the domination check.
 
+The coefficients and kernels are tested in the untilted log form the
+samplers run (``_log_coef_left_unit``, ``_log_kernel_*_unit``).
+
 Expected values marked by a comment come from the independent oracle
 stated next to them (quadrature, a second series representation, or the
 gamma-convolution series), computed here rather than trusted.
@@ -17,24 +20,24 @@ from pgrv.density import (
     JStarParams,
     build_mixture,
     c_index,
-    coef_left,
-    coef_right_h1,
     coef_ratio,
-    d_index,
     default_trunc_table,
     density,
     jstar_mean,
     jstar_var,
-    kernel_ell,
-    kernel_r,
     sample_gamma_sum,
     solve_trunc_point,
     tilt_rate,
     trunc_lookup,
     verify_domination,
+    _gamma_sum_rates,
+    _log_coef_left_unit,
+    _log_kernel_ell_unit,
+    _log_kernel_r_unit,
     _ratio_sum,
 )
 from pgrv.alternate import _RatioCoefficients
+from pgrv.devroye import TRUNC_POINT, _PastedCoefficients
 from pgrv.errors import ConvergenceError
 from pgrv.rng import RngStream
 
@@ -70,6 +73,18 @@ def right_series_h1(x, z=0.0, n_terms=60):
     return float(np.cosh(z) * np.exp(-x * z * z / 2.0) * val)
 
 
+def ell_ref(x, h):
+    """Untilted left kernel: 2^h times an inverse-gamma(1/2, h^2/2) pdf."""
+    return 2.0 ** h * spstats.invgamma(0.5, scale=h * h / 2.0).pdf(x)
+
+
+def r_ref(x, h, z=0.0):
+    """Right kernel over cosh^h(z): ((pi/2)/lam)^h times a Gamma(h, lam)
+    pdf, lam = pi^2/8 + z^2/2."""
+    lam = np.pi ** 2 / 8.0 + 0.5 * z * z
+    return ((np.pi / 2.0) / lam) ** h * spstats.gamma(h, scale=1.0 / lam).pdf(x)
+
+
 class TestIndices:
     def test_c0(self):
         assert c_index(0) == pytest.approx(np.pi ** 2 / 8.0, rel=1e-15)
@@ -83,14 +98,17 @@ class TestIndices:
                                                             rel=1e-13)
 
     def test_d_reduces_to_c(self):
-        for n in range(4):
-            assert d_index(n, 0.0) == c_index(n)
+        # the gamma-sum route's rates d_n(z) = c_n + z^2/2, at z = 0
+        rates = _gamma_sum_rates(4)
+        assert np.array_equal(rates, [c_index(n) for n in range(4)])
+        assert not rates.flags.writeable
 
     def test_d_values(self):
-        assert d_index(0, 2.0) == pytest.approx(np.pi ** 2 / 8.0 + 2.0,
-                                                rel=1e-15)
-        assert d_index(3, 1.0) == pytest.approx(49.0 * np.pi ** 2 / 8.0 + 0.5,
-                                                rel=1e-15)
+        # d_0(z) is the right kernel's rate; d_3(1) as the route forms it
+        assert tilt_rate(2.0) == pytest.approx(np.pi ** 2 / 8.0 + 2.0,
+                                               rel=1e-15)
+        assert _gamma_sum_rates(4)[3] + 0.5 * 1.0 ** 2 == pytest.approx(
+            49.0 * np.pi ** 2 / 8.0 + 0.5, rel=1e-15)
 
 
 class TestCoefficients:
@@ -99,22 +117,24 @@ class TestCoefficients:
             for n in range(4):
                 want = (np.pi * (n + 0.5) * (2.0 / (np.pi * x)) ** 1.5
                         * np.exp(-2.0 * (n + 0.5) ** 2 / x))
-                got = coef_left(n, x, JStarParams(1.0, 0.0))
+                got = np.exp(_log_coef_left_unit(n, x, 1.0))
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_tilt_factorization(self):
-        for (h, z, x, n) in [(2.5, 1.0, 0.7, 0), (1.0, 3.0, 1.2, 2),
-                             (4.0, 0.5, 2.0, 1)]:
-            ratio = (coef_left(n, x, JStarParams(h, z))
-                     / coef_left(n, x, JStarParams(h, 0.0)))
-            want = np.cosh(z) ** h * np.exp(-x * z * z / 2.0)
-            assert ratio == pytest.approx(want, rel=1e-12)
+        # tilted and divided by cosh^h(z), the left kernel a_0 is 2^h e^{-hz}
+        # times the IG(h/z, h^2) density the left proposal draws from (the
+        # density's own tilt factor: TestDensity.test_tilt_consistency)
+        for (h, z, x) in [(2.5, 1.0, 0.7), (1.0, 3.0, 1.2), (4.0, 0.5, 2.0)]:
+            got = np.exp(_log_kernel_ell_unit(x, h) - x * z * z / 2.0)
+            ig = spstats.invgauss((h / z) / (h * h), scale=h * h)
+            want = 2.0 ** h * np.exp(-h * z) * ig.pdf(x)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_ratio_matches_quotient(self):
         for (h, x) in [(1.0, 0.5), (2.5, 1.3), (4.0, 3.0)]:
-            p = JStarParams(h, 0.0)
             for n in range(5):
-                direct = coef_left(n + 1, x, p) / coef_left(n, x, p)
+                direct = np.exp(_log_coef_left_unit(n + 1, x, h)
+                                - _log_coef_left_unit(n, x, h))
                 assert coef_ratio(n, x, h) == pytest.approx(direct, rel=1e-12)
 
     def test_ratio_unit_shape_form(self):
@@ -143,25 +163,34 @@ class TestCoefficients:
                 assert np.all(below[first:])
 
     def test_right_h1_formula(self):
-        for n in range(3):
-            for x in (0.7, 1.5):
-                want = (np.pi * (n + 0.5)
+        # right of the paste point the unit-shape policy steps the right
+        # series pi (n+1/2) e^{-(n+1/2)^2 pi^2 x/2}, over its n = 0 term
+        policy = _PastedCoefficients()
+        for x in (0.7, 1.5):
+            def right(n):
+                return (np.pi * (n + 0.5)
                         * np.exp(-((n + 0.5) ** 2) * np.pi ** 2 * x / 2.0))
-                assert coef_right_h1(n, x, 0.0) == pytest.approx(want,
-                                                                 rel=1e-13)
+
+            for n in range(1, 4):
+                coef, decreasing = policy.step(n, x, None)
+                assert decreasing
+                assert coef == pytest.approx(right(n) / right(0), rel=1e-13)
 
     def test_left_right_equal_at_paste_point(self):
-        left = coef_left(0, TRUNC1, JStarParams(1.0, 0.0))
-        right = coef_right_h1(0, TRUNC1, 0.0)
-        assert left == pytest.approx(right, rel=1e-10)
+        # at t = 2/pi both unit-shape series start at (pi/2) e^{-pi/4}: the
+        # left coefficient, and the right kernel pasted there at h = 1
+        want = np.log(np.pi / 2.0) - np.pi / 4.0
+        assert _log_coef_left_unit(0, TRUNC_POINT, 1.0) == pytest.approx(
+            want, abs=1e-12)
+        assert _log_kernel_r_unit(TRUNC_POINT, 1.0, tilt_rate(0.0)) == (
+            pytest.approx(want, abs=1e-12))
 
     def test_right_decreasing_at_x1(self):
-        vals = coef_right_h1(np.arange(10), 1.0, 0.0)
+        policy = _PastedCoefficients()
+        vals = [1.0] + [policy.step(n, 1.0, None)[0] for n in range(1, 10)]
         assert np.all(np.diff(vals) < 0)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            coef_left(0, -1.0, JStarParams(1.0, 0.0))
         with pytest.raises(ValueError):
             coef_ratio(0, 1.0, 0.5)
 
@@ -191,11 +220,9 @@ class TestPartialSums:
         sums, flags = partial_sums(1.1, 2.0, 0)
         assert sums[0] == 1.0
         assert not flags[0]
-        p = JStarParams(2.0, 0.0)
         x = np.array([0.3, 3.0])
         bound, _ = _RatioCoefficients(2.0, trunc_lookup(2.0)).start(x)
-        want = (np.array([kernel_ell(0.3, p), kernel_r(3.0, p)])
-                / coef_left(0, x, p))
+        want = np.array([1.0, r_ref(3.0, 2.0) / ell_ref(3.0, 2.0)])
         assert bound == pytest.approx(want, rel=1e-13)
 
     def test_first_step_decreases(self):
@@ -221,7 +248,7 @@ class TestPartialSums:
             p = JStarParams(h, z)
             for x in np.geomspace(0.1, 5.0, 12):
                 f = (density(x, p) / (np.cosh(z) ** h * np.exp(-x * z * z / 2))
-                     / coef_left(0, x, JStarParams(h, 0.0)))
+                     / np.exp(_log_coef_left_unit(0, x, h)))
                 sums, flags = partial_sums(x, h, 60)
                 for n, (s, flag) in enumerate(zip(sums, flags)):
                     if flag:
@@ -264,22 +291,24 @@ class TestDensity:
                     assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_extended_precision_agrees(self):
-        # the ratio sum in mpmath arithmetic, times a_0 = kernel_ell
+        # the ratio sum in mpmath arithmetic, times a_0 = the left kernel
         import mpmath as mp
 
         for (h, x) in [(1.0, 1.0), (2.5, 3.0), (4.0, 0.5)]:
             with mp.workdps(50):
                 s, _ = _ratio_sum(mp.mpf(x), mp.mpf(h), mp.mpf(10) ** -50,
                                   100_000)
-            exact = kernel_ell(x, JStarParams(h, 0.0)) * float(s)
+            exact = ell_ref(x, h) * float(s)
             assert density(x, JStarParams(h, 0.0)) == pytest.approx(
                 exact, rel=1e-11)
 
     def test_domain_and_convergence_errors(self):
         with pytest.raises(ValueError):
             density(0.0, JStarParams(1.0, 0.0))
+        with pytest.raises(ValueError, match="density: shape h=0.5"):
+            density(1.0, JStarParams(0.5, 0.0))
         with pytest.raises(ConvergenceError):
-            density(50.0, JStarParams(1.0, 0.0), max_terms=5)
+            _ratio_sum(50.0, 1.0, 1e-13, 5)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -357,59 +386,56 @@ class TestMoments:
 class TestKernels:
     def test_left_is_scaled_inverse_gamma_at_zero_tilt(self):
         for h in (1.0, 2.5, 4.0):
-            ig = spstats.invgamma(0.5, scale=h * h / 2.0)
             for x in (0.3, 1.0, 2.0):
-                want = 2.0 ** h * ig.pdf(x)
-                assert kernel_ell(x, JStarParams(h, 0.0)) == pytest.approx(
-                    want, rel=1e-12)
+                assert np.exp(_log_kernel_ell_unit(x, h)) == pytest.approx(
+                    ell_ref(x, h), rel=1e-12)
 
     def test_left_equals_leading_coefficient(self):
-        for x in (0.2, 0.6):
-            p = JStarParams(1.0, 1.5)
-            assert kernel_ell(x, p) == pytest.approx(coef_left(0, x, p),
-                                                     rel=1e-13)
+        for h in (1.0, 2.5, 4.0):
+            for x in (0.2, 0.6):
+                assert np.exp(_log_kernel_ell_unit(x, h)) == pytest.approx(
+                    np.exp(_log_coef_left_unit(0, x, h)), rel=1e-13)
 
     def test_right_is_scaled_gamma(self):
         h, z = 2.5, 1.0
-        lam = tilt_rate(z)
-        gamma = spstats.gamma(h, scale=1.0 / lam)
-        want_const = np.cosh(z) ** h * ((np.pi / 2.0) / lam) ** h
         for x in (0.5, 1.5, 4.0):
-            got = kernel_r(x, JStarParams(h, z)) / gamma.pdf(x)
-            assert got == pytest.approx(want_const, rel=1e-12)
+            got = np.exp(_log_kernel_r_unit(x, h, tilt_rate(z)))
+            assert got == pytest.approx(r_ref(x, h, z), rel=1e-12)
 
 
 class TestMixtureWeights:
+    @staticmethod
+    def kernel_masses(h, z, t):
+        """Quadrature of the tilted kernels over cosh^h(z), either side
+        of t, with their error estimates."""
+        left = quad(lambda x: np.exp(_log_kernel_ell_unit(x, h)
+                                     - x * z * z / 2.0), 0.0, t)
+        right = quad(lambda x: np.exp(_log_kernel_r_unit(x, h, tilt_rate(z))),
+                     t, np.inf)
+        return left, right
+
     def test_total_mass_matches_quadrature(self):
-        p = JStarParams(1.0, 0.0)
-        mix = build_mixture(TRUNC1, p.h, p.z)
-        pm, qm = mix.p_mass, mix.q_mass
-        left, el = quad(lambda x: kernel_ell(x, p), 0.0, TRUNC1)
-        right, er = quad(lambda x: kernel_r(x, p), TRUNC1, np.inf)
-        assert pm == pytest.approx(left, abs=1e-8 + 10 * el)
-        assert qm == pytest.approx(right, abs=1e-8 + 10 * er)
+        mix = build_mixture(TRUNC1, 1.0, 0.0)
+        (left, el), (right, er) = self.kernel_masses(1.0, 0.0, TRUNC1)
+        assert np.exp(mix.log_p) == pytest.approx(left, abs=1e-8 + 10 * el)
+        assert np.exp(mix.log_q) == pytest.approx(right, abs=1e-8 + 10 * er)
 
     def test_total_mass_tilted(self):
-        # weights omit cosh^h(z); integrate the kernels without it
-        p = JStarParams(2.0, 1.5)
-        t = 1.0
-        mix = build_mixture(t, p.h, p.z)
-        pm, qm = mix.p_mass, mix.q_mass
-        c = np.cosh(p.z) ** p.h
-        left, el = quad(lambda x: kernel_ell(x, p) / c, 0.0, t)
-        right, er = quad(lambda x: kernel_r(x, p) / c, t, np.inf)
-        assert pm == pytest.approx(left, abs=1e-8 + 10 * el)
-        assert qm == pytest.approx(right, abs=1e-8 + 10 * er)
+        # the masses omit cosh^h(z), and so do the kernels integrated here
+        mix = build_mixture(1.0, 2.0, 1.5)
+        (left, el), (right, er) = self.kernel_masses(2.0, 1.5, 1.0)
+        assert np.exp(mix.log_p) == pytest.approx(left, abs=1e-8 + 10 * el)
+        assert np.exp(mix.log_q) == pytest.approx(right, abs=1e-8 + 10 * er)
 
     def test_continuity_in_tilt(self):
         for h in (1.0, 3.0):
-            p0 = build_mixture(0.8, h, 0.0).p_mass
-            p1 = build_mixture(0.8, h, 1e-8).p_mass
+            p0 = np.exp(build_mixture(0.8, h, 0.0).log_p)
+            p1 = np.exp(build_mixture(0.8, h, 1e-8).log_p)
             assert p1 == pytest.approx(p0, rel=1e-6)
 
     def test_right_mass_closed_form(self):
         # Q(1, x) = e^-x turns the right mass into (4/pi) e^{-pi/4}
-        qm = build_mixture(TRUNC1, 1.0, 0.0).q_mass
+        qm = np.exp(build_mixture(TRUNC1, 1.0, 0.0).log_q)
         assert qm == pytest.approx((4.0 / np.pi) * np.exp(-np.pi / 4.0),
                                    rel=1e-12)
 
@@ -417,7 +443,7 @@ class TestMixtureWeights:
         # p = 2^h Q(1/2, h^2/(2t)) = 2^h erfc(h/sqrt(2t)) at z = 0
         for h in (1.0, 2.5, 4.0):
             for t in (0.3, 0.64, 2.0):
-                pm = build_mixture(t, h, 0.0).p_mass
+                pm = np.exp(build_mixture(t, h, 0.0).log_p)
                 want = 2.0 ** h * math.erfc(h / math.sqrt(2.0 * t))
                 assert pm == pytest.approx(want, rel=1e-12)
 
@@ -426,7 +452,7 @@ class TestMixtureWeights:
         for z in (0.0, 1.0, 3.0):
             lam = tilt_rate(z)
             for t in (0.1, 0.64, 5.0):
-                qm = build_mixture(t, 1.0, z).q_mass
+                qm = np.exp(build_mixture(t, 1.0, z).log_q)
                 want = (np.pi / 2.0) / lam * math.exp(-lam * t)
                 assert qm == pytest.approx(want, rel=1e-13)
 
@@ -457,17 +483,15 @@ class TestTruncationPoint:
     @pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
     def test_kernels_equal_at_root(self, h):
         t = solve_trunc_point(h)
-        p = JStarParams(h, 0.0)
-        assert kernel_ell(t, p) == pytest.approx(kernel_r(t, p), rel=1e-9)
+        assert ell_ref(t, h) == pytest.approx(r_ref(t, h), rel=1e-9)
 
     @pytest.mark.parametrize("h", [1.5, 3.0])
     def test_minimizes_total_mass(self, h):
         t = solve_trunc_point(h)
-        p = JStarParams(h, 0.0)
 
         def total(tt):
-            mix = build_mixture(tt, p.h, p.z)
-            return mix.p_mass + mix.q_mass
+            mix = build_mixture(tt, h, 0.0)
+            return np.exp(mix.log_p) + np.exp(mix.log_q)
 
         assert total(t - 0.05) > total(t)
         assert total(t + 0.05) > total(t)

@@ -147,7 +147,7 @@ def test_acceptance_rate_matches_mass_ratio():
     counters = {}
     sample_jstar1_batch(z, N, RngStream(14), counters=counters)
     rate = counters["accepted"] / counters["proposals"]
-    want = (1.0 / np.cosh(z)) / (setup.p_mass + setup.q_mass)
+    want = (1.0 / np.cosh(z)) / (np.exp(setup.log_p) + np.exp(setup.log_q))
     se = np.sqrt(want * (1 - want) / counters["proposals"])
     assert abs(rate - want) < 4 * se + 1e-9
 
@@ -208,12 +208,12 @@ def test_one_candidate_series_cap():
             _series_decide(cand, RngStream(5), _NeverDecreasing())
 
 
-def test_one_candidate_round_caps():
+def test_one_candidate_round_caps(monkeypatch):
     with pytest.raises(IterationCapError):
         _fill_by_rejection(None, lambda k: 1.0, lambda x: False, max_rounds=3)
-    with pytest.raises(IterationCapError):
-        sample_truncated_inverse_gaussian(1e9, 1e-6, 1e8, RngStream(23),
-                                          max_rounds=2)
+    monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 2)
+    with pytest.raises(IterationCapError, match="budget of 2 rounds"):
+        sample_truncated_inverse_gaussian(1e9, 1e-6, 1e8, RngStream(23))
 
 
 @pytest.mark.parametrize("mu,right", [(10.0, 0.64), (0.3, 0.64),

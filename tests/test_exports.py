@@ -1,16 +1,24 @@
 """Public names: every exported name resolves, and the settable
-sampler inputs that were removed stay removed."""
+sampler inputs and test-only wrappers that were removed stay removed."""
 
 import importlib
+import inspect
 
 import pytest
 
 import pgrv
+from pgrv.density import ProposalMixture, density
+from pgrv.rng import sample_truncated_inverse_gaussian
 
 MODULES = ["alternate", "cli", "density", "devroye", "errors", "pg", "rng",
            "saddle", "special"]
 REMOVED = ["SamplerThresholds", "DEFAULT_THRESHOLDS", "load_trunc_table",
-           "save_trunc_table", "set_default_trunc_table", "TruncTable"]
+           "save_trunc_table", "set_default_trunc_table", "TruncTable",
+           # linear-space copies of the formulas the samplers run in log
+           # space, which only tests called
+           "d_index", "coef_left", "coef_right_h1", "kernel_ell", "kernel_r",
+           "CgfPoint", "solve_saddle", "phi", "delta", "eta", "sp_density",
+           "log_sp_density"]
 
 
 def _modules_with_all():
@@ -32,3 +40,11 @@ def test_removed_names_not_exported(module):
     assert set(REMOVED).isdisjoint(module.__all__)
     assert not any(hasattr(module, n) for n in REMOVED)
 
+
+
+def test_removed_attributes_and_options_stay_removed():
+    assert not hasattr(ProposalMixture, "p_mass")
+    assert not hasattr(ProposalMixture, "q_mass")
+    assert list(inspect.signature(density).parameters) == ["x", "params"]
+    assert "max_rounds" not in inspect.signature(
+        sample_truncated_inverse_gaussian).parameters

@@ -235,6 +235,13 @@ class TestSampling:
         assert empty.shape == (0,)
         with pytest.raises(ValueError):
             sample_pg_batch(PgParams(1.0, 0.0), RngStream(15), size=-1)
+        # a size that is not an integer is refused, not truncated
+        for size in (2.5, 2.0, True, "3", np.True_):
+            with pytest.raises(ValueError, match="integer"):
+                sample_pg_batch(PgParams(1.0, 0.0), RngStream(15), size=size)
+        three = sample_pg_batch(PgParams(1.0, 0.0), RngStream(15),
+                                size=np.int64(3))
+        assert three.shape == (3,)
         with pytest.raises(TypeError):
             sample_pg_batch(PgParams(1.0, 0.0), RngStream(15))
 

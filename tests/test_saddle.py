@@ -1,5 +1,10 @@
 """Saddlepoint machinery: CGF derivatives, saddle solver, dual-function
-geometry, envelope dominance, density accuracy, and the sampler."""
+geometry, envelope dominance, density accuracy, and the sampler.
+
+The saddle solve and the saddlepoint density are tested in the private
+forms the sampler runs (``_solve_u_vec``, ``_log_sp_vec``); the dual
+phi and the corrected exponent eta are formed here from them.
+"""
 
 import warnings
 
@@ -16,13 +21,7 @@ from pgrv.saddle import (
     cgf_p1,
     cgf_p2,
     check_curvature_monotonicity,
-    delta,
-    eta,
-    log_sp_density,
-    phi,
     sample_saddle_batch,
-    solve_saddle,
-    sp_density,
     _log_envelope,
     _log_sp_vec,
     _solve_u_vec,
@@ -33,6 +32,29 @@ N = 100_000
 
 FD_GRID_S = [-2.0, -0.5, 0.0, 0.3]
 FD_GRID_Z = [0.0, 1.0, 3.0]
+
+
+def saddle_s(x, z):
+    """The saddle s of K'(s) = x, from the sampler's shifted-dual solve."""
+    return _solve_u_vec(x) + 0.5 * z * z
+
+
+def phi(x, z):
+    """The concave dual phi(x) = K(s(x)) - s(x) x."""
+    s = saddle_s(x, z)
+    return cgf(s, z) - s * x
+
+
+def eta(x, z, x_c):
+    """phi minus the tail-shape correction delta of the module docstring."""
+    x = np.asarray(x, dtype=float)
+    delta = np.where(x <= x_c, 0.5 / x_c - 0.5 / x, np.log(x / x_c))
+    return phi(x, z) - delta
+
+
+def sp_density(x, n, z):
+    """The saddlepoint density, from the sampler's log form."""
+    return float(np.exp(_log_sp_vec(x, n, z)))
 
 
 class TestCgf:
@@ -81,26 +103,21 @@ class TestCgf:
 class TestSolveSaddle:
     def test_mode_maps_to_zero_dual(self):
         for z in (0.5, 2.0):
-            pt = solve_saddle(np.tanh(z) / z, z)
-            assert abs(pt.s) < 1e-10
+            assert abs(saddle_s(np.tanh(z) / z, z)) < 1e-10
 
     def test_unit_mean_zero_tilt(self):
-        pt = solve_saddle(1.0, 0.0)
-        assert pt.u == 0.0 and pt.s == 0.0
+        assert _solve_u_vec(1.0) == 0.0
+        assert _solve_u_vec(np.array([0.5, 1.0, 2.0]))[1] == 0.0
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_round_trip(self, x, z):
-        pt = solve_saddle(x, z)
-        assert cgf_p1(pt.s, z) == pytest.approx(x, abs=1e-10 * max(1.0, x))
+        s = saddle_s(x, z)
+        assert cgf_p1(s, z) == pytest.approx(x, abs=1e-10 * max(1.0, x))
 
     def test_sign_structure(self):
-        assert solve_saddle(0.5, 0.0).u < 0
-        assert solve_saddle(2.0, 0.0).u > 0
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            solve_saddle(0.0, 0.0)
+        u = _solve_u_vec(np.array([0.5, 2.0]))
+        assert u[0] < 0 < u[1] < U_MAX
 
     # crosses every bracket branch: x < 0.8, 0.8 < x < 1, x == 1, x > 1
     BRANCH_GRID = np.concatenate([
@@ -143,22 +160,47 @@ class TestDualFunctions:
             z = 1.0
             h = 1e-6
             fd = (phi(x + h, z) - phi(x - h, z)) / (2 * h)
-            assert fd == pytest.approx(-solve_saddle(x, z).s, rel=1e-6,
-                                       abs=1e-9)
+            assert fd == pytest.approx(-saddle_s(x, z), rel=1e-6, abs=1e-9)
 
     def test_delta_continuous_and_zero_at_center(self):
-        xc = 0.9
-        assert delta(xc, xc) == 0.0
-        assert delta(xc * (1 - 1e-12), xc) == pytest.approx(0.0, abs=1e-11)
-        assert delta(xc * (1 + 1e-12), xc) == pytest.approx(0.0, abs=1e-11)
+        # with its K'' constant and tangent line taken off, each piece of
+        # the envelope's log kernel is n delta(x) - c log x (c = 3/2 left,
+        # 1 right), so delta is continuous and vanishes at x_c
+        n = 8.0
+        for z in (0.0, 1.0, 4.0):
+            env = build_envelope(n, z)
+            xc = env.x_c
+
+            def delta(x):
+                left = x <= xc
+                k2 = np.where(left, env.alpha_l, env.alpha_r)
+                line = np.where(left, env.intercept_l + env.slope_l * x,
+                                env.intercept_r + env.slope_r * x)
+                rest = (0.5 * np.log(n / (2 * np.pi)) - 0.5 * np.log(k2)
+                        - np.where(left, 1.5, 1.0) * np.log(x) + n * line)
+                return (_log_envelope(env, x) - rest) / n
+
+            assert delta(np.array([xc]))[0] == pytest.approx(0.0, abs=1e-12)
+            near = delta(np.array([xc * (1 - 1e-12), xc * (1 + 1e-12)]))
+            assert near == pytest.approx(0.0, abs=1e-11)
+            xs = np.array([0.5 * xc, 2.0 * xc])
+            assert delta(xs) == pytest.approx(
+                [0.5 / xc - 0.5 / xs[0], np.log(xs[1] / xc)], abs=1e-12)
 
     def test_delta_one_sided_derivatives(self):
-        xc = 0.9
-        h = 1e-7
-        left = (delta(xc, xc) - delta(xc - h, xc)) / h
-        right = (delta(xc + h, xc) - delta(xc, xc)) / h
-        assert left == pytest.approx(1.0 / (2 * xc * xc), rel=1e-5)
-        assert right == pytest.approx(1.0 / xc, rel=1e-5)
+        # the stored tangent slopes are eta'(x) = -s(x) - delta'(x), with
+        # delta' = 1/(2x^2) left of x_c and 1/x right of it
+        for z in (0.0, 1.0, 4.0):
+            env = build_envelope(8.0, z)
+            h = 1e-6 * env.m
+            for x, slope in ((env.x_l, env.slope_l), (env.x_r, env.slope_r)):
+                fd = (eta(x + h, z, env.x_c)
+                      - eta(x - h, z, env.x_c)) / (2 * h)
+                assert fd == pytest.approx(slope, rel=1e-6, abs=1e-9)
+            assert env.slope_l == pytest.approx(
+                -saddle_s(env.x_l, z) - 0.5 / env.x_l ** 2, rel=1e-12)
+            assert env.slope_r == pytest.approx(
+                -saddle_s(env.x_r, z) - 1.0 / env.x_r, rel=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, 1.0, 4.0])
     def test_eta_concave_each_side(self, z):
@@ -166,21 +208,24 @@ class TestDualFunctions:
         xc = 1.1 * m
         for lo, hi in [(m / 10, xc), (xc, 10 * m)]:
             xs = np.linspace(lo, hi, 500)
-            vals = np.array([eta(x, z, xc) for x in xs])
+            vals = eta(xs, z, xc)
             second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
             assert np.all(second <= 1e-9)
 
     @pytest.mark.parametrize("z", [0.0, 1.0, 4.0])
     def test_tangents_dominate_eta(self, z):
+        # and touch it at the tangent points
         env = build_envelope(8.0, z)
         xs = np.geomspace(env.m / 20, env.x_c, 200)
-        for x in xs:
-            line = env.intercept_l + env.slope_l * x
-            assert line >= eta(x, z, env.x_c) - 1e-10
+        line = env.intercept_l + env.slope_l * xs
+        assert np.all(line >= eta(xs, z, env.x_c) - 1e-10)
         xs = np.geomspace(env.x_c, 20 * env.m, 200)
-        for x in xs:
-            line = env.intercept_r + env.slope_r * x
-            assert line >= eta(x, z, env.x_c) - 1e-10
+        line = env.intercept_r + env.slope_r * xs
+        assert np.all(line >= eta(xs, z, env.x_c) - 1e-10)
+        touch = eta(np.array([env.x_l, env.x_r]), z, env.x_c)
+        assert touch == pytest.approx(
+            [env.intercept_l + env.slope_l * env.x_l,
+             env.intercept_r + env.slope_r * env.x_r], abs=1e-12)
 
 
 class TestCurvatureBounds:
@@ -188,12 +233,12 @@ class TestCurvatureBounds:
     def test_alpha_bounds_hold(self, z):
         env = build_envelope(8.0, z)
         xs = np.geomspace(env.m / 50, env.x_c, 400)
-        k2 = np.array([cgf_p2(solve_saddle(x, z).s, z) for x in xs])
+        k2 = cgf_p2(saddle_s(xs, z), z)
         ratio3 = k2 / xs ** 3
         assert np.all(ratio3 >= env.alpha_l - 1e-12)
         assert np.all(ratio3 <= 1.0 + 1e-9)
         xs = np.geomspace(env.x_c, 50 * env.m, 400)
-        k2 = np.array([cgf_p2(solve_saddle(x, z).s, z) for x in xs])
+        k2 = cgf_p2(saddle_s(xs, z), z)
         ratio2 = k2 / xs ** 2
         assert np.all(ratio2 >= env.alpha_r - 1e-12)
         assert np.all(ratio2 <= 1.0 + 1e-9)
@@ -276,8 +321,14 @@ class TestSpDensity:
             assert sp_density(x, 16.0, 0.0) == pytest.approx(exact, rel=0.03)
 
     def test_log_form_consistent(self):
-        assert np.exp(log_sp_density(0.9, 32.0, 1.0)) == pytest.approx(
-            sp_density(0.9, 32.0, 1.0), rel=1e-12)
+        # the log form against sqrt(n/2pi) K''^{-1/2} e^{n phi}, formed
+        # directly; an array of points gives the same values
+        n, z = 32.0, 1.0
+        xs = np.array([0.5, 0.9, 1.3])
+        want = (np.sqrt(n / (2 * np.pi)) / np.sqrt(cgf_p2(saddle_s(xs, z), z))
+                * np.exp(n * phi(xs, z)))
+        assert np.exp(_log_sp_vec(xs, n, z)) == pytest.approx(want, rel=1e-12)
+        assert sp_density(0.9, n, z) == pytest.approx(want[1], rel=1e-12)
 
     def test_normalized_mean_bias_decays(self):
         # deterministic counterpart of the sampling bias check: the mean

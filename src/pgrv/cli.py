@@ -7,6 +7,7 @@ the timing columns of ``bench`` vary between runs.
 """
 
 import argparse
+import contextlib
 import csv
 import statistics
 import sys
@@ -15,7 +16,7 @@ import time
 import numpy as np
 from scipy import stats as spstats
 
-from . import alternate, saddle
+from . import saddle
 from .density import (
     default_trunc_table,
     sample_gamma_sum,
@@ -106,21 +107,11 @@ def _build_parser():
     return parser
 
 
-class _Out:
-    """Output sink: path or stdout, usable as a context manager."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.is_stdout = spec in (None, "-")
-
-    def __enter__(self):
-        self.fh = sys.stdout if self.is_stdout else open(self.spec, "w", newline="")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if not self.is_stdout:
-            self.fh.close()
-        return False
+def _out(spec):
+    """Output sink for ``with``: the file at ``spec``, or stdout for '-'."""
+    if spec in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(spec, "w", newline="")
 
 
 def _cmd_sample(args):
@@ -129,7 +120,7 @@ def _cmd_sample(args):
         raise ValueError("sample: --n must be >= 1")
     rng = RngStream(args.seed)
     draws = sample_pg_batch(params, rng, size=args.n, method=args.method)
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         if args.format == "csv":
             fh.write("draw\n")
         for v in draws:
@@ -181,8 +172,6 @@ def _cmd_bench(args):
         if m is Method.SADDLEPOINT:
             saddle._build_envelope_cached.cache_clear()
             saddle.build_envelope(b, abs(z) / 2.0)
-        elif m is Method.ALTERNATE:
-            alternate._domination_guard(alternate._pieces(b)[1])
         setup_seconds = time.perf_counter() - t0
         times = []
         draws = None
@@ -206,8 +195,7 @@ def _cmd_bench(args):
         })
     fields = ["method", "b", "z", "n_draws", "setup_seconds", "wall_seconds",
               "draws_per_sec", "sample_mean", "sample_var", "seed"]
-    out = _Out(args.out)
-    with out as fh:
+    with _out(args.out) as fh:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
         for r in rows:
@@ -220,7 +208,7 @@ def _cmd_bench(args):
         if key not in best or r["draws_per_sec"] > best[key]["draws_per_sec"]:
             best[key] = r
     pivot_fh = sys.stdout
-    if out.is_stdout:
+    if args.out in (None, "-"):
         pivot_fh.write("\n")
     pivot = csv.writer(pivot_fh)
     zs = sorted(set(z for (_, z) in best))
@@ -228,6 +216,13 @@ def _cmd_bench(args):
     for b in sorted(set(b for (b, _) in best)):
         pivot.writerow([f"{b:g}"] + [best[(b, z)]["method"] for z in zs])
     return EXIT_OK
+
+
+def _record(records, suite, test, b, z, statistic, threshold,
+            higher_is_better=False):
+    records.append({"suite": suite, "test": test, "b": b, "z": z,
+                    "statistic": statistic, "threshold": threshold,
+                    "higher_is_better": higher_is_better})
 
 
 def _suite_moments(n, seed, records):
@@ -247,16 +242,10 @@ def _suite_moments(n, seed, records):
         se = np.sqrt(v_exact / n)
         saddle_ran = choose_method(b, size=n) is Method.SADDLEPOINT
         allow = 0.01 * m_exact if saddle_ran else 0.0
-        records.append({
-            "suite": "moments", "test": "mean", "b": b, "z": z,
-            "statistic": abs(float(draws.mean()) - m_exact),
-            "threshold": 4.0 * se + allow,
-        })
-        records.append({
-            "suite": "moments", "test": "variance", "b": b, "z": z,
-            "statistic": abs(float(draws.var(ddof=1)) / v_exact - 1.0),
-            "threshold": 0.05,
-        })
+        _record(records, "moments", "mean", b, z,
+                abs(float(draws.mean()) - m_exact), 4.0 * se + allow)
+        _record(records, "moments", "variance", b, z,
+                abs(float(draws.var(ddof=1)) / v_exact - 1.0), 0.05)
 
 
 def _suite_ks(n, seed, records):
@@ -267,31 +256,26 @@ def _suite_ks(n, seed, records):
         draws = sample_pg_batch(params, rng, size=n)
         oracle = sample_gamma_sum(params.jstar, GAMMA_SUM_TERMS, rng,
                                   size=n) / 4.0
-        p_value = float(spstats.ks_2samp(draws, oracle).pvalue)
-        records.append({
-            "suite": "ks", "test": "vs-gamma-sum-oracle", "b": b, "z": z,
-            "statistic": p_value,
-            "threshold": 0.001,
-            "higher_is_better": True,
-        })
+        _record(records, "ks", "vs-gamma-sum-oracle", b, z,
+                float(spstats.ks_2samp(draws, oracle).pvalue), 0.001, True)
 
 
 def _suite_domination(records):
     for h in np.arange(1.0, 4.0 + 1e-9, 0.1):
         h = round(float(h), 10)
         report = verify_domination(h)
-        records.append({
-            "suite": "domination", "test": "max-f-over-left-kernel",
-            "b": h, "z": 0.0,
-            "statistic": report.max_rho_left,
-            "threshold": 1.0 + 1e-9,
-        })
-        records.append({
-            "suite": "domination", "test": "max-f-over-right-kernel",
-            "b": h, "z": 0.0,
-            "statistic": report.max_rho_right,
-            "threshold": 1.0 + 1e-9,
-        })
+        _record(records, "domination", "max-f-over-left-kernel", h, 0.0,
+                report.max_rho_left, 1.0 + 1e-9)
+        _record(records, "domination", "max-f-over-right-kernel", h, 0.0,
+                report.max_rho_right, 1.0 + 1e-9)
+    # the far right tail, where a double sum has no correct digit left:
+    # f/r stays below 1 and rises towards it (0.88 at x = 20, h = 4)
+    for h in [1.0, 2.5, 4.0]:
+        rho = verify_domination(h, np.geomspace(20.0, 200.0, 25)).rho_right
+        _record(records, "domination", "max-f-over-right-kernel-far-tail",
+                h, 0.0, float(rho.max()), 1.0 + 1e-9)
+        _record(records, "domination", "min-f-over-right-kernel-far-tail",
+                h, 0.0, float(rho.min()), 0.5, True)
 
 
 def _suite_envelope(records):
@@ -300,24 +284,15 @@ def _suite_envelope(records):
         env = saddle.build_envelope(b, z)
         xs = np.logspace(np.log10(env.m / 20.0), np.log10(20.0 * env.m), 2000)
         gap = saddle._log_envelope(env, xs) - saddle._log_sp_vec(xs, b, z)
-        records.append({
-            "suite": "envelope", "test": "log-dominance-gap", "b": b, "z": z,
-            "statistic": float(gap.min()),
-            "threshold": float(np.log1p(-1e-9)),
-            "higher_is_better": True,
-        })
+        _record(records, "envelope", "log-dominance-gap", b, z,
+                float(gap.min()), float(np.log1p(-1e-9)), True)
 
 
 def _suite_conjecture(records):
     for z in [0.0, 1.0, 4.0]:
         result = saddle.check_curvature_monotonicity(z, warn=False)
-        records.append({
-            "suite": "conjecture", "test": "curvature-ratio-monotonicity",
-            "b": 0.0, "z": z,
-            "statistic": 1.0 if all(result.values()) else 0.0,
-            "threshold": 0.5,
-            "higher_is_better": True,
-        })
+        _record(records, "conjecture", "curvature-ratio-monotonicity", 0.0,
+                z, 1.0 if all(result.values()) else 0.0, 0.5, True)
 
 
 def _suite_cgf(records):
@@ -332,12 +307,8 @@ def _suite_cgf(records):
             worst = max(worst,
                         abs(fd1 / saddle.cgf_p1(s, z) - 1.0),
                         abs(fd2 / saddle.cgf_p2(s, z) - 1.0))
-    records.append({
-        "suite": "cgf", "test": "derivatives-vs-finite-difference",
-        "b": 0.0, "z": 0.0,
-        "statistic": worst,
-        "threshold": 1e-6,
-    })
+    _record(records, "cgf", "derivatives-vs-finite-difference", 0.0, 0.0,
+            worst, 1e-6)
 
 
 def _cmd_validate(args):
@@ -362,12 +333,12 @@ def _cmd_validate(args):
         _suite_cgf(records)
 
     failed = []
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["suite", "test", "b", "z", "statistic", "threshold",
                     "pass"])
         for r in records:
-            if r.get("higher_is_better"):
+            if r["higher_is_better"]:
                 ok = r["statistic"] > r["threshold"]
             else:
                 ok = r["statistic"] <= r["threshold"]
@@ -384,7 +355,7 @@ def _cmd_validate(args):
 
 
 def _cmd_table(args):
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         fh.write("h,t\n")
         for h, t in zip(*default_trunc_table()):
             fh.write(f"{h:.17g},{t:.17g}\n")

@@ -21,7 +21,7 @@ slot on floats, with the same mask, stream use and counters.
 
 import numpy as np
 
-from .density import DOMINATION_SLACK, build_mixture
+from .density import DOMINATION_SLACK, SUM_ROUNDING, build_mixture
 from .errors import DominationViolationError, IterationCapError
 from .rng import (
     _fill_by_rejection,
@@ -50,19 +50,6 @@ _X_FLOOR = 1e-12
 _SHORT = 8
 
 
-def _coef_unit(n, x):
-    """Untilted pasted coefficient a_n(x) for shape 1, vectorized in x."""
-    left = x <= TRUNC_POINT
-    out = np.empty_like(x)
-    xl = x[left]
-    half = n + 0.5
-    out[left] = (np.pi * half * (2.0 / (np.pi * xl)) ** 1.5
-                 * np.exp(-2.0 * half * half / xl))
-    xr = x[~left]
-    out[~left] = np.pi * half * np.exp(-half * half * np.pi ** 2 * xr / 2.0)
-    return out
-
-
 class _PastedCoefficients:
     """Devroye's coefficient policy for shape 1: the bound is a_0(x)
     itself, and the pasted coefficients decrease from n = 1.
@@ -72,7 +59,7 @@ class _PastedCoefficients:
     but a_n/a_0 = (2n + 1) e^{-n(n+1) r(x)} does not.
     """
 
-    checks_domination = False
+    exact_sum = None
     counter_keys = ("series_index_sum", "series_index_max")
 
     def start(self, x):
@@ -99,9 +86,14 @@ def _series_decide(x, rng, policy, counters=None):
     ``idx`` and whether their coefficients are known to decrease from n
     on.  Only then do the partial sums S_n bracket the density: accept at
     the first odd n with u <= S_n, reject at the first even n with
-    u >= S_n.  Under a policy that ``checks_domination``, a bracketing
-    odd sum above k (beyond slack) proves the kernel does not dominate
-    there and raises :class:`DominationViolationError`.
+    u >= S_n.
+
+    Under a policy with an ``exact_sum`` (the alternate one), a slot
+    whose |u - S_n| is within S_n's rounding bound, ``SUM_ROUNDING`` *
+    sum |terms|, or whose bracketing odd sum exceeds k (beyond slack) is
+    decided by f/a_0 = ``policy.exact_sum(x)`` and counted in
+    ``exact_decisions``: accept iff u <= f/a_0, and raise
+    :class:`DominationViolationError` if f/a_0 exceeds k.
 
     A float ``x`` gives a bool.  An array of at most ``_SHORT``
     candidates draws its uniforms in one call, as a long one does, and
@@ -121,11 +113,13 @@ def _series_decide(x, rng, policy, counters=None):
     accept = np.zeros(x.shape, dtype=bool)
     # an underflowed bound means the density vanished there; reject
     # rather than let 0 <= 0 accept a zero-density point.  The series
-    # runs on the undecided slots idx only: x, u and s are gathered to
-    # them and shrink as slots decide.
+    # runs on the undecided slots idx only: x, u, s and the exact rule's
+    # lim and absum are gathered to them and shrink as slots decide.
     idx = np.nonzero((x > _X_FLOOR) & (bound > 0.0))[0]
     x, u, s = x[idx], u[idx], s[idx]
-    term_sum = term_max = 0
+    if exact := policy.exact_sum is not None:
+        lim, absum = bound[idx] * (1.0 + DOMINATION_SLACK), s.copy()
+    term_sum = term_max = n_exact = 0
     for n in range(1, _MAX_SERIES_TERMS + 1):
         if not idx.size:
             break
@@ -138,17 +132,25 @@ def _series_decide(x, rng, policy, counters=None):
             s = s - coef
             hit = can & (u <= s)
             accept[idx[hit]] = True
-            # only odd sums are checked: even ones may exceed k
-            # legitimately past a paste point
-            if policy.checks_domination:
-                viol = can & (s > bound[idx] * (1.0 + DOMINATION_SLACK))
-                if viol.any():
-                    raise _domination_error(x[viol][0])
         else:
             s = s + coef
             hit = can & (u >= s)
             accept[idx[vanished & ~hit]] = True
         decided = hit | vanished
+        if exact:
+            absum += coef
+            gap = u - s
+            close = np.abs(gap, out=gap) <= absum * SUM_ROUNDING
+            if n % 2:
+                # only odd sums are checked: even ones may exceed k
+                # legitimately past a paste point
+                close |= s > lim
+            if close.any() and (close := close & can).any():
+                for i in np.nonzero(close)[0].tolist():
+                    accept[idx[i]] = _decide_exactly(x[i], u[i], lim[i],
+                                                     policy)
+                n_exact += np.count_nonzero(close)
+                decided |= close
         n_decided = np.count_nonzero(decided)
         if n_decided:
             term_sum += n * n_decided
@@ -157,10 +159,12 @@ def _series_decide(x, rng, policy, counters=None):
             idx = idx[keep]
             if idx.size:
                 x, u, s = x[keep], u[keep], s[keep]
+                if exact:
+                    lim, absum = lim[keep], absum[keep]
     if idx.size:
         raise _series_cap_error()
     if counters is not None and term_max:
-        _count_terms(counters, policy, term_sum, term_max)
+        _count_terms(counters, policy, term_sum, term_max, n_exact)
     return accept
 
 
@@ -176,20 +180,27 @@ def _decide_one(x, u, policy, counters):
     u = u * bound
     if not (x > _X_FLOOR and bound > 0.0):
         return False
+    exact = policy.exact_sum is not None
+    lim = bound * (1.0 + DOMINATION_SLACK)
+    absum = s
     for n in range(1, _MAX_SERIES_TERMS + 1):
         coef, can = policy.step(n, x, None)
         vanished = can and coef <= 1e-300
         if n % 2:
             s = s - coef
             hit = can and u <= s
-            if (policy.checks_domination and can
-                    and s > bound * (1.0 + DOMINATION_SLACK)):
-                raise _domination_error(x)
             accept = hit
         else:
             s = s + coef
             hit = can and u >= s
             accept = vanished and not hit
+        if exact:
+            absum = absum + coef
+            if can and (abs(u - s) <= absum * SUM_ROUNDING
+                        or n % 2 and s > lim):
+                if counters is not None:
+                    _count_terms(counters, policy, n, n, 1)
+                return _decide_exactly(x, u, lim, policy)
         if hit or vanished:
             if counters is not None:
                 _count_terms(counters, policy, n, n)
@@ -197,11 +208,12 @@ def _decide_one(x, u, policy, counters):
     raise _series_cap_error()
 
 
-def _domination_error(x):
-    return DominationViolationError(
-        f"lower partial sum exceeded the bounding kernel at x={x!r}; "
-        "kernel domination fails here"
-    )
+def _decide_exactly(x, u, lim, policy):
+    f = policy.exact_sum(x)
+    if f > lim:
+        raise DominationViolationError(
+            f"the density exceeds the bounding kernel at x={x!r}")
+    return u <= f
 
 
 def _series_cap_error():
@@ -210,12 +222,15 @@ def _series_cap_error():
     )
 
 
-def _count_terms(counters, policy, term_sum, term_max):
+def _count_terms(counters, policy, term_sum, term_max, n_exact=0):
     # decision terms, under the policy's (sum, max) counter keys
     sum_key, max_key = policy.counter_keys
     if sum_key:
         counters[sum_key] = counters.get(sum_key, 0) + term_sum
     counters[max_key] = max(counters.get(max_key, 0), term_max)
+    if n_exact:
+        key = "exact_decisions"
+        counters[key] = counters.get(key, 0) + n_exact
 
 
 def sample_jstar1_batch(z, size, rng, counters=None):

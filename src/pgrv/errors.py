@@ -18,7 +18,8 @@ class IterationCapError(RuntimeError):
 class DominationViolationError(RuntimeError):
     """A partial-sum lower bound of the target density exceeded the
     bounding kernel: the proposal no longer dominates and accepted draws
-    would be biased."""
+    would be biased.  Raised only once the density, summed in extended
+    precision, confirms it."""
 
 
 class EnvelopeValidityError(RuntimeError):

@@ -212,11 +212,17 @@ class TestValidate:
         assert code == EXIT_OK
         rows = [r for r in csv.reader(io.StringIO(out))][1:]
         # one left-kernel and one right-kernel ratio row per shape in
-        # {1.0, 1.1, ..., 4.0}
-        assert len(rows) == 2 * 31
+        # {1.0, 1.1, ..., 4.0}, then the far right tail, x in [20, 200],
+        # for h in {1, 2.5, 4}
+        assert len(rows) == 2 * 31 + 2 * 3
         tests = {r[1] for r in rows}
-        assert tests == {"max-f-over-left-kernel", "max-f-over-right-kernel"}
+        assert tests == {"max-f-over-left-kernel", "max-f-over-right-kernel",
+                         "max-f-over-right-kernel-far-tail",
+                         "min-f-over-right-kernel-far-tail"}
         assert all(float(r[4]) <= 1.0 + 1e-9 for r in rows)
+        far = [r for r in rows if r[1].endswith("far-tail")]
+        assert [float(r[2]) for r in far] == [1.0, 1.0, 2.5, 2.5, 4.0, 4.0]
+        assert all(r[6] == "pass" for r in far)
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(["validate", "--suites", "nope"], capsys)

@@ -36,6 +36,7 @@ from pgrv.density import (
     _log_kernel_r_unit,
     _ratio_sum,
 )
+from pgrv import devroye
 from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import TRUNC_POINT, _PastedCoefficients
 from pgrv.errors import ConvergenceError
@@ -71,6 +72,50 @@ def right_series_h1(x, z=0.0, n_terms=60):
              * np.exp(-((n + 0.5) ** 2) * np.pi ** 2 * x / 2.0))
     val = np.sum(terms * (-1.0) ** n)
     return float(np.cosh(z) * np.exp(-x * z * z / 2.0) * val)
+
+
+def mp_ratio_ref(x, h, dps=320):
+    """f/a_0 = sum_n (-1)^n a_n/a_0 of the left series, in mpmath at a
+    fixed 320 digits, from the closed form
+    a_n/a_0 = Gamma(n+h)/(Gamma(h) n!) (2n+h)/h e^{-((2n+h)^2-h^2)/(2x)}.
+    Enough for x <= 400, where the terms reach 1e5 and f/a_0 1e-207.
+    Returns an ``mpf`` at that precision."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x, h = mp.mpf(x), mp.mpf(h)
+        s = mp.mpf(0)
+        for n in range(100_000):
+            t = (mp.exp(mp.loggamma(n + h) - mp.loggamma(h)
+                        - mp.loggamma(n + 1) - ((2 * n + h) ** 2 - h * h)
+                        / (2 * x)) * (2 * n + h) / h)
+            s += t if n % 2 == 0 else -t
+            if n > 2 * h and t < abs(s) * mp.mpf(10) ** -40:
+                return +s
+    raise AssertionError("reference series did not converge")
+
+
+def mp_density_ref(x, h):
+    """Untilted J*(h) density: the left kernel a_0 (closed form) times
+    :func:`mp_ratio_ref`, in mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(320):
+        xm, hm = mp.mpf(x), mp.mpf(h)
+        a0 = (2 ** hm * hm / mp.sqrt(2 * mp.pi) * xm ** mp.mpf(-1.5)
+              * mp.exp(-hm * hm / (2 * xm)))
+        return float(a0 * mp_ratio_ref(x, h))
+
+
+def mp_right_kernel_ref(x, h):
+    """Untilted right kernel (pi/2)^h x^{h-1} e^{-pi^2 x/8}/Gamma(h), in
+    mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(320):
+        xm, hm = mp.mpf(x), mp.mpf(h)
+        return ((mp.pi / 2) ** hm * xm ** (hm - 1)
+                * mp.exp(-mp.pi ** 2 * xm / 8) / mp.gamma(hm))
 
 
 def ell_ref(x, h):
@@ -257,6 +302,35 @@ class TestPartialSums:
                         else:
                             assert s >= f * (1 - 1e-12) - 1e-300
 
+    @pytest.mark.parametrize("h", [1.5, 2.5, 4.0])
+    def test_decider_exact_in_far_right_tail(self, h):
+        # past x ~ 30 the partial sums cancel in double precision; every
+        # decision must still be u k <= f/a_0, with no domination raise,
+        # and the float, short-array and long-array paths must agree
+        policy = _RatioCoefficients(h, trunc_lookup(h))
+        xs = np.geomspace(20.0, 60.0, 2 * devroye._SHORT + 1)
+        ref = [mp_ratio_ref(x, h) for x in xs.tolist()]
+        bound, _ = policy.start(xs)
+        decided = []
+        for seed in range(10):
+            u = RngStream(seed).uniform(xs.size) * bound
+            want = [bool(ui <= f) for ui, f in zip(u.tolist(), ref)]
+            runs = []
+            for chunks in ([float(x) for x in xs],        # one at a time
+                           np.array_split(xs, 3),         # <= _SHORT each
+                           [xs]):                         # > _SHORT
+                rng, counters = RngStream(seed), {}
+                mask = []
+                for c in chunks:
+                    mask += np.atleast_1d(devroye._series_decide(
+                        c, rng, policy, counters)).tolist()
+                runs.append((mask, counters, rng.uniform()))
+            assert runs[0] == runs[1] == runs[2], seed
+            assert runs[0][0] == want, seed
+            assert runs[0][1]["exact_decisions"] > 0
+            decided += want
+        assert any(decided) and not all(decided)
+
 
 class TestDensity:
     def test_normalization_unit_shape(self):
@@ -301,6 +375,15 @@ class TestDensity:
             exact = ell_ref(x, h) * float(s)
             assert density(x, JStarParams(h, 0.0)) == pytest.approx(
                 exact, rel=1e-11)
+
+    @pytest.mark.parametrize("h", [1.5, 2.5, 4.0])
+    def test_far_right_tail_matches_extended_precision(self, h):
+        # the double sum has no correct digit left past x = 35; the
+        # helper re-sums those points in mpmath
+        x = [34.0, 40.0, 60.0, 100.0]
+        got = [density(xi, JStarParams(h, 0.0)) for xi in x]
+        np.testing.assert_allclose(got, [mp_density_ref(xi, h) for xi in x],
+                                   rtol=1e-10, atol=0.0)
 
     def test_domain_and_convergence_errors(self):
         with pytest.raises(ValueError):
@@ -574,6 +657,32 @@ class TestDomination:
         for lo, hi in zip(reports, reports[1:]):
             assert np.all(hi.rho_left >= lo.rho_left - 1e-12)
             assert np.all(hi.rho_right <= lo.rho_right + 1e-12)
+
+    @pytest.mark.parametrize("h", [1.5, 2.5, 4.0])
+    def test_far_right_tail_matches_extended_precision(self, h):
+        # f/r approaches 1 from below; f/ell falls to 1e-207 at x = 400
+        import mpmath as mp
+
+        x = [60.0, 100.0, 200.0, 400.0]
+        report = verify_domination(h, x)
+        assert report.passed
+        with mp.workdps(320):
+            want = [float(mp_density_ref(xi, h) / mp_right_kernel_ref(xi, h))
+                    for xi in x]
+        np.testing.assert_allclose(report.rho_right, want, rtol=1e-9)
+        assert np.all(report.rho_right < 1.0)
+
+    def test_kernels_dominate_at_every_table_node_and_midpoint(self):
+        # the certificate behind the alternate sampler: both kernels
+        # dominate on a 200-point grid over [0.02, 10] at each t(h) node
+        # and midpoint; the decider's odd-sum check guards every draw
+        hs, _ = default_trunc_table()
+        shapes = np.concatenate([hs, (hs[:-1] + hs[1:]) / 2.0])
+        grid = np.logspace(np.log10(0.02), np.log10(10.0), 200)
+        assert shapes.size == 2401
+        failed = [h for h in shapes.tolist()
+                  if not verify_domination(h, grid).passed]
+        assert failed == []
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from pgrv import devroye
 from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import (
     TRUNC_POINT,
-    _coef_unit,
     _PastedCoefficients,
     _series_decide,
     sample_jstar1_batch,
@@ -32,6 +31,21 @@ from pgrv.rng import (
 
 N = 100_000
 KS_LEVEL = 0.001
+
+
+def _coef_unit(n, x):
+    """Reference: the untilted pasted coefficient a_n(x) for shape 1,
+    vectorized in x (the left series below the paste point, the right
+    one above it)."""
+    left = x <= TRUNC_POINT
+    out = np.empty_like(x)
+    xl = x[left]
+    half = n + 0.5
+    out[left] = (np.pi * half * (2.0 / (np.pi * xl)) ** 1.5
+                 * np.exp(-2.0 * half * half / xl))
+    xr = x[~left]
+    out[~left] = np.pi * half * np.exp(-half * half * np.pi ** 2 * xr / 2.0)
+    return out
 
 
 def test_scalar_draw_deterministic():

@@ -7,7 +7,8 @@ import inspect
 import pytest
 
 import pgrv
-from pgrv.density import ProposalMixture, density
+from pgrv import alternate
+from pgrv.density import ProposalMixture, density, verify_domination
 from pgrv.rng import sample_truncated_inverse_gaussian
 
 MODULES = ["alternate", "cli", "density", "devroye", "errors", "pg", "rng",
@@ -48,3 +49,8 @@ def test_removed_attributes_and_options_stay_removed():
     assert list(inspect.signature(density).parameters) == ["x", "params"]
     assert "max_rounds" not in inspect.signature(
         sample_truncated_inverse_gaussian).parameters
+    # domination is certified by the test suite, not per shape at run
+    # time, and the check always refines the cancelled points
+    assert list(inspect.signature(verify_domination).parameters) == [
+        "h", "x_grid"]
+    assert not hasattr(alternate, "_domination_guard")

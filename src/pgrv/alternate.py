@@ -3,11 +3,12 @@ sum-decomposition that extends it to any h >= 1.
 
 The proposal pastes the inverse-Gaussian-type left kernel and the gamma
 right kernel at the mass-minimizing point t(h) (interpolated from a
-precomputed table).  Draws are decided by the series decider of
-:mod:`pgrv.devroye` under this module's coefficient policy: unlike the
-unit-shape case the coefficients may increase before they decrease, so
-decisions wait until the observed coefficient ratio has dropped below one
-("decreasing" flag); from that point the partial sums bracket the density.
+precomputed table).  Draws run through the skeleton of
+:mod:`pgrv.devroye` with this module's right piece and coefficient
+policy.  Unlike the unit-shape case the coefficients may increase before
+they decrease, so a slot takes no decision while its coefficient ratio
+is at least one; the ratio falls with n, so once it is below one the
+partial sums bracket the density.
 
 Domination of the density by the pasted kernel is numerically verified
 (at every t(h) node and midpoint, by the test suite), not proven.  While
@@ -33,9 +34,8 @@ from .density import (
     verify_domination,  # unused here: the benchmark tracer wraps this name
 )
 from .rng import (
-    _fill_by_rejection,
-    _two_piece,
     sample_truncated_gamma,
+    # unused here: the benchmark tracer wraps this name
     sample_truncated_inverse_gaussian,
 )
 from .special import log_cosh
@@ -57,10 +57,10 @@ class _RatioCoefficients:
     """The real-shape coefficient policy for the series decider.
 
     The left-series coefficients follow from a_0 by :func:`coef_ratio`.
-    They may increase before they decrease, so a slot takes no decision
-    until its ratio has dropped below one; the ``decreasing`` flag
-    latches then, because the ratio falls with n.  The bound is the
-    pasted kernel, not a_0, so the decider checks domination.
+    They may increase before they decrease, so a step says "decreasing"
+    only once its ratio is below one; the ratio falls with n, so it
+    stays below one from there on.  The bound is the pasted kernel, not
+    a_0, so the decider checks domination.
 
     Every coefficient and the bound are divided by a_0(x), the bound
     formed in log space: a_0 underflows at the proposals x ~ h/z once
@@ -77,7 +77,7 @@ class _RatioCoefficients:
         # far below a double's resolution: mpmath always decides
         return _trusted_ratio_sum(x, self.h, 1e-20)
 
-    def start(self, x):
+    def bound(self, x):
         # acceptance compares against the fully untilted kernel and
         # series: the cosh^h(z) e^{-x z^2/2} factor cancels, so the right
         # piece here carries the z=0 rate (the proposal draw keeps the
@@ -86,49 +86,27 @@ class _RatioCoefficients:
         if isinstance(x, float):
             log_k = (log_a0 if x < self.trunc
                      else _log_kernel_r_unit(x, self.h, _LAM0))
-            self.a, self.decreasing = 1.0, False
-            return float(np.exp(log_k - log_a0)), 1.0
+            return float(np.exp(log_k - log_a0))
         log_k = np.where(x < self.trunc, log_a0,
                          _log_kernel_r_unit(x, self.h, _LAM0))
-        self.a = np.ones(x.shape)
-        self.decreasing = np.zeros(x.shape, dtype=bool)
-        return np.exp(log_k - log_a0), self.a
+        return np.exp(log_k - log_a0)
 
-    def step(self, n, x, idx):
+    def step(self, n, x, a_prev):
         r = coef_ratio(n - 1, x, self.h)
-        if idx is None:
-            self.a = a = self.a * r
-            self.decreasing = dec = self.decreasing or r < 1.0
-            return a, dec
-        self.a[idx] = a = self.a[idx] * r
-        self.decreasing[idx] = dec = self.decreasing[idx] | (r < 1.0)
-        return a, dec
+        return a_prev * r, r < 1.0
 
 
 def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     """Fill an array with J*(h, z) draws for a single shape h in [1, 4];
     ``size=None`` gives one float."""
     h = float(h)
-    z = float(abs(z))
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
         raise ValueError("sample_jstar_alt_batch: h must lie in [1, 4]")
     mix = build_mixture(trunc_lookup(h), h, z)
-    mu = np.inf if z == 0.0 else h / z
-    policy = _RatioCoefficients(h, mix.trunc)
-
-    def draw_right(m):
-        if h == 1.0:
-            return mix.trunc + rng.exponential(m) / mix.lam_z
-        return sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=m)
-
-    propose = _two_piece(
-        rng, mix.left_fraction,
-        lambda m: sample_truncated_inverse_gaussian(mu, h * h, mix.trunc, rng,
-                                                    size=m),
-        draw_right, counters)
-    return _fill_by_rejection(
-        size, propose,
-        lambda x: devroye._series_decide(x, rng, policy, counters), counters)
+    draw_right = None if h == 1.0 else (
+        lambda m: sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=m))
+    return devroye._sample_pasted(mix, _RatioCoefficients(h, mix.trunc),
+                                  draw_right, size, rng, counters)
 
 
 def _pieces(h):
@@ -148,9 +126,5 @@ def sample_jstar_real_batch(h, z, size, rng, counters=None):
     if h < TRUNC_H_MIN:
         raise ValueError("sample_jstar_real_batch: h must be >= 1")
     m, piece = _pieces(h)
-    if m == 1:
-        return sample_jstar_alt_batch(h, z, size, rng, counters=counters)
-    k = 1 if size is None else int(size)
-    draws = sample_jstar_alt_batch(piece, z, m * k, rng, counters=counters)
-    sums = draws.reshape(k, m).sum(axis=1)
-    return float(sums[0]) if size is None else sums
+    return devroye._sum_pieces(m, size, lambda k: sample_jstar_alt_batch(
+        piece, z, k, rng, counters=counters))

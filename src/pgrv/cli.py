@@ -268,10 +268,12 @@ def _suite_domination(records):
                 report.max_rho_left, 1.0 + 1e-9)
         _record(records, "domination", "max-f-over-right-kernel", h, 0.0,
                 report.max_rho_right, 1.0 + 1e-9)
-    # the far right tail, where a double sum has no correct digit left:
-    # f/r stays below 1 and rises towards it (0.88 at x = 20, h = 4)
+    # the far right tail, where a double sum has no correct digit left
+    # and, past x ~ 580, ell/r overflows a double: f/r stays below 1 and
+    # rises towards it (0.88 at x = 20, h = 4)
+    far = np.concatenate([np.geomspace(20.0, 200.0, 25), [400.0, 600.0, 1e3]])
     for h in [1.0, 2.5, 4.0]:
-        rho = verify_domination(h, np.geomspace(20.0, 200.0, 25)).rho_right
+        rho = verify_domination(h, far).rho_right
         _record(records, "domination", "max-f-over-right-kernel-far-tail",
                 h, 0.0, float(rho.max()), 1.0 + 1e-9)
         _record(records, "domination", "min-f-over-right-kernel-far-tail",

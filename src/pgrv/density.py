@@ -161,21 +161,27 @@ def _ratio_sum(x, h, rel_tol, max_terms):
     )
 
 
-def _trusted_ratio_sum(x, h, rel_err):
-    """f/a_0 at x > 0 (a float or an array) to relative error ``rel_err``.
+def _trusted_ratio_sum(x, h, rel_err, log_scale=0.0):
+    """f/a_0 times e^``log_scale`` at x > 0 (a float or an array) to
+    relative error ``rel_err``.
 
     The double sum stands where its rounding bound is at most ``rel_err``
     times its value.  Elsewhere it is re-summed in mpmath, with digits for
     the cancellation if f/a_0 ~ min(1, r/ell) (f <= min(ell, r), and f/r
-    tends to 1), then twice as many until mpmath's bound meets ``rel_err``.
+    tends to 1), then twice as many until mpmath's bound meets ``rel_err``;
+    it is scaled before it is rounded to a double, so f/r = f/a_0 * ell/r
+    stays finite where ell/r overflows a double.
     """
     s, err = _ratio_sum(x, h, _SUM_REL_TOL, _SUM_MAX_TERMS)
     if np.ndim(s):
-        for i in np.nonzero(err > rel_err * np.abs(s))[0]:
-            s[i] = _trusted_ratio_sum(x[i], h, rel_err)
+        redo = err > rel_err * np.abs(s)
+        log_scale = np.broadcast_to(log_scale, s.shape)
+        s *= np.exp(np.where(redo, 0.0, log_scale))
+        for i in np.nonzero(redo)[0]:
+            s[i] = _trusted_ratio_sum(x[i], h, rel_err, log_scale[i])
         return s
     if err <= rel_err * abs(s):
-        return float(s)
+        return float(s * np.exp(log_scale))
     import mpmath
 
     ctx = mpmath.MPContext()  # private, so no shared precision changes
@@ -186,7 +192,7 @@ def _trusted_ratio_sum(x, h, rel_err):
         ctx.dps, dps = math.ceil(dps), 2.0 * dps
         s, err = _ratio_sum(ctx.mpf(float(x)), ctx.mpf(float(h)),
                             rel_err / 16.0, _SUM_MAX_TERMS)
-    return float(s)
+    return float(s * ctx.exp(log_scale))
 
 
 def density(x, params):
@@ -199,6 +205,14 @@ def density(x, params):
     result is good to about 1e-12 relative at every x: where the double
     sum cancels, deep in the right tail, it is re-summed in mpmath
     (:func:`_trusted_ratio_sum`).
+
+    Where the tilted right kernel cosh^h(z) e^{-x z^2/2} r(x | h) rounds
+    to zero, so does f, and 0.0 is returned without a sum: f <= r at
+    every x for h >= 1.  J* is G + R with G ~ Gamma(h, pi^2/8), its first
+    term, and R >= 0 independent of G, so f(x) = E g(x - R) for the
+    Gamma density g.  With h >= 1, (x - R)^{h-1} <= x^{h-1}, hence
+    g(x - R) <= g(x) e^{pi^2 R/8}, and E e^{pi^2 R/8}
+    = prod_{k>=1} (1 - (2k+1)^{-2})^{-h} = (4/pi)^h, which turns g into r.
     """
     x = float(x)
     if x <= 0.0:
@@ -207,11 +221,13 @@ def density(x, params):
     if h < 1.0:
         raise ValueError(f"density: shape h={h} is below 1, where the "
                          "series is not known to converge")
+    tilt = h * log_cosh(z) - 0.5 * x * z * z
+    if np.exp(tilt + _log_kernel_r_unit(x, h, tilt_rate(0.0))) == 0.0:
+        return 0.0
     s = _trusted_ratio_sum(x, h, 1e-12)
     if s <= 0.0:
         return 0.0
-    log_f = (h * log_cosh(z) - 0.5 * x * z * z
-             + _log_coef_left_unit(0.0, x, h) + np.log(s))
+    log_f = tilt + _log_coef_left_unit(0.0, x, h) + np.log(s)
     return float(np.exp(log_f))
 
 
@@ -485,8 +501,10 @@ class DominationReport:
 def verify_domination(h, x_grid=None):
     """Evaluate f/ell and f/r over a grid and report their maxima.
 
-    f/ell is the ratio sum f/a_0 from :func:`_trusted_ratio_sum`, to a
-    hundredth of DOMINATION_SLACK.
+    Both come from the ratio sum f/a_0 of :func:`_trusted_ratio_sum`, to
+    a hundredth of DOMINATION_SLACK.  Past x ~ 580 ell/r overflows a
+    double and f/ell underflows, so there f/r is summed directly, scaled
+    by ell/r, and f/ell follows from it.
     """
     h = float(h)
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
@@ -494,8 +512,10 @@ def verify_domination(h, x_grid=None):
     if x_grid is None:
         x_grid = np.logspace(np.log10(0.01), np.log10(20.0), 2000)
     x = np.asarray(x_grid, dtype=float)
-    rho_left = np.maximum(_trusted_ratio_sum(x, h, DOMINATION_SLACK / 100),
-                          0.0)
-    rho_right = rho_left * np.exp(_log_kernel_ell_unit(x, h)
-                                  - _log_kernel_r_unit(x, h, tilt_rate(0.0)))
+    log_lr = _log_kernel_ell_unit(x, h) - _log_kernel_r_unit(x, h,
+                                                              tilt_rate(0.0))
+    scale = np.where(log_lr > 700.0, log_lr, 0.0)
+    s = np.maximum(_trusted_ratio_sum(x, h, DOMINATION_SLACK / 100, scale),
+                   0.0)
+    rho_left, rho_right = s * np.exp(-scale), s * np.exp(log_lr - scale)
     return DominationReport(h=h, x=x, rho_left=rho_left, rho_right=rho_right)

@@ -1,6 +1,6 @@
 """Exact J*(1, z) sampler, integer-shape J*(n, z) by summation, and the
-alternating-series decider that both exact samplers use, each with its
-own coefficient policy.
+path both exact J* samplers share: one skeleton, the alternating-series
+decider it runs, and one sum of pieces.
 
 The unit-shape density has two alternating-series representations whose
 coefficients decrease on overlapping intervals; pasting them at
@@ -9,9 +9,14 @@ leading-coefficient proposal can be accepted or rejected after finitely
 many partial sums.  The proposal is a truncated inverse-Gaussian /
 truncated-exponential mixture.
 
-The accept/reject comparison uses the untilted coefficients: the common
-factor cosh(z) e^{-x z^2/2} cancels between the uniform's upper bound
-and the partial sums.
+The skeleton :func:`_sample_pasted` also runs the real-shape sampler of
+:mod:`pgrv.alternate`; the two differ only in the mixture (paste point),
+the right piece and the coefficient policy.  A policy is stateless:
+``bound(x)`` gives k(x)/a_0(x) and ``step(n, x, a_prev)`` gives
+(a_n/a_0, whether the coefficients decrease from n on).  The decider
+keeps every per-slot sum.  The accept/reject comparison uses the
+untilted coefficients: the common factor cosh^h(z) e^{-x z^2/2} cancels
+between the uniform's upper bound and the partial sums.
 
 The decider runs the series on whole arrays of candidates, except for
 one float candidate and for arrays of at most ``_SHORT`` candidates,
@@ -62,14 +67,11 @@ class _PastedCoefficients:
     exact_sum = None
     counter_keys = ("series_index_sum", "series_index_max")
 
-    def start(self, x):
-        if isinstance(x, float):
-            return 1.0, 1.0
-        one = np.ones(x.shape)
-        return one, one
+    def bound(self, x):
+        return 1.0 if isinstance(x, float) else np.ones(x.shape)
 
-    def step(self, n, x, idx):
-        if idx is None:
+    def step(self, n, x, a_prev):
+        if isinstance(x, float):
             rate = 2.0 / x if x <= TRUNC_POINT else 0.5 * np.pi ** 2 * x
         else:
             rate = np.where(x <= TRUNC_POINT, 2.0 / x, 0.5 * np.pi ** 2 * x)
@@ -79,14 +81,13 @@ class _PastedCoefficients:
 def _series_decide(x, rng, policy, counters=None):
     """Accept mask for the candidates ``x``, by the alternating series.
 
-    ``policy.start(x)`` returns the untilted bounding kernel k(x) and the
-    leading coefficient a_0(x), both divided by a common positive factor
-    (a_0 itself in both policies); a uniform u on (0, k(x)) is drawn per
-    candidate.  ``policy.step(n, x, idx)`` returns a_n at the slots
-    ``idx`` and whether their coefficients are known to decrease from n
-    on.  Only then do the partial sums S_n bracket the density: accept at
-    the first odd n with u <= S_n, reject at the first even n with
-    u >= S_n.
+    The policy's coefficients are divided by a_0(x), so S_0 = 1.
+    ``policy.bound(x)`` is the untilted bounding kernel k(x) over a_0; a
+    uniform u on (0, k(x)) is drawn per candidate.  ``policy.step(n, x,
+    a)`` turns a_{n-1} into a_n and says whether the coefficients
+    decrease from n on.  Only then do the partial sums S_n bracket the
+    density: accept at the first odd n with u <= S_n, reject at the first
+    even n with u >= S_n.
 
     Under a policy with an ``exact_sum`` (the alternate one), a slot
     whose |u - S_n| is within S_n's rounding bound, ``SUM_ROUNDING`` *
@@ -108,37 +109,39 @@ def _series_decide(x, rng, policy, counters=None):
         return np.array([_decide_one(xi, ui, policy, counters)
                          for xi, ui in zip(x.tolist(), u.tolist())],
                         dtype=bool)
-    bound, s = policy.start(np.maximum(x, _X_FLOOR))
+    bound = policy.bound(np.maximum(x, _X_FLOOR))
     u = u * bound
     accept = np.zeros(x.shape, dtype=bool)
     # an underflowed bound means the density vanished there; reject
     # rather than let 0 <= 0 accept a zero-density point.  The series
-    # runs on the undecided slots idx only: x, u, s and the exact rule's
-    # lim and absum are gathered to them and shrink as slots decide.
+    # runs on the undecided slots idx only: x, u, the coefficient a, the
+    # sum s and the exact rule's lim and absum are gathered to them and
+    # shrink as slots decide.
     idx = np.nonzero((x > _X_FLOOR) & (bound > 0.0))[0]
-    x, u, s = x[idx], u[idx], s[idx]
+    x, u = x[idx], u[idx]
+    a = s = np.ones(idx.size)
     if exact := policy.exact_sum is not None:
-        lim, absum = bound[idx] * (1.0 + DOMINATION_SLACK), s.copy()
+        lim, absum = bound[idx] * (1.0 + DOMINATION_SLACK), np.ones(idx.size)
     term_sum = term_max = n_exact = 0
     for n in range(1, _MAX_SERIES_TERMS + 1):
         if not idx.size:
             break
-        coef, can = policy.step(n, x, idx)
+        a, can = policy.step(n, x, a)
         # once the increments vanish the current sum decides (a measure-
         # zero event): an odd sum that does not accept rejects, an even
         # sum that does not reject accepts
-        vanished = can & (coef <= 1e-300)
+        vanished = can & (a <= 1e-300)
         if n % 2:
-            s = s - coef
+            s = s - a
             hit = can & (u <= s)
             accept[idx[hit]] = True
         else:
-            s = s + coef
+            s = s + a
             hit = can & (u >= s)
             accept[idx[vanished & ~hit]] = True
         decided = hit | vanished
         if exact:
-            absum += coef
+            absum += a
             gap = u - s
             close = np.abs(gap, out=gap) <= absum * SUM_ROUNDING
             if n % 2:
@@ -158,7 +161,7 @@ def _series_decide(x, rng, policy, counters=None):
             keep = ~decided
             idx = idx[keep]
             if idx.size:
-                x, u, s = x[keep], u[keep], s[keep]
+                x, u, a, s = x[keep], u[keep], a[keep], s[keep]
                 if exact:
                     lim, absum = lim[keep], absum[keep]
     if idx.size:
@@ -173,29 +176,28 @@ def _decide_one(x, u, policy, counters):
     uniform ``u`` on (0, 1), on floats.
 
     It takes the same decisions at the same n and raises the same errors
-    as the array path does for that slot; the policy's ``step`` gets
-    ``idx=None``.
+    as the array path does for that slot.
     """
-    bound, s = policy.start(max(x, _X_FLOOR))
+    bound = policy.bound(max(x, _X_FLOOR))
     u = u * bound
     if not (x > _X_FLOOR and bound > 0.0):
         return False
     exact = policy.exact_sum is not None
     lim = bound * (1.0 + DOMINATION_SLACK)
-    absum = s
+    a = s = absum = 1.0
     for n in range(1, _MAX_SERIES_TERMS + 1):
-        coef, can = policy.step(n, x, None)
-        vanished = can and coef <= 1e-300
+        a, can = policy.step(n, x, a)
+        vanished = can and a <= 1e-300
         if n % 2:
-            s = s - coef
+            s = s - a
             hit = can and u <= s
             accept = hit
         else:
-            s = s + coef
+            s = s + a
             hit = can and u >= s
             accept = vanished and not hit
         if exact:
-            absum = absum + coef
+            absum = absum + a
             if can and (abs(u - s) <= absum * SUM_ROUNDING
                         or n % 2 and s > lim):
                 if counters is not None:
@@ -233,20 +235,44 @@ def _count_terms(counters, policy, term_sum, term_max, n_exact=0):
         counters[key] = counters.get(key, 0) + n_exact
 
 
-def sample_jstar1_batch(z, size, rng, counters=None):
-    """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
-    float."""
-    mix = build_mixture(TRUNC_POINT, 1.0, z)
-    mu = np.inf if mix.z == 0.0 else 1.0 / mix.z
-    policy = _PastedCoefficients()
+def _sample_pasted(mix, policy, draw_right, size, rng, counters):
+    """Exact J*(h, z) draws for the (h, z) of the mixture ``mix``;
+    ``size=None`` gives one float.
+
+    A proposal comes from the truncated IG(h/z, h^2) left piece with
+    probability ``mix.left_fraction``, else from ``draw_right(m)``
+    (``None``: the exponential tail right of ``mix.trunc``, the gamma
+    piece at h = 1), and ``policy`` decides it.
+    """
+    mu = np.inf if mix.z == 0.0 else mix.h / mix.z
+    if draw_right is None:
+        def draw_right(m):
+            return mix.trunc + rng.exponential(m) / mix.lam_z
     propose = _two_piece(
         rng, mix.left_fraction,
-        lambda m: sample_truncated_inverse_gaussian(mu, 1.0, TRUNC_POINT, rng,
-                                                    size=m),
-        lambda m: TRUNC_POINT + rng.exponential(m) / mix.lam_z, counters)
+        lambda m: sample_truncated_inverse_gaussian(
+            mu, mix.h * mix.h, mix.trunc, rng, size=m),
+        draw_right, counters)
     return _fill_by_rejection(
         size, propose, lambda x: _series_decide(x, rng, policy, counters),
         counters)
+
+
+def _sum_pieces(m, size, draw):
+    """Sums of ``m`` independent pieces each, ``draw(k)`` giving k pieces
+    (one float for ``k=None``); ``size=None`` gives one float."""
+    if m == 1:
+        return draw(size)
+    k = 1 if size is None else int(size)
+    sums = draw(m * k).reshape(k, m).sum(axis=1)
+    return float(sums[0]) if size is None else sums
+
+
+def sample_jstar1_batch(z, size, rng, counters=None):
+    """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
+    float."""
+    return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z),
+                          _PastedCoefficients(), None, size, rng, counters)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):
@@ -255,9 +281,5 @@ def sample_jstar_int_batch(n, z, size, rng, counters=None):
     n = int(n)
     if n < 1:
         raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
-    if n == 1:
-        return sample_jstar1_batch(z, size, rng, counters=counters)
-    k = 1 if size is None else int(size)
-    draws = sample_jstar1_batch(z, n * k, rng, counters=counters)
-    sums = draws.reshape(k, n).sum(axis=1)
-    return float(sums[0]) if size is None else sums
+    return _sum_pieces(n, size, lambda k: sample_jstar1_batch(
+        z, k, rng, counters=counters))

@@ -135,8 +135,8 @@ def test_series_decides_where_a0_underflows(h):
     # the proposals x ~ h/z; the policy runs on a_n/a_0, so its bound
     # there is 1 and the first odd partial sum accepts
     x = np.array([h / (2000.0 / h)])
-    bound, s0 = _RatioCoefficients(h, trunc_lookup(h)).start(x)
-    assert bound.tolist() == [1.0] and s0.tolist() == [1.0]
+    bound = _RatioCoefficients(h, trunc_lookup(h)).bound(x)
+    assert bound.tolist() == [1.0]
     counters = {}
     accept = devroye._series_decide(
         x, RngStream(0), _RatioCoefficients(h, trunc_lookup(h)), counters)

@@ -212,8 +212,8 @@ class TestValidate:
         assert code == EXIT_OK
         rows = [r for r in csv.reader(io.StringIO(out))][1:]
         # one left-kernel and one right-kernel ratio row per shape in
-        # {1.0, 1.1, ..., 4.0}, then the far right tail, x in [20, 200],
-        # for h in {1, 2.5, 4}
+        # {1.0, 1.1, ..., 4.0}, then the far right tail, x in [20, 200]
+        # and at 400, 600 and 1,000, for h in {1, 2.5, 4}
         assert len(rows) == 2 * 31 + 2 * 3
         tests = {r[1] for r in rows}
         assert tests == {"max-f-over-left-kernel", "max-f-over-right-kernel",

@@ -10,6 +10,8 @@ gamma-convolution series), computed here rather than trusted.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,26 @@ def mp_right_kernel_ref(x, h):
                 * mp.exp(-mp.pi ** 2 * xm / 8) / mp.gamma(hm))
 
 
+def mp_right_ratio_ref(x, h):
+    """f/r at zero tilt: :func:`mp_ratio_ref` times ell/r, with as many
+    digits as the left series cancels, log10(ell/r) (535 at x = 1000, on
+    top of 40 spare)."""
+    import mpmath as mp
+
+    def log_ell_over_r():
+        xm, hm = mp.mpf(x), mp.mpf(h)
+        log_ell = (hm * mp.log(2) + mp.log(hm) - mp.log(2 * mp.pi) / 2
+                   - 1.5 * mp.log(xm) - hm * hm / (2 * xm))
+        log_r = (hm * mp.log(mp.pi / 2) - mp.loggamma(hm)
+                 + (hm - 1) * mp.log(xm) - mp.pi ** 2 * xm / 8)
+        return log_ell - log_r
+
+    with mp.workdps(30):
+        dps = 40 + max(0, int(log_ell_over_r() / mp.log(10)))
+    with mp.workdps(dps):
+        return float(mp_ratio_ref(x, h, dps) * mp.exp(log_ell_over_r()))
+
+
 def ell_ref(x, h):
     """Untilted left kernel: 2^h times an inverse-gamma(1/2, h^2/2) pdf."""
     return 2.0 ** h * spstats.invgamma(0.5, scale=h * h / 2.0).pdf(x)
@@ -198,14 +220,19 @@ class TestCoefficients:
         assert np.all(np.diff(r) > 0)
 
     def test_ratio_once_below_one_stays(self):
-        # decreasing-or-unimodal coefficients on a (x, h) grid
-        ns = np.arange(50)
-        for h in np.linspace(1.0, 4.0, 20):
-            for x in np.geomspace(0.05, 20.0, 20):
-                r = coef_ratio(ns, x, h)
-                below = r < 1.0
-                first = np.argmax(below) if below.any() else len(ns)
-                assert np.all(below[first:])
+        # the fact the series decider relies on, in the double arithmetic
+        # it steps: the coefficients decrease or are unimodal at every
+        # third t(h) node, x from _X_FLOOR to where the alternate bound
+        # underflows (x ~ 620), and every ratio index the decider reaches
+        hs, _ = default_trunc_table()
+        ns = np.arange(devroye._MAX_SERIES_TERMS)[:, None]
+        for h in hs[::3].tolist():
+            xs = np.geomspace(100.0, 2000.0, 400)
+            top = xs[np.argmax(
+                _RatioCoefficients(h, trunc_lookup(h)).bound(xs) == 0.0)]
+            x = np.geomspace(devroye._X_FLOOR, top, 300)
+            below = coef_ratio(ns, x, h) < 1.0
+            assert np.array_equal(np.logical_or.accumulate(below), below), h
 
     def test_right_h1_formula(self):
         # right of the paste point the unit-shape policy steps the right
@@ -216,8 +243,9 @@ class TestCoefficients:
                 return (np.pi * (n + 0.5)
                         * np.exp(-((n + 0.5) ** 2) * np.pi ** 2 * x / 2.0))
 
+            coef = 1.0
             for n in range(1, 4):
-                coef, decreasing = policy.step(n, x, None)
+                coef, decreasing = policy.step(n, x, coef)
                 assert decreasing
                 assert coef == pytest.approx(right(n) / right(0), rel=1e-13)
 
@@ -232,7 +260,9 @@ class TestCoefficients:
 
     def test_right_decreasing_at_x1(self):
         policy = _PastedCoefficients()
-        vals = [1.0] + [policy.step(n, 1.0, None)[0] for n in range(1, 10)]
+        vals = [1.0]
+        for n in range(1, 10):
+            vals.append(policy.step(n, 1.0, vals[-1])[0])
         assert np.all(np.diff(vals) < 0)
 
     def test_domain_errors(self):
@@ -242,15 +272,15 @@ class TestCoefficients:
 
 def partial_sums(x, h, terms):
     """Untilted partial sums S_0..S_terms at x, divided by a_0(x), and the
-    "decreasing" flags, as the real-shape sampler's coefficient policy
-    produces them."""
+    "decreasing" flags, as the series decider forms them from the
+    real-shape sampler's coefficient policy (S_0 = a_0/a_0 = 1)."""
     policy = _RatioCoefficients(h, trunc_lookup(h))
     xs = np.array([x])
-    _, s0 = policy.start(xs)
-    s = s0[0]
+    coef = np.ones(1)
+    s = 1.0
     sums, flags = [s], [False]
     for n in range(1, terms + 1):
-        coef, decreasing = policy.step(n, xs, np.array([0]))
+        coef, decreasing = policy.step(n, xs, coef)
         s = s - coef[0] if n % 2 else s + coef[0]
         sums.append(s)
         flags.append(bool(decreasing[0]))
@@ -266,7 +296,7 @@ class TestPartialSums:
         assert sums[0] == 1.0
         assert not flags[0]
         x = np.array([0.3, 3.0])
-        bound, _ = _RatioCoefficients(2.0, trunc_lookup(2.0)).start(x)
+        bound = _RatioCoefficients(2.0, trunc_lookup(2.0)).bound(x)
         want = np.array([1.0, r_ref(3.0, 2.0) / ell_ref(3.0, 2.0)])
         assert bound == pytest.approx(want, rel=1e-13)
 
@@ -279,7 +309,9 @@ class TestPartialSums:
         assert abs(sums[12] - sums[11]) < 1e-12 * sums[11]
 
     def test_decreasing_flag_latches(self):
-        # coefficients rise before they fall at this (x, h)
+        # coefficients rise before they fall at this (x, h); the policy
+        # keeps no flag, yet once a step says "decreasing" every later
+        # one does
         _, flags = partial_sums(20.0, 4.0, 40)
         first = flags.index(True)
         assert first > 1
@@ -310,7 +342,7 @@ class TestPartialSums:
         policy = _RatioCoefficients(h, trunc_lookup(h))
         xs = np.geomspace(20.0, 60.0, 2 * devroye._SHORT + 1)
         ref = [mp_ratio_ref(x, h) for x in xs.tolist()]
-        bound, _ = policy.start(xs)
+        bound = policy.bound(xs)
         decided = []
         for seed in range(10):
             u = RngStream(seed).uniform(xs.size) * bound
@@ -384,6 +416,23 @@ class TestDensity:
         got = [density(xi, JStarParams(h, 0.0)) for xi in x]
         np.testing.assert_allclose(got, [mp_density_ref(xi, h) for xi in x],
                                    rtol=1e-10, atol=0.0)
+
+    def test_underflowing_density_skips_the_sum(self, monkeypatch):
+        # f <= r, so where the right kernel rounds to zero f does too, and
+        # no mpmath digits are spent on it; at x = 600 f is a subnormal
+        p = JStarParams(2.5, 0.0)
+        want = float(mp_right_ratio_ref(600.0, 2.5)
+                     * mp_right_kernel_ref(600.0, 2.5))
+        assert density(600.0, p) == pytest.approx(want, rel=1e-6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("summed a density that rounds to zero")
+
+        monkeypatch.setattr(sys.modules["pgrv.density"], "_trusted_ratio_sum",
+                            refuse)
+        assert density(1000.0, p) == 0.0
+        assert density(3000.0, p) == 0.0
+        assert density(1000.0, JStarParams(4.0, 3.0)) == 0.0
 
     def test_domain_and_convergence_errors(self):
         with pytest.raises(ValueError):
@@ -670,6 +719,20 @@ class TestDomination:
             want = [float(mp_density_ref(xi, h) / mp_right_kernel_ref(xi, h))
                     for xi in x]
         np.testing.assert_allclose(report.rho_right, want, rtol=1e-9)
+        assert np.all(report.rho_right < 1.0)
+
+    @pytest.mark.parametrize("h", [1.0, 2.5, 4.0])
+    def test_far_right_tail_past_double_range(self, h):
+        # past x ~ 580 ell/r overflows a double and f/ell underflows; f/r
+        # must still come out right, without a floating-point warning
+        x = [600.0, 1000.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = verify_domination(h, x)
+        assert report.passed
+        np.testing.assert_allclose(
+            report.rho_right, [mp_right_ratio_ref(xi, h) for xi in x],
+            rtol=1e-9)
         assert np.all(report.rho_right < 1.0)
 
     def test_kernels_dominate_at_every_table_node_and_midpoint(self):

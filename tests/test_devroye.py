@@ -124,10 +124,10 @@ def test_scaled_coefficients_match_pasted_series():
     # the decider runs on a_n/a_0, which stays finite where a_0 underflows
     xs = np.geomspace(1e-4, 20.0, 400)
     policy = _PastedCoefficients()
-    bound, lead = policy.start(xs)
-    assert np.all(bound == 1.0) and np.all(lead == 1.0)
+    assert np.all(policy.bound(xs) == 1.0)
+    ratio = np.ones(xs.size)
     for n in range(1, 6):
-        ratio, decreasing = policy.step(n, xs, np.arange(xs.size))
+        ratio, decreasing = policy.step(n, xs, ratio)
         assert decreasing and np.all(np.isfinite(ratio))
         np.testing.assert_allclose(ratio * _coef_unit(0, xs), _coef_unit(n, xs),
                                    rtol=1e-12, atol=1e-300)
@@ -177,17 +177,17 @@ def test_support_strictly_positive():
 class _HalfBound(_RatioCoefficients):
     """Ratio policy with its bound halved: the kernel no longer dominates."""
 
-    def start(self, x):
-        bound, lead = super().start(x)
-        return bound * 0.5, lead
+    def bound(self, x):
+        return super().bound(x) * 0.5
 
 
 class _NeverDecreasing(_PastedCoefficients):
     """Pasted policy that never lets the series decide."""
 
-    def step(self, n, x, idx):
-        coef, _ = super().step(n, x, idx)
-        return coef, (False if idx is None else np.zeros(np.shape(x), bool))
+    def step(self, n, x, a_prev):
+        coef, _ = super().step(n, x, a_prev)
+        return coef, (False if isinstance(x, float)
+                      else np.zeros(np.shape(x), bool))
 
 
 def _float_and_array(x):

@@ -18,6 +18,7 @@ from scipy import stats as spstats
 
 from . import saddle
 from .density import (
+    DOMINATION_SLACK,
     default_trunc_table,
     sample_gamma_sum,
     verify_domination,
@@ -50,8 +51,6 @@ BENCH_GRID_B = [1, 2, 3, 4, 10, 12, 14, 16, 18, 20, 30, 40, 50, 100]
 BENCH_GRID_Z = [0.0, 0.1, 0.5, 1.0, 2.0, 10.0]
 
 _METHOD_CHOICES = ["auto"] + [m.value for m in Method]
-
-VALIDATE_SUITES = ["moments", "ks", "domination", "envelope", "conjecture", "cgf"]
 
 
 def _parse_grid(text):
@@ -96,8 +95,8 @@ def _build_parser():
 
     p = sub.add_parser("validate", parents=[seeded, out],
                        help="run the statistical/numerical validation suites")
-    p.add_argument("--suites", default=",".join(VALIDATE_SUITES),
-                   help="comma-separated subset of: " + ", ".join(VALIDATE_SUITES))
+    p.add_argument("--suites", default=",".join(_SUITES),
+                   help="comma-separated subset of: " + ", ".join(_SUITES))
     p.add_argument("--n", type=int, default=100_000,
                    help="draws per statistical test")
 
@@ -225,7 +224,7 @@ def _record(records, suite, test, b, z, statistic, threshold,
                     "higher_is_better": higher_is_better})
 
 
-def _suite_moments(n, seed, records):
+def _suite_moments(records, n, seed):
     grid_b = [1.0, 2.0, 3.5, 12.0, 50.0]
     grid_z = [0.0, 1.0]
     cells = [(b, z, 101 * i + j) for i, b in enumerate(grid_b)
@@ -248,7 +247,7 @@ def _suite_moments(n, seed, records):
                 abs(float(draws.var(ddof=1)) / v_exact - 1.0), 0.05)
 
 
-def _suite_ks(n, seed, records):
+def _suite_ks(records, n, seed):
     for i, (b, z) in enumerate([(1.0, 0.0), (1.0, 2.0), (2.0, 1.0),
                                 (3.5, 0.5)]):
         params = PgParams(b, z)
@@ -260,14 +259,14 @@ def _suite_ks(n, seed, records):
                 float(spstats.ks_2samp(draws, oracle).pvalue), 0.001, True)
 
 
-def _suite_domination(records):
+def _suite_domination(records, *_):
     for h in np.arange(1.0, 4.0 + 1e-9, 0.1):
         h = round(float(h), 10)
         report = verify_domination(h)
         _record(records, "domination", "max-f-over-left-kernel", h, 0.0,
-                report.max_rho_left, 1.0 + 1e-9)
+                report.max_rho_left, 1.0 + DOMINATION_SLACK)
         _record(records, "domination", "max-f-over-right-kernel", h, 0.0,
-                report.max_rho_right, 1.0 + 1e-9)
+                report.max_rho_right, 1.0 + DOMINATION_SLACK)
     # the far right tail, where a double sum has no correct digit left
     # and, past x ~ 580, ell/r overflows a double: f/r stays below 1 and
     # rises towards it (0.88 at x = 20, h = 4)
@@ -275,29 +274,30 @@ def _suite_domination(records):
     for h in [1.0, 2.5, 4.0]:
         rho = verify_domination(h, far).rho_right
         _record(records, "domination", "max-f-over-right-kernel-far-tail",
-                h, 0.0, float(rho.max()), 1.0 + 1e-9)
+                h, 0.0, float(rho.max()), 1.0 + DOMINATION_SLACK)
         _record(records, "domination", "min-f-over-right-kernel-far-tail",
                 h, 0.0, float(rho.min()), 0.5, True)
 
 
-def _suite_envelope(records):
+def _suite_envelope(records, *_):
     for (b, z) in [(4.0, 0.0), (13.0, 0.0), (16.0, 1.0), (64.0, 2.0),
                    (170.0, 0.5)]:
         env = saddle.build_envelope(b, z)
         xs = np.logspace(np.log10(env.m / 20.0), np.log10(20.0 * env.m), 2000)
         gap = saddle._log_envelope(env, xs) - saddle._log_sp_vec(xs, b, z)
         _record(records, "envelope", "log-dominance-gap", b, z,
-                float(gap.min()), float(np.log1p(-1e-9)), True)
+                float(gap.min()), float(np.log1p(-saddle._ENVELOPE_SLACK)),
+                True)
 
 
-def _suite_conjecture(records):
+def _suite_conjecture(records, *_):
     for z in [0.0, 1.0, 4.0]:
-        result = saddle.check_curvature_monotonicity(z, warn=False)
+        result = saddle.check_curvature_monotonicity(z)
         _record(records, "conjecture", "curvature-ratio-monotonicity", 0.0,
                 z, 1.0 if all(result.values()) else 0.0, 0.5, True)
 
 
-def _suite_cgf(records):
+def _suite_cgf(records, *_):
     worst = 0.0
     for z in [0.0, 1.0, 3.0]:
         for s in [-2.0, -0.5, 0.0, 0.3]:
@@ -313,26 +313,30 @@ def _suite_cgf(records):
             worst, 1e-6)
 
 
+# every suite appends its rows; they print in this order
+_SUITES = {
+    "moments": _suite_moments,
+    "ks": _suite_ks,
+    "domination": _suite_domination,
+    "envelope": _suite_envelope,
+    "conjecture": _suite_conjecture,
+    "cgf": _suite_cgf,
+}
+
+
 def _cmd_validate(args):
-    suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-    unknown = set(suites) - set(VALIDATE_SUITES)
+    suites = {s.strip() for s in args.suites.split(",") if s.strip()}
+    if not suites:
+        raise ValueError("validate: --suites names no suite")
+    unknown = suites - set(_SUITES)
     if unknown:
         raise ValueError(f"validate: unknown suites {sorted(unknown)}")
     if args.n < 2:
         raise ValueError("validate: --n must be >= 2")
     records = []
-    if "moments" in suites:
-        _suite_moments(args.n, args.seed, records)
-    if "ks" in suites:
-        _suite_ks(args.n, args.seed, records)
-    if "domination" in suites:
-        _suite_domination(records)
-    if "envelope" in suites:
-        _suite_envelope(records)
-    if "conjecture" in suites:
-        _suite_conjecture(records)
-    if "cgf" in suites:
-        _suite_cgf(records)
+    for name, suite in _SUITES.items():
+        if name in suites:
+            suite(records, args.n, args.seed)
 
     failed = []
     with _out(args.out) as fh:

@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .special import (
@@ -126,15 +125,6 @@ def coef_ratio(n, x, h):
             * exp(-(2 / x) * ((2 * n + h) + 1)))
 
 
-def _log_coef_left_unit(n, x, h):
-    """log of the untilted left coefficient a_n^L(x | h)."""
-    return (h * _LOG2 - log_gamma_fn(h)
-            + log_gamma_fn(n + h) - log_gamma_fn(n + 1.0)
-            + np.log(2.0 * n + h)
-            - 0.5 * _LOG_2PI - 1.5 * np.log(x)
-            - (2.0 * n + h) ** 2 / (2.0 * x))
-
-
 def _ratio_sum(x, h, rel_tol, max_terms):
     """Alternating sum of the coefficient ratios t_n = a_n/a_0, i.e. f/a_0.
 
@@ -162,37 +152,40 @@ def _ratio_sum(x, h, rel_tol, max_terms):
 
 
 def _trusted_ratio_sum(x, h, rel_err, log_scale=0.0):
-    """f/a_0 times e^``log_scale`` at x > 0 (a float or an array) to
-    relative error ``rel_err``.
+    """f/a_0 times e^``log_scale`` at x > 0 to relative error ``rel_err``.
 
-    The double sum stands where its rounding bound is at most ``rel_err``
-    times its value.  Elsewhere it is re-summed in mpmath, with digits for
-    the cancellation if f/a_0 ~ min(1, r/ell) (f <= min(ell, r), and f/r
-    tends to 1), then twice as many until mpmath's bound meets ``rel_err``;
-    it is scaled before it is rounded to a double, so f/r = f/a_0 * ell/r
-    stays finite where ell/r overflows a double.
+    ``x`` and ``log_scale`` broadcast to one array, which is summed in
+    doubles; a scalar ``x`` is summed as a one-element array and returned
+    as a float.  The double sum stands where its rounding bound is at
+    most ``rel_err`` times its value.  Every other point is re-summed in
+    mpmath, in one private context per call, with digits for the
+    cancellation if f/a_0 ~ min(1, r/ell) (f <= min(ell, r), and f/r
+    tends to 1), then twice as many until mpmath's bound meets
+    ``rel_err``; it is scaled before it is rounded to a double, so
+    f/r = f/a_0 * ell/r stays finite where ell/r overflows a double.
     """
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     s, err = _ratio_sum(x, h, _SUM_REL_TOL, _SUM_MAX_TERMS)
-    if np.ndim(s):
-        redo = err > rel_err * np.abs(s)
-        log_scale = np.broadcast_to(log_scale, s.shape)
-        s *= np.exp(np.where(redo, 0.0, log_scale))
-        for i in np.nonzero(redo)[0]:
-            s[i] = _trusted_ratio_sum(x[i], h, rel_err, log_scale[i])
-        return s
-    if err <= rel_err * abs(s):
-        return float(s * np.exp(log_scale))
-    import mpmath
+    redo = err > rel_err * np.abs(s)
+    log_scale = np.broadcast_to(log_scale, s.shape)
+    s *= np.exp(np.where(redo, 0.0, log_scale))
+    if redo.any():
+        import mpmath
 
-    ctx = mpmath.MPContext()  # private, so no shared precision changes
-    lost = max(0.0, _log_kernel_ell_unit(x, h)
-               - _log_kernel_r_unit(x, h, tilt_rate(0.0))) / math.log(10.0)
-    dps = 10.0 + lost + math.log10(err / (rel_err * np.finfo(float).eps))
-    while err > rel_err * abs(s):
-        ctx.dps, dps = math.ceil(dps), 2.0 * dps
-        s, err = _ratio_sum(ctx.mpf(float(x)), ctx.mpf(float(h)),
-                            rel_err / 16.0, _SUM_MAX_TERMS)
-    return float(s * ctx.exp(log_scale))
+        ctx = mpmath.MPContext()  # private, so no shared precision changes
+        lost = np.maximum(0.0, _log_kernel_ell_unit(x[redo], h)
+                          - _log_kernel_r_unit(x[redo], h, tilt_rate(0.0)))
+        for i, lost_i in zip(np.nonzero(redo)[0].tolist(), lost.tolist()):
+            si, ei = s[i], err[i]
+            dps = (10.0 + lost_i / math.log(10.0)
+                   + math.log10(ei / (rel_err * np.finfo(float).eps)))
+            while ei > rel_err * abs(si):
+                ctx.dps, dps = math.ceil(dps), 2.0 * dps
+                si, ei = _ratio_sum(ctx.mpf(float(x[i])), ctx.mpf(float(h)),
+                                    rel_err / 16.0, _SUM_MAX_TERMS)
+            s[i] = float(si * ctx.exp(float(log_scale[i])))
+    return float(s[0]) if scalar else s
 
 
 def density(x, params):
@@ -227,7 +220,7 @@ def density(x, params):
     s = _trusted_ratio_sum(x, h, 1e-12)
     if s <= 0.0:
         return 0.0
-    log_f = tilt + _log_coef_left_unit(0.0, x, h) + np.log(s)
+    log_f = tilt + _log_kernel_ell_unit(x, h) + np.log(s)
     return float(np.exp(log_f))
 
 
@@ -390,6 +383,8 @@ def solve_trunc_point(h):
     The log-difference is strictly increasing on (0, inf) for h >= 1, so
     the root is unique; it is bracketed by [0.05, 10] over h in [1, 4].
     """
+    from scipy.optimize import brentq  # only the t(h) table needs it
+
     h = float(h)
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
         raise ValueError("solve_trunc_point: h must lie in [1, 4]")

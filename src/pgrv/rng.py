@@ -25,6 +25,7 @@ from :mod:`math` in the last ulp.
 import math
 
 import numpy as np
+from scipy import special as sc
 
 from .errors import IterationCapError, TailUnderflowError
 
@@ -244,8 +245,6 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
     the tail underflows, both weigh their gamma piece at exactly zero,
     from the same ``gammaincc`` value.
     """
-    from scipy import special as sc
-
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError("sample_truncated_gamma: shape and rate must be positive")
     if left <= 0.0:

@@ -59,6 +59,11 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 _ENVELOPE_SLACK = 1e-9
 
+# Stopping rule of the saddle solve: |utan(2u) - x| <= _SOLVE_TOL max(1, x),
+# within _SOLVE_MAX_ITER safeguarded Newton steps
+_SOLVE_TOL = 1e-12
+_SOLVE_MAX_ITER = 200
+
 
 def _check_u_domain(u):
     if np.any(u >= U_MAX):
@@ -126,7 +131,7 @@ def _u_bracket(x):
     return lo, hi, seed
 
 
-def _solve_u_vec(x, tol=1e-12, max_iter=200):
+def _solve_u_vec(x):
     """Solve utan(2u) = x elementwise by safeguarded Newton, for x > 0.
 
     The root is the shifted dual u = s - z^2/2 of the saddle K'(s) = x:
@@ -141,8 +146,8 @@ def _solve_u_vec(x, tol=1e-12, max_iter=200):
     exact = x == 1.0
     u[exact] = 0.0
     active = np.nonzero(~exact)[0]
-    target = tol * np.maximum(1.0, x)
-    for _ in range(max_iter):
+    target = _SOLVE_TOL * np.maximum(1.0, x)
+    for _ in range(_SOLVE_MAX_ITER):
         if active.size == 0:
             return u.reshape(shape)
         ua = u[active]
@@ -341,22 +346,20 @@ def sample_saddle_batch(n, z, size, rng, counters=None):
     return float(x[0]) if size is None else x
 
 
-def check_curvature_monotonicity(z, x_grid=None, warn=True):
+def check_curvature_monotonicity(z):
     """Grid check of the curvature-ratio monotonicity the envelope relies on.
 
-    Verifies that K''(s(x))/x^2 is increasing and K''(s(x))/x^3 is
-    decreasing along the grid and that both stay at or below 1.  Returns a
-    dict of booleans; failures raise a RuntimeWarning unless ``warn`` is
-    off.  There is no known proof of these monotonicities, which is why
-    the envelope additionally spot-checks dominance at build time.
+    Over 2,000 log-spaced points from m/50 to 50 m (m = E[J*(1, z)]),
+    checks that K''(s(x))/x^2 is increasing and K''(s(x))/x^3 is
+    decreasing and that both stay at or below 1.  Returns a dict of
+    booleans, one per property; it never warns, and ``pgrv validate``
+    reports a failure as a failing row.  There is no known proof of these
+    monotonicities, which is why the envelope additionally spot-checks
+    dominance at build time.
     """
-    import warnings
-
     z = float(abs(z))
     m = _mean_factor(z)
-    if x_grid is None:
-        x_grid = np.logspace(np.log10(m / 50.0), np.log10(50.0 * m), 2000)
-    x = np.asarray(x_grid, dtype=float)
+    x = np.logspace(np.log10(m / 50.0), np.log10(50.0 * m), 2000)
     u = _solve_u_vec(x)
     k2 = cgf_p2(u + 0.5 * z * z, z)
     r2 = k2 / x ** 2
@@ -364,16 +367,9 @@ def check_curvature_monotonicity(z, x_grid=None, warn=True):
     # both ratios live in (0, 1]; 1e-10 absorbs solver/rounding noise on
     # the saturated plateaus while catching any real reversal
     noise = 1e-10
-    result = {
+    return {
         "ratio_x2_increasing": bool(np.all(np.diff(r2) >= -noise)),
         "ratio_x2_bounded": bool(r2.max() <= 1.0 + 1e-9),
         "ratio_x3_decreasing": bool(np.all(np.diff(r3) <= noise)),
         "ratio_x3_bounded": bool(r3.max() <= 1.0 + 1e-9),
     }
-    if warn and not all(result.values()):
-        warnings.warn(
-            f"curvature-ratio monotonicity failed at z={z}: {result}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return result

@@ -228,6 +228,13 @@ class TestValidate:
         code, _, _ = run_cli(["validate", "--suites", "nope"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("suites", [",", ""])
+    def test_empty_suite_list_usage_error(self, suites, capsys):
+        # a list that names no suite would check nothing and exit 0
+        code, out, err = run_cli(["validate", "--suites", suites], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "--suites" in err
+
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_draw_count_below_two_exits_usage(self, n, capsys):
         # one draw has no sample variance: the input is at fault, not

@@ -1,8 +1,10 @@
 """Density machinery: series coefficients, partial sums, kernels, weights,
 truncation table, moments, and the domination check.
 
-The coefficients and kernels are tested in the untilted log form the
-samplers run (``_log_coef_left_unit``, ``_log_kernel_*_unit``).
+The kernels are tested in the untilted log form the samplers run
+(``_log_kernel_*_unit``).  The samplers step the series coefficients by
+their ratio (:func:`coef_ratio`) and never form a_n itself; the closed
+form of a_n is kept here, as the reference :func:`log_coef_left_ref`.
 
 Expected values marked by a comment come from the independent oracle
 stated next to them (quadrature, a second series representation, or the
@@ -19,6 +21,7 @@ from scipy import stats as spstats
 from scipy.integrate import quad
 
 from pgrv.density import (
+    DOMINATION_SLACK,
     JStarParams,
     build_mixture,
     c_index,
@@ -33,10 +36,10 @@ from pgrv.density import (
     trunc_lookup,
     verify_domination,
     _gamma_sum_rates,
-    _log_coef_left_unit,
     _log_kernel_ell_unit,
     _log_kernel_r_unit,
     _ratio_sum,
+    _trusted_ratio_sum,
 )
 from pgrv import devroye
 from pgrv.alternate import _RatioCoefficients
@@ -140,6 +143,17 @@ def mp_right_ratio_ref(x, h):
         return float(mp_ratio_ref(x, h, dps) * mp.exp(log_ell_over_r()))
 
 
+def log_coef_left_ref(n, x, h):
+    """log of the untilted left coefficient a_n^L(x | h): 2^h
+    Gamma(n + h)/(Gamma(h) n!) (2n + h)/sqrt(2 pi) x^{-3/2}
+    e^{-(2n + h)^2/(2x)}."""
+    return (h * math.log(2.0) - math.lgamma(h)
+            + math.lgamma(n + h) - math.lgamma(n + 1.0)
+            + math.log(2.0 * n + h)
+            - 0.5 * math.log(2.0 * math.pi) - 1.5 * math.log(x)
+            - (2.0 * n + h) ** 2 / (2.0 * x))
+
+
 def ell_ref(x, h):
     """Untilted left kernel: 2^h times an inverse-gamma(1/2, h^2/2) pdf."""
     return 2.0 ** h * spstats.invgamma(0.5, scale=h * h / 2.0).pdf(x)
@@ -184,7 +198,7 @@ class TestCoefficients:
             for n in range(4):
                 want = (np.pi * (n + 0.5) * (2.0 / (np.pi * x)) ** 1.5
                         * np.exp(-2.0 * (n + 0.5) ** 2 / x))
-                got = np.exp(_log_coef_left_unit(n, x, 1.0))
+                got = np.exp(log_coef_left_ref(n, x, 1.0))
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_tilt_factorization(self):
@@ -200,8 +214,8 @@ class TestCoefficients:
     def test_ratio_matches_quotient(self):
         for (h, x) in [(1.0, 0.5), (2.5, 1.3), (4.0, 3.0)]:
             for n in range(5):
-                direct = np.exp(_log_coef_left_unit(n + 1, x, h)
-                                - _log_coef_left_unit(n, x, h))
+                direct = np.exp(log_coef_left_ref(n + 1, x, h)
+                                - log_coef_left_ref(n, x, h))
                 assert coef_ratio(n, x, h) == pytest.approx(direct, rel=1e-12)
 
     def test_ratio_unit_shape_form(self):
@@ -253,7 +267,7 @@ class TestCoefficients:
         # at t = 2/pi both unit-shape series start at (pi/2) e^{-pi/4}: the
         # left coefficient, and the right kernel pasted there at h = 1
         want = np.log(np.pi / 2.0) - np.pi / 4.0
-        assert _log_coef_left_unit(0, TRUNC_POINT, 1.0) == pytest.approx(
+        assert log_coef_left_ref(0, TRUNC_POINT, 1.0) == pytest.approx(
             want, abs=1e-12)
         assert _log_kernel_r_unit(TRUNC_POINT, 1.0, tilt_rate(0.0)) == (
             pytest.approx(want, abs=1e-12))
@@ -325,7 +339,7 @@ class TestPartialSums:
             p = JStarParams(h, z)
             for x in np.geomspace(0.1, 5.0, 12):
                 f = (density(x, p) / (np.cosh(z) ** h * np.exp(-x * z * z / 2))
-                     / np.exp(_log_coef_left_unit(0, x, h)))
+                     / np.exp(log_coef_left_ref(0, x, h)))
                 sums, flags = partial_sums(x, h, 60)
                 for n, (s, flag) in enumerate(zip(sums, flags)):
                     if flag:
@@ -526,7 +540,7 @@ class TestKernels:
         for h in (1.0, 2.5, 4.0):
             for x in (0.2, 0.6):
                 assert np.exp(_log_kernel_ell_unit(x, h)) == pytest.approx(
-                    np.exp(_log_coef_left_unit(0, x, h)), rel=1e-13)
+                    np.exp(log_coef_left_ref(0, x, h)), rel=1e-13)
 
     def test_right_is_scaled_gamma(self):
         h, z = 2.5, 1.0
@@ -683,6 +697,28 @@ class TestTruncTable:
         assert pts.size == 204_801
         assert np.array_equal(got, np.interp(pts, hs, ts))
         assert type(trunc_lookup(2.0)) is float
+
+
+class TestTrustedSum:
+    @pytest.mark.parametrize("h", [1.0, 2.5, 4.0])
+    def test_array_equals_elementwise_scalar_calls(self, h):
+        # with verify_domination's tolerance and scale, so that both the
+        # double route and the mpmath route run, and e^{log_scale}
+        # overflows a double past x ~ 580
+        x = np.geomspace(0.05, 1000.0, 60)
+        rel_err = DOMINATION_SLACK / 100
+        log_lr = _log_kernel_ell_unit(x, h) - _log_kernel_r_unit(
+            x, h, tilt_rate(0.0))
+        scale = np.where(log_lr > 700.0, log_lr, 0.0)
+        s, err = _ratio_sum(x, h, 1e-17, 10_000)
+        in_doubles = err <= rel_err * np.abs(s)
+        assert in_doubles.any() and not in_doubles.all()
+        assert scale.max() > 700.0
+        got = _trusted_ratio_sum(x, h, rel_err, scale)
+        want = [_trusted_ratio_sum(xi, h, rel_err, li)
+                for xi, li in zip(x.tolist(), scale.tolist())]
+        assert all(type(w) is float for w in want)
+        assert got.tolist() == want
 
 
 class TestDomination:

@@ -7,9 +7,11 @@ import inspect
 import pytest
 
 import pgrv
-from pgrv import alternate
+from pgrv import alternate, saddle
 from pgrv.density import ProposalMixture, density, verify_domination
 from pgrv.rng import sample_truncated_inverse_gaussian
+
+density_module = importlib.import_module("pgrv.density")
 
 MODULES = ["alternate", "cli", "density", "devroye", "errors", "pg", "rng",
            "saddle", "special"]
@@ -54,3 +56,9 @@ def test_removed_attributes_and_options_stay_removed():
     assert list(inspect.signature(verify_domination).parameters) == [
         "h", "x_grid"]
     assert not hasattr(alternate, "_domination_guard")
+    # the saddle checks' test-only grid and warning switch, the solver's
+    # tolerances, and the a_n formula no sampler reads
+    assert list(inspect.signature(
+        saddle.check_curvature_monotonicity).parameters) == ["z"]
+    assert list(inspect.signature(saddle._solve_u_vec).parameters) == ["x"]
+    assert not hasattr(density_module, "_log_coef_left_unit")

@@ -315,6 +315,19 @@ class TestSampling:
         with pytest.raises(Built):
             sample_pg(PgParams(2.5, 0.5), RngStream(4), method="alternate")
 
+    def test_unit_draw_loads_no_root_finder(self):
+        # scipy.optimize solves t(h) for the table only: a fresh
+        # interpreter's PG(1, z) draw never loads it, a PG(2.5, z) draw does
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pgrv; "
+             "from pgrv.rng import RngStream; "
+             "pgrv.sample_pg(pgrv.PgParams(1, 0.3), RngStream(1)); "
+             "print('scipy.optimize' in sys.modules); "
+             "pgrv.sample_pg(pgrv.PgParams(2.5, 0.3), RngStream(1)); "
+             "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.stdout == "False\nTrue\n", proc.stderr
+
 
 class TestNormalApprox:
     def test_moments(self):

@@ -250,10 +250,19 @@ class TestCurvatureBounds:
             result = check_curvature_monotonicity(z)
         assert all(result.values())
 
-    def test_monotonicity_check_warns_on_failure(self):
-        # a deliberately tiny reversed grid trips the check
-        with pytest.warns(RuntimeWarning):
-            check_curvature_monotonicity(0.0, x_grid=np.array([2.0, 1.0, 0.5]))
+    def test_monotonicity_check_reports_failure(self, monkeypatch):
+        # K''/x in place of K'' turns K''/x^2 into K''/x^3, which
+        # decreases: the check must report that in its dict, not warn
+        from pgrv import saddle
+
+        true_p2 = saddle.cgf_p2
+        monkeypatch.setattr(saddle, "cgf_p2",
+                            lambda s, z: true_p2(s, z) / cgf_p1(s, z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = check_curvature_monotonicity(1.0)
+        assert result["ratio_x2_increasing"] is False
+        assert not all(result.values())
 
 
 class TestEnvelope:

@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import stats as spstats
 
 from . import saddle
 from .density import (
@@ -160,7 +159,6 @@ def _cmd_bench(args):
             for m in _bench_methods(b, z):
                 cells.append((m.value, float(b), float(z)))
     cells.sort()
-    default_trunc_table()  # grid-reusable; never charged to a cell
     rows = []
     for index, (method, b, z) in enumerate(cells):
         cell_seed = args.seed ^ index
@@ -248,6 +246,8 @@ def _suite_moments(records, n, seed):
 
 
 def _suite_ks(records, n, seed):
+    from scipy import stats as spstats  # only this suite needs it
+
     for i, (b, z) in enumerate([(1.0, 0.0), (1.0, 2.0), (2.0, 1.0),
                                 (3.5, 0.5)]):
         params = PgParams(b, z)

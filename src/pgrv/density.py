@@ -14,15 +14,17 @@ form the samplers use.
 The series cancels deep in the right tail (no correct double digit near
 x = 35); every caller that sums it goes through :func:`_trusted_ratio_sum`.
 
-Everything here is pure and thread-safe except :func:`sample_gamma_sum`
-(which consumes an RngStream) and the process-wide t(h) table, which is
-built on the first lookup, under a lock, and read-only afterwards.
+Everything here is pure and thread-safe except :func:`sample_gamma_sum`,
+which consumes an RngStream.  The t(h) table ships as the package file
+``trunc_table.csv``, the solver's nodes as ``pgrv table`` prints them;
+it is read once at import and read-only afterwards, so no draw solves a
+root.
 """
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -408,8 +410,8 @@ _TRUNC_ROWS = 1201
 def build_trunc_table():
     """Solve t(h) on the built-in grid: [1, 4] by 0.0025, 1,201 points.
 
-    Returns the ``(h, t)`` arrays that :func:`trunc_lookup` interpolates
-    in and ``pgrv table`` prints.  t(h) curves hardest just above h = 1
+    Returns the ``(h, t)`` arrays that ship as ``trunc_table.csv`` (the
+    tests hold the file to them).  t(h) curves hardest just above h = 1
     (second derivative around -39); at this step linear interpolation
     stays within 1e-4 of the direct solve everywhere.
     """
@@ -419,27 +421,23 @@ def build_trunc_table():
     return hs, ts
 
 
-# (h array, t array, h list, t list), built on the first lookup
-_default_table = None
-_default_table_lock = threading.Lock()
+def _read_trunc_table():
+    """(h array, t array, h list, t list) of the shipped table: the
+    ``%.17g`` rows of ``pgrv table``, which parse back to the bits of
+    :func:`build_trunc_table`."""
+    path = Path(__file__).with_name("trunc_table.csv")
+    hs, ts = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    hs.flags.writeable = ts.flags.writeable = False
+    return hs, ts, hs.tolist(), ts.tolist()
 
 
-def _trunc_table():
-    global _default_table
-    if _default_table is None:
-        with _default_table_lock:
-            if _default_table is None:
-                hs, ts = build_trunc_table()
-                hs.flags.writeable = ts.flags.writeable = False
-                _default_table = hs, ts, hs.tolist(), ts.tolist()
-    return _default_table
+_TRUNC_TABLE = _read_trunc_table()
 
 
 def default_trunc_table():
-    """The process-wide ``(h, t)`` table, built on first use and shared
-    read-only afterwards."""
-    hs, ts, _, _ = _trunc_table()
-    return hs, ts
+    """The ``(h, t)`` table the samplers read, loaded at import from the
+    package file and shared read-only."""
+    return _TRUNC_TABLE[:2]
 
 
 def trunc_lookup(h):
@@ -451,7 +449,7 @@ def trunc_lookup(h):
     its bits, on Python floats.
     """
     h = float(h)
-    _, _, hs, ts = _trunc_table()
+    _, _, hs, ts = _TRUNC_TABLE
     if not (hs[0] <= h <= hs[-1]):
         raise ValueError(
             f"trunc_lookup: h={h} outside table range [{hs[0]}, {hs[-1]}]")

@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestTable:
         code, out, _ = run_cli(["table"], capsys)
         assert code == EXIT_OK
         assert len(out.splitlines()) == 1 + 1201
+
+    def test_prints_the_shipped_file(self, capsys):
+        code, out, _ = run_cli(["table"], capsys)
+        assert code == EXIT_OK
+        shipped = Path(cli.__file__).with_name("trunc_table.csv")
+        assert out == shipped.read_text()
 
     def test_round_trip_reproduces_lookups(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -24,6 +24,7 @@ from pgrv.density import (
     DOMINATION_SLACK,
     JStarParams,
     build_mixture,
+    build_trunc_table,
     c_index,
     coef_ratio,
     default_trunc_table,
@@ -658,8 +659,12 @@ class TestTruncTable:
         assert hs[0] == 1.0 and hs[-1] == 4.0
 
     def test_on_grid_exact(self):
+        # the shipped file is the solver's table, bit for bit
         hs, ts = default_trunc_table()
-        assert all(t == solve_trunc_point(h) for h, t in zip(hs, ts))
+        solved_hs, solved_ts = build_trunc_table()
+        stale = "src/pgrv/trunc_table.csv differs from build_trunc_table()"
+        assert np.array_equal(hs, solved_hs), stale
+        assert np.array_equal(ts, solved_ts), stale
         assert all(trunc_lookup(h) == t for h, t in zip(hs, ts))
 
     @pytest.mark.parametrize("h", [2.345, 1.019, 1.0042, 3.7771])

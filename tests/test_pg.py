@@ -33,6 +33,10 @@ density = import_module("pgrv.density")
 
 N = 100_000
 CUT = SADDLE_MIN_SIZE
+# one draw per route: gamma-sum, devroye, alternate (one J* piece and
+# several), saddlepoint, normal
+ROUTE_DRAWS = [(0.5, None), (1.0, None), (2.5, None), (48.5, None),
+               (20.0, 512), (190.5, None)]
 
 
 def series_pg_moments(b, z, n_terms=1_000_000):
@@ -293,40 +297,39 @@ class TestSampling:
         score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
         assert abs(score) <= 5.0
 
-    def test_devroye_draw_builds_no_trunc_table(self, monkeypatch):
-        # the t(h) table is built on the first alternate lookup, never at
-        # import or for a devroye draw (logistic Gibbs never reads it)
+    def test_no_draw_solves_a_trunc_point(self, monkeypatch):
+        # t(h) comes from the shipped table: no route solves for it
+        def solve(*_):
+            raise AssertionError("a draw solved t(h)")
+
+        monkeypatch.setattr(density, "build_trunc_table", solve)
+        monkeypatch.setattr(density, "solve_trunc_point", solve)
+        assert {choose_method(b, n) for b, n in ROUTE_DRAWS} == set(Method)
+        rng = RngStream(4)
+        for b, n in ROUTE_DRAWS:
+            p = PgParams(b, 0.5)
+            x = sample_pg(p, rng) if n is None else sample_pg_batch(p, rng, n)
+            assert np.all(np.isfinite(x)) and np.min(x) > 0.0
+
+    def test_no_route_loads_a_root_finder(self):
+        # a fresh interpreter draws on every route without loading
+        # scipy.optimize, and ``pgrv sample`` leaves scipy.stats to the
+        # KS suite
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, pgrv; "
-             "print(sys.modules['pgrv.density']._default_table)"],
+            [sys.executable, "-c", "import os, sys, pgrv\n"
+             "from pgrv.cli import main\n"
+             "rng = pgrv.RngStream(1)\n"
+             f"for b, n in {ROUTE_DRAWS!r}:\n"
+             "    p = pgrv.PgParams(b, 0.3)\n"
+             "    pgrv.sample_pg(p, rng) if n is None else "
+             "pgrv.sample_pg_batch(p, rng, n)\n"
+             "print('scipy.optimize' in sys.modules)\n"
+             "main(['sample', '--b', '2.5', '--z', '1', '--n', '5', "
+             "'--out', os.devnull])\n"
+             "print('scipy.optimize' in sys.modules, "
+             "'scipy.stats' in sys.modules)"],
             capture_output=True, text=True)
-        assert proc.stdout == "None\n"
-
-        class Built(Exception):
-            pass
-
-        def build():
-            raise Built
-
-        monkeypatch.setattr(density, "_default_table", None)
-        monkeypatch.setattr(density, "build_trunc_table", build)
-        x = sample_pg(PgParams(1.0, 0.5), RngStream(4), method="devroye")
-        assert np.isfinite(x) and x > 0.0
-        with pytest.raises(Built):
-            sample_pg(PgParams(2.5, 0.5), RngStream(4), method="alternate")
-
-    def test_unit_draw_loads_no_root_finder(self):
-        # scipy.optimize solves t(h) for the table only: a fresh
-        # interpreter's PG(1, z) draw never loads it, a PG(2.5, z) draw does
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, pgrv; "
-             "from pgrv.rng import RngStream; "
-             "pgrv.sample_pg(pgrv.PgParams(1, 0.3), RngStream(1)); "
-             "print('scipy.optimize' in sys.modules); "
-             "pgrv.sample_pg(pgrv.PgParams(2.5, 0.3), RngStream(1)); "
-             "print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.stdout == "False\nTrue\n", proc.stderr
+        assert proc.stdout == "False\nFalse False\n", proc.stderr
 
 
 class TestNormalApprox:

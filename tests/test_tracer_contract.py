@@ -19,8 +19,8 @@ import pgrv
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # spans no draw reaches: the tracer still wraps the domination check
-# the sampler no longer calls, and the t(h) table is built once per
-# process, perhaps by an earlier test
+# the sampler no longer calls, and the t(h) table build that the shipped
+# table replaced
 UNREACHED = {"alternate.guard", "density.trunc_table"}
 
 

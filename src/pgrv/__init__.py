@@ -32,7 +32,6 @@ from .pg import (
     pg_var,
     sample_pg,
     sample_pg_batch,
-    sample_pg_normal,
 )
 from .rng import RngStream
 
@@ -58,7 +57,6 @@ __all__ = [
     "sample_gamma_sum",
     "sample_pg",
     "sample_pg_batch",
-    "sample_pg_normal",
     "solve_trunc_point",
     "trunc_lookup",
     "verify_domination",

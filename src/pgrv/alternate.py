@@ -1,5 +1,5 @@
-"""Direct J*(h, z) sampler for real shapes h in [1, 4], plus the
-sum-decomposition that extends it to any h >= 1.
+"""Direct J*(h, z) sampler for real shapes h in [1, 4], and the
+sum-decomposition that extends it to any h >= 1 in the same entry.
 
 The proposal pastes the inverse-Gaussian-type left kernel and the gamma
 right kernel at the mass-minimizing point t(h) (interpolated from a
@@ -40,8 +40,7 @@ from .rng import (
 )
 from .special import log_cosh
 
-__all__ = ["sample_jstar_alt_batch", "sample_jstar_real_batch",
-           "acceptance_probability"]
+__all__ = ["sample_jstar_alt_batch", "acceptance_probability"]
 
 # untilted rate of the right kernel piece (pi^2/8)
 _LAM0 = np.pi ** 2 / 8.0
@@ -96,35 +95,31 @@ class _RatioCoefficients:
         return a_prev * r, r < 1.0
 
 
-def sample_jstar_alt_batch(h, z, size, rng, counters=None):
-    """Fill an array with J*(h, z) draws for a single shape h in [1, 4];
-    ``size=None`` gives one float."""
-    h = float(h)
-    if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
-        raise ValueError("sample_jstar_alt_batch: h must lie in [1, 4]")
-    mix = build_mixture(trunc_lookup(h), h, z)
-    draw_right = None if h == 1.0 else (
-        lambda m: sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=m))
-    return devroye._sample_pasted(mix, _RatioCoefficients(h, mix.trunc),
-                                  draw_right, size, rng, counters)
-
-
 def _pieces(h):
     """Equal-piece decomposition: m parts of shape h/m, each in (1, 4]."""
     m = max(1, math.ceil(h / TRUNC_H_MAX))
     return m, h / m
 
 
-def sample_jstar_real_batch(h, z, size, rng, counters=None):
-    """J*(h, z) draws for any real h >= 1.
+def sample_jstar_alt_batch(h, z, size, rng, counters=None):
+    """Fill an array with J*(h, z) draws for any real h >= 1;
+    ``size=None`` gives one float.
 
     Shapes above 4 are drawn as a sum of m = ceil(h/4) independent
-    equal-shape pieces; equal pieces keep the worst per-piece acceptance
-    constant as small as possible.  ``size=None`` gives one float.
+    equal-shape pieces, all m*k of them from one mixture in one run of
+    the skeleton; equal pieces keep the worst per-piece acceptance
+    constant as small as possible.
     """
     h = float(h)
-    if h < TRUNC_H_MIN:
-        raise ValueError("sample_jstar_real_batch: h must be >= 1")
+    if not (TRUNC_H_MIN <= h < math.inf):
+        raise ValueError("sample_jstar_alt_batch: h must be finite and >= 1")
     m, piece = _pieces(h)
-    return devroye._sum_pieces(m, size, lambda k: sample_jstar_alt_batch(
-        piece, z, k, rng, counters=counters))
+    mix = build_mixture(trunc_lookup(piece), piece, z)
+    policy = _RatioCoefficients(piece, mix.trunc)
+    draw_right = None if piece == 1.0 else (lambda k: sample_truncated_gamma(
+        piece, mix.lam_z, mix.trunc, rng, size=k))
+    if m == 1:
+        return devroye._sample_pasted(mix, policy, draw_right, size, rng,
+                                      counters)
+    return devroye._sum_pieces(m, size, lambda k: devroye._sample_pasted(
+        mix, policy, draw_right, k, rng, counters))

@@ -8,9 +8,9 @@ the proposal mixture of the left/right bounding kernels, the
 truncation-point solver and the one t(h) table the samplers read ([1, 4]
 by 0.0025, which ``pgrv table`` prints), analytic moments, the
 gamma-convolution sampler (the route below shape 1, and the validation
-oracle), and the numerical domination check for the bounding kernels.
-The series coefficients and the kernels are kept as untilted logs, the
-form the samplers use.
+oracle; it sets its own term count), and the numerical domination check
+for the bounding kernels.  The series coefficients and the kernels are
+kept as untilted logs, the form the samplers use.
 The series cancels deep in the right tail (no correct double digit near
 x = 35); every caller that sums it goes through :func:`_trusted_ratio_sum`.
 
@@ -21,6 +21,7 @@ it is read once at import and read-only afterwards, so no draw solves a
 root.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -191,7 +192,7 @@ def _trusted_ratio_sum(x, h, rel_err, log_scale=0.0):
 
 
 def density(x, params):
-    """Density of J*(h, z) at x > 0, for shapes h >= 1.
+    """Density of J*(h, z) at finite x > 0, for shapes h >= 1.
 
     The alternating series is summed until the relative increment falls
     below 1e-17; a :class:`ConvergenceError` is raised when 10,000 terms
@@ -210,8 +211,8 @@ def density(x, params):
     = prod_{k>=1} (1 - (2k+1)^{-2})^{-h} = (4/pi)^h, which turns g into r.
     """
     x = float(x)
-    if x <= 0.0:
-        raise ValueError("density: x must be positive")
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"density: x must be positive and finite, got {x}")
     h, z = params.h, params.z
     if h < 1.0:
         raise ValueError(f"density: shape h={h} is below 1, where the "
@@ -234,36 +235,45 @@ def _gamma_sum_rates(n_terms):
     return c
 
 
-def sample_gamma_sum(params, n_terms, rng, size=None):
-    """Gamma-convolution draw: sum_{n<n_terms} g_n / d_n(z) plus one gamma
+# the term-count rule of sample_gamma_sum: N = max(20, ceil(2/h))
+_GAMMA_SUM_MIN_TERMS = 20
+_GAMMA_SUM_MIN_HN = 2.0
+
+
+def sample_gamma_sum(params, rng, size=None):
+    """Gamma-convolution draw: sum_{n<N} g_n / d_n(z) plus one gamma
     remainder standing in for the dropped terms.
 
-    The g_n are iid Gamma(h, 1).  The remainder is a gamma variate with
-    the mean and variance of sum_{n>=n_terms} g_n / d_n(z), that is
+    The g_n are iid Gamma(h, 1), and N = max(20, ceil(2/h)), with h
+    floored at 1e-4.  The remainder is a gamma variate with the mean and
+    variance of sum_{n>=N} g_n / d_n(z), that is
     ``jstar_mean``/``jstar_var`` minus the explicit terms' share; it is
     skipped when either moment rounds to zero or below.  So every draw
-    has the exact mean and variance of J*(h, z), whatever ``n_terms``
-    is, and only the shape beyond the variance is approximate:
+    has the exact mean and variance of J*(h, z), and only the shape
+    beyond the variance is approximate:
 
     - Third cumulant.  Every cumulant is h times a sum over n, so its
       relative error does not depend on h.  With 20 terms it is at most
       1.5e-5 of the total for PG tilts |z| <= 20, 1.6% at 100, 8.8% at
       200 and 28% at 1e3, tending to a third (too small) as |z| grows
       and the remainder carries all the variance.
-    - KS distance.  The remainder's shape is about 3 h n_terms at
-      z = 0; below h n_terms = 2 it puts too much mass near 0 (KS
-      distance to a long reference 0.015 at h n_terms = 0.5, 0.075 at
-      0.2, 0.55 at 0.02).  With h n_terms >= 2 and n_terms >= 20 (the
-      PG route's rule), the distance stayed at or below 0.018 at
-      h = 1e-4, 1e-3, 0.01, 0.05, 0.1 and 0.5 and PG |z| = 0, 20, 1e3
-      and 1e5, the largest at h = 1e-3 and at h = 0.05, |z| = 1e3.
-      (Samples of 20,000-50,000 draws against 10,000-20,000 reference
-      draws of at least 20,000 terms, so distances below about 0.01-0.017
-      are noise.)
+    - KS distance.  The remainder's shape is about 3 h N at z = 0; below
+      h N = 2 it puts too much mass near 0 (KS distance to a long
+      reference 0.015 at h N = 0.5, 0.075 at 0.2, 0.55 at 0.02), hence
+      the 2/h terms.  With h N >= 2 and N >= 20, the distance stayed at
+      or below 0.018 at h = 1e-4, 1e-3, 0.01, 0.05, 0.1 and 0.5 and PG
+      |z| = 0, 20, 1e3 and 1e5, the largest at h = 1e-3 and at h = 0.05,
+      |z| = 1e3.  (Samples of 20,000-50,000 draws against 10,000-20,000
+      reference draws of at least 20,000 terms, so distances below about
+      0.01-0.017 are noise.)
+    - Underflow.  h N >= 2 also keeps a draw from underflowing to
+      exactly 0, which a lone Gamma(h) term does with chance about
+      e^{-740 h} (0.93 at h = 1e-4).  N stops growing at h = 1e-4
+      (20,000 terms); no bound is claimed below.
     """
-    if n_terms < 1:
-        raise ValueError("sample_gamma_sum: n_terms must be >= 1")
     h = params.h
+    n_terms = max(_GAMMA_SUM_MIN_TERMS,
+                  math.ceil(_GAMMA_SUM_MIN_HN / max(h, 1e-4)))
     w = 1.0 / (_gamma_sum_rates(n_terms) + 0.5 * params.z * params.z)
     tail_mean = jstar_mean(params) - h * float(np.add.reduce(w))
     tail_var = jstar_var(params) - h * float(w @ w)
@@ -443,23 +453,17 @@ def default_trunc_table():
 def trunc_lookup(h):
     """Paste point t(h), linearly interpolated in the built-in table.
 
-    The grid is uniform, so the bracketing row is found from h directly
-    (and corrected by at most a row or two against the stored nodes);
-    the slope and offset steps are ``np.interp``'s, so the result has
-    its bits, on Python floats.
+    The bracketing row is found by bisection on the stored nodes, so the
+    grid need not be uniform; the slope and offset steps are
+    ``np.interp``'s, so the result has its bits, on Python floats.
     """
     h = float(h)
     _, _, hs, ts = _TRUNC_TABLE
     if not (hs[0] <= h <= hs[-1]):
         raise ValueError(
             f"trunc_lookup: h={h} outside table range [{hs[0]}, {hs[-1]}]")
-    last = _TRUNC_ROWS - 1
-    j = min(int((h - TRUNC_H_MIN) / _TRUNC_STEP), last)
-    while hs[j] > h:
-        j -= 1
-    while j < last and hs[j + 1] <= h:
-        j += 1
-    if j == last or hs[j] == h:
+    j = bisect.bisect_right(hs, h) - 1
+    if hs[j] == h:
         return ts[j]
     return (ts[j + 1] - ts[j]) / (hs[j + 1] - hs[j]) * (h - hs[j]) + ts[j]
 
@@ -492,7 +496,8 @@ class DominationReport:
 
 
 def verify_domination(h, x_grid=None):
-    """Evaluate f/ell and f/r over a grid and report their maxima.
+    """Evaluate f/ell and f/r over a grid of finite x > 0 and report
+    their maxima.
 
     Both come from the ratio sum f/a_0 of :func:`_trusted_ratio_sum`, to
     a hundredth of DOMINATION_SLACK.  Past x ~ 580 ell/r overflows a
@@ -505,6 +510,9 @@ def verify_domination(h, x_grid=None):
     if x_grid is None:
         x_grid = np.logspace(np.log10(0.01), np.log10(20.0), 2000)
     x = np.asarray(x_grid, dtype=float)
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError("verify_domination: every x must be positive and "
+                         "finite")
     log_lr = _log_kernel_ell_unit(x, h) - _log_kernel_r_unit(x, h,
                                                               tilt_rate(0.0))
     scale = np.where(log_lr > 700.0, log_lr, 0.0)

@@ -1,6 +1,6 @@
 """Exact J*(1, z) sampler, integer-shape J*(n, z) by summation, and the
 path both exact J* samplers share: one skeleton, the alternating-series
-decider it runs, and one sum of pieces.
+decider it runs, and one sum of pieces for multi-piece shapes.
 
 The unit-shape density has two alternating-series representations whose
 coefficients decrease on overlapping intervals; pasting them at
@@ -259,10 +259,9 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters):
 
 
 def _sum_pieces(m, size, draw):
-    """Sums of ``m`` independent pieces each, ``draw(k)`` giving k pieces
-    (one float for ``k=None``); ``size=None`` gives one float."""
-    if m == 1:
-        return draw(size)
+    """Sums of ``m`` >= 2 independent pieces each, ``draw(k)`` giving an
+    array of k pieces; ``size=None`` gives one float.  A single piece
+    goes to its sampler directly."""
     k = 1 if size is None else int(size)
     sums = draw(m * k).reshape(k, m).sum(axis=1)
     return float(sums[0]) if size is None else sums
@@ -281,5 +280,7 @@ def sample_jstar_int_batch(n, z, size, rng, counters=None):
     n = int(n)
     if n < 1:
         raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
+    if n == 1:
+        return sample_jstar1_batch(z, size, rng, counters=counters)
     return _sum_pieces(n, size, lambda k: sample_jstar1_batch(
         z, k, rng, counters=counters))

@@ -37,33 +37,12 @@ __all__ = [
     "ALTERNATE_MAX",
     "SADDLE_MAX",
     "SADDLE_MIN_SIZE",
-    "GAMMA_SUM_TERMS",
     "choose_method",
     "sample_pg",
     "sample_pg_batch",
-    "sample_pg_normal",
     "pg_mean",
     "pg_var",
 ]
-
-# Explicit terms of the gamma-convolution route: at least GAMMA_SUM_TERMS,
-# and at least 2/b of them.  One gamma stands in for the dropped terms,
-# with their mean and variance, so every draw has the exact mean and
-# variance.  Below bN = 2 that gamma puts too much mass near 0; at or
-# above it, and with 20 terms or more, the KS distance to a long
-# reference stayed at or below 0.018 from b = 1e-4 to 0.5 and PG |z| up
-# to 1e5 (``density.sample_gamma_sum`` has the error figures).  bN >=
-# 2 also keeps a draw from underflowing to exactly 0, which a Gamma(b)
-# term does with chance about e^{-740 b} (0.93 at b = 1e-4).  The count
-# stops growing at b = 1e-4 (20,000 terms); no bound is claimed below.
-GAMMA_SUM_TERMS = 20
-_GAMMA_SUM_MIN_BN = 2.0
-
-
-def _gamma_sum_terms(b):
-    """Explicit terms of the gamma-sum route at shape b."""
-    return max(GAMMA_SUM_TERMS, math.ceil(_GAMMA_SUM_MIN_BN / max(b, 1e-4)))
-
 
 @dataclass(frozen=True)
 class PgParams:
@@ -117,16 +96,31 @@ SADDLE_MAX = 170.0
 SADDLE_MIN_SIZE = 512
 
 
+def _batch_size(size, caller):
+    """``size`` as an int; ValueError unless it is an integer >= 0 (a
+    float or a bool is not)."""
+    try:
+        n = operator.index(size)
+    except TypeError:
+        n = -1
+    if n < 0 or isinstance(size, bool):
+        raise ValueError(
+            f"{caller}: size must be an integer >= 0, got {size!r}")
+    return n
+
+
 def choose_method(b, size=None):
     """Pick the sampling route for shape b under the hybrid rule.
 
-    ``size`` is the number of draws the route is asked for; below
-    ``SADDLE_MIN_SIZE`` the saddlepoint shapes go to the alternate
-    sampler.  ``size=None`` gives the answer by shape alone.
+    ``size`` is the number of draws the route is asked for, an integer
+    >= 0; below ``SADDLE_MIN_SIZE`` the saddlepoint shapes go to the
+    alternate sampler.  ``size=None`` gives the answer by shape alone.
     """
     b = float(b)
     if not (b > 0.0) or not math.isfinite(b):
         raise ValueError("choose_method: b must be positive and finite")
+    if size is not None:
+        size = _batch_size(size, "choose_method")
     if b < 1.0:
         return Method.GAMMA_SUM
     if b == int(b) and b <= DEVROYE_MAX:
@@ -165,7 +159,7 @@ def pg_var(params):
     return jstar_var(params.jstar) / 16.0
 
 
-def sample_pg_normal(params, rng, size=None):
+def _sample_normal(params, rng, size=None):
     """Moment-matched normal approximation, resampled to stay positive.
 
     Intended for very large shapes, where the mass below zero is
@@ -182,16 +176,16 @@ def sample_pg_normal(params, rng, size=None):
 def _draw(m, params, rng, size):
     """PG(b, z) draws on route ``m``; ``size=None`` gives one float."""
     if m is Method.NORMAL:
-        return sample_pg_normal(params, rng, size)
+        return _sample_normal(params, rng, size)
     b, zj = params.b, abs(params.z) / 2.0
     if m is Method.DEVROYE:
         x = devroye.sample_jstar_int_batch(int(b), zj, size, rng)
     elif m is Method.ALTERNATE:
-        x = alternate.sample_jstar_real_batch(b, zj, size, rng)
+        x = alternate.sample_jstar_alt_batch(b, zj, size, rng)
     elif m is Method.SADDLEPOINT:
         x = saddle.sample_saddle_batch(b, zj, size, rng)
     else:
-        x = sample_gamma_sum(params.jstar, _gamma_sum_terms(b), rng, size=size)
+        x = sample_gamma_sum(params.jstar, rng, size=size)
     x /= 4.0
     return x
 
@@ -217,13 +211,7 @@ def sample_pg_batch(params, rng, size, method="auto"):
     length.  ``size=0`` gives an empty array; a negative size, or one
     that is not an integer (a float, a bool), raises ValueError.
     """
-    try:
-        n = operator.index(size)
-    except TypeError:
-        n = -1
-    if n < 0 or isinstance(size, bool):
-        raise ValueError(
-            f"sample_pg_batch: size must be an integer >= 0, got {size!r}")
+    n = _batch_size(size, "sample_pg_batch")
     if n == 0:
         return np.empty(0)
     return _draw(_resolve_method(method, params.b, n), params, rng, n)

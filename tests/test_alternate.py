@@ -12,7 +12,6 @@ from pgrv.alternate import (
     _pieces,
     acceptance_probability,
     sample_jstar_alt_batch,
-    sample_jstar_real_batch,
 )
 from pgrv.density import (
     JStarParams,
@@ -24,6 +23,8 @@ from pgrv.density import (
 )
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.rng import RngStream
+
+from gamma_sum_oracle import gamma_sum_oracle
 
 N = 100_000
 KS_LEVEL = 0.001
@@ -54,21 +55,18 @@ def test_variance_shape_four():
 
 
 def test_ks_against_gamma_sum_oracle():
-    from pgrv.density import sample_gamma_sum
-
     rng = RngStream(6)
     draws = sample_jstar_alt_batch(3.5, 0.5, N, rng)
-    oracle = sample_gamma_sum(JStarParams(3.5, 0.5), 200, rng, size=N)
+    oracle = gamma_sum_oracle(JStarParams(3.5, 0.5), 200, rng, N)
     assert spstats.ks_2samp(draws, oracle).pvalue > KS_LEVEL
 
 
 def test_shape_domain():
-    with pytest.raises(ValueError):
-        sample_jstar_alt_batch(0.8, 0.0, 1, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_jstar_alt_batch(4.2, 0.0, 1, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_jstar_real_batch(0.9, 0.0, 1, RngStream(0))
+    # every h >= 1 is drawn, shapes above 4 as a sum of pieces
+    for h in (0.8, 0.9, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            sample_jstar_alt_batch(h, 0.0, 1, RngStream(0))
+    assert sample_jstar_alt_batch(4.2, 0.0, 1, RngStream(0)).shape == (1,)
 
 
 def test_scalar_draw():
@@ -87,12 +85,12 @@ class TestPieces:
             assert 1.0 < piece <= 4.0
 
     def test_sum_shape_ten(self):
-        x = sample_jstar_real_batch(10.0, 0.0, N, RngStream(8))
+        x = sample_jstar_alt_batch(10.0, 0.0, N, RngStream(8))
         se = x.std(ddof=1) / np.sqrt(N)
         assert abs(x.mean() - 10.0) < 4 * se
 
     def test_sum_fractional(self):
-        x = sample_jstar_real_batch(7.2, 2.0, N, RngStream(9))
+        x = sample_jstar_alt_batch(7.2, 2.0, N, RngStream(9))
         se = x.std(ddof=1) / np.sqrt(N)
         assert abs(x.mean() - 7.2 * np.tanh(2.0) / 2.0) < 4 * se
 

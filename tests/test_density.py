@@ -48,6 +48,8 @@ from pgrv.devroye import TRUNC_POINT, _PastedCoefficients
 from pgrv.errors import ConvergenceError
 from pgrv.rng import RngStream
 
+from gamma_sum_oracle import gamma_sum_oracle
+
 TRUNC1 = 2.0 / np.pi
 
 
@@ -452,6 +454,10 @@ class TestDensity:
     def test_domain_and_convergence_errors(self):
         with pytest.raises(ValueError):
             density(0.0, JStarParams(1.0, 0.0))
+        # refused up front, not summed to the term cap
+        for x in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                density(x, JStarParams(2.5, 0.0))
         with pytest.raises(ValueError, match="density: shape h=0.5"):
             density(1.0, JStarParams(0.5, 0.0))
         with pytest.raises(ConvergenceError):
@@ -465,34 +471,57 @@ class TestDensity:
 
 class TestGammaSum:
     # the remainder gamma carries the dropped terms' mean and variance,
-    # so the draws have J*'s whatever the explicit term count
-    @pytest.mark.parametrize("terms", [1, 10, 200])
+    # so the draws have J*'s whatever the explicit term count; ``terms``
+    # patches the sampler's count rule to give exactly that many
+    @pytest.fixture
+    def terms(self, request, monkeypatch):
+        module = sys.modules["pgrv.density"]
+        monkeypatch.setattr(module, "_GAMMA_SUM_MIN_TERMS", request.param)
+        monkeypatch.setattr(module, "_GAMMA_SUM_MIN_HN", 0.0)
+        return request.param
+
+    @pytest.mark.parametrize("terms", [1, 10, 200], indirect=True)
     def test_mean_is_exact(self, terms):
         p = JStarParams(2.0, 1.0)
-        draws = sample_gamma_sum(p, terms, RngStream(5), size=100_000)
+        draws = sample_gamma_sum(p, RngStream(5), size=100_000)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - jstar_mean(p)) < 4 * se
 
-    @pytest.mark.parametrize("terms", [1, 10, 200])
+    @pytest.mark.parametrize("terms", [1, 10, 200], indirect=True)
     def test_variance_is_exact(self, terms):
         p = JStarParams(1.5, 0.5)
-        draws = sample_gamma_sum(p, terms, RngStream(7), size=100_000)
+        draws = sample_gamma_sum(p, RngStream(7), size=100_000)
         assert draws.var(ddof=1) / jstar_var(p) == pytest.approx(1.0,
                                                                  abs=0.03)
 
+    @pytest.mark.parametrize("h,terms", [(4.0, 20), (0.1, 20), (0.09, 23),
+                                         (0.05, 40), (1e-3, 2000),
+                                         (1e-4, 20_000), (1e-6, 20_000)])
+    def test_term_count_rule(self, h, terms):
+        # max(20, ceil(2/h)) explicit Gamma(h) terms, h floored at 1e-4
+        sizes = []
+
+        class Recorder(RngStream):
+            def gamma(self, shape, size=None):
+                sizes.append(size)
+                return super().gamma(shape, size=size)
+
+        sample_gamma_sum(JStarParams(h, 0.5), Recorder(0))
+        one = sizes[0]
+        sizes.clear()
+        sample_gamma_sum(JStarParams(h, 0.5), Recorder(0), size=3)
+        assert (one, sizes[0]) == (terms, (3, terms))
+
     def test_unit_shape_200_terms(self):
-        draws = sample_gamma_sum(JStarParams(1.0, 0.0), 200, RngStream(6),
-                                 size=100_000)
+        # the 200-term oracle of the exact samplers' KS tests
+        draws = gamma_sum_oracle(JStarParams(1.0, 0.0), 200, RngStream(6),
+                                 100_000)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 4 * se
 
     def test_scalar_draw(self):
-        v = sample_gamma_sum(JStarParams(1.0, 0.0), 200, RngStream(8))
+        v = sample_gamma_sum(JStarParams(1.0, 0.0), RngStream(8))
         assert isinstance(v, float) and v > 0
-
-    def test_term_count_validation(self):
-        with pytest.raises(ValueError):
-            sample_gamma_sum(JStarParams(1.0, 0.0), 0, RngStream(0))
 
 
 class TestMoments:
@@ -791,3 +820,9 @@ class TestDomination:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             verify_domination(0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_must_be_positive_and_finite(self, bad):
+        # refused, not reported as a fake ratio or summed to the term cap
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_domination(2.5, [bad, 1.0])

@@ -21,7 +21,11 @@ REMOVED = ["SamplerThresholds", "DEFAULT_THRESHOLDS", "load_trunc_table",
            # space, which only tests called
            "d_index", "coef_left", "coef_right_h1", "kernel_ell", "kernel_r",
            "CgfPoint", "solve_saddle", "phi", "delta", "eta", "sp_density",
-           "log_sp_density"]
+           "log_sp_density",
+           # a second alternate entry, a second normal entry, and the
+           # gamma-sum term count, which the sampler now sets itself
+           "sample_jstar_real_batch", "sample_pg_normal", "GAMMA_SUM_TERMS",
+           "_gamma_sum_terms"]
 
 
 def _modules_with_all():
@@ -62,3 +66,6 @@ def test_removed_attributes_and_options_stay_removed():
         saddle.check_curvature_monotonicity).parameters) == ["z"]
     assert list(inspect.signature(saddle._solve_u_vec).parameters) == ["x"]
     assert not hasattr(density_module, "_log_coef_left_unit")
+    assert list(inspect.signature(
+        density_module.sample_gamma_sum).parameters) == ["params", "rng",
+                                                         "size"]

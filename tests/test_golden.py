@@ -1774,8 +1774,8 @@ def test_sampler_counters(route, b, z):
         draws = devroye.sample_jstar_int_batch(int(b), zj, SIZE, rng,
                                                counters=counters)
     elif route == "alternate":
-        draws = alternate.sample_jstar_real_batch(b, zj, SIZE, rng,
-                                                  counters=counters)
+        draws = alternate.sample_jstar_alt_batch(b, zj, SIZE, rng,
+                                                 counters=counters)
     else:
         draws = saddle.sample_saddle_batch(b, zj, SIZE, rng,
                                            counters=counters)

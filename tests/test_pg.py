@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from pgrv.density import JStarParams, sample_gamma_sum
+from pgrv import devroye
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.pg import (
     ALTERNATE_MAX,
     DEVROYE_MAX,
-    GAMMA_SUM_TERMS,
     Method,
     SADDLE_MAX,
     SADDLE_MIN_SIZE,
@@ -23,7 +23,6 @@ from pgrv.pg import (
     pg_var,
     sample_pg,
     sample_pg_batch,
-    sample_pg_normal,
 )
 from pgrv.rng import RngStream
 
@@ -116,6 +115,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="positive and finite"):
             choose_method(b)
 
+    @pytest.mark.parametrize("b", [0.5, 1.0, 20.0, 200.0])
+    def test_size_must_be_an_integer_at_least_zero(self, b):
+        # a negative or fractional batch is refused, not routed
+        for size in (-5, -1, 2.5, 512.0, True, "512"):
+            with pytest.raises(ValueError, match="integer >= 0"):
+                choose_method(b, size=size)
+        assert choose_method(b, size=0) is choose_method(b, np.int64(0))
+
     @pytest.mark.parametrize("b", [13.0, 13.5, 40.0, 100.5, 170.0])
     def test_small_batches_of_saddle_shapes_take_alternate(self, b):
         for size in (1, 2, CUT - 1):
@@ -182,12 +189,11 @@ class TestSampling:
         # forced gamma-sum draws are the oracle draws over 4, draw for draw
         p = PgParams(2.5, 1.0)
         a = sample_pg(p, RngStream(7), method="gamma-sum")
-        b = sample_gamma_sum(JStarParams(2.5, 0.5), GAMMA_SUM_TERMS,
-                             RngStream(7)) / 4.0
+        b = sample_gamma_sum(JStarParams(2.5, 0.5), RngStream(7)) / 4.0
         assert a == b
         av = sample_pg_batch(p, RngStream(8), size=100, method="gamma-sum")
-        bv = sample_gamma_sum(JStarParams(2.5, 0.5), GAMMA_SUM_TERMS,
-                              RngStream(8), size=100) / 4.0
+        bv = sample_gamma_sum(JStarParams(2.5, 0.5), RngStream(8),
+                              size=100) / 4.0
         assert np.array_equal(av, bv)
 
     def test_pg_scaling_identity_statistical(self):
@@ -297,6 +303,21 @@ class TestSampling:
         score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
         assert abs(score) <= 5.0
 
+    def test_single_piece_draws_skip_the_piece_sum(self, monkeypatch):
+        # one J* piece (devroye at b = 1, alternate at b <= 4) goes to
+        # its sampler directly; only multi-piece shapes sum pieces
+        def refuse(*_):
+            raise AssertionError("summed a single piece")
+
+        monkeypatch.setattr(devroye, "_sum_pieces", refuse)
+        rng = RngStream(5)
+        for b in (1.0, 2.5):
+            assert sample_pg(PgParams(b, 0.7), rng) > 0.0
+        x = sample_pg_batch(PgParams(1.0, 0.7), rng, 50)
+        assert x.shape == (50,) and x.min() > 0.0
+        with pytest.raises(AssertionError, match="single piece"):
+            sample_pg(PgParams(7.5, 0.7), rng)
+
     def test_no_draw_solves_a_trunc_point(self, monkeypatch):
         # t(h) comes from the shipped table: no route solves for it
         def solve(*_):
@@ -335,14 +356,16 @@ class TestSampling:
 class TestNormalApprox:
     def test_moments(self):
         p = PgParams(500.0, 0.0)
-        x = sample_pg_normal(p, RngStream(20), size=N)
+        x = sample_pg_batch(p, RngStream(20), size=N, method="normal-approx")
         se = x.std(ddof=1) / np.sqrt(N)
         assert abs(x.mean() - 125.0) < 4 * se
         assert abs(x.var(ddof=1) / pg_var(p) - 1.0) < 0.05
 
     def test_positive_support(self):
-        x = sample_pg_normal(PgParams(500.0, 1.0), RngStream(21), size=N)
+        x = sample_pg_batch(PgParams(500.0, 1.0), RngStream(21), size=N,
+                            method="normal-approx")
         assert x.min() > 0.0
 
     def test_scalar(self):
-        assert sample_pg_normal(PgParams(300.0, 0.0), RngStream(22)) > 0.0
+        assert sample_pg(PgParams(300.0, 0.0), RngStream(22),
+                         method="normal-approx") > 0.0

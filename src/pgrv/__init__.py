@@ -22,7 +22,6 @@ from .errors import (
     DominationViolationError,
     EnvelopeValidityError,
     IterationCapError,
-    TailUnderflowError,
 )
 from .pg import (
     Method,
@@ -46,7 +45,6 @@ __all__ = [
     "Method",
     "PgParams",
     "RngStream",
-    "TailUnderflowError",
     "build_trunc_table",
     "choose_method",
     "density",

@@ -26,7 +26,3 @@ class EnvelopeValidityError(RuntimeError):
     """A freshly built saddlepoint envelope failed its pointwise
     dominance spot check."""
 
-
-class TailUnderflowError(ArithmeticError):
-    """The gamma tail mass beyond a truncation bound underflowed to zero,
-    so no draw can be taken from it by inversion."""

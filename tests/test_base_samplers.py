@@ -8,7 +8,7 @@ from scipy import stats as spstats
 from scipy.integrate import quad
 
 from pgrv import PgParams, alternate, saddle, sample_pg, sample_pg_batch
-from pgrv.errors import IterationCapError, TailUnderflowError
+from pgrv.errors import IterationCapError
 from pgrv.rng import (
     RngStream,
     sample_truncated_gamma,
@@ -231,6 +231,33 @@ class TestTruncatedInverseGaussian:
         with pytest.raises(ValueError):
             sample_truncated_inverse_gaussian(1.0, 1.0, -0.5, RngStream(0))
 
+    @pytest.mark.parametrize("mu,lam,right", [
+        (np.nan, 1.0, 0.64), (1.0, np.nan, 0.64), (1.0, 1.0, np.nan)])
+    def test_nan_rejected(self, mu, lam, right):
+        with pytest.raises(ValueError):
+            sample_truncated_inverse_gaussian(mu, lam, right, RngStream(0),
+                                              size=4)
+
+    def test_infinite_right_bound_accepted(self):
+        # right=inf is the untruncated law (mu=inf: test_zero_drift_mu_inf)
+        x = sample_truncated_inverse_gaussian(1.0, 1.0, np.inf, RngStream(26),
+                                              size=1000)
+        assert np.all(np.isfinite(x) & (x > 0.0))
+
+
+def _trunc_gamma_cdf(shape, rate, left):
+    base = spstats.gamma(shape, scale=1.0 / rate)
+    tail = base.sf(left)
+
+    def cdf(t):
+        return (base.cdf(np.maximum(t, left)) - base.cdf(left)) / tail
+
+    return cdf
+
+
+class _GammaPieceDrawn(Exception):
+    """Raised by a stub standing in for the truncated gamma draw."""
+
 
 class TestTruncatedGamma:
     def test_support(self):
@@ -241,17 +268,72 @@ class TestTruncatedGamma:
     def test_ks_against_truncated_cdf(self):
         shape, rate, left = 2.5, 1.5, 0.8
         x = sample_truncated_gamma(shape, rate, left, RngStream(25), size=N)
-        base = spstats.gamma(shape, scale=1.0 / rate)
-        tail = base.sf(left)
+        cdf = _trunc_gamma_cdf(shape, rate, left)
+        assert spstats.kstest(x, cdf).pvalue > KS_LEVEL
+
+    # (shape, rate, left, seed): cut c = rate*left below the mode
+    # shape - 1 (Gamma proposals), above it (shifted exponential
+    # proposals), at shape exactly 1, and at shape 0.5 on both sides of
+    # its switch at c = 0.25
+    @pytest.mark.parametrize("shape,rate,left,seed", [
+        (40.0, 2.0, 15.0, 27),
+        (3.5, 1.4, 3.5, 28),
+        (1.0, 0.7, 2.0, 29),
+        (0.5, 2.0, 0.5, 30),
+        (0.5, 1.0, 0.1, 31),
+    ])
+    def test_ks_both_proposals(self, shape, rate, left, seed):
+        x = sample_truncated_gamma(shape, rate, left, RngStream(seed), size=N)
+        assert x.min() > left
+        cdf = _trunc_gamma_cdf(shape, rate, left)
+        assert spstats.kstest(x, cdf).pvalue > KS_LEVEL
+
+    def test_ks_far_cut(self):
+        # c = 1e3: the tail mass underflows, so the CDF is the closed
+        # form 1 - Q(3, t)/Q(3, c), with Q(3, y) = e^-y (1 + y + y^2/2),
+        # written in d = t - c
+        c = 1e3
+        x = sample_truncated_gamma(3.0, 1.0, c, RngStream(32), size=N)
+        assert x.min() > c
 
         def cdf(t):
-            return (base.cdf(np.maximum(t, left)) - base.cdf(left)) / tail
+            d = np.maximum(t, c) - c
+            return -np.expm1(-d) - np.exp(-d) * d * (1.0 + c + 0.5 * d) / (
+                1.0 + c + 0.5 * c * c)
 
         assert spstats.kstest(x, cdf).pvalue > KS_LEVEL
 
-    def test_underflowing_tail_rejected(self):
-        with pytest.raises(TailUnderflowError):
-            sample_truncated_gamma(2.0, 1.0, 1e6, RngStream(0))
+    def test_far_tail_mean(self):
+        # E[Y - c | Y > c] = 1 + 1/(1 + c) for Y ~ Gamma(2, 1)
+        c = 1e6
+        x = sample_truncated_gamma(2.0, 1.0, c, RngStream(33), size=N)
+        assert np.all(np.isfinite(x) & (x > c))
+        excess = x - c
+        se = excess.std(ddof=1) / np.sqrt(N)
+        assert abs(excess.mean() - (1.0 + 1.0 / (1.0 + c))) < 5 * se
+
+    @pytest.mark.parametrize("shape,rate,left", [
+        (40.0, 2.0, 15.0), (3.5, 1.4, 3.5), (1.0, 0.7, 2.0),
+        (0.5, 2.0, 0.5), (0.5, 1.0, 0.1), (2.0, 1.0, 1e6)])
+    def test_one_draw_matches_batch_of_one(self, shape, rate, left):
+        # size=None runs the rejection on floats; it must give the bits
+        # and leave the stream state of a size-1 call
+        for seed in range(20):
+            results = []
+            for size in (None, 1):
+                rng = RngStream(seed)
+                x = sample_truncated_gamma(shape, rate, left, rng, size=size)
+                x = float(x if size is None else x[0])
+                results.append((x.hex(), rng.uniform()))
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("shape,rate,left", [
+        (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan),
+        (np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),
+        (-np.inf, 1.0, 1.0), (1.0, 1.0, -np.inf), (0.0, 1.0, 1.0)])
+    def test_bad_parameters_rejected(self, shape, rate, left):
+        with pytest.raises(ValueError):
+            sample_truncated_gamma(shape, rate, left, RngStream(0), size=4)
 
     @pytest.mark.parametrize("b,z,method,size", [
         (2.5, 200.0, "alternate", None),
@@ -263,7 +345,7 @@ class TestTruncatedGamma:
         # where the gamma tail underflows, both routes weigh the right
         # piece at exactly 0 (same gammaincc), so it is never proposed
         def refuse(*args, **kwargs):
-            raise TailUnderflowError
+            raise _GammaPieceDrawn
         monkeypatch.setattr(alternate, "sample_truncated_gamma", refuse)
         monkeypatch.setattr(saddle, "sample_truncated_gamma", refuse)
         p = PgParams(b, z)

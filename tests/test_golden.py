@@ -285,54 +285,54 @@ BATCH = {
         "0x1.94a47252edba5p-1",
     ),
     ("alternate", 2.5, 0.0): (
-        "0x1.9be4b6dfceb0ep-2 0x1.aa782d5d56f2ep-1 0x1.c3ccce99c237fp+0 "
-        "0x1.05321da5847bbp-1 0x1.100aba3ccd142p-1 0x1.2c011aaabadc7p-2 "
+        "0x1.9be4b6dfceb0ep-2 0x1.8df63f0bd9145p+0 0x1.4a4ccde843557p-1 "
+        "0x1.05321da5847bbp-1 0x1.0793ec171628ep-1 0x1.2c011aaabadc7p-2 "
         "0x1.6316a89117625p-3 0x1.8dbd020ac368dp-2 0x1.33c2b178fa993p-1 "
-        "0x1.6d1cab670b6dfp-2 0x1.17c72303f39bep-2 0x1.b1f516d95dfcap-1 "
-        "0x1.b5d3c1250d9a0p-3 0x1.5bb5b6b9879d1p-2 0x1.18bc59029cac9p+0 "
+        "0x1.d23f4ddf5a97fp+0 0x1.17c72303f39bep-2 0x1.dedc2ac6a9f3ap-1 "
+        "0x1.b5d3c1250d9a0p-3 0x1.5bb5b6b9879d1p-2 0x1.d0f48f0f7ab4dp-2 "
         "0x1.dba1624aef932p-2 0x1.72ff42ab21e69p-2 0x1.86618250db17bp-2 "
-        "0x1.8b016619cff0bp-2 0x1.1deb83a2f9cc9p-1 0x1.b737f2e21d75dp-1 "
-        "0x1.02b9077fa7d26p-1 0x1.6323d4ec620cep-1 0x1.941f217b95f69p-1 "
+        "0x1.8b016619cff0bp-2 0x1.0076c210665b5p-1 0x1.acdb4d963b1a0p-1 "
+        "0x1.02b9077fa7d26p-1 0x1.558935870918fp+0 0x1.0b5da26910c5cp+0 "
         "0x1.199a2d4968ef6p-1 0x1.a8af4498e8ff4p-2 0x1.11333544d8c70p-1 "
         "0x1.a0f11024bd072p-3 0x1.c466adff27259p-2 0x1.cbd788dd402ccp-2 "
-        "0x1.c60769a16ba44p-1 0x1.78c213f1d2c1ap-3 0x1.75ce86842ddf2p-1 "
-        "0x1.12a83cb0d2fd2p+0 0x1.0fdf6991e4ee4p-2 0x1.4d6f57be8e5a2p-1 "
-        "0x1.317236205acdbp-1 0x1.dd625df8159f2p-3 0x1.b742ba52832ebp-1 "
-        "0x1.5d43e56572f99p+0 0x1.46525b15c35eap+0 0x1.5be81c93685ebp-1 "
-        "0x1.375c01ef8f29ap-1 0x1.0db5426cbb06fp-1 0x1.621786685a865p-1 "
-        "0x1.d689eb91cd260p-2 0x1.46c2e7e454ee6p-1 0x1.0a446a9342c61p-1 "
+        "0x1.6eda66a0f866dp-1 0x1.a89c8531f40b7p-1 0x1.229961863c0f8p+0 "
+        "0x1.c2e04171e5508p-1 0x1.0a384a9e8f19fp-1 0x1.d0fbee7dfa83cp-1 "
+        "0x1.317236205acdbp-1 0x1.dd625df8159f2p-3 0x1.4cfd2a4365d2bp+0 "
+        "0x1.04dffbd1d05e2p-1 0x1.61e4e0af11e8ap-1 0x1.645beef71b28fp-1 "
+        "0x1.375c01ef8f29ap-1 0x1.0db5426cbb06fp-1 0x1.2ac68fbac07f7p+0 "
+        "0x1.710b9ec8017b9p-1 0x1.46c2e7e454ee6p-1 0x1.0a446a9342c61p-1 "
         "0x1.e98dcfdc55cf8p-2 0x1.62dfd1f7c061ap-2 0x1.15eb29d932d8dp-1 "
         "0x1.6439d4c1c339bp-2 0x1.c402d4ad1b9ddp-2 0x1.0723a52d3c6f6p-1 "
-        "0x1.08866e20d38abp-2 0x1.f4a4cbc73b9f1p-2 0x1.2d18f8b5c374cp-2 "
-        "0x1.8d44d5ccf3bc9p-1 0x1.5801c01c60127p-2 0x1.6a79b146817fbp+0 "
-        "0x1.aa0870a62c470p-1 0x1.583e00be0ef51p-1 0x1.978894c843130p-1 "
+        "0x1.08866e20d38abp-2 0x1.f4a4cbc73b9f1p-2 0x1.ff40284a21652p-1 "
+        "0x1.ac3cdd4827e33p+0 0x1.5801c01c60127p-2 0x1.1c4860af8232bp-1 "
+        "0x1.95642fa9b444ep-1 0x1.b93afeba78f2fp-1 0x1.3e7a52658ca96p-1 "
         "0x1.f9727464432f0p-3",
-        "0x1.5857cc0cd4ec0p-1",
+        "0x1.d2cf0a6ec93b0p-3",
     ),
     ("alternate", 2.5, 1.0): (
-        "0x1.a7cd60066b1afp-2 0x1.9673ed7771f47p-2 0x1.e1e6fd6781fddp-2 "
+        "0x1.a7cd60066b1afp-2 0x1.13ea752be93cdp+0 0x1.e1e6fd6781fddp-2 "
         "0x1.7baf6d923536cp-2 0x1.3efc35d96a929p-1 0x1.9563ed7c26998p-2 "
-        "0x1.4caed60c9b57ap-1 0x1.a69ac4e9455bcp-2 0x1.2151f1cd88f2ap-2 "
-        "0x1.754f31c46ceabp-2 0x1.0e78f676e3c70p-3 0x1.9773169de3014p-1 "
-        "0x1.9a7dbdc3cbf9bp-1 0x1.1aa8502a59c4cp-2 0x1.8a0fe0b8df235p-2 "
-        "0x1.de5e57ef61266p-2 0x1.5d91e31368facp-1 0x1.71bcc5a331873p-1 "
-        "0x1.e5981c86dab85p-3 0x1.b6cec16550622p-1 0x1.21c4a369fdc96p-1 "
-        "0x1.a75d93f1f3013p-3 0x1.4b1cb0dbc00a4p-1 0x1.88a7889cd3944p-2 "
-        "0x1.dbdd4ef90fd47p-1 0x1.c361579862496p-2 0x1.46b50dceaa64ap-2 "
-        "0x1.0c9e1f8d1a3c7p-2 0x1.88ca57cff3d5bp+0 0x1.8526dd7a8bbebp-2 "
-        "0x1.2e1f2fe1e684cp-2 0x1.8c3d36f21a767p-1 0x1.9bf50caf4d817p-2 "
-        "0x1.f403d322cdeeap-2 0x1.468e5a26b3c08p-2 0x1.be3937a1b289dp-2 "
-        "0x1.09c7bf9510b19p+0 0x1.6aa45018c2bedp-2 0x1.27b27f6561213p-2 "
+        "0x1.7b0cefcc55ecfp-1 0x1.a69ac4e9455bcp-2 0x1.2151f1cd88f2ap-2 "
+        "0x1.754f31c46ceabp-2 0x1.0e78f676e3c70p-3 0x1.0889c15fd27c0p+0 "
+        "0x1.10e2d8adaca03p-1 0x1.1aa8502a59c4cp-2 0x1.8a0fe0b8df235p-2 "
+        "0x1.a2567358c13cfp-1 0x1.684c3e70268bfp-1 0x1.341936ff8fceap-1 "
+        "0x1.e5981c86dab85p-3 0x1.d0e84c4b262fcp-1 0x1.0a12884dc5015p-1 "
+        "0x1.a75d93f1f3013p-3 0x1.b3f46bc59db5dp+0 0x1.88a7889cd3944p-2 "
+        "0x1.3abb165ec3277p+0 0x1.c361579862496p-2 0x1.46b50dceaa64ap-2 "
+        "0x1.0c9e1f8d1a3c7p-2 0x1.575f4878c3841p-1 0x1.8526dd7a8bbebp-2 "
+        "0x1.2e1f2fe1e684cp-2 0x1.90935dc2a6eb0p-1 0x1.9bf50caf4d817p-2 "
+        "0x1.c61b40937e510p-2 0x1.468e5a26b3c08p-2 0x1.be3937a1b289dp-2 "
+        "0x1.663845264aec4p-1 0x1.6aa45018c2bedp-2 0x1.1cd282208ed8bp+0 "
         "0x1.2158e129116b7p-2 0x1.51c98ec28fa9ep-3 0x1.3d2541aaad676p-2 "
-        "0x1.3ba86cf364d29p-1 0x1.7d1c71d355e3ap-1 0x1.5b1644afc6beap-1 "
-        "0x1.5d8e12d3308e3p-2 0x1.0c156e92da1a2p+0 0x1.b741dd1a3b684p-2 "
-        "0x1.09569158d1c8cp-2 0x1.a0a8ffab58419p-2 0x1.69dfa36b821d5p-1 "
-        "0x1.90cb8b3683051p-2 0x1.230df9953279dp-1 0x1.2ca375a241e91p-1 "
-        "0x1.11d0cda8299e9p-1 0x1.88ac858fd59f5p-3 0x1.d88b8df3124b4p-2 "
-        "0x1.0cf6e77cbbd8bp-1 0x1.589e3f66c5ce3p-2 0x1.10e3c5d3a7bc8p-2 "
-        "0x1.903ec24da7317p-1 0x1.2bb77a67849b3p-1 0x1.8861e1493bf8fp-2 "
+        "0x1.3ba86cf364d29p-1 0x1.e035b297ed104p-1 0x1.60698bdc6a93dp+0 "
+        "0x1.5d8e12d3308e3p-2 0x1.9840a85eda989p-1 0x1.b741dd1a3b684p-2 "
+        "0x1.09569158d1c8cp-2 0x1.a0a8ffab58419p-2 0x1.774443e2f7a0fp+0 "
+        "0x1.90cb8b3683051p-2 0x1.f59c8b2b9d943p-2 0x1.2ca375a241e91p-1 "
+        "0x1.d574130f79441p-3 0x1.88ac858fd59f5p-3 0x1.205db0ba6928cp-2 "
+        "0x1.4b2c6e4f64b2ep-2 0x1.589e3f66c5ce3p-2 0x1.23feb21f08d82p+0 "
+        "0x1.d6c2d9c1733e4p-1 0x1.2bb77a67849b3p-1 0x1.8861e1493bf8fp-2 "
         "0x1.3bf0e51d7e166p-2",
-        "0x1.b424ed8a5f4c3p-1",
+        "0x1.a38721c3a3e6fp-1",
     ),
     ("alternate", 2.5, 8.0): (
         "0x1.a7809a33e929cp-4 0x1.36eac4f478d8fp-3 0x1.433e941b75588p-3 "
@@ -360,54 +360,54 @@ BATCH = {
         "0x1.2f90cf556049ap-2",
     ),
     ("alternate", 4.0, 0.0): (
-        "0x1.4f33fbc1a9018p+0 0x1.94dede3aed529p-1 0x1.5b1b079e172fdp+0 "
-        "0x1.b30a14e01743bp-1 0x1.0e044a66e0a8fp-1 0x1.4d27aa85a6c5fp+0 "
-        "0x1.6c43a9c9ba70dp+0 0x1.65e88186da5c1p+0 0x1.5f882e025376fp-1 "
-        "0x1.4abeebc695cc1p-1 0x1.2ca4a4a5bba98p+0 0x1.56dd0a94d9877p-1 "
-        "0x1.3fcc0117da4bdp-1 0x1.332d056e68ad5p+0 0x1.27b12b1c29923p+0 "
-        "0x1.b97bff8cfaa23p-1 0x1.83039ccf44598p-2 0x1.3ab27d60d85d6p-1 "
-        "0x1.a115af328dd8ap-1 0x1.5b61a5633a884p+0 0x1.628391042d3b8p+0 "
-        "0x1.d46b2c3bc4581p-1 0x1.73e766625d99dp+0 0x1.2d75df97c07e1p-1 "
-        "0x1.3e18aa89317bfp-1 0x1.bd0e0b79cbcbfp+0 0x1.aa5c7d85919bbp-1 "
-        "0x1.cf6a7b69a22d1p+0 0x1.98304f12d12a1p+0 0x1.242974c43bc5ep-1 "
+        "0x1.0478e9d5586a6p+0 0x1.94dede3aed529p-1 0x1.35318065b53bdp+0 "
+        "0x1.95fa2a823c286p-1 0x1.0e044a66e0a8fp-1 0x1.497d0a6abba28p+0 "
+        "0x1.613910a63da3bp+0 0x1.0ef51aa5a4ccap+0 0x1.0edde6168ec33p+0 "
+        "0x1.322b793c82250p+0 0x1.dcba747e6c595p+0 0x1.56dd0a94d9877p-1 "
+        "0x1.3fcc0117da4bdp-1 0x1.401d2edf231dcp+0 0x1.77d16b2a4123bp+0 "
+        "0x1.b97bff8cfaa23p-1 0x1.b5c97efa87d9fp-2 0x1.6266ab3efa26ap+0 "
+        "0x1.a115af328dd8ap-1 0x1.38dc46119c1e7p-1 0x1.62d62896dd282p+0 "
+        "0x1.25a999d81492dp+0 0x1.6fa969e4559c3p+0 0x1.2d75df97c07e1p-1 "
+        "0x1.3e18aa89317bfp-1 0x1.666af350a17dcp+0 0x1.2a3de16f3ed31p+0 "
+        "0x1.5bc9e3afde29ep+0 0x1.67b9b645d6812p-1 0x1.9b22b857fca4cp-1 "
         "0x1.44fd0d270233bp-1 0x1.fb4dc3b48b857p-1 0x1.5a711aaf599ecp-1 "
-        "0x1.0ccb881d5aad4p+0 0x1.917bf7a20f41fp+0 0x1.759c621c1f705p+0 "
-        "0x1.28255d68c348dp+0 0x1.c48a57a7e625bp-2 0x1.257e6070ba779p+0 "
-        "0x1.2cc473540294cp+1 0x1.e7d67ce1c2f25p-2 0x1.15e9868abb8bdp-1 "
-        "0x1.515552fc477cbp+0 0x1.6c87b942b1646p+0 0x1.5205954151873p-1 "
-        "0x1.f81c7ad06016cp-1 0x1.02c781371b2dfp-1 0x1.46badecd9486fp-1 "
-        "0x1.b3c328f4d37bbp+0 0x1.066ce74c55ec1p+0 0x1.2dabeb07a2e55p-1 "
-        "0x1.c5c0ce372902fp+0 0x1.d711f83b4dd89p-2 0x1.d7607e84b00d6p-1 "
-        "0x1.6f5458783a186p+0 0x1.86cf773721653p-1 0x1.9baa3e27068c2p-1 "
-        "0x1.2efcdeeade94bp-1 0x1.301736a70bfbap+0 0x1.449d677e214a6p+0 "
-        "0x1.4cef902ac270dp+0 0x1.a1d80c1e9fbdep-3 0x1.eaf344f8d8af1p-1 "
-        "0x1.0e7900458879cp+0",
-        "0x1.f09c75eda0256p-2",
+        "0x1.8421a1000f766p-2 0x1.2af91f91609b9p-1 0x1.45218c0a39350p+0 "
+        "0x1.5ac4f3e6e655bp+0 0x1.c48a57a7e625bp-2 0x1.3eb65209d0e32p-1 "
+        "0x1.80a443f1a57a4p+0 0x1.e7d67ce1c2f25p-2 0x1.a30c4b61e50a5p-1 "
+        "0x1.1a43bc089e774p+0 0x1.79219158f59cap-1 0x1.5205954151873p-1 "
+        "0x1.bc0ff7ac8a49fp-1 0x1.0e28d4392d7edp+0 0x1.5eca52f6ca1ccp-1 "
+        "0x1.123fa82665906p-1 0x1.3bf862cdb4c7fp+0 0x1.2dabeb07a2e55p-1 "
+        "0x1.06edca294f6edp-1 0x1.c352ad351908cp+0 0x1.4de11749d0793p-1 "
+        "0x1.692bfc16c54fep+0 0x1.86cf773721653p-1 0x1.e88a1a3559db2p-1 "
+        "0x1.2efcdeeade94bp-1 0x1.f337bfa77507ap-1 0x1.2816e1e1d6c3ap-2 "
+        "0x1.63e1e95fd598ep+0 0x1.a1d80c1e9fbdep-3 0x1.b3b3f71d60447p-1 "
+        "0x1.2b835f0c9b0afp+0",
+        "0x1.fbdbc0a4d27aap-2",
     ),
     ("alternate", 4.0, 1.0): (
         "0x1.1a693f4bf4537p-1 0x1.ee7d2e495884ep-1 0x1.7bcd35ab39e2dp-1 "
-        "0x1.e6438e2c9872fp-1 0x1.f2c4ae92d408fp-1 0x1.72c3a99fadd7bp-1 "
-        "0x1.f445128d90d52p-1 0x1.0c827324b30fcp+0 0x1.2b76a829e0eb1p+0 "
-        "0x1.669a71baa40eep-2 0x1.e077762073267p-2 0x1.a458010e79c7ep+0 "
-        "0x1.53b3fe0198290p-1 0x1.f9216b1175433p-1 0x1.dac5d9dea6936p-1 "
-        "0x1.1b97e85e24710p+0 0x1.ed0af8eae7da8p-2 0x1.7a5ca3ba334d2p-1 "
-        "0x1.ee8d7fc7d1ef9p+0 0x1.0522a295aca93p-1 0x1.744f3aebf6847p-2 "
-        "0x1.01a82475aef5fp+0 0x1.8560d70996906p-1 0x1.1bbbf7fa4ac7cp-1 "
-        "0x1.34da2a7d1d049p-2 0x1.fbd1c7130de5fp-2 0x1.916965532fdd0p-1 "
-        "0x1.2c88cc3a86f34p+0 0x1.bf74125c3b577p+0 0x1.da691160b0852p-2 "
-        "0x1.2d72fc564306fp+0 0x1.b407b26da995ep-1 0x1.d1d018c9bc143p-1 "
-        "0x1.ef63073b6e120p-1 0x1.141e9e92262e9p+0 0x1.9f2a90c1054aap-1 "
+        "0x1.e6438e2c9872fp-1 0x1.f2c4ae92d408fp-1 0x1.03c3492f06669p+0 "
+        "0x1.54eb7be17b709p+0 0x1.7d9b577b51567p+0 0x1.1c117d1378fb2p+0 "
+        "0x1.2938cb31382a8p+1 0x1.98d9b83bb4e19p+0 0x1.5a4515b471e83p+0 "
+        "0x1.53b3fe0198290p-1 0x1.856be6e883d7bp-1 0x1.dac5d9dea6936p-1 "
+        "0x1.78ddf22fe0928p-1 0x1.fd46cf2644a45p-1 0x1.0f7139fead3ccp+0 "
+        "0x1.44e2f64fa7642p-1 0x1.0522a295aca93p-1 0x1.663d34ba66f1bp+0 "
+        "0x1.01a82475aef5fp+0 0x1.c98b86bf8368dp-1 0x1.3909817a136eap+0 "
+        "0x1.4d790f43c12b6p+0 0x1.fbd1c7130de5fp-2 0x1.ea66c135c2f83p-1 "
+        "0x1.e4b3a13c734d2p-1 0x1.13b5317b53c34p+0 0x1.da691160b0852p-2 "
+        "0x1.53fcddb5bfa3ap+0 0x1.483110adee512p+0 0x1.010259eb51c3ap+0 "
+        "0x1.ef63073b6e120p-1 0x1.0e8ca7d4898e4p+0 0x1.9f2a90c1054aap-1 "
         "0x1.4ae6989a1e391p-1 0x1.076f9361d95b1p+0 0x1.9bf0664b3d837p-2 "
-        "0x1.1de3eb7cbab1bp+0 0x1.53fac2ef41799p-2 0x1.1734282c941a1p+0 "
-        "0x1.38521aa3d4132p+0 0x1.0e5a33fed4d2cp+0 0x1.a620ea8f0f99cp-2 "
-        "0x1.30751e2a4c295p+0 0x1.98163475bb244p+0 0x1.3e761cd4fd287p-1 "
-        "0x1.67e5c6dd895bdp+0 0x1.9c64b98480bddp-2 0x1.2449c3c6180b2p-1 "
-        "0x1.9d32fac28b3c5p+0 0x1.4cc0a1c80045bp+0 0x1.12aaea2f3a913p-1 "
-        "0x1.dde0b6ca9f9c7p+0 0x1.225349cd7bfb6p+0 0x1.536a891838e72p-1 "
+        "0x1.b64b54ddfcde4p+0 0x1.53fac2ef41799p-2 0x1.0c376ea2fc664p+0 "
+        "0x1.859d00f2c03e2p+0 0x1.82e99f8cd63cdp-1 0x1.a620ea8f0f99cp-2 "
+        "0x1.71883a9336502p+0 0x1.1256e6f48f1b9p+0 0x1.3e761cd4fd287p-1 "
+        "0x1.516ad9ae8d01ap+0 0x1.fec3547645884p-2 0x1.2449c3c6180b2p-1 "
+        "0x1.59418719f2db2p-1 0x1.6dfacac27d6a2p+0 0x1.0293bae1f2b30p+0 "
+        "0x1.398c15f44b3e9p-1 0x1.1eec57c25d2f5p+0 0x1.188c0b9d8126dp-1 "
         "0x1.3de0937039b0dp-1 0x1.98f86b8effd53p-1 0x1.e4421df4b39e4p-2 "
-        "0x1.2ee8e6c8c6fdcp+0 0x1.0529ada677a9bp+0 0x1.cbfaef17e2c81p-1 "
+        "0x1.557f54d78b3f4p+0 0x1.4f3558f06c04bp-1 0x1.4c0b4dbcd9324p+0 "
         "0x1.d69b4f626ba7dp-1",
-        "0x1.97f8a1b0d2696p-1",
+        "0x1.3e1e2cd931702p-1",
     ),
     ("alternate", 4.0, 8.0): (
         "0x1.eef08dd1c8d0fp-3 0x1.fe07460f6de09p-3 0x1.bc9bca3926cd8p-3 "
@@ -435,54 +435,54 @@ BATCH = {
         "0x1.64089d7838b64p-1",
     ),
     ("alternate", 7.3, 0.0): (
-        "0x1.6620a10d0de9cp+1 0x1.04e1cf7969125p+0 0x1.f75577a0910c0p+0 "
-        "0x1.85471ec9f2814p+0 0x1.806c7e0e79232p+0 0x1.7bd835f8e1ce6p+0 "
-        "0x1.9e2583bf47c6cp+0 0x1.7bd5d3e1ef08cp+1 0x1.b90970a9a2f37p+0 "
-        "0x1.59377bc20392ep+0 0x1.c9ec4e8a95e3cp+0 0x1.e0b8e64fd0728p+1 "
-        "0x1.ac5c454a58274p+0 0x1.cf6269aaaeb5ap+0 0x1.132a9ede6d763p+0 "
-        "0x1.eda59d99192b4p+0 0x1.6b16ac2df7771p+0 0x1.b8a21ce75595bp+0 "
-        "0x1.1f3b39782f565p+1 0x1.3acb5c9b58201p+1 0x1.9de1f466e6161p+1 "
-        "0x1.aa293ecf625d9p+0 0x1.3ec1bd50ff094p+0 0x1.d9c10db30a48ep+0 "
-        "0x1.1e6f34249a04cp+1 0x1.17c4e94ea8fdap+0 0x1.4a1faafdf79f9p+1 "
-        "0x1.a32e1988b9fdcp+0 0x1.58c0a09949a63p+0 0x1.61078d758dceap+1 "
-        "0x1.76f4bf7738908p+0 0x1.0a7994ac1ccbep+0 0x1.046f1dfb5b390p+1 "
-        "0x1.b2d15d872cc3dp+0 0x1.ccf5be7ed5384p-1 0x1.81e2c11d6f8f8p+0 "
-        "0x1.4cd851e7a402ep+0 0x1.e85737656def3p+0 0x1.ad2565464f5e2p+0 "
-        "0x1.61f80f8f544aap+0 0x1.0ff1ec1707fb6p+1 0x1.c06100f2d8bf6p+0 "
-        "0x1.2eabcfaf9853cp+1 0x1.23ae5fbe07fc6p+1 0x1.9d908919259b2p+0 "
-        "0x1.9b9ce56529ff4p-1 0x1.517a070c2ba84p+0 0x1.c5b23af69da12p+0 "
-        "0x1.2d52294e85901p+1 0x1.0a1db74f744efp+1 0x1.8b376a59d84f7p+0 "
-        "0x1.178360a7ca46ep+1 0x1.79d601b791474p+0 0x1.5da0ee3ab9559p+0 "
-        "0x1.85cff5b6abed2p+0 0x1.f54f7ce92fc74p+0 0x1.36143831aa464p+1 "
-        "0x1.899cfcd420fcdp+0 0x1.4fc679f4db180p+0 0x1.55389bf506210p+0 "
-        "0x1.65d528aea5a9cp+0 0x1.76b3beff2b016p+1 0x1.0ffb160dab14ep+1 "
-        "0x1.5bf7d592a42ddp+0",
-        "0x1.a451fb163d6a4p-1",
+        "0x1.0904f072d86c6p+1 0x1.51ce6d5f93257p+1 0x1.6e911a780b468p+0 "
+        "0x1.15725f4714a78p+1 0x1.fda63a60907e6p+0 0x1.1b1f277abe752p+1 "
+        "0x1.f622d09c50624p+0 0x1.f57de731b3193p+1 0x1.b38d2c8877f0cp+0 "
+        "0x1.c986698f81efep+0 0x1.a6086cf6cabb0p+0 0x1.596d2c84c4eedp+1 "
+        "0x1.c3e1eafae5acap+1 0x1.087bce795bf7ap+1 0x1.3441259a37b9dp+1 "
+        "0x1.49f91ba69a7b3p+0 0x1.2fa2acff21030p+0 0x1.04ebc6a1f18adp+1 "
+        "0x1.0cdba862f44fep+1 0x1.92f6053843674p+0 0x1.ddcf91327d6e6p+0 "
+        "0x1.40be74ec741eap+1 0x1.7f6a5dc4dc87ap+0 0x1.a84c65ebefa22p+0 "
+        "0x1.deea6db763230p+0 0x1.17c4e94ea8fdap+0 0x1.557f9b8d805c4p+1 "
+        "0x1.848205e43b490p+0 0x1.1834fb45361e0p+0 0x1.eaa4eac6f7becp+0 "
+        "0x1.c9ae86a997d7cp+0 0x1.d1663e51ecd4ap+0 0x1.5f035c5fb5b7cp+1 "
+        "0x1.d3eb0ee18b24ap+0 0x1.ef74a1266adf0p-1 0x1.c4af227bfc827p+0 "
+        "0x1.130f1874ed566p+1 0x1.2caada9f12cd0p+1 0x1.00638f966f2c4p+1 "
+        "0x1.38cb7b86c8fdfp+1 0x1.2057b20bf51d2p+1 0x1.1041158e968b6p+1 "
+        "0x1.14d2a53573c29p+1 0x1.f5492dac73510p+0 0x1.1211a86142d68p+1 "
+        "0x1.9b9ce56529ff4p-1 0x1.a1104cdd7df19p+0 0x1.a959815b1d3ccp+1 "
+        "0x1.58f8d863d9a0dp+1 0x1.9ce89e48dd9f2p+0 0x1.0d6635c250302p+1 "
+        "0x1.eb9e58bca0a53p+0 0x1.84dd9e7b7706ap+0 0x1.b28fe69ce44cbp+0 "
+        "0x1.dcc0a3deb243ep+0 0x1.0a636e81321b7p+1 0x1.6b600fd6dd00cp+1 "
+        "0x1.2f7a57e4e9ef3p+0 0x1.5bd5af12a7450p+0 0x1.55389bf506210p+0 "
+        "0x1.12237f2008d0cp+1 0x1.14e040cc8f6d5p+1 0x1.a05dedc248b78p+1 "
+        "0x1.4af62fbbe314fp+0",
+        "0x1.ebf86622a72b8p-3",
     ),
     ("alternate", 7.3, 1.0): (
-        "0x1.9a1a962e956aep+0 0x1.305aeb3d3a429p+1 0x1.1a9109f40cbe6p+0 "
-        "0x1.f5be132fbb318p+0 0x1.58931b533ca08p+0 0x1.9e0ce572138bep+0 "
-        "0x1.2757caf3ed540p+1 0x1.186e429f2bde6p+1 0x1.2cc5ced80da4ep+1 "
-        "0x1.3e439f6e17117p+1 0x1.090c52aab0306p+1 0x1.0c93e1b69a7b6p+1 "
-        "0x1.22adb3792ccefp+0 0x1.660541ff6617cp+0 0x1.2e0f10c62c76cp+1 "
-        "0x1.ffc55d4ad665ap+0 0x1.07c0f73d14385p+1 0x1.7faa3cf9da1fap+0 "
-        "0x1.0656c27ccec9ep+0 0x1.da7dd04f583f1p+0 0x1.fcd7a645465b1p+0 "
-        "0x1.aa5d7e8fdeeefp+0 0x1.1dfd651981391p+1 0x1.481ccb5495cb2p+0 "
-        "0x1.7ffe1d88ceba7p+0 0x1.66edad8d4c3bep+0 0x1.5d3a647dc63c8p+0 "
-        "0x1.c2fefdada1a88p-1 0x1.366fac048a54ap+1 0x1.b9936bedde626p+0 "
-        "0x1.b7c91e3339b7dp+0 0x1.cdb0082759972p+0 0x1.27c91b11556fbp+0 "
-        "0x1.fcee439528110p+0 0x1.0a647da403fdcp+1 0x1.74475f061f93bp+0 "
-        "0x1.993c280decc3ap+0 0x1.4550d69925034p+0 0x1.8d97c307ac3b8p-1 "
-        "0x1.1dab9e32f9afcp+0 0x1.4abb35cdb4046p+0 0x1.646ded630fb5ep+1 "
-        "0x1.8290e23382314p+0 0x1.9137a3fa37c84p+0 0x1.76e082f344a48p+1 "
-        "0x1.b7eb871a722d9p+0 0x1.46b4c9a760cf8p+1 0x1.f6bd1def384f8p-1 "
-        "0x1.cfe9df50dd386p+0 0x1.e8cc8dea15642p+0 0x1.65283456af3bap+1 "
-        "0x1.8671f04040b5ep+0 0x1.cf75f5a144d7cp+0 0x1.4992950b6133cp+0 "
-        "0x1.7557d8be566e0p+1 0x1.7ffd64a64f9c7p+0 0x1.7a2ac13db5aaap+0 "
-        "0x1.065d8b4874a16p+1 0x1.6baf1ad42e02dp+0 0x1.86b182445b9e4p+0 "
-        "0x1.9e1b14e0046f0p+0 0x1.d410c77390e8ep+0 0x1.d23d771c81c96p+0 "
-        "0x1.296bd6ffd2400p+1",
-        "0x1.c3cfa972036f7p-1",
+        "0x1.cbd56ae361c72p+0 0x1.d30a64bc3bd24p+0 0x1.13024801fcdc2p+1 "
+        "0x1.4bcd205066c85p+1 0x1.bd5e5481a87e1p-1 0x1.3aad6a3920936p+1 "
+        "0x1.e44515d998440p+0 0x1.e6efa15ac9dd0p+0 0x1.61fc11e85f4b8p+1 "
+        "0x1.01f3c6dc334ecp+1 0x1.303a3baf31af5p+1 0x1.e4c7998e9515cp+0 "
+        "0x1.22adb3792ccefp+0 0x1.96f98480dfd38p+0 0x1.bb6d2c319682cp+0 "
+        "0x1.484254a1f30b0p+0 0x1.376bbdeba0bbep+0 0x1.7faa3cf9da1fap+0 "
+        "0x1.eb1e61568de43p-1 0x1.20c0c5e0c3496p+1 0x1.0c454cd1beffap+1 "
+        "0x1.668b8fcb1f0b6p+0 0x1.dab8086a6a2c8p+0 0x1.a3a1c251761b8p+0 "
+        "0x1.2abc0294385b1p+0 0x1.03ffeeb193d69p+0 0x1.5d3a647dc63c8p+0 "
+        "0x1.c2fefdada1a88p-1 0x1.2023429f3ae62p+1 0x1.140f7a857a6b0p+1 "
+        "0x1.43f13f29d0594p+0 0x1.14947a50b8c72p+1 0x1.27c91b11556fbp+0 "
+        "0x1.eacbb0770cbbap+0 0x1.11b2836d7270fp+1 0x1.74475f061f93bp+0 "
+        "0x1.7dd12e7fca985p+0 0x1.4550d69925034p+0 0x1.8d97c307ac3b8p-1 "
+        "0x1.1dab9e32f9afcp+0 0x1.673e778f3527dp+0 0x1.8e3d9233b1cd3p+0 "
+        "0x1.8a85bdb39cec2p+0 0x1.82c7c7f6016a3p+0 0x1.1e46f247a576ap+1 "
+        "0x1.0507debceaeb4p+1 0x1.0ec14131592bap+1 0x1.f6bd1def384f8p-1 "
+        "0x1.cfe9df50dd386p+0 0x1.94dcd19502502p+0 0x1.f5f1abf7f8b1ap+0 "
+        "0x1.881816e9a9086p+0 0x1.8f04dbcc7c506p+1 0x1.4992950b6133cp+0 "
+        "0x1.d7394687191d2p+0 0x1.7ffd64a64f9c7p+0 0x1.bc4d938025602p+0 "
+        "0x1.ab0a4ce462b03p+0 0x1.6baf1ad42e02dp+0 0x1.23f44fc5cf85ep+0 "
+        "0x1.7c8ea80835f13p+0 0x1.e1f53320130bcp+0 0x1.23132686a4f06p+0 "
+        "0x1.f4f72ed5f7812p+0",
+        "0x1.4d605749cfeccp-1",
     ),
     ("alternate", 7.3, 8.0): (
         "0x1.da13005a0edd0p-2 0x1.7757ecb726d3ap-2 0x1.0014873232d5bp-1 "
@@ -510,54 +510,54 @@ BATCH = {
         "0x1.4a36d1c6af376p-1",
     ),
     ("alternate", 12.0, 0.0): (
-        "0x1.44e110507531dp+1 0x1.900a69aef168ep+1 0x1.e8d03e14286efp+1 "
-        "0x1.bb33442e100a7p+1 0x1.5fe7f4a2bb293p+1 0x1.561e4ca8180e2p+1 "
-        "0x1.ca61ff72bbcb6p+1 0x1.32f8c2f8b6546p+1 0x1.079d1ec57bee2p+2 "
-        "0x1.88bbf429a2460p+1 0x1.e00b9b262b46ep+1 0x1.89cbaf134a4bdp+1 "
-        "0x1.26d18ae634d3dp+1 0x1.c15c415383184p+1 0x1.c2714ec9adf1fp+1 "
-        "0x1.8e4ace79e2e6dp+1 0x1.4dbef9954fb7ep+1 0x1.f0e1b80aca145p+0 "
-        "0x1.89c4bc764c178p+1 0x1.e9bfa7ac001cap+0 0x1.bbeb3790a1ec0p+1 "
-        "0x1.4af7013f4de88p+1 0x1.c893fe657e00ap+1 0x1.8eea2224f27f9p+1 "
-        "0x1.b61400a6da628p+1 0x1.93cb504addd84p+1 0x1.d3ffbc8d5c49ep+1 "
-        "0x1.de764fd27a540p+0 0x1.3bf01b6716db5p+1 0x1.17adbfc4448fdp+1 "
-        "0x1.21e6ee3218634p+1 0x1.0abb06b3c2cbep+2 0x1.2bc831d9166bap+1 "
-        "0x1.661d0a49d995cp+1 0x1.3d330f1c758f5p+1 0x1.231cad0b3e521p+1 "
-        "0x1.f7bef4533824cp+1 0x1.afc58adcd3287p+1 0x1.c5b6f03664ce2p+1 "
-        "0x1.b1dc7d6f189f0p+1 0x1.32eb77837343ap+1 0x1.679edfe3124cap+1 "
-        "0x1.6a37908ba74d5p+1 0x1.ee3f5a83cb313p+1 0x1.e10fbe2278bc8p+0 "
-        "0x1.8d333bfb2dcd8p+1 0x1.b65ca2666f6dbp+1 0x1.525a769a8553ep+0 "
-        "0x1.2bd4f92b3282fp+2 0x1.324770b5bcbb4p+1 0x1.ba8a1ff1321fcp+1 "
-        "0x1.4502fdbd46144p+1 0x1.99201dfcb5a37p+1 0x1.823556c92dbaep+1 "
-        "0x1.8ca4e16028d67p+1 0x1.dccb7261cfd2ap+1 0x1.46c06c7f17402p+1 "
-        "0x1.2bddf3ac2060bp+2 0x1.8276af29cfafep+1 0x1.d0c05fd2f86e4p+1 "
-        "0x1.6bb57e1fb8b3dp+1 0x1.6be39ff00e33bp+1 0x1.a7c87f6149069p+1 "
-        "0x1.449e10058d04cp+1",
-        "0x1.9c1191885952ap-1",
+        "0x1.19454c54cfa83p+1 0x1.155688f8e2a22p+1 0x1.997b2e3ddac02p+1 "
+        "0x1.7d10a16e7a806p+1 0x1.55ac61c388ea6p+1 0x1.37e5052dcac36p+1 "
+        "0x1.9c5e0c7abe48ap+1 0x1.24fe02746b08ep+2 0x1.151ba44cde2c7p+1 "
+        "0x1.3c5759166b28dp+1 0x1.57b4aabe818e3p+1 0x1.f430479cec0e2p+1 "
+        "0x1.0282f8c1a0dfap+2 0x1.b01352cf69afap+1 0x1.478792faf67acp+1 "
+        "0x1.b17ff645352d6p+1 0x1.462eacc31f554p+1 0x1.ee0cb5df352dcp+0 "
+        "0x1.de1f2b913f5ecp+1 0x1.e9bfa7ac001cap+0 0x1.777de2660f83cp+1 "
+        "0x1.be408267f60d3p+1 0x1.ab4ebe8d86482p+0 0x1.b32f701aa1550p+1 "
+        "0x1.8b48018276d90p+1 0x1.8fdee3a8d2d46p+1 0x1.f51b7afb61653p+1 "
+        "0x1.517f530c8be65p+1 0x1.31b5b1a72d152p+1 0x1.ef717f3fc3090p+1 "
+        "0x1.798ee46677568p+1 0x1.cf20fb88c7f89p+1 0x1.a70b60816ef6fp+1 "
+        "0x1.d3cd9f38fff66p+1 0x1.377a6674da003p+1 0x1.2958ccf5e1054p+1 "
+        "0x1.b0bf5f03fc923p+1 0x1.42faf94595606p+1 0x1.3c3309b339f86p+1 "
+        "0x1.e41cb4c5251d8p+1 0x1.a48c089652954p+1 0x1.6212b84eb2016p+1 "
+        "0x1.a763ace228be2p+1 0x1.8410d0828ad96p+1 0x1.e10fbe2278bc8p+0 "
+        "0x1.05f149bc5f0cep+2 0x1.69e005016aa74p+1 0x1.525a769a8553ep+0 "
+        "0x1.3236e47093374p+2 0x1.18682fcbf21eep+1 0x1.cb8e1c96cf664p+1 "
+        "0x1.650f9add2dca2p+1 0x1.605b76164fcb7p+1 0x1.de9b74eb2eacdp+1 "
+        "0x1.a3c4aedab0d29p+1 0x1.b4e42955f52afp+1 0x1.13f87ce6e165ap+1 "
+        "0x1.839290fa58a4bp+1 0x1.92d150e39693ap+1 0x1.095f97aaf69f9p+2 "
+        "0x1.f800100c5b4a3p+1 0x1.3ac9908828ba1p+1 0x1.a59b1ea21ea7bp+1 "
+        "0x1.2938cd5f39f74p+1",
+        "0x1.e4cfcb63b6166p-2",
     ),
     ("alternate", 12.0, 1.0): (
-        "0x1.1446ef2b19a30p+1 0x1.9be35afd67265p+1 0x1.4266ac0581978p+1 "
-        "0x1.5681089d4e548p+1 0x1.1c12dab0ce991p+1 0x1.3fd409df86a09p+1 "
-        "0x1.463442c125fa2p+1 0x1.d251bcbe31ea2p+1 0x1.d1b9fac6aef4cp+1 "
-        "0x1.82ad2c3954544p+1 0x1.773fe65e32b66p+1 0x1.d476631230266p+1 "
-        "0x1.aad9066a7649cp+1 0x1.4a83654ff644ap+1 0x1.b6e62dd2fcaf1p+1 "
-        "0x1.5eab6e7b82348p+1 0x1.8272ed48ce008p+1 0x1.54a62d1dfb829p+1 "
-        "0x1.1380445798601p+1 0x1.3fc860159ab62p+2 0x1.3ffb2c9838f2fp+1 "
-        "0x1.5f50fd977f6c8p+1 0x1.d8b3e417b9261p+0 0x1.41bec07658cf6p+1 "
-        "0x1.74ad738575976p+1 0x1.32ee65a94c68ep+1 0x1.aaa97ac77af30p+1 "
-        "0x1.1312864ce943dp+2 0x1.d44baa2483470p+0 0x1.fc5d896b077f7p+1 "
-        "0x1.61bcc389f97cdp+1 0x1.1f2416a029593p+1 0x1.c04d9213af2a0p+0 "
-        "0x1.81cd1fc7b7115p+1 0x1.9c465dd367234p+1 0x1.b3ed50af1f9a6p+1 "
-        "0x1.001c805b90bfap+1 0x1.4351fcfb97648p+1 0x1.1b9e9a8add464p+1 "
-        "0x1.0d203b097d441p+1 0x1.9474c0f9bb5b6p+1 0x1.25318f86b6aecp+1 "
-        "0x1.401dedeacbc32p+1 0x1.5dc3e78bf4fe3p+1 0x1.44cf35b00334ep+1 "
-        "0x1.ba8071cb65f9ap+1 0x1.96678c1a7fc6cp+1 0x1.6c51f05714293p+1 "
-        "0x1.0ea57c1628f37p+1 0x1.08f74811bf52ap+1 0x1.2deac75623a80p+1 "
-        "0x1.1a28ed5129630p+1 0x1.4b9d731df2cbcp+1 0x1.8dbaeaa6e5daep+1 "
-        "0x1.5719627c037f0p+1 0x1.84c738f35f3eap+1 0x1.32a496f400f1fp+1 "
-        "0x1.4d90939474e6fp+1 0x1.0c0193f7992e1p+1 0x1.4f80d6c9dc7e8p+1 "
-        "0x1.2383a92ce326cp+1 0x1.a97e616c68875p+0 0x1.5ff429c849a6ap+1 "
-        "0x1.433b835fc9714p+1",
-        "0x1.3f78c7992512dp-1",
+        "0x1.c36b72d7bc3f0p+1 0x1.91f09c5fd2d19p+1 0x1.462f54164793ap+1 "
+        "0x1.83ed5758936e2p+1 0x1.70c5f15aa2021p+1 0x1.293f43e52bb02p+1 "
+        "0x1.271d7828f7d83p+1 0x1.f8ac4afec6d5ep+1 0x1.5eba0f55dd567p+1 "
+        "0x1.9d8764e6e0168p+1 0x1.4b3af7bce87c5p+1 0x1.a346a9d8f9346p+1 "
+        "0x1.794425329ac7ep+1 0x1.5e5a9179160a1p+1 0x1.402122595a55ep+1 "
+        "0x1.48a9bde353daap+1 0x1.21b83a7f51918p+1 0x1.10835841f239ap+1 "
+        "0x1.b8484821270c6p+1 0x1.02d72ffa37570p+2 0x1.538d72e1c0c02p+1 "
+        "0x1.520aab8841884p+1 0x1.d8b3e417b9261p+0 0x1.4f0c5eb4d4217p+1 "
+        "0x1.a0ba6a4f420c8p+1 0x1.7f06b742a058ep+1 0x1.4450ec4e76ac6p+1 "
+        "0x1.669bcb6f0b3fep+1 0x1.d44baa2483470p+0 0x1.716bc88d5857bp+1 "
+        "0x1.82fd9fe498f8ep+1 0x1.868659a313019p+1 0x1.8753d8cbd148cp+1 "
+        "0x1.263c092409b20p+1 0x1.774c464d6cb37p+1 0x1.5285bcf035a0dp+1 "
+        "0x1.2028b43843584p+1 0x1.b1f95fe3f84f0p+1 0x1.ef53d94bdb87ep+1 "
+        "0x1.18e3252290036p+1 0x1.174e42c4baac5p+2 0x1.74163dcf6db3ep+0 "
+        "0x1.1b95038761aedp+1 0x1.6363e51d690eap+1 0x1.bbccb5c6c00cfp+1 "
+        "0x1.91b69eb70f52ap+1 0x1.4493faa9524b4p+1 0x1.08776c82117c5p+1 "
+        "0x1.49c277649be54p+1 0x1.07e8456b7b7bcp+2 0x1.1d5bd629f4adfp+1 "
+        "0x1.1a28ed5129630p+1 0x1.1297f4f83309ep+1 0x1.4674a89c88ca0p+1 "
+        "0x1.3db654a5b5bdcp+1 0x1.3c1c1e825ffdep+1 0x1.d36382934cb06p+1 "
+        "0x1.2c84db11e6d45p+1 0x1.2e9e69d316d85p+1 0x1.4861dfa2e2952p+1 "
+        "0x1.90f9c1fd238fep+1 0x1.b1715ef812e52p+0 0x1.79d8c0091910dp+1 "
+        "0x1.f64219c53ca32p+1",
+        "0x1.2563b6a51131dp-1",
     ),
     ("alternate", 12.0, 8.0): (
         "0x1.b6b8dac866842p-1 0x1.db6e1d5928840p-1 0x1.8c7b28e19fdd7p-1 "
@@ -585,54 +585,54 @@ BATCH = {
         "0x1.7ca20b6384440p-2",
     ),
     ("alternate", 13.0, 0.0): (
-        "0x1.0dded103495c8p+2 0x1.7060e8325421ep+1 0x1.030a856d406a0p+2 "
-        "0x1.071b6b2ae11d8p+2 0x1.d59746598c156p+1 0x1.b328007a39571p+1 "
-        "0x1.f4999aca6a29ap+1 0x1.c2b0e3241a82ep+1 0x1.60aa2555f9b9cp+1 "
-        "0x1.4844106aeda6ep+1 0x1.03a2365e0d802p+2 0x1.f124f6a70e776p+1 "
-        "0x1.0545062a07ecep+1 0x1.089f2390f3a4fp+1 0x1.7481bd1d11a3cp+1 "
-        "0x1.67bb20e1a4e53p+1 0x1.d23600d041c63p+1 0x1.3fd167b1698efp+1 "
-        "0x1.4ab51e1b939b3p+1 0x1.27dea0626c0e1p+2 0x1.abe00d934c580p+1 "
-        "0x1.2e47ee2484e62p+2 0x1.3cd303db36de2p+1 0x1.11cd1554eefaap+2 "
-        "0x1.afb932354a79fp+1 0x1.e4306eaa7bc86p+1 0x1.ff3ed4b9aa0a4p+1 "
-        "0x1.057f25b6e961fp+2 0x1.af68181f86b3ep+1 0x1.f0e8873836460p+0 "
-        "0x1.08f8fac9cb9acp+1 0x1.bdf6e8791d9eep+1 0x1.f8d7645184c84p+0 "
-        "0x1.a6692ec99f6bep+1 0x1.7308b95354092p+1 0x1.16c413203dd67p+2 "
-        "0x1.985f855c5d0bep+1 0x1.277025e2f7a9ep+1 0x1.cad86a8d5b7a0p+1 "
-        "0x1.fbf04709a2086p+1 0x1.1f4d6d2f45114p+1 0x1.58a896a393f68p+1 "
-        "0x1.933d6d3e7a8bep+1 0x1.d8a2452a50db8p+1 0x1.4830ee7194364p+1 "
-        "0x1.e74bfbf8c3bb4p+1 0x1.466ef8ff9366cp+1 0x1.6f718eb16231dp+1 "
-        "0x1.a9c7533a8d19ap+1 0x1.b4461a1c18588p+1 0x1.eb0facded4aa9p+1 "
-        "0x1.a58fb511b3983p+0 0x1.23c889d31390ep+1 0x1.f2ef16daa72b8p+1 "
-        "0x1.48c0dd47063c6p+1 0x1.3450a67ecc300p+2 0x1.8b823fc184066p+1 "
-        "0x1.0a32edfca636dp+2 0x1.0d5319e2da89ap+1 0x1.18a2e25b5bdbdp+2 "
-        "0x1.7e8a858c076a0p+1 0x1.71935509f65e4p+1 0x1.a3a8c294a8e1dp+1 "
-        "0x1.3dd8b6855eba9p+1",
-        "0x1.7caa08958ccb0p-1",
+        "0x1.9276a58b75894p+1 0x1.b6e30039ec763p+1 0x1.cb9eb48df2cf4p+1 "
+        "0x1.c5af40b82f278p+1 0x1.74d4c2ca4e0acp+1 0x1.52044000b6a0ep+1 "
+        "0x1.217fa5143b37fp+2 0x1.da3dc4f730ad7p+1 0x1.1ffc5e19bd1b3p+1 "
+        "0x1.bac8a06d4bd42p+1 0x1.430c43158238cp+1 0x1.ba5c13c72d721p+1 "
+        "0x1.09a1be73a3662p+1 0x1.c9eec3aec6bc7p+1 0x1.9b31aa9a35c86p+1 "
+        "0x1.52d5125594bebp+1 0x1.5dc1f00fe4917p+1 0x1.17265abdf90b3p+1 "
+        "0x1.0ebc38fde7a56p+2 0x1.a867d16a409a2p+1 0x1.848e726134284p+1 "
+        "0x1.7b628f0ba30e7p+1 0x1.c86848eaba7d9p+1 0x1.3834c07349c92p+2 "
+        "0x1.8a781abbac022p+1 0x1.9c8f14898ea82p+1 0x1.b4584ae9a94cap+1 "
+        "0x1.30b46e558414bp+1 0x1.468d65c53fbf8p+1 0x1.a1691de2ecb25p+0 "
+        "0x1.ce5720099f594p+0 0x1.a861fbcbb3ffcp+1 0x1.13a0400a18f97p+1 "
+        "0x1.1e869d0c25424p+2 0x1.8ce0d57cb7277p+1 0x1.8977ebc845783p+1 "
+        "0x1.75a66a481be80p+1 0x1.8d397df4ff582p+1 0x1.799b29b800242p+1 "
+        "0x1.96a939c605202p+1 0x1.b3e43b9815a94p+1 0x1.5db394f4a4428p+1 "
+        "0x1.4d3f1f91b6956p+1 0x1.151f442766db8p+2 0x1.c5217513de568p+1 "
+        "0x1.96ebb9c3865a4p+1 0x1.46124741e59aep+1 0x1.a0177f209cb87p+1 "
+        "0x1.91887620c4250p+1 0x1.21d8fbde8f4dep+2 0x1.aabc545d0dc77p+1 "
+        "0x1.dc58593e6b910p+0 0x1.8e654726e81a4p+0 0x1.dde5062eb9b18p+1 "
+        "0x1.2cadadeb07f81p+2 0x1.b145633199ae0p+1 0x1.25f377d94e980p+1 "
+        "0x1.0db440ea37e10p+2 0x1.2088487fb2d6ep+1 0x1.0c6c23b4c3f32p+2 "
+        "0x1.0d600f91edd43p+2 0x1.c5ace671da42dp+1 0x1.d29e793010722p+1 "
+        "0x1.6463414092377p+1",
+        "0x1.31ed9c5a04918p-4",
     ),
     ("alternate", 13.0, 1.0): (
-        "0x1.a819623abc119p+1 0x1.12d52a4c1efe3p+1 0x1.013c22a052b00p+1 "
-        "0x1.792166f2a50e7p+1 0x1.d5d9e817ff1f1p+1 0x1.7a5781c2fd0a6p+1 "
-        "0x1.b518275f6a740p+1 0x1.753311a03aaebp+1 0x1.4d59276a28debp+1 "
-        "0x1.71713575b903ep+1 0x1.7c88e2a146995p+1 0x1.51db7260a8878p+1 "
-        "0x1.849a61a4d0e48p+1 0x1.2fadac5a08d88p+1 0x1.d1d0ecb695191p+1 "
-        "0x1.646c52478f726p+1 0x1.09b6de00b4031p+2 0x1.6ae18bd5cddccp+1 "
-        "0x1.87735de802eb0p+1 0x1.a89e79b360f7fp+1 0x1.c8bc5b34d3469p+1 "
-        "0x1.22da9c9a4ef8cp+2 0x1.8282a52c10e80p+1 0x1.655e2d1a5b19cp+1 "
-        "0x1.3b571cea57470p+1 0x1.28aab42475e12p+1 0x1.0eb282f1a602ep+2 "
-        "0x1.796d9f77641d0p+1 0x1.c106541b0280dp+1 0x1.1bfd6da7616d6p+1 "
-        "0x1.00391fb59c1cep+1 0x1.a5598c5ac9038p+1 0x1.29f3f828413fep+1 "
-        "0x1.10c58a0e5d9bdp+2 0x1.79cd967f1b7b9p+1 0x1.b44f8201f7c20p+1 "
-        "0x1.c11c44295174ap+1 0x1.7f20fd1a124e4p+1 0x1.7ca9f7402b705p+1 "
-        "0x1.7be45e1f326b3p+1 0x1.eae5ef01a68ddp+1 0x1.7b3ae01f498aep+1 "
-        "0x1.59aeee71944a2p+1 0x1.e7e71aa3302f8p+0 0x1.704dfea3d1808p+1 "
-        "0x1.46d11a4021b63p+1 0x1.270e31ea0dc49p+1 0x1.655e594f44670p+1 "
-        "0x1.66ee0a0ee8020p+1 0x1.b40c328947b7cp+1 0x1.619184f5584d4p+1 "
-        "0x1.0c12ca5b71903p+1 0x1.18de729b2ff21p+2 0x1.124006cc80daep+1 "
-        "0x1.44dca3d4694bcp+1 0x1.500677b014e8cp+1 0x1.081a72f2d340dp+2 "
-        "0x1.0c148d888b5b7p+2 0x1.250ce4c641abbp+2 0x1.613b039bdb0e2p+1 "
-        "0x1.01877493b065fp+2 0x1.fdaadec10c0e2p+1 0x1.fe6e64bbae10cp+0 "
-        "0x1.275d60c25c392p+1",
-        "0x1.3daa93ff60db8p-1",
+        "0x1.2f7e98d4fd2dbp+1 0x1.48637186cc141p+1 0x1.0348709579c98p+1 "
+        "0x1.3ebfacb826025p+1 0x1.557d6b86de3fdp+1 0x1.8d3a114fa0894p+1 "
+        "0x1.bed95e0d4b883p+1 0x1.5c22e62b45c7bp+1 0x1.ba3a1531fedabp+1 "
+        "0x1.bfcc5d45e7624p+1 0x1.47722bacc4866p+1 0x1.be42f9ed1f78cp+0 "
+        "0x1.c3d023cbcdd98p+1 0x1.2fadac5a08d88p+1 0x1.056cb165bb6d8p+2 "
+        "0x1.b3ca327de3b7cp+1 0x1.bc567bdb92230p+1 0x1.5e64e28ca186ap+1 "
+        "0x1.eadb4361762a0p+1 0x1.e4f2b1b691822p+1 0x1.b4ad2bf1f0bbdp+1 "
+        "0x1.909c41a891844p+1 0x1.2a214b5674304p+2 0x1.49c0b5c7381bap+1 "
+        "0x1.7d8e6f8752110p+1 0x1.0fcd597eb62d2p+1 0x1.16dc59f27ccafp+1 "
+        "0x1.826dd73dda623p+1 0x1.1344d2ad24afep+2 0x1.91f9d4e1e2c82p+1 "
+        "0x1.dfc0ec77ed16ep+0 0x1.04879437e8ad4p+2 0x1.3599b6bdbfd48p+1 "
+        "0x1.ba609899e5b9cp+1 0x1.bfdf0308c70a9p+1 0x1.54ec478c0baeap+1 "
+        "0x1.da82fe9859f31p+1 0x1.e31ca3487663ap+1 0x1.33bc58489c55cp+1 "
+        "0x1.c4e388dfb7d66p+1 0x1.b247fba555566p+1 0x1.fc78ace33b854p+1 "
+        "0x1.0bffafa49996dp+1 0x1.e7e71aa3302f8p+0 0x1.0912f95f13969p+1 "
+        "0x1.898378b8c4bacp+1 0x1.57eaa549966b2p+1 0x1.00b4dee155eaap+1 "
+        "0x1.508a020a071b1p+1 0x1.8f57912ef9ea0p+1 0x1.6e194adc02caap+1 "
+        "0x1.0c12ca5b71903p+1 0x1.6f4a305f171edp+2 0x1.cc15bd60beea8p+0 "
+        "0x1.8200a7131a5bcp+1 0x1.4945b0bdc4baep+1 0x1.424b901a6269ep+1 "
+        "0x1.6ff1c2d4fb772p+1 0x1.44bae1e89f7bep+1 0x1.dd6b46b9a210cp+1 "
+        "0x1.59a0632ea0234p+1 0x1.d6a0933c3cf14p+1 0x1.366277291a103p+1 "
+        "0x1.9d87057ffc077p+1",
+        "0x1.ee74218a29777p-1",
     ),
     ("alternate", 13.0, 8.0): (
         "0x1.67b94183bf8ecp-1 0x1.bd654cdd5a010p-1 0x1.a486555da4cd6p-1 "
@@ -660,54 +660,54 @@ BATCH = {
         "0x1.f13ea6d4572c0p-4",
     ),
     ("alternate", 40.0, 0.0): (
-        "0x1.25fbdd22346bdp+3 0x1.0e83a16d078cbp+3 0x1.545858f11724dp+3 "
-        "0x1.0600f71d74d55p+3 0x1.0110e4a8f1a8dp+3 0x1.d7e9e79b6d441p+2 "
-        "0x1.08468a1f10112p+3 0x1.1e440b767ca61p+3 0x1.59e67c466e81dp+3 "
-        "0x1.5cedcf7cd730cp+3 0x1.728159bae4525p+3 0x1.35b47029d23c8p+3 "
-        "0x1.7ce9502644bc1p+3 0x1.6ffafe016a1f8p+3 0x1.44d6386ec98cbp+3 "
-        "0x1.0e1268838318ap+3 0x1.05a11679875bfp+3 0x1.2817e3c8061ccp+3 "
-        "0x1.1ef31442a4486p+3 0x1.51e9838508842p+3 0x1.2b5d0d32fae7bp+3 "
-        "0x1.18c26fc8ab2b6p+3 0x1.827a5682f0024p+3 0x1.52597e805e2d0p+3 "
-        "0x1.4500c6867734ap+3 0x1.91194d31ccde1p+3 0x1.2040a3495e338p+3 "
-        "0x1.3aedfc169b9fdp+3 0x1.36f015d3d0213p+3 0x1.41b3be9b65d71p+3 "
-        "0x1.7209adf47b997p+3 0x1.5f9f90f9a4ad3p+3 0x1.871d8865cf067p+3 "
-        "0x1.4e02bf03b5297p+3 0x1.87c0b7eeff61bp+3 0x1.6aa703f542db5p+3 "
-        "0x1.4f03117ab039cp+3 0x1.65ec414477c5ep+3 0x1.257cf494383bep+3 "
-        "0x1.591ab9dcaedf5p+3 0x1.58183875cb833p+3 0x1.dc6cd4ab60513p+2 "
-        "0x1.66632ca1f52bep+3 0x1.675cecaece9e5p+3 0x1.afdf8ab4a45b7p+2 "
-        "0x1.c098e110437cep+3 0x1.3ca2cca8a34a0p+3 0x1.347a4399df3c9p+3 "
-        "0x1.0fac5b3ad1d40p+3 0x1.4bf3250e85156p+3 0x1.4bab3a20d9419p+3 "
-        "0x1.3311dec03c7ffp+3 0x1.459be0fa3da1fp+3 0x1.36480bbacce24p+3 "
-        "0x1.558d912bd4ad1p+3 0x1.17c1a9909301dp+3 0x1.11459ddaaa3bdp+3 "
-        "0x1.088c1b2e2a4d4p+3 0x1.26355c825a06bp+3 0x1.2a4853688d87dp+3 "
-        "0x1.1692dc400d124p+3 0x1.58b061ae7fe81p+3 0x1.09c668c971f95p+3 "
-        "0x1.22f21c7ada95ep+3",
-        "0x1.fdcf8d7708e86p-1",
+        "0x1.5c3851fd51318p+3 0x1.130f696cb2ef0p+3 0x1.7287fb3b4b051p+3 "
+        "0x1.3af66e3821749p+3 0x1.1f19acafccd74p+3 0x1.48cdcb2cbd109p+3 "
+        "0x1.2dcdd6ac5919ap+3 0x1.3fdaa79748ee4p+3 0x1.419ab543916cdp+3 "
+        "0x1.110df1ea39d82p+3 0x1.851789585fc4ep+3 0x1.1d38a7e4f0a18p+3 "
+        "0x1.48a69f863248bp+3 0x1.42fe7804fd004p+3 0x1.511c0310c6258p+3 "
+        "0x1.3f75b29a1ef09p+3 0x1.3ce0a91a7896bp+3 0x1.4e1584a290491p+3 "
+        "0x1.134faf006e168p+3 0x1.9e8d1a98d4d25p+3 0x1.50c3ea18f3c05p+3 "
+        "0x1.24b105297978dp+3 0x1.0271b2c6293f9p+3 0x1.400e0469dba00p+3 "
+        "0x1.549de84364329p+3 0x1.947d21ef96e64p+3 0x1.20350bdd18208p+3 "
+        "0x1.3d3746a5f80d6p+3 0x1.2b33949c5c3d4p+3 0x1.a71319df1d7ddp+3 "
+        "0x1.59a7306e1da1bp+3 0x1.6b2ba68532816p+3 0x1.19ca5c4f8036fp+3 "
+        "0x1.22ba3ce6e94eep+3 0x1.4327eeeef36bfp+3 0x1.29650fbf375acp+3 "
+        "0x1.69dd0921a2645p+3 0x1.58be7a0202d0ep+3 0x1.2710b7d2d4efdp+3 "
+        "0x1.89f09c0cae7a4p+3 0x1.43970a5e96c64p+3 0x1.28c036917f38bp+3 "
+        "0x1.79796c2fab7e2p+3 0x1.8187a558a08dcp+3 0x1.ca0dc9704d480p+2 "
+        "0x1.5693e96ea5bb7p+3 0x1.dfe3c7597e344p+2 0x1.606ef916648f0p+3 "
+        "0x1.f1ae9c4dff6edp+2 0x1.7a5d0649a0f88p+3 0x1.02f84ed14a786p+3 "
+        "0x1.1ab054576734dp+3 0x1.83231aac0128bp+3 0x1.8275b4ffe1b6dp+3 "
+        "0x1.3e629a3bf6e2fp+3 0x1.1181771342d2fp+3 0x1.200913735e59ap+3 "
+        "0x1.148cc7f43e438p+3 0x1.e59174100bc0fp+2 0x1.41aa76173a7c7p+3 "
+        "0x1.31f49096921acp+3 0x1.3aa67d7f985cdp+3 0x1.435776fbe6b22p+3 "
+        "0x1.393c406a791dep+3",
+        "0x1.e156ae49d6123p-1",
     ),
     ("alternate", 40.0, 1.0): (
-        "0x1.eeb7363cadb70p+2 0x1.57c5361c93828p+3 0x1.306b58880901cp+3 "
-        "0x1.2afe19dcd42ebp+3 0x1.020fcced582bep+3 0x1.1157b7007b402p+3 "
-        "0x1.1b4d911e90d37p+3 0x1.b04c7ffec1ae4p+2 0x1.32e20091ed6f3p+3 "
-        "0x1.14381827d44ddp+3 0x1.648fcc66d7e5dp+3 0x1.049c352b4e54ep+3 "
-        "0x1.0adc4e22cf0c7p+3 0x1.4566d45cc62dcp+3 0x1.05e92e2b57b5cp+3 "
-        "0x1.a8005f6c073bbp+2 0x1.00cbb69efa37ap+3 0x1.6aeec6f63f060p+3 "
-        "0x1.558ac3a1b3266p+3 0x1.03c810d853b04p+3 0x1.3e27c8bfccc64p+3 "
-        "0x1.0dc4ed9964e90p+3 0x1.14e5bca0e19c8p+3 0x1.07a376d0d9060p+3 "
-        "0x1.275b8224a5c68p+3 0x1.42f126bdce921p+3 0x1.03f3be420a2f5p+3 "
-        "0x1.2f1ce38354900p+3 0x1.73b96b3f67354p+3 0x1.2f7a0467c4669p+3 "
-        "0x1.1d64750850a96p+3 0x1.d6224703dfdcbp+2 0x1.16ce203068039p+3 "
-        "0x1.ff05370f30498p+2 0x1.034c186ce64d0p+3 0x1.63848c4b90a58p+3 "
-        "0x1.638a1f7e12e53p+2 0x1.11089c88de525p+3 0x1.118e9d13eaba7p+3 "
-        "0x1.0b47133df9ebcp+3 0x1.03e1a56558e25p+3 0x1.cd7211bc907a7p+2 "
-        "0x1.0bf13b306bb89p+3 0x1.38a7934fc1698p+3 0x1.607b36a37a22cp+3 "
-        "0x1.31c87a6a097d9p+3 0x1.fe147be436ff6p+2 0x1.2d29c8ba110cap+3 "
-        "0x1.ae70d7494facfp+2 0x1.48da75c111fa6p+3 0x1.036b68dbc52c1p+3 "
-        "0x1.14716b1633d09p+3 0x1.1c7419ca65e80p+3 0x1.dfc0872ffdda3p+2 "
-        "0x1.7e57f3424591cp+3 0x1.cfb1d4c3b3afcp+2 0x1.2a6ad5a3ade57p+3 "
-        "0x1.2a19c7c6811e9p+3 0x1.03457fdaadbfep+3 0x1.487834a0456d7p+3 "
-        "0x1.199b43e8c0d24p+3 0x1.49862c5e99deep+3 0x1.5aa1b30a4546ap+3 "
-        "0x1.487a5298fb2c0p+3",
-        "0x1.88f7a8664fab4p-3",
+        "0x1.4bd02be945d18p+3 0x1.3f2936afdf257p+3 0x1.351f4e6078bdep+3 "
+        "0x1.40aba400e011ep+3 0x1.06c0513e6851ep+3 0x1.6eef23759c610p+3 "
+        "0x1.3e4891ab15910p+3 0x1.369dc4396e062p+3 0x1.2d21fa0ac3a85p+3 "
+        "0x1.cc78babf97d02p+2 0x1.73083901e4ce5p+3 0x1.be01cd16ca092p+2 "
+        "0x1.f82d9ddf06b48p+2 0x1.0e00d19bf37bap+3 0x1.2b822eacb3779p+3 "
+        "0x1.07d6979e24e82p+3 0x1.f63756892c6d6p+2 0x1.872034898a4b5p+3 "
+        "0x1.4c5396f748154p+3 0x1.26aac24611ffdp+3 0x1.10c0b04110112p+3 "
+        "0x1.038e2142483cfp+3 0x1.266e8514bacb4p+3 0x1.0c621cc7f6bfdp+3 "
+        "0x1.ed315d6c68778p+2 0x1.495fd71168cfbp+3 0x1.0515cb36dcc1cp+3 "
+        "0x1.0770f264ddf12p+3 0x1.54870d02b6909p+3 0x1.2532913b74e8fp+3 "
+        "0x1.00522e9859f98p+3 0x1.23be4fc45749fp+3 0x1.346a845e2c600p+3 "
+        "0x1.1b23d03c94896p+3 0x1.0326fd17a7279p+3 0x1.5cdd8861bf284p+3 "
+        "0x1.7484806140d05p+2 0x1.0e2fc02f82fa9p+3 0x1.23e6b91698a32p+3 "
+        "0x1.1a397eaffcce2p+3 0x1.f344a3ccbb2f3p+2 0x1.e21a70d1517cap+2 "
+        "0x1.0a01ee4235169p+3 0x1.2eeb77269b619p+3 0x1.924d45b9b71f8p+3 "
+        "0x1.2c9f8ca1c7808p+3 0x1.2492bed6637c5p+3 0x1.fe9b0ae453ff6p+2 "
+        "0x1.d56fe20149732p+2 0x1.3e5e77cfefdd1p+3 0x1.216380a8d4f20p+3 "
+        "0x1.12448924b6861p+3 0x1.1e472787ea557p+3 0x1.0d9e9eaaa8688p+3 "
+        "0x1.69e8774dc60dep+3 0x1.fb063f4226ed5p+2 0x1.21175124437e0p+3 "
+        "0x1.3dfb88633118cp+3 0x1.03457fdaadbfep+3 0x1.47787ad44a80fp+3 "
+        "0x1.3d184a04c8dd0p+3 0x1.2864565146f42p+3 0x1.414941c010ba7p+3 "
+        "0x1.1af87b584c310p+3",
+        "0x1.f08baa1139558p-2",
     ),
     ("alternate", 40.0, 8.0): (
         "0x1.45cd893b7a44dp+1 0x1.528c8819f39d9p+1 0x1.31faddba6e29dp+1 "
@@ -735,54 +735,54 @@ BATCH = {
         "0x1.d0991e689b1eep-1",
     ),
     ("alternate", 170.0, 0.0): (
-        "0x1.4c579e6fc60f0p+5 0x1.38c1855ed050ap+5 0x1.4e1052f34f047p+5 "
-        "0x1.4ead2a849c454p+5 0x1.5e3a07ff607bcp+5 0x1.484d94d4450dep+5 "
-        "0x1.52a30393aefbbp+5 0x1.38468674edb16p+5 0x1.3e7ebf3bb9fd3p+5 "
-        "0x1.48763af78dacfp+5 0x1.75465f34746bcp+5 0x1.4b388d6f12d8fp+5 "
-        "0x1.60b1e5c3cab2fp+5 0x1.4de5a84c30f58p+5 0x1.4407ab339c876p+5 "
-        "0x1.60d19cc35f0e0p+5 0x1.4c1541bc9a6afp+5 0x1.363f3cc2ce007p+5 "
-        "0x1.5d4ed938e173ap+5 0x1.4c1f25b0c6e63p+5 0x1.7410f108c6137p+5 "
-        "0x1.75877925d9e20p+5 0x1.5c75491ef5eb1p+5 0x1.4d97a4fd182a8p+5 "
-        "0x1.6306f1dec0f54p+5 0x1.4a2c7feceb6dfp+5 0x1.5035f14efdb88p+5 "
-        "0x1.6ac26ab186862p+5 0x1.52b81a10655d0p+5 0x1.3fd231392a70ep+5 "
-        "0x1.4fb4b7ca2b294p+5 0x1.31af993423650p+5 0x1.6028e7bb6331ap+5 "
-        "0x1.402e960c85156p+5 0x1.5eb6dd60eea68p+5 0x1.5f94efd726e18p+5 "
-        "0x1.428d977995a25p+5 0x1.49dd8eca0b7c2p+5 0x1.58c451c1f05eap+5 "
-        "0x1.77b183bc150d4p+5 0x1.6e817a2684ebep+5 0x1.363e3af6c6c2cp+5 "
-        "0x1.535768a1c5e3fp+5 0x1.3b281d78cdd46p+5 0x1.532742d3bd298p+5 "
-        "0x1.40a404a0ee92bp+5 0x1.369611dcf06f1p+5 0x1.81d1df2ed7d85p+5 "
-        "0x1.3e80ee115123bp+5 0x1.3501f29695e39p+5 0x1.5347d2adcc9d2p+5 "
-        "0x1.752fa11b9d8adp+5 0x1.4c300cf84133fp+5 0x1.28ece1d7775ffp+5 "
-        "0x1.38ba284a492e3p+5 0x1.38ebf5d22343dp+5 0x1.56969022ac82dp+5 "
-        "0x1.398413d25ed6dp+5 0x1.2f44ece9d912ap+5 0x1.43e0fc090bee9p+5 "
-        "0x1.5c455d524a6e7p+5 0x1.6ee35da0a52c4p+5 0x1.62d484ada662bp+5 "
-        "0x1.3f3dbeed5eeeep+5",
-        "0x1.d510be469e410p-3",
+        "0x1.6978d8adeac01p+5 0x1.488de8863256cp+5 0x1.5102a155d838ep+5 "
+        "0x1.3da809fa504c0p+5 0x1.61e3f876a3c23p+5 0x1.577ad85805b70p+5 "
+        "0x1.35b3ddb5857fdp+5 0x1.620469dafc1a6p+5 0x1.4d08454388102p+5 "
+        "0x1.52097dc713cbfp+5 0x1.4c979915414c1p+5 0x1.3b159ddee0c53p+5 "
+        "0x1.5aba4dd9f3a94p+5 0x1.5919273a50c67p+5 0x1.53e0b35e96f9ap+5 "
+        "0x1.5b3ea9ee784f3p+5 0x1.57f4ee0af9512p+5 0x1.4990c66cc8956p+5 "
+        "0x1.517206c896617p+5 0x1.593dd9fcc2ec4p+5 0x1.62f50aa5f31e4p+5 "
+        "0x1.72169ba62abc1p+5 0x1.4a019e7ab8d65p+5 0x1.2ff6d1fbcc9f2p+5 "
+        "0x1.5d4ecf16c263fp+5 0x1.34c922f16769ep+5 0x1.3738a44074bbap+5 "
+        "0x1.57af808f314d7p+5 0x1.5130ca7604bccp+5 0x1.4a70980f76eb8p+5 "
+        "0x1.50798c0a70b66p+5 0x1.5c982ceeafc8ep+5 0x1.67f136dcc64cbp+5 "
+        "0x1.4e38944f006e8p+5 0x1.60adbcf88be8fp+5 0x1.4f7bd68b5b901p+5 "
+        "0x1.508e66a330b96p+5 0x1.4820b115de181p+5 0x1.66e0c48ebf672p+5 "
+        "0x1.80f4dc478f7cep+5 0x1.603795d9adbf2p+5 0x1.4123f344edfc6p+5 "
+        "0x1.6c965829336e4p+5 0x1.3c57f19d98402p+5 0x1.5147e8c6cab67p+5 "
+        "0x1.37c84a0672c95p+5 0x1.3e8c39b113bc0p+5 0x1.696e865d035c1p+5 "
+        "0x1.4b596d90ab0f3p+5 0x1.5520f69d08734p+5 0x1.5d1b4f77f3ae3p+5 "
+        "0x1.9315ac1e5265cp+5 0x1.54e195b6b006ap+5 0x1.2ece25aaac88fp+5 "
+        "0x1.3394841a4a616p+5 0x1.63bc97a9bcd88p+5 0x1.4668338869ba6p+5 "
+        "0x1.3752f59d63c9cp+5 0x1.49406a8aeb117p+5 0x1.41f3364beccd9p+5 "
+        "0x1.5d312906ac610p+5 0x1.7d18aa0817837p+5 0x1.49bef27336b10p+5 "
+        "0x1.6448b9554e52fp+5",
+        "0x1.c97cfd2b3e29ep-2",
     ),
     ("alternate", 170.0, 1.0): (
-        "0x1.3d20c6a2e13e5p+5 0x1.529d22a3b1d33p+5 0x1.3e08723d84938p+5 "
-        "0x1.50aaa067cbf84p+5 0x1.2cbe649084d31p+5 0x1.43b4f9f5e073cp+5 "
-        "0x1.21895e2ccbd39p+5 0x1.63942b2c79827p+5 0x1.2d37bae78cbb9p+5 "
-        "0x1.506440e65b6f7p+5 0x1.3d6259af731c8p+5 0x1.2db7e0b074a4ap+5 "
-        "0x1.36e572b368b64p+5 0x1.19d03035d86b4p+5 0x1.589a7cf171d63p+5 "
-        "0x1.350f04c3a0d2fp+5 0x1.305fcee1e82bap+5 0x1.37b277bfe1cafp+5 "
-        "0x1.33f07505b5853p+5 0x1.1299e190b9cefp+5 0x1.11d10fd8a7319p+5 "
-        "0x1.3a71962d17b39p+5 0x1.625f317cbce32p+5 0x1.2eae08128b44ap+5 "
-        "0x1.2894d5fc6b8fap+5 0x1.2da68dd6be0a1p+5 0x1.2de6e573e00dbp+5 "
-        "0x1.406a1a14633f0p+5 0x1.57b07209b9715p+5 0x1.3af05ae794537p+5 "
-        "0x1.3c282601d66b5p+5 0x1.4043a7cf506dbp+5 0x1.3643efd23bad7p+5 "
-        "0x1.34a0cf9af4fd5p+5 0x1.5ac69575804c2p+5 0x1.2ef112f5c0c48p+5 "
-        "0x1.457843feede4ep+5 0x1.2f24b1d96b871p+5 0x1.18f2a916684b7p+5 "
-        "0x1.119d767ac6c1ap+5 0x1.2f88238926dd2p+5 0x1.64258d8f6cce7p+5 "
-        "0x1.3e99c165bcb32p+5 0x1.4a93f510fcb87p+5 0x1.3d43d516ed5b3p+5 "
-        "0x1.33a2559132105p+5 0x1.22b11a2ff01d6p+5 0x1.1fcb41cbc1b1ep+5 "
-        "0x1.315debe4525acp+5 0x1.3d80f773892b1p+5 0x1.3ea4985c9f4dbp+5 "
-        "0x1.2d3a5e4c72259p+5 0x1.113f6cecdec20p+5 0x1.42519e3c92957p+5 "
-        "0x1.3cb76c36bd5a2p+5 0x1.355b3cb81bf8fp+5 0x1.0d2677a996de9p+5 "
-        "0x1.4a7da67955eb5p+5 0x1.38c0b18ffd10dp+5 0x1.34d1a202128d9p+5 "
-        "0x1.58ead7c7957b4p+5 0x1.33d8ce301a4fep+5 0x1.3c948daa67435p+5 "
-        "0x1.411131c93d11bp+5",
-        "0x1.d4f3e53b65620p-2",
+        "0x1.22cb02205c0c2p+5 0x1.59a6e5687f3bfp+5 0x1.06e1f9694f961p+5 "
+        "0x1.2953cb7971b25p+5 0x1.35b565e1cc61ap+5 0x1.3007b05155993p+5 "
+        "0x1.22457617ade8bp+5 0x1.43b008ab64a9ap+5 0x1.4f3888da9c17fp+5 "
+        "0x1.525d96f94a544p+5 0x1.348115826dd6cp+5 0x1.4f3ba28ac0e02p+5 "
+        "0x1.466599257dd80p+5 0x1.3567a4d622041p+5 0x1.31c42f884669ap+5 "
+        "0x1.30ae271e78466p+5 0x1.4d54b6a311882p+5 0x1.28e31ade86e27p+5 "
+        "0x1.2d454823c4b78p+5 0x1.1fcf86a08fb71p+5 0x1.1e25e6cdec1edp+5 "
+        "0x1.3e799094045b6p+5 0x1.35d07443fa44ap+5 0x1.2b4d649708734p+5 "
+        "0x1.4c75b2cad8773p+5 0x1.35ef6d5497eaep+5 0x1.2853ca738b6e9p+5 "
+        "0x1.3fb1ce45ef584p+5 0x1.506977a690531p+5 0x1.4ea316b51c3d2p+5 "
+        "0x1.36d1ac79365efp+5 0x1.4edcb025838d4p+5 0x1.039bb71d3fee9p+5 "
+        "0x1.3c6d8bf58216fp+5 0x1.4abe5fef37e23p+5 0x1.475552318dbacp+5 "
+        "0x1.41332dcdbf071p+5 0x1.4167a91dfa470p+5 0x1.1f9d927255f8ap+5 "
+        "0x1.376e683a11a7cp+5 0x1.3cd2ec62b18d1p+5 0x1.3b4c717cd35aap+5 "
+        "0x1.256909efbacf7p+5 0x1.346196e366b03p+5 0x1.379809c3df5fdp+5 "
+        "0x1.388f8446db36ep+5 0x1.1d01674799247p+5 0x1.351f4bdcda1e7p+5 "
+        "0x1.23a9d7a70e56ep+5 0x1.3bddbfd7b4f27p+5 0x1.416b1d461dc7cp+5 "
+        "0x1.3eb9cb05d38f7p+5 0x1.01e45ae164ef5p+5 0x1.4367dfee3c479p+5 "
+        "0x1.3fb52ed12cd36p+5 0x1.416e4d53770e1p+5 0x1.1fc6021a731adp+5 "
+        "0x1.40f4321dd57c8p+5 0x1.31f77175148c9p+5 0x1.338f060b6d575p+5 "
+        "0x1.5652c8b21830ep+5 0x1.49bf8a0037a82p+5 0x1.4ed5f3f15daa7p+5 "
+        "0x1.4cd561dafab5fp+5",
+        "0x1.603a9b8709c78p-3",
     ),
     ("alternate", 170.0, 8.0): (
         "0x1.5fe5119ca643cp+3 0x1.461e7c227dde1p+3 0x1.5abe25ce8df62p+3 "
@@ -811,138 +811,138 @@ BATCH = {
     ),
     ("saddlepoint", 13.0, 0.0): (
         "0x1.43f2d296ca83ep+1 0x1.805f6249c5060p+1 0x1.79c5dfe663ae1p+1 "
-        "0x1.5eaa5ca6c83bep+1 0x1.cb33cad27f892p+1 0x1.1ac13d9d012ccp+1 "
-        "0x1.53ffee9af7cafp+1 0x1.303a3b1a77484p+2 0x1.e6c02cf6caa60p+1 "
-        "0x1.d394aa9873623p+1 0x1.de156b832c6a8p+1 0x1.417f087992cacp+1 "
-        "0x1.8e688fcd33bb2p+1 0x1.67f31b0bc4245p+1 0x1.962d29f3868ddp+1 "
-        "0x1.e19dc1cd7568bp+1 0x1.8d10c11143f1fp+1 0x1.010155371e439p+2 "
-        "0x1.00c98aaaf7e62p+2 0x1.77a8ed9e4c8bcp+1 0x1.9aa610159ed58p+1 "
+        "0x1.5eaa5ca6c83bep+1 0x1.4a0e8a15195d2p+1 0x1.960262ab5a08bp+1 "
+        "0x1.53ffee9af7cafp+1 0x1.8a651a50c598ep+1 0x1.28c1a5b051ee4p+1 "
+        "0x1.0c22b8f0e756ap+2 0x1.3f33599260880p+1 0x1.07fa376179e86p+2 "
+        "0x1.8e688fcd33bb2p+1 0x1.25e255860dff9p+1 0x1.1583aa1b82d5dp+1 "
+        "0x1.f0ee3ac63617cp+1 0x1.8d10c11143f1fp+1 0x1.0edb95670b28cp+2 "
+        "0x1.ed4bc6803304ap+1 0x1.77a8ed9e4c8bcp+1 0x1.9aa610159ed58p+1 "
         "0x1.7a736a9754917p+1 0x1.862ce51965522p+1 0x1.a7a598441b549p+1 "
-        "0x1.80b64c98b9021p+1 0x1.15a5a12bfe4d3p+1 0x1.060475305b649p+2 "
-        "0x1.f5458e47f6661p+1 0x1.33b75f661fc1ep+2 0x1.517b45b9de603p+1 "
-        "0x1.6f6eb6b825689p+1 0x1.b3d146f5419ddp+1 0x1.ece49b82e2da8p+1 "
-        "0x1.d4b6887eb3890p+1 0x1.749f4c790a140p+1 0x1.16ee2cf23e78cp+2 "
-        "0x1.5b530cac7ebc9p+1 0x1.246366d755895p+1 0x1.b481d58a21a86p+1 "
-        "0x1.727d68989fbccp+1 0x1.4398290059b11p+1 0x1.9146bad432accp+1 "
-        "0x1.d7fbbcacac115p+1 0x1.c45e2a4d13466p+1 0x1.3243b4afb2dc0p+1 "
-        "0x1.3418569685c1ep+1 0x1.813d6d122da41p+1 0x1.a52b60b8f545fp+1 "
-        "0x1.2c4faa743408bp+1 0x1.f119b54ecd587p+1 0x1.a2d02bf63d1b3p+1 "
+        "0x1.80b64c98b9021p+1 0x1.15a5a12bfe4d3p+1 0x1.e99fb168e968cp+1 "
+        "0x1.e2cf11b63909fp+1 0x1.cfed282703cfbp+1 0x1.99827b7167c65p+1 "
+        "0x1.24a8395cea754p+1 0x1.61a8c841f9205p+1 0x1.276e46ce591c1p+2 "
+        "0x1.0cde02d250327p+2 0x1.749f4c790a140p+1 0x1.11ae1d3d478a2p+2 "
+        "0x1.5963d235d67e4p+1 0x1.246366d755895p+1 0x1.efcc8bcdc9eb9p+1 "
+        "0x1.1f6af87162cedp+1 0x1.d34355bdf0540p+1 0x1.9146bad432accp+1 "
+        "0x1.5371fceef9c19p+2 0x1.c45e2a4d13466p+1 0x1.e1c2ffa44febdp+1 "
+        "0x1.738d90067bd22p+1 0x1.813d6d122da41p+1 0x1.a52b60b8f545fp+1 "
+        "0x1.053ef1a35a23cp+2 0x1.0946cb1a61f53p+2 0x1.a2d02bf63d1b3p+1 "
         "0x1.5fe8d0b586baep+1 0x1.5debcbf960983p+1 0x1.0ea890f9a8af9p+1 "
-        "0x1.eaea68d84deb4p+1 0x1.8186e37de5715p+1 0x1.51c6d9c09a729p+1 "
-        "0x1.fc9b4fb543bebp+1 0x1.59dfa392dc875p+1 0x1.eb77eefbd86bap+1 "
+        "0x1.4f8e73a12c39dp+2 0x1.8186e37de5715p+1 0x1.b3d146f5419ddp+1 "
+        "0x1.103b02e8e3204p+2 0x1.043cc3b61c94ep+1 0x1.2f9a5ecf7689ap+1 "
         "0x1.711635a395b02p+1 0x1.8ccdc7092967cp+1 0x1.648fcc3608554p+1 "
-        "0x1.044e37b1d7398p+2",
-        "0x1.d7d3879447e50p-2",
+        "0x1.0422f47d95cc6p+2",
+        "0x1.c6dc6a1699ddep-2",
     ),
     ("saddlepoint", 13.0, 1.0): (
-        "0x1.f77e5218c8fd2p+1 0x1.ad4ef5f3f79f5p+1 0x1.689bf0260d7b6p+1 "
-        "0x1.ecb6f98ae11a4p+1 0x1.9836398879399p+1 0x1.3c8085bc81ceap+1 "
-        "0x1.b4c1614c37ee7p+1 0x1.b88a42ac25917p+1 0x1.73ab7222592abp+1 "
-        "0x1.e02a033c1204fp+1 0x1.bdc53ce3438a2p+1 0x1.7c4520a33e789p+1 "
-        "0x1.b166b2c7f6915p+1 0x1.0d960fc1deec0p+1 0x1.c1bb780106e68p+1 "
-        "0x1.777df7be0f9f8p+1 0x1.5a73ca7133d37p+1 0x1.2c24f8de6a6d8p+1 "
-        "0x1.00fc49210d80dp+2 0x1.8d9a0fa7f95ecp+1 0x1.2faf9d2483a98p+1 "
-        "0x1.4ebf56718ffc9p+1 0x1.5c013d4090ad7p+1 0x1.dc5ae075d93b9p+1 "
-        "0x1.82e76b3469a3ap+1 0x1.728b2b323ab20p+1 0x1.62611c4eec566p+1 "
-        "0x1.a22a013b032b0p+1 0x1.e24afd1b4efe1p+1 0x1.593d022ae5622p+1 "
-        "0x1.195f52ba4beefp+1 0x1.ec69c2b462e32p+1 0x1.51164cfafb828p+1 "
-        "0x1.98191973c74e9p+1 0x1.8133fdc3fb9e0p+1 0x1.02783eb3d5ab6p+2 "
-        "0x1.c1ee6ba0d5285p+1 0x1.54bb03c74ea2bp+1 0x1.c1bec116747a1p+1 "
-        "0x1.b7dac34635f65p+1 0x1.770e61cbceb0ep+1 0x1.8933dbca58a02p+1 "
-        "0x1.115e2bd492cbep+1 0x1.2495fd573e954p+1 0x1.6a7306ccd9b4fp+1 "
-        "0x1.085890fe684e4p+1 0x1.d2200f95123bap+1 0x1.30cff618dcf9dp+1 "
-        "0x1.b583ab1e8b645p+0 0x1.124c75b40396fp+1 0x1.a1f1c6bf23a41p+1 "
+        "0x1.cedf223672358p+1 0x1.d77c2613add08p+1 0x1.689bf0260d7b6p+1 "
+        "0x1.3f781d45880fcp+1 0x1.9836398879399p+1 0x1.52682d92ffacfp+1 "
+        "0x1.a936626a93298p+1 0x1.081320338564fp+2 0x1.73ab7222592abp+1 "
+        "0x1.c305708c2cbc1p+1 0x1.c8d7351e85b1ep+1 0x1.7c4520a33e789p+1 "
+        "0x1.2e949cad88865p+2 0x1.0d960fc1deec0p+1 0x1.14bdf820794fap+1 "
+        "0x1.777df7be0f9f8p+1 0x1.5a73ca7133d37p+1 0x1.93aa50ac6ca0dp+0 "
+        "0x1.cbabfd5c14543p+1 0x1.8d9a0fa7f95ecp+1 0x1.2faf9d2483a98p+1 "
+        "0x1.4ebf56718ffc9p+1 0x1.5c013d4090ad7p+1 0x1.d1af8ff4b3c7ap+1 "
+        "0x1.b0a9ffb034e11p+0 0x1.728b2b323ab20p+1 0x1.62611c4eec566p+1 "
+        "0x1.a22a013b032b0p+1 0x1.b0c36c5581142p+1 0x1.593d022ae5622p+1 "
+        "0x1.4f5055fd6dd2dp+1 0x1.42e91e6572faap+1 0x1.9eb1bb296bf81p+1 "
+        "0x1.98191973c74e9p+1 0x1.8133fdc3fb9e0p+1 0x1.c9c0b14910a45p+1 "
+        "0x1.c4fc2cec90cd5p+1 0x1.54bb03c74ea2bp+1 0x1.ee8e568719d2fp+1 "
+        "0x1.d2155ab30119ep+0 0x1.2102a49e382a3p+1 0x1.8933dbca58a02p+1 "
+        "0x1.115e2bd492cbep+1 0x1.8e6ad95a03413p+1 0x1.6a7306ccd9b4fp+1 "
+        "0x1.8928c68f49d2dp+1 0x1.232e0db0c2f30p+2 0x1.30cff618dcf9dp+1 "
+        "0x1.03e08602c3e68p+2 0x1.124c75b40396fp+1 0x1.a1f1c6bf23a41p+1 "
         "0x1.8452e45db7561p+1 0x1.4b7eea58d9eecp+1 0x1.78886c544a0d8p+1 "
-        "0x1.ea95d88fefa5ap+1 0x1.384923e460424p+1 0x1.82b0142b19848p+1 "
-        "0x1.f1439862b68c7p+1 0x1.a6e89ac928fc1p+1 0x1.a3949f4a49753p+1 "
+        "0x1.b6664227e6a93p+1 0x1.384923e460424p+1 0x1.f3c0eef117360p+1 "
+        "0x1.146a6d8d310eap+2 0x1.a6e89ac928fc1p+1 0x1.a3949f4a49753p+1 "
         "0x1.7b4ab2ac37defp+1 0x1.9d9d71177e9efp+0 0x1.58314338a73b3p+1 "
-        "0x1.03b1d2dc70926p+2",
-        "0x1.86bfb737f8a82p-1",
+        "0x1.b4afe90b57336p+1",
+        "0x1.d3bf6ff458cd4p-1",
     ),
     ("saddlepoint", 13.0, 8.0): (
-        "0x1.2c881ad176cc6p+0 0x1.9fcc3bb535b95p-1 0x1.a2f82f6cfb4d0p-1 "
+        "0x1.cb83977a812fbp-1 0x1.9fcc3bb535b95p-1 0x1.a2f82f6cfb4d0p-1 "
         "0x1.8855547d50e42p-1 0x1.706a6a2cf880ep-1 0x1.980e41e8e3d7ap-1 "
         "0x1.6afe978479113p-1 0x1.9559647b0b3e7p-1 0x1.a7bd44c53e6f0p-1 "
-        "0x1.7a755fe7b1da8p-1 0x1.ec1f6e669db81p-1 0x1.c600d19200baep-1 "
-        "0x1.b22b9bb566763p-1 0x1.e764fe421a203p-1 0x1.479862bde19a6p-1 "
-        "0x1.ce9a38418da8ap-1 0x1.7d419e558204ep-1 0x1.50a99acc7092bp-1 "
-        "0x1.9bd0825d8c857p-1 0x1.1fc291788a800p+0 0x1.d244ed2a86ab5p-1 "
+        "0x1.7a755fe7b1da8p-1 0x1.d37626a98f1a0p-1 0x1.c600d19200baep-1 "
+        "0x1.b22b9bb566763p-1 0x1.e69e528f7b604p-1 0x1.479862bde19a6p-1 "
+        "0x1.dbb39cc3cd3c4p-1 0x1.7d419e558204ep-1 0x1.50a99acc7092bp-1 "
+        "0x1.9bd0825d8c857p-1 0x1.9dc1b1790fef6p-1 0x1.80714dbdb2969p-1 "
         "0x1.af631e7d2fae5p-1 0x1.9a2f6b0e575a4p-1 0x1.9d5cbb9218ab8p-1 "
         "0x1.8e0a58e368d14p-1 0x1.a8fcf2498e08fp-1 0x1.82c5fd58d3db9p-1 "
-        "0x1.18dcc2c029532p+0 0x1.ba7722bf71f88p-1 0x1.eadd2baba28b7p-1 "
+        "0x1.cea4f6801f762p-1 0x1.ba7722bf71f88p-1 0x1.e3ae3fbb6006bp-1 "
         "0x1.890001b37316ap-1 0x1.b19334dbaa6c6p-1 0x1.6172e56a17880p-1 "
-        "0x1.8e5be37dde729p-1 0x1.6b39cd0219342p-1 0x1.0902a0e6e6d98p+0 "
+        "0x1.8e5be37dde729p-1 0x1.6b39cd0219342p-1 0x1.1bbd5a7a7dc81p-1 "
         "0x1.951dbefe81487p-1 0x1.a9f5efa9c6edep-1 0x1.a89e62059e90ep-1 "
         "0x1.809d4b7077113p-1 0x1.8235b1c66db61p-1 0x1.6d2c5488e35f6p-1 "
-        "0x1.8bf7d560c6107p-1 0x1.7bdfb097cab1bp-1 0x1.8d2302fa6cfefp-1 "
-        "0x1.87634e5fe267ap-1 0x1.68be47cd2e72dp-1 0x1.1395b75b190a6p+0 "
+        "0x1.040be31af1f98p+0 0x1.7bdfb097cab1bp-1 0x1.8d2302fa6cfefp-1 "
+        "0x1.87634e5fe267ap-1 0x1.68be47cd2e72dp-1 0x1.e0ff70f39d56cp-1 "
         "0x1.6089b1811db3ep-1 0x1.6b75f2ae07757p-1 0x1.a83320a15f3f1p-1 "
-        "0x1.48f681ca28919p-1 0x1.c0a9ad099adafp-1 0x1.db7d4059ec9bep-1 "
-        "0x1.9242c577498d2p-1 0x1.eb4a75f4abfdfp-1 0x1.af848ad093100p-1 "
-        "0x1.b6a9ab0f13a1ep-1 0x1.7816771d36baap-1 0x1.da7394de1c526p-1 "
-        "0x1.f4ccecc34a35fp-1 0x1.7b9ff95bfbd5bp-1 0x1.07e9145861aedp+0 "
+        "0x1.48f681ca28919p-1 0x1.c0a9ad099adafp-1 0x1.e616ddb886de7p-1 "
+        "0x1.9242c577498d2p-1 0x1.f18543d6db3ccp-1 0x1.af848ad093100p-1 "
+        "0x1.b6a9ab0f13a1ep-1 0x1.7816771d36baap-1 0x1.995cf15203d34p-1 "
+        "0x1.e4bcd7e08d0f1p-1 0x1.7b9ff95bfbd5bp-1 0x1.052dc8a18a6b2p+0 "
         "0x1.ade5776906050p-1",
-        "0x1.55c698b922cf3p-1",
+        "0x1.7ffa2819b1ea8p-1",
     ),
     ("saddlepoint", 40.0, 0.0): (
-        "0x1.305da896d9cd2p+3 0x1.4c4734706d1c0p+3 0x1.802a894375a0ap+3 "
-        "0x1.8990ba5b82602p+3 0x1.6c4c428ca1976p+3 0x1.7de716ac5433ap+3 "
-        "0x1.1f1252f15bbe8p+3 0x1.424531b51f197p+3 0x1.5f96f7f4967d7p+3 "
+        "0x1.305da896d9cd2p+3 0x1.4c4734706d1c0p+3 0x1.0ec1195518575p+3 "
+        "0x1.6538a7683ba8dp+3 0x1.88bd268846432p+3 0x1.39ca21d56f43fp+3 "
+        "0x1.1f1252f15bbe8p+3 0x1.424531b51f197p+3 0x1.7050675604a05p+3 "
         "0x1.493a52357a466p+3 0x1.059bb18ee88f2p+3 0x1.22c8cc8146363p+3 "
-        "0x1.36e6796283510p+3 0x1.38fe54307e591p+3 0x1.2a383b96e72adp+3 "
+        "0x1.36e6796283510p+3 0x1.38fe54307e591p+3 0x1.21f2965542b80p+3 "
         "0x1.4cc6e8be96f52p+3 0x1.0fdcc12725dbdp+3 0x1.2b5da07bb2b8ep+3 "
-        "0x1.6d3c8e9feb57bp+3 0x1.3907abc539b5fp+3 0x1.ecb2f00badb9ep+2 "
-        "0x1.245a6c7172cd6p+3 0x1.612695b6c0558p+3 0x1.6c1db88dd0febp+3 "
-        "0x1.92a3a5cd4f8eep+3 0x1.11321a089424cp+3 0x1.46ad8ddca8a0dp+3 "
-        "0x1.0c8b319672b8ap+3 0x1.2f1366e7fd496p+3 0x1.2519627628472p+3 "
-        "0x1.638a1cb439aaep+3 0x1.1a6d49cd0bee2p+3 0x1.47bf1c61c6c04p+3 "
-        "0x1.1f787ae9cc84dp+3 0x1.39ca21d56f43fp+3 0x1.ee2e07ae18620p+2 "
-        "0x1.658e45b4dbb6ap+3 0x1.45e54931abf8bp+3 0x1.318ec1b2c4be3p+3 "
-        "0x1.2d20f3ffcd5dbp+3 0x1.8583c4c738161p+3 0x1.5bdf7c0c9ff08p+3 "
-        "0x1.4fd0a477087e0p+3 0x1.7cd21b7963bc6p+3 0x1.3dbfedacf213ep+3 "
-        "0x1.376502c56b6c9p+3 0x1.46f5996d84637p+3 0x1.93279550c977cp+3 "
-        "0x1.ce22f06bd0893p+3 0x1.5069469050c53p+3 0x1.2d2c5e0a616a7p+3 "
-        "0x1.01e4293950ccep+3 0x1.33a103a4aab9ep+3 0x1.55a2e036b2a65p+3 "
-        "0x1.1d6cd6d18c780p+3 0x1.78d08e6a9ccefp+3 0x1.673f8a75bfa97p+3 "
-        "0x1.17c690de8288ap+3 0x1.5ce43b8e60817p+3 0x1.3442a61cbf465p+3 "
+        "0x1.1a8c0f4d06b70p+3 0x1.3907abc539b5fp+3 0x1.ecb2f00badb9ep+2 "
+        "0x1.245a6c7172cd6p+3 0x1.75167ca76a7d2p+3 0x1.7c018cc3109bdp+3 "
+        "0x1.651f2c23fba82p+3 0x1.11321a089424cp+3 0x1.46ad8ddca8a0dp+3 "
+        "0x1.5f96f7f4967d7p+3 0x1.2f1366e7fd496p+3 0x1.2519627628472p+3 "
+        "0x1.aa90e09d6074ep+3 0x1.1a6d49cd0bee2p+3 0x1.47bf1c61c6c04p+3 "
+        "0x1.0a649c25204b5p+3 0x1.e8682db8b397dp+2 0x1.68181e6f9e1bap+3 "
+        "0x1.7e029f38c9cb6p+3 0x1.45e54931abf8bp+3 0x1.318ec1b2c4be3p+3 "
+        "0x1.2d20f3ffcd5dbp+3 0x1.6b72d59a9de46p+3 0x1.f17278fa19edep+2 "
+        "0x1.4fd0a477087e0p+3 0x1.704898fec3d0ep+3 0x1.3dbfedacf213ep+3 "
+        "0x1.376502c56b6c9p+3 0x1.2d7f51b37a897p+3 0x1.662d44d2cfbe4p+3 "
+        "0x1.603e6b852bad2p+3 0x1.5069469050c53p+3 0x1.2d2c5e0a616a7p+3 "
+        "0x1.3110e4741ff06p+3 0x1.33a103a4aab9ep+3 0x1.5f0c8095ac7a8p+3 "
+        "0x1.1d6cd6d18c780p+3 0x1.622e9056b0639p+3 0x1.8d2392892d832p+3 "
+        "0x1.17c690de8288ap+3 0x1.5e3949432abf1p+3 0x1.3442a61cbf465p+3 "
         "0x1.f608170224462p+2 0x1.0da18ef27b48bp+3 0x1.4d8e8cd8a882fp+3 "
         "0x1.20edca9220ea2p+3",
-        "0x1.c1d25aa61fbf4p-2",
+        "0x1.6b1080b32fc4cp-2",
     ),
     ("saddlepoint", 40.0, 1.0): (
         "0x1.20cef5c1bc8f4p+3 0x1.1e390f3deeefdp+3 0x1.4502dcf765a68p+3 "
         "0x1.0c9127e92e31ap+3 0x1.0cc129b06cb56p+3 0x1.00b52a3fe4c8ap+3 "
         "0x1.3db885b0560b9p+3 0x1.33d37e33da1ddp+3 0x1.b9512bdb87781p+2 "
-        "0x1.2dd589a603a78p+3 0x1.525d02ac5de8cp+3 0x1.46453ae584c62p+3 "
-        "0x1.46cad53dfe8fap+3 0x1.19193e4e04ad2p+3 0x1.24609d86a613ap+3 "
+        "0x1.2dd589a603a78p+3 0x1.50d6e2b146d18p+3 0x1.5efcb60f4a294p+3 "
+        "0x1.603254e287787p+3 0x1.2d84a0f23f621p+3 0x1.24609d86a613ap+3 "
         "0x1.0ebae1f8d62ffp+3 0x1.27c1160cd6447p+3 0x1.2689524171bdfp+3 "
         "0x1.3902f7ad3ad0cp+3 0x1.0abe1fce54e4fp+3 0x1.3d9769affbfcep+3 "
-        "0x1.1f0b5f11ff403p+3 0x1.680e5a5bc7c34p+3 0x1.08d3fa55ab502p+3 "
-        "0x1.467f180aedb4fp+3 0x1.22db4e028dd14p+3 0x1.28df907229eebp+3 "
-        "0x1.6261757533e4bp+3 0x1.2f88c48b15f63p+3 0x1.dc97432f4f7cep+2 "
-        "0x1.17652bbd90a88p+3 0x1.5cf8f07718453p+3 0x1.78e37110954d6p+3 "
-        "0x1.1976da36e94b0p+3 0x1.42e180159f416p+3 0x1.f26d57a947019p+2 "
-        "0x1.01c20e93f7008p+3 0x1.2cf74ff961934p+3 0x1.316cdf94afe16p+3 "
+        "0x1.1f0b5f11ff403p+3 0x1.55da57187a32ep+3 0x1.08d3fa55ab502p+3 "
+        "0x1.5e558c4fd9590p+3 0x1.22db4e028dd14p+3 0x1.28df907229eebp+3 "
+        "0x1.579db0b0b99cep+3 0x1.2f88c48b15f63p+3 0x1.7ecabcc3ba38bp+3 "
+        "0x1.17652bbd90a88p+3 0x1.4b832924e76dbp+3 0x1.603011c3bd506p+3 "
+        "0x1.1976da36e94b0p+3 0x1.1338317cea477p+3 0x1.f26d57a947019p+2 "
+        "0x1.150b594e4b446p+3 0x1.2cf74ff961934p+3 0x1.316cdf94afe16p+3 "
         "0x1.0b933b09e949ep+3 0x1.288b28ce6846fp+3 0x1.3326bb213479dp+3 "
-        "0x1.571caaf4f1470p+3 0x1.4b5f397fdf250p+3 0x1.82e01014ec52fp+3 "
-        "0x1.daa03b8d23263p+2 0x1.4a7b2a7ad2520p+3 0x1.17581e110bd99p+3 "
+        "0x1.d57e9f8e28eb8p+2 0x1.46da99fb626bbp+3 0x1.635b179652ae2p+3 "
+        "0x1.daa03b8d23263p+2 0x1.45f8f7ba0ab02p+3 0x1.17581e110bd99p+3 "
         "0x1.41e2549b7326cp+3 0x1.0066a93916a5cp+3 0x1.26da12b0e69c2p+3 "
-        "0x1.2dee828d1e3d5p+3 0x1.27518e18c21e5p+3 0x1.2fb374343abc4p+3 "
-        "0x1.cce0b3200123dp+2 0x1.efd08af7a990cp+2 0x1.8774b4a9080aep+3 "
-        "0x1.1ef7582c86065p+3 0x1.d8a90593b3d2dp+2 0x1.39398d9a88157p+3 "
+        "0x1.2dee828d1e3d5p+3 0x1.42d082d8cb8d4p+3 0x1.2fb374343abc4p+3 "
+        "0x1.eaf4002014038p+2 0x1.efd08af7a990cp+2 0x1.9e46a70df5c3bp+3 "
+        "0x1.1ef7582c86065p+3 0x1.15cd0b781ebaep+3 0x1.f001d0fc2341ep+2 "
         "0x1.3ee50f891651fp+3 0x1.226f845c84c10p+3 0x1.0971ff5973d8bp+3 "
         "0x1.10c676726680cp+3",
-        "0x1.9d97d388bc2bcp-2",
+        "0x1.d09e15e7d766bp-1",
     ),
     ("saddlepoint", 40.0, 8.0): (
         "0x1.37252ac12b34dp+1 0x1.3f44dfae942acp+1 0x1.566f42377bff3p+1 "
-        "0x1.85ac4fc6d7e07p+1 0x1.441a373cfb379p+1 0x1.44bb01b529a0fp+1 "
-        "0x1.614a73221c80dp+1 0x1.18b1f848b5859p+1 0x1.11f1b709c9a5ap+1 "
-        "0x1.206a8455ca414p+1 0x1.6509e0fcb0b32p+1 0x1.3eb82f03997b2p+1 "
-        "0x1.4239592c8d27cp+1 0x1.6f382caf47894p+1 0x1.3c07464674465p+1 "
+        "0x1.61468b64d888ap+1 0x1.441a373cfb379p+1 0x1.44bb01b529a0fp+1 "
+        "0x1.69a96bd37e38fp+1 0x1.18b1f848b5859p+1 0x1.11f1b709c9a5ap+1 "
+        "0x1.206a8455ca414p+1 0x1.647b5ace5e174p+1 0x1.3eb82f03997b2p+1 "
+        "0x1.4239592c8d27cp+1 0x1.6a57d9330e55fp+1 0x1.3c07464674465p+1 "
         "0x1.36beca9ebc096p+1 0x1.452cee4e172b2p+1 0x1.5240cb77b54a4p+1 "
         "0x1.446566b692d47p+1 0x1.5d10334634f6bp+1 0x1.596e2b2f1ef02p+1 "
-        "0x1.4572f7b09f49fp+1 0x1.182d50dddfdcep+1 0x1.7b2a09881159cp+1 "
+        "0x1.4572f7b09f49fp+1 0x1.182d50dddfdcep+1 0x1.64f5b1e05d67ap+1 "
         "0x1.2d65d36ae2425p+1 0x1.31ace03327796p+1 0x1.540f33e2acc8fp+1 "
         "0x1.20c19e3ca89f1p+1 0x1.3569821507731p+1 0x1.4630078a0fd16p+1 "
         "0x1.5959f694216d8p+1 0x1.2a9c2953ecb1dp+1 0x1.4d3499cdc9c27p+1 "
@@ -953,59 +953,59 @@ BATCH = {
         "0x1.3c6c5656e2f6ep+1 0x1.3c9ace63a6306p+1 0x1.4918dc98b8bbcp+1 "
         "0x1.505d88e8cd960p+1 0x1.1adabd8969619p+1 0x1.3ebb2334ca470p+1 "
         "0x1.43ec34ca0d29ep+1 0x1.4793a41a07d39p+1 0x1.35496d2f5e2ddp+1 "
-        "0x1.5286605b1f4f6p+1 0x1.63bf639ca8255p+1 0x1.4ded3dbeecba3p+1 "
-        "0x1.1ca5da72f677cp+1 0x1.6ac167a449513p+1 0x1.464ba2140feb7p+1 "
+        "0x1.5286605b1f4f6p+1 0x1.61a83229b3034p+1 0x1.4ded3dbeecba3p+1 "
+        "0x1.1ca5da72f677cp+1 0x1.6701aa03ca814p+1 0x1.464ba2140feb7p+1 "
         "0x1.3b5a2d8e4f0b2p+1 0x1.59a235e9afd53p+1 0x1.341d70114f616p+1 "
         "0x1.2c7d870f21d9dp+1",
-        "0x1.4196ca329b986p-2",
+        "0x1.d9149bf852268p-1",
     ),
     ("saddlepoint", 170.0, 0.0): (
-        "0x1.7614ee37b82e0p+5 0x1.48e4981d9e5cdp+5 0x1.51bea7763004bp+5 "
-        "0x1.5c2f35e438f00p+5 0x1.5c06ddee9de46p+5 0x1.40e37c72a0552p+5 "
-        "0x1.485b00e76d1dep+5 0x1.5c17fd3ad4ef5p+5 0x1.33a7067e37851p+5 "
-        "0x1.4e8622ca5ee69p+5 0x1.4563ae2ef159bp+5 0x1.5ac4021785f6bp+5 "
+        "0x1.90dd0b239e29cp+5 0x1.591aba6f55c82p+5 0x1.51bea7763004bp+5 "
+        "0x1.5c2f35e438f00p+5 0x1.5c06ddee9de46p+5 0x1.3cf7d26fee17fp+5 "
+        "0x1.485b00e76d1dep+5 0x1.6a46ef9d0d6a3p+5 0x1.449ab2d4cb007p+5 "
+        "0x1.43343cdb6cf84p+5 0x1.4f78430a83bffp+5 0x1.5ac4021785f6bp+5 "
         "0x1.72611e99bbd10p+5 0x1.459f40c4e92d0p+5 0x1.50ec605452d2cp+5 "
-        "0x1.5452e84fa5f8dp+5 0x1.16bf27b27af95p+5 0x1.34eb7753ff8dap+5 "
-        "0x1.6bb37e82ce579p+5 0x1.52cd3e1dd2ae1p+5 0x1.3ef935e31df5ap+5 "
-        "0x1.591916a088bddp+5 0x1.44ad157d007cap+5 0x1.76a54217a1b01p+5 "
-        "0x1.3ea229339ba6fp+5 0x1.2f748711134cdp+5 0x1.4213cc5297b7dp+5 "
-        "0x1.3d89b70f798e3p+5 0x1.46949ecd7587cp+5 0x1.7a63a4fb0f885p+5 "
-        "0x1.365bdee57077ap+5 0x1.70b91cff85057p+5 0x1.3e5db20810031p+5 "
+        "0x1.5452e84fa5f8dp+5 0x1.68fe32de0ac59p+5 0x1.5bcd45785124ap+5 "
+        "0x1.6bb37e82ce579p+5 0x1.52cd3e1dd2ae1p+5 0x1.4df9a5e70930bp+5 "
+        "0x1.591916a088bddp+5 0x1.38df02bd7cad4p+5 0x1.8689f5636c99ap+5 "
+        "0x1.737fd2968b621p+5 0x1.2f748711134cdp+5 0x1.7e67fb4a24cbap+5 "
+        "0x1.3d89b70f798e3p+5 0x1.46949ecd7587cp+5 0x1.76b1dce7f7768p+5 "
+        "0x1.5fedd05c27a09p+5 0x1.70b91cff85057p+5 0x1.3e5db20810031p+5 "
         "0x1.34d1b112bb4d2p+5 0x1.67298a7afe68dp+5 0x1.6955e3ed7ed5cp+5 "
-        "0x1.613b007e6bf10p+5 0x1.48fe0163c4b0ep+5 0x1.60e59adb76cafp+5 "
+        "0x1.5b0f4c6c8cf2ep+5 0x1.48fe0163c4b0ep+5 0x1.60e59adb76cafp+5 "
         "0x1.5accd16145091p+5 0x1.5e81f4a4112fcp+5 0x1.70292c4a5bf9fp+5 "
-        "0x1.4fea8f40b7a57p+5 0x1.786bb7e51c99ep+5 0x1.6b1dea93098e1p+5 "
+        "0x1.4fea8f40b7a57p+5 0x1.795a61160c111p+5 0x1.6b1dea93098e1p+5 "
         "0x1.59175fc86f1f5p+5 0x1.60d7ba9287cd5p+5 0x1.5bbfba5ab3cf7p+5 "
         "0x1.526da886cf562p+5 0x1.2232427694143p+5 0x1.6efde9530003ap+5 "
-        "0x1.4959bec99f89dp+5 0x1.402eb160a8b1ep+5 0x1.528d73b8c68cep+5 "
-        "0x1.5532795619e2dp+5 0x1.3fef35aa39729p+5 0x1.50cfa7f9d2630p+5 "
-        "0x1.233032837c408p+5 0x1.429e78c0ad507p+5 0x1.64622ba32f530p+5 "
+        "0x1.4959bec99f89dp+5 0x1.402eb160a8b1ep+5 0x1.40dca9df7e3d6p+5 "
+        "0x1.5532795619e2dp+5 0x1.4563443b47fb4p+5 0x1.50cfa7f9d2630p+5 "
+        "0x1.233032837c408p+5 0x1.429e78c0ad507p+5 0x1.67a2f6fc2a4b3p+5 "
         "0x1.4089de1a5a163p+5 0x1.500bd3def681dp+5 0x1.57806f8570b20p+5 "
         "0x1.5d5db6e1c7aa0p+5",
-        "0x1.c2dea29f7a181p-1",
+        "0x1.2fe5dcc0404c0p-2",
     ),
     ("saddlepoint", 170.0, 1.0): (
-        "0x1.1fb97c0bf5655p+5 0x1.52770360c31e2p+5 0x1.33cab104561efp+5 "
-        "0x1.4c595beffdd07p+5 0x1.5c7c7b4f752c0p+5 0x1.37774426a4102p+5 "
-        "0x1.1ea5bda9dae41p+5 0x1.43351bf8a17bfp+5 0x1.39eb49568d0e9p+5 "
-        "0x1.4ec42dc211116p+5 0x1.1f9f0edba0dc2p+5 0x1.496106fad9f32p+5 "
-        "0x1.5f05b950fb810p+5 0x1.247737083a190p+5 0x1.2a65ab0b0225ep+5 "
-        "0x1.436f58f04f79ep+5 0x1.304871d57f413p+5 0x1.2ff12f33c2a8cp+5 "
-        "0x1.3330d774ec857p+5 0x1.4e81aad1c5518p+5 0x1.330fa66d4fecap+5 "
+        "0x1.1c0c9345372bap+5 0x1.52770360c31e2p+5 0x1.33cab104561efp+5 "
+        "0x1.4c595beffdd07p+5 0x1.1c6aeeb7e521fp+5 0x1.37774426a4102p+5 "
+        "0x1.5e1882b2b452ap+5 0x1.43351bf8a17bfp+5 0x1.4a1bb88a2ca8dp+5 "
+        "0x1.4ec42dc211116p+5 0x1.1f9f0edba0dc2p+5 0x1.55d287b62528ap+5 "
+        "0x1.685b37292a119p+5 0x1.28801ec065204p+5 0x1.2a65ab0b0225ep+5 "
+        "0x1.304efab4388c3p+5 0x1.304871d57f413p+5 0x1.2ff12f33c2a8cp+5 "
+        "0x1.4d2fe75490dfbp+5 0x1.5a47568432dbep+5 0x1.3bc493041cdb6p+5 "
         "0x1.2f7136f064b15p+5 0x1.4d5347dc5880ap+5 0x1.268d2a235da9bp+5 "
-        "0x1.41bea7ab45721p+5 0x1.300dd81915b0fp+5 0x1.206d36c6e243cp+5 "
-        "0x1.5ebccc5a6784cp+5 0x1.50786df531ac7p+5 0x1.3bb641aae9367p+5 "
-        "0x1.35a5d3fb24944p+5 0x1.5ad0fe9866341p+5 0x1.325a4f580a10ap+5 "
-        "0x1.23d783451eaa6p+5 0x1.45faa99d1818cp+5 0x1.539281d213c41p+5 "
-        "0x1.5a31225d35675p+5 0x1.5b0aa18187f8bp+5 0x1.710692de90bb3p+5 "
-        "0x1.2b43e2b12afeep+5 0x1.3c5f081be3c5bp+5 0x1.35ad8e06a0c0cp+5 "
-        "0x1.1f71951b5ddc7p+5 0x1.1da4c970b1fbep+5 0x1.3a6128911f6dcp+5 "
+        "0x1.52c80c190316cp+5 0x1.300dd81915b0fp+5 0x1.206d36c6e243cp+5 "
+        "0x1.5ff0e08d6be66p+5 0x1.50786df531ac7p+5 0x1.3bb641aae9367p+5 "
+        "0x1.35a5d3fb24944p+5 0x1.22c1e69ebd4e7p+5 0x1.325a4f580a10ap+5 "
+        "0x1.431b5ec09a42dp+5 0x1.45faa99d1818cp+5 0x1.539281d213c41p+5 "
+        "0x1.6328ed1b25a78p+5 0x1.677f40c418564p+5 0x1.59f357143ada7p+5 "
+        "0x1.450361d08d759p+5 0x1.3c5f081be3c5bp+5 0x1.35ad8e06a0c0cp+5 "
+        "0x1.1f0a4fb519b44p+5 0x1.1da4c970b1fbep+5 0x1.4e103c275f9d7p+5 "
         "0x1.50284946e659cp+5 0x1.39dd623b68134p+5 0x1.45b6b338d0374p+5 "
-        "0x1.42b7fa38b25d9p+5 0x1.5303cd575498cp+5 0x1.3a7ebecb1def8p+5 "
-        "0x1.3929ea0f4241fp+5 0x1.2a1ac6f7e8aa8p+5 0x1.4f76d6992c493p+5 "
+        "0x1.4e858f45a5e00p+5 0x1.2f1a6936d4312p+5 0x1.49bb3393ccce8p+5 "
+        "0x1.3929ea0f4241fp+5 0x1.2a1ac6f7e8aa8p+5 0x1.293c9b7776fc8p+5 "
         "0x1.2426d830f64ccp+5 0x1.2ed0dcb7ace87p+5 0x1.20545637ea66bp+5 "
-        "0x1.2a4da4e9d1894p+5 0x1.30e137b362e11p+5 0x1.62239da1f0d2ep+5 "
-        "0x1.2a55d7a041f09p+5 0x1.159f093610583p+5 0x1.531560abff7e5p+5 "
+        "0x1.2a4da4e9d1894p+5 0x1.30e137b362e11p+5 0x1.244527cb6a2afp+5 "
+        "0x1.53674c6d7fdaep+5 0x1.159f093610583p+5 0x1.531560abff7e5p+5 "
         "0x1.39e216bf358fbp+5",
         "0x1.e046af6df98b5p-1",
     ),
@@ -1028,11 +1028,11 @@ BATCH = {
         "0x1.58d22789e4176p+3 0x1.54c0b1d95c4a2p+3 0x1.5b72ad17458d0p+3 "
         "0x1.552bc076d7eaap+3 0x1.528fc36b4c4b1p+3 0x1.529b6d2947d7cp+3 "
         "0x1.534aa54501122p+3 0x1.534887f659816p+3 0x1.4f28653b73349p+3 "
-        "0x1.64c10cae43ab7p+3 0x1.75ed05784da65p+3 0x1.487b5bfbc127ep+3 "
+        "0x1.64c10cae43ab7p+3 0x1.63e8eb955348cp+3 0x1.487b5bfbc127ep+3 "
         "0x1.5361d844e5ddap+3 0x1.58b854e487df1p+3 0x1.4de55c35c6003p+3 "
         "0x1.3b33746a20cbep+3 0x1.50ed47839106bp+3 0x1.57da59ec5c524p+3 "
         "0x1.417c15b760e19p+3",
-        "0x1.163466d37d7fap-1",
+        "0x1.d325aa6ecd9fcp-3",
     ),
     ("gamma-sum", 0.3, 0.0): (
         "0x1.f5e59542489aap-8 0x1.0d1ee87323fefp-7 0x1.f0f9bc3055e58p-7 "
@@ -1312,8 +1312,8 @@ SCALAR = {
         "0x1.8bd416bba8a0fp-1",
     ),
     ("alternate", 4.0, 0.0): (
-        "0x1.ed405597fa0ccp-1 0x1.11d930937fb52p-1 0x1.e17eeed88dee3p-1",
-        "0x1.92274c10b5b20p-4",
+        "0x1.ed405597fa0ccp-1 0x1.11d930937fb52p-1 0x1.4a13978e8e651p+0",
+        "0x1.4f3ddb51b7610p-4",
     ),
     ("alternate", 4.0, 1.0): (
         "0x1.06c7b0929f5dcp+0 0x1.4c53907cbd38dp-1 0x1.7b29fcf871a46p-1",
@@ -1324,60 +1324,60 @@ SCALAR = {
         "0x1.0827ee3ef3053p-1",
     ),
     ("alternate", 7.3, 0.0): (
-        "0x1.a3a70ba307c04p+0 0x1.871706e4f7183p+0 0x1.414777a832a0ap+0",
-        "0x1.91b3c2c0fe21fp-1",
+        "0x1.58b872d7deb6ap+1 0x1.b273e6b4d0726p+0 0x1.ad1217d9df72dp+0",
+        "0x1.e0d505acbec6dp-1",
     ),
     ("alternate", 7.3, 1.0): (
-        "0x1.2717e7708bb79p+0 0x1.82a26c2c62cbap+0 0x1.b0ec01c629b37p+0",
-        "0x1.1ce50cfd9c18ap-1",
+        "0x1.d6d49a11b5f08p+0 0x1.1bcfd29245615p+1 0x1.e79381acd082cp+0",
+        "0x1.b8bfa8ac12d3cp-1",
     ),
     ("alternate", 7.3, 8.0): (
         "0x1.bc069da8cf9dfp-2 0x1.c88e1780e0fe4p-2 0x1.f4349efd1bb87p-2",
         "0x1.542e20b0483d0p-5",
     ),
     ("alternate", 12.0, 0.0): (
-        "0x1.ad8176d43e8fcp+1 0x1.41d28af533bd8p+1 0x1.a9d79baf2f2c2p+1",
-        "0x1.afdd4afb69c9fp-1",
+        "0x1.799732d7b65b0p+1 0x1.e8caeb32acf2cp+1 0x1.2ba9d2e9a4ed8p+1",
+        "0x1.c83861693bb7ap-1",
     ),
     ("alternate", 12.0, 1.0): (
-        "0x1.86dc2b156f8d6p+1 0x1.aa5ea03a1acbap+1 0x1.d3052d2746176p+1",
-        "0x1.aa6f987f174e0p-4",
+        "0x1.38253c3725d96p+2 0x1.b602928d9e7b0p+1 0x1.b2318f06a6d8dp+1",
+        "0x1.2cca815dc2f18p-2",
     ),
     ("alternate", 12.0, 8.0): (
         "0x1.2dcf9f8bffae2p-1 0x1.b9ce980cc4ec4p-1 0x1.55b802cd83dc8p-1",
         "0x1.e7e9255d46b5cp-3",
     ),
     ("alternate", 13.0, 0.0): (
-        "0x1.2f2345ce30ea4p+2 0x1.9ec977766ee8cp+1 0x1.61bc6cedd6bbbp+1",
-        "0x1.25d3ffb9d7270p-5",
+        "0x1.95e7a0b75007fp+1 0x1.63e8917bafd89p+2 0x1.d2380c0ab7ef4p+1",
+        "0x1.56bfa4aa66d48p-4",
     ),
     ("alternate", 13.0, 1.0): (
-        "0x1.7e1349cb599f4p+1 0x1.776a697f473cbp+1 0x1.1ea4ac394a1cep+2",
-        "0x1.0a3d800544897p-1",
+        "0x1.5ddba53bd29bap+1 0x1.0e592ed860605p+1 0x1.9fa981b854afcp+1",
+        "0x1.184bc4a0b8402p-2",
     ),
     ("alternate", 13.0, 8.0): (
         "0x1.6c5c476c245d7p-1 0x1.75a4b877dd8edp-1 0x1.85d96d9f92b31p-1",
         "0x1.805bf9fe36955p-1",
     ),
     ("alternate", 40.0, 0.0): (
-        "0x1.68efbdb83982cp+3 0x1.10b7341599296p+3 0x1.5de7b8d9501fcp+3",
-        "0x1.fd8f9f5cdce3ep-2",
+        "0x1.a9ed5be565914p+3 0x1.4c051e542498fp+3 0x1.3ef0f964d405cp+3",
+        "0x1.b2c8dcfdb2ba8p-3",
     ),
     ("alternate", 40.0, 1.0): (
-        "0x1.1f403d9ec144ap+3 0x1.52fcd607cabc8p+3 0x1.26a292dfb60b8p+3",
-        "0x1.fe9f47c930fb2p-1",
+        "0x1.2e5a6acd9b852p+3 0x1.0154e21b6fd92p+3 0x1.f7fed370a8038p+2",
+        "0x1.d469cc7b3340ap-2",
     ),
     ("alternate", 40.0, 8.0): (
         "0x1.2c7aa47f8b3bcp+1 0x1.342b828016e0bp+1 0x1.65dd2ba746882p+1",
         "0x1.c3bacd2cbf910p-2",
     ),
     ("alternate", 170.0, 0.0): (
-        "0x1.63b3bd88de99dp+5 0x1.5fe9fe5b483b5p+5 0x1.46e57c7fb6dc1p+5",
-        "0x1.bdd6a9c97cd88p-3",
+        "0x1.4b72840a6e57bp+5 0x1.67bb25194ec26p+5 0x1.5db62340f3393p+5",
+        "0x1.eefc164b23ae9p-1",
     ),
     ("alternate", 170.0, 1.0): (
-        "0x1.53e02414961fap+5 0x1.37be39de3c410p+5 0x1.3803689f0b7c7p+5",
-        "0x1.de3e77b5eac2bp-1",
+        "0x1.34d5ac2be2155p+5 0x1.5dd72a68273a9p+5 0x1.31b757b4b76f1p+5",
+        "0x1.bbb10df7fbee0p-4",
     ),
     ("alternate", 170.0, 8.0): (
         "0x1.533ca901d02d2p+3 0x1.4d98d16a70de3p+3 0x1.72f3608ea40e7p+3",
@@ -1388,12 +1388,12 @@ SCALAR = {
         "0x1.d0173972dc444p-2",
     ),
     ("saddlepoint", 13.0, 1.0): (
-        "0x1.abbcfa700025fp+1 0x1.50b3a64fb9d11p+1 0x1.e2d618c7a36a5p+1",
-        "0x1.48df8414e1dfcp-3",
+        "0x1.1e1d5dd166a75p+2 0x1.9d6c33fd71c16p+1 0x1.50357be50ac5dp+1",
+        "0x1.645a23bfd2bacp-1",
     ),
     ("saddlepoint", 13.0, 8.0): (
-        "0x1.f4c7cb574f3b4p-1 0x1.b4e6ffbf7e22dp-1 0x1.7865930e75131p-1",
-        "0x1.edaa5a9bdf252p-1",
+        "0x1.f0b7b2e8b35fdp-1 0x1.c4bd17c305978p-1 0x1.47b2911fbaa92p-1",
+        "0x1.6d08baa491b00p-1",
     ),
     ("saddlepoint", 40.0, 0.0): (
         "0x1.53555a8c87691p+3 0x1.49b3183bf1e20p+3 0x1.3dcad2fc0452ep+3",
@@ -1404,16 +1404,16 @@ SCALAR = {
         "0x1.7c36602ee237cp-3",
     ),
     ("saddlepoint", 40.0, 8.0): (
-        "0x1.3b4a9faa15fdbp+1 0x1.384da85935da4p+1 0x1.7c58bcbf1da38p+1",
-        "0x1.e6359049bddcap-1",
+        "0x1.3b4a9faa15fdbp+1 0x1.384da85935da4p+1 0x1.36ff0ffb1779ap+1",
+        "0x1.ab18a6cfcb9d8p-3",
     ),
     ("saddlepoint", 170.0, 0.0): (
-        "0x1.78127bf651976p+5 0x1.5376d1d42a3adp+5 0x1.661538c0a06a4p+5",
-        "0x1.96bc908dd7211p-1",
+        "0x1.96c79a7945878p+5 0x1.3c6b14a5e7cc3p+5 0x1.5c87c02bf53c6p+5",
+        "0x1.b41c76650f886p-2",
     ),
     ("saddlepoint", 170.0, 1.0): (
-        "0x1.489de73cfc0dbp+5 0x1.27cfb8736eb5fp+5 0x1.2af23d1907d49p+5",
-        "0x1.1eb490a244df9p-1",
+        "0x1.489de73cfc0dbp+5 0x1.5b0aeac50b8f5p+5 0x1.36d1d5b66a3d7p+5",
+        "0x1.5c79e453d0926p-2",
     ),
     ("saddlepoint", 170.0, 8.0): (
         "0x1.4686fe03d292bp+3 0x1.55829b347037ep+3 0x1.6e7b362ab36c3p+3",
@@ -1520,15 +1520,15 @@ COUNTERS = {
         "accepted": 64,
     },
     ("alternate", 2.5, 0.0): {
-        "proposals": 73,
-        "left_proposals": 47,
+        "proposals": 74,
+        "left_proposals": 46,
         "series_terms_max": 5,
         "accepted": 64,
     },
     ("alternate", 2.5, 1.0): {
-        "proposals": 68,
-        "left_proposals": 50,
-        "series_terms_max": 3,
+        "proposals": 75,
+        "left_proposals": 53,
+        "series_terms_max": 5,
         "accepted": 64,
     },
     ("alternate", 2.5, 8.0): {
@@ -1538,15 +1538,15 @@ COUNTERS = {
         "accepted": 64,
     },
     ("alternate", 4.0, 0.0): {
-        "proposals": 96,
-        "left_proposals": 53,
+        "proposals": 102,
+        "left_proposals": 52,
         "series_terms_max": 5,
         "accepted": 64,
     },
     ("alternate", 4.0, 1.0): {
-        "proposals": 92,
-        "left_proposals": 57,
-        "series_terms_max": 4,
+        "proposals": 79,
+        "left_proposals": 46,
+        "series_terms_max": 5,
         "accepted": 64,
     },
     ("alternate", 4.0, 8.0): {
@@ -1556,14 +1556,14 @@ COUNTERS = {
         "accepted": 64,
     },
     ("alternate", 7.3, 0.0): {
-        "proposals": 175,
-        "left_proposals": 91,
+        "proposals": 171,
+        "left_proposals": 84,
         "series_terms_max": 7,
         "accepted": 128,
     },
     ("alternate", 7.3, 1.0): {
-        "proposals": 165,
-        "left_proposals": 96,
+        "proposals": 163,
+        "left_proposals": 100,
         "series_terms_max": 5,
         "accepted": 128,
     },
@@ -1574,14 +1574,14 @@ COUNTERS = {
         "accepted": 128,
     },
     ("alternate", 12.0, 0.0): {
-        "proposals": 299,
-        "left_proposals": 155,
-        "series_terms_max": 6,
+        "proposals": 288,
+        "left_proposals": 158,
+        "series_terms_max": 7,
         "accepted": 192,
     },
     ("alternate", 12.0, 1.0): {
-        "proposals": 274,
-        "left_proposals": 167,
+        "proposals": 285,
+        "left_proposals": 174,
         "series_terms_max": 5,
         "accepted": 192,
     },
@@ -1592,14 +1592,14 @@ COUNTERS = {
         "accepted": 192,
     },
     ("alternate", 13.0, 0.0): {
-        "proposals": 334,
-        "left_proposals": 189,
-        "series_terms_max": 6,
+        "proposals": 332,
+        "left_proposals": 196,
+        "series_terms_max": 5,
         "accepted": 256,
     },
     ("alternate", 13.0, 1.0): {
-        "proposals": 323,
-        "left_proposals": 190,
+        "proposals": 327,
+        "left_proposals": 199,
         "series_terms_max": 5,
         "accepted": 256,
     },
@@ -1610,15 +1610,15 @@ COUNTERS = {
         "accepted": 256,
     },
     ("alternate", 40.0, 0.0): {
-        "proposals": 944,
-        "left_proposals": 526,
+        "proposals": 929,
+        "left_proposals": 503,
         "series_terms_max": 8,
         "accepted": 640,
     },
     ("alternate", 40.0, 1.0): {
-        "proposals": 905,
-        "left_proposals": 595,
-        "series_terms_max": 6,
+        "proposals": 897,
+        "left_proposals": 570,
+        "series_terms_max": 7,
         "accepted": 640,
     },
     ("alternate", 40.0, 8.0): {
@@ -1628,15 +1628,15 @@ COUNTERS = {
         "accepted": 640,
     },
     ("alternate", 170.0, 0.0): {
-        "proposals": 4016,
-        "left_proposals": 2173,
+        "proposals": 4023,
+        "left_proposals": 2164,
         "series_terms_max": 7,
         "accepted": 2752,
     },
     ("alternate", 170.0, 1.0): {
-        "proposals": 3831,
-        "left_proposals": 2377,
-        "series_terms_max": 9,
+        "proposals": 3844,
+        "left_proposals": 2347,
+        "series_terms_max": 7,
         "accepted": 2752,
     },
     ("alternate", 170.0, 8.0): {
@@ -1646,48 +1646,48 @@ COUNTERS = {
         "accepted": 2752,
     },
     ("saddlepoint", 13.0, 0.0): {
-        "proposals": 75,
-        "left_proposals": 55,
+        "proposals": 79,
+        "left_proposals": 57,
         "accepted": 64,
     },
     ("saddlepoint", 13.0, 1.0): {
-        "proposals": 74,
+        "proposals": 73,
         "left_proposals": 53,
         "accepted": 64,
     },
     ("saddlepoint", 13.0, 8.0): {
-        "proposals": 66,
-        "left_proposals": 49,
+        "proposals": 68,
+        "left_proposals": 52,
         "accepted": 64,
     },
     ("saddlepoint", 40.0, 0.0): {
-        "proposals": 78,
-        "left_proposals": 62,
+        "proposals": 76,
+        "left_proposals": 60,
         "accepted": 64,
     },
     ("saddlepoint", 40.0, 1.0): {
-        "proposals": 71,
-        "left_proposals": 57,
+        "proposals": 68,
+        "left_proposals": 55,
         "accepted": 64,
     },
     ("saddlepoint", 40.0, 8.0): {
-        "proposals": 64,
+        "proposals": 65,
         "left_proposals": 57,
         "accepted": 64,
     },
     ("saddlepoint", 170.0, 0.0): {
-        "proposals": 76,
-        "left_proposals": 71,
+        "proposals": 77,
+        "left_proposals": 72,
         "accepted": 64,
     },
     ("saddlepoint", 170.0, 1.0): {
-        "proposals": 78,
-        "left_proposals": 68,
+        "proposals": 76,
+        "left_proposals": 67,
         "accepted": 64,
     },
     ("saddlepoint", 170.0, 8.0): {
-        "proposals": 64,
-        "left_proposals": 63,
+        "proposals": 65,
+        "left_proposals": 64,
         "accepted": 64,
     },
 }
@@ -1803,16 +1803,16 @@ ONE_DRAW = {
         "0x1.e97195aec46ccp-1",
     ),
     ("alternate", 1.5): (
-        "662deafaed72efc6941f5da552b9d2482e9448f888d0ece0bdc6b35f6dec2dc0",
-        "0x1.bdb7ac6a94e7fp-1",
+        "41b0ef57328d44e768544704ce8f3575cab81d892bccfaa7165243bc2cb6617f",
+        "0x1.75170551571ffp-1",
     ),
     ("alternate", 2.5): (
-        "b2ba0a9b9f7b7301a51d4472a75f1e86404547a5f7114772a0495c18d3e38c9b",
-        "0x1.9b3d3c70f322ap-1",
+        "7823de21e63d2bff449de401dc067ae00fc17eea5006665d70d8b9e7996ecee8",
+        "0x1.16a14b0e9b4ccp-1",
     ),
     ("alternate", 4.0): (
-        "037e328effdc30913e2823c51352a0a3d4428ca951a91d47138a67ab649c1aed",
-        "0x1.00611abe983fep-2",
+        "6062cb02fdeaab29869a2226840d0fa00af34f053ba1d9ad66279c2f89093402",
+        "0x1.5fec1e3de0da4p-3",
     ),
 }
 

@@ -17,6 +17,7 @@ of returning biased output; decisions the double sums cannot resolve
 are taken against f/a_0 summed in mpmath.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ from . import devroye
 from .density import (
     TRUNC_H_MAX,
     TRUNC_H_MIN,
+    _coef_ratio_parts,
     _log_kernel_ell_unit,
     _log_kernel_r_unit,
     _trusted_ratio_sum,
     build_mixture,
-    coef_ratio,
     trunc_lookup,
     verify_domination,  # unused here: the benchmark tracer wraps this name
 )
@@ -64,6 +65,7 @@ class _RatioCoefficients:
     Every coefficient and the bound are divided by a_0(x), the bound
     formed in log space: a_0 underflows at the proposals x ~ h/z once
     h z passes about 1,500, but k/a_0 and the ratios a_n/a_0 do not.
+    A step costs one ``exp``: coef_ratio's x-free parts are cached.
     """
 
     counter_keys = (None, "series_terms_max")
@@ -80,19 +82,22 @@ class _RatioCoefficients:
         # acceptance compares against the fully untilted kernel and
         # series: the cosh^h(z) e^{-x z^2/2} factor cancels, so the right
         # piece here carries the z=0 rate (the proposal draw keeps the
-        # tilted one)
+        # tilted one); left of the paste point the bound is a_0 itself
+        if isinstance(x, float) and x < self.trunc:
+            return 1.0
         log_a0 = _log_kernel_ell_unit(x, self.h)
+        log_r = _log_kernel_r_unit(x, self.h, _LAM0)
         if isinstance(x, float):
-            log_k = (log_a0 if x < self.trunc
-                     else _log_kernel_r_unit(x, self.h, _LAM0))
-            return float(np.exp(log_k - log_a0))
-        log_k = np.where(x < self.trunc, log_a0,
-                         _log_kernel_r_unit(x, self.h, _LAM0))
-        return np.exp(log_k - log_a0)
+            return float(np.exp(log_r - log_a0))
+        return np.exp(np.where(x < self.trunc, log_a0, log_r) - log_a0)
 
     def step(self, n, x, a_prev):
-        r = coef_ratio(n - 1, x, self.h)
+        front, rate = _cached_ratio_parts(n - 1, self.h)
+        r = front * np.exp(-(2 / x) * rate)
         return a_prev * r, r < 1.0
+
+
+_cached_ratio_parts = functools.lru_cache(maxsize=4096)(_coef_ratio_parts)
 
 
 def _pieces(h):

@@ -29,11 +29,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import ConvergenceError
 from .special import (
     _logaddexp,
+    gammaincc,
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
@@ -122,10 +122,13 @@ def coef_ratio(n, x, h):
     """
     if h < 1:
         raise ValueError("coef_ratio: requires h >= 1")
-    exp = getattr(x, "context", np).exp
-    return ((1 + (h - 1) / (n + 1))
-            * (1 + 2 / (2 * n + h))
-            * exp(-(2 / x) * ((2 * n + h) + 1)))
+    front, rate = _coef_ratio_parts(n, h)
+    return front * getattr(x, "context", np).exp(-(2 / x) * rate)
+
+
+def _coef_ratio_parts(n, h):
+    """(front, rate): :func:`coef_ratio` is front * exp(-(2/x) rate)."""
+    return (1 + (h - 1) / (n + 1)) * (1 + 2 / (2 * n + h)), (2 * n + h) + 1
 
 
 def _ratio_sum(x, h, rel_tol, max_terms):
@@ -320,20 +323,26 @@ def jstar_var(params):
     return params.h * _var_factor(params.z)
 
 
+@functools.lru_cache(maxsize=1024)
+def _log_kernel_consts(h, log_gamma=log_gamma_fn):
+    # the x-free parts of the two log kernels below, as they sum them
+    return (h * _LOG2 + np.log(h) - 0.5 * _LOG_2PI,
+            h * _LOG_HALF_PI - log_gamma(h))
+
+
 def _log_kernel_ell_unit(x, h):
     """log of the untilted left bounding kernel 2^h (h/sqrt(2 pi))
     x^{-3/2} e^{-h^2/(2x)}: the leading coefficient a_0^L(x | h), and 2^h
     times an inverse-gamma(1/2, h^2/2) density.  Tilting multiplies it by
     cosh^h(z) e^{-x z^2/2}."""
-    return (h * _LOG2 + np.log(h) - 0.5 * _LOG_2PI
-            - 1.5 * np.log(x) - h * h / (2.0 * x))
+    return _log_kernel_consts(h)[0] - 1.5 * np.log(x) - h * h / (2.0 * x)
 
 
-def _log_kernel_r_unit(x, h, lam_z):
+def _log_kernel_r_unit(x, h, lam_z, log_gamma=log_gamma_fn):
     """log of the right bounding kernel (pi/2)^h x^{h-1} e^{-lam_z x}/Gamma(h),
     proportional to a Gamma(h, lam_z) density; the tilted kernel has
     lam_z = :func:`tilt_rate` (z) and a cosh^h(z) factor."""
-    return (h * _LOG_HALF_PI - log_gamma_fn(h)
+    return (_log_kernel_consts(h, log_gamma)[1]
             + (h - 1.0) * np.log(x) - lam_z * x)
 
 
@@ -367,18 +376,18 @@ def build_mixture(trunc, h, z):
     The exact samplers build one per call, so it runs on floats.  Its
     values keep the bits of numpy's arithmetic: ``exp`` and ``log``
     stay numpy's, whose results can differ from :mod:`math`'s in the
-    last ulp.
+    last ulp.  ``trunc`` and ``h`` must be finite and positive, ``z`` finite.
     """
     trunc, h, z = float(trunc), float(h), abs(float(z))
-    if trunc <= 0.0:
-        raise ValueError("build_mixture: trunc must be positive")
+    if not (0.0 < trunc < math.inf and 0.0 < h < math.inf and z < math.inf):
+        raise ValueError("build_mixture: needs finite trunc, h > 0 and z")
     lam_z = tilt_rate(z)
     if z == 0.0:
-        log_p = h * _LOG2 + np.log(sc.gammaincc(0.5, h * h / (2.0 * trunc)))
+        log_p = h * _LOG2 + np.log(gammaincc(0.5, h * h / (2.0 * trunc)))
     else:
         log_p = (h * (_LOG2 - z)
                  + inverse_gaussian_log_cdf(trunc, h / z, h * h))
-    q_tail = sc.gammaincc(h, lam_z * trunc)
+    q_tail = gammaincc(h, lam_z * trunc)
     # once the tail underflows, q/p < e^-500 and the fraction is exactly 1
     log_q = (h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)
              if q_tail > 0.0 else -math.inf)
@@ -395,7 +404,8 @@ def solve_trunc_point(h):
     The log-difference is strictly increasing on (0, inf) for h >= 1, so
     the root is unique; it is bracketed by [0.05, 10] over h in [1, 4].
     """
-    from scipy.optimize import brentq  # only the t(h) table needs it
+    from scipy.optimize import brentq  # only the t(h) table needs scipy
+    from scipy.special import gammaln  # the shipped table has its bits
 
     h = float(h)
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
@@ -403,7 +413,8 @@ def solve_trunc_point(h):
     lam0 = tilt_rate(0.0)
 
     def log_diff(x):
-        return _log_kernel_ell_unit(x, h) - _log_kernel_r_unit(x, h, lam0)
+        return (_log_kernel_ell_unit(x, h)
+                - _log_kernel_r_unit(x, h, lam0, gammaln))
 
     try:
         return brentq(log_diff, 0.05, 10.0, xtol=1e-13, rtol=8.9e-16,

@@ -13,13 +13,13 @@ batch runs its rounds on arrays, and the first round's candidates become the
 output without a copy.  One draw per call, as in a Gibbs sweep where every
 tilt differs, takes the one-candidate path: ``size=None`` (the convention of
 the :class:`RngStream` draws) runs every round on Python floats, through the
-same proposals and accept tests, each of which has a float branch.  A
-multi-piece draw (the alternate sampler at b > 4) fills a short array of J*
-candidates, one per piece: its rounds run on arrays, but the series decider
-takes an array that short slot by slot on floats.  All paths consume the
-stream identically and give bit-identical draws; the float branches use
-numpy's ``exp``/``log``, whose results can differ from :mod:`math` in the
-last ulp.
+same proposals and accept tests, each of which has a float branch; so does
+any round with one slot left.  A multi-piece draw (the alternate sampler at
+b > 4) fills a short array of J* candidates, one per piece: its rounds run
+on arrays, but the series decider takes an array that short slot by slot.
+All paths consume the stream identically and give bit-identical draws; the
+float branches use numpy's ``exp``/``log``, whose results can differ from
+:mod:`math` in the last ulp.
 """
 
 import math
@@ -107,46 +107,39 @@ def _fill_by_rejection(size, propose, accept, counters=None,
 
     Each round ``propose(k)`` draws candidates for the k still-pending
     slots and ``accept(x)`` returns the mask of those kept; the rest are
-    redrawn next round.  ``size=None`` fills one slot on floats:
-    ``propose(None)`` returns one float candidate, ``accept`` one bool,
-    and the accepted float is returned.  Raises
-    :class:`IterationCapError` when slots are still pending after
-    ``max_rounds`` rounds.  ``counters``, when given, accumulates
-    ``proposals`` and ``accepted``.
+    redrawn next round.  A round with one pending slot, and every round
+    of ``size=None``, runs on floats: ``propose(None)`` returns one float
+    candidate and ``accept`` one bool.  ``size=None`` returns the
+    accepted float.  Raises :class:`IterationCapError` when slots are
+    still pending after ``max_rounds`` rounds.  ``counters``, when
+    given, accumulates ``proposals`` and ``accepted``.
     """
-    if size is None:
-        for _ in range(max_rounds):
-            if counters is not None:
-                counters["proposals"] = counters.get("proposals", 0) + 1
-            x = propose(None)
-            ok = bool(accept(x))
-            if counters is not None:
-                counters["accepted"] = counters.get("accepted", 0) + ok
-            if ok:
-                return x
-    elif int(size) == 0:
+    n, pending = (1 if size is None else int(size)), None
+    if n == 0:
         return np.empty(0)
-    else:
-        # the first round proposes for every slot, so its candidates
-        # become the output; later rounds redraw only the rejected slots
-        n, pending = int(size), None
-        for _ in range(max_rounds):
-            k = n if pending is None else pending.size
-            if counters is not None:
-                counters["proposals"] = counters.get("proposals", 0) + k
-            x = propose(k)
-            ok = accept(x)
-            n_ok = np.count_nonzero(ok)
-            if counters is not None:
-                counters["accepted"] = counters.get("accepted", 0) + n_ok
-            if pending is None:
-                out = x  # all kept: the empty ok[:0] skips np.nonzero
-                pending = np.nonzero(~ok)[0] if n_ok < k else ok[:0]
-            elif n_ok:
-                out[pending[ok]] = x[ok]
-                pending = pending[~ok]
-            if not pending.size:
+    for _ in range(max_rounds):
+        k = n if pending is None else pending.size
+        if counters is not None:
+            counters["proposals"] = counters.get("proposals", 0) + k
+        x = propose(None if k == 1 else k)
+        ok = accept(x)
+        n_ok = bool(ok) if k == 1 else np.count_nonzero(ok)
+        if counters is not None:
+            counters["accepted"] = counters.get("accepted", 0) + n_ok
+        if k == 1:
+            if n_ok and pending is None:
+                return x if size is None else np.array([x])
+            if n_ok:
+                out[pending[0]] = x
                 return out
+        elif pending is None:
+            out = x  # first round: later ones redraw only rejected slots
+            pending = np.nonzero(~ok)[0] if n_ok < k else ok[:0]
+        elif n_ok:
+            out[pending[ok]] = x[ok]
+            pending = pending[~ok]
+        if k > 1 and not pending.size:
+            return out
     raise IterationCapError(
         f"rejection sampler exhausted its budget of {max_rounds} rounds"
     )

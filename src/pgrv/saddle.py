@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sc
 
 from .density import _mean_factor
 from .errors import ConvergenceError, EnvelopeValidityError
@@ -39,7 +38,8 @@ from .rng import (
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
-from .special import inverse_gaussian_log_cdf, log_cosh, log_gamma_fn, utan
+from .special import (gammaincc, inverse_gaussian_log_cdf, log_cosh,
+                      log_gamma_fn, utan)
 
 __all__ = [
     "U_MAX",
@@ -280,7 +280,7 @@ def _build_envelope_cached(n, z):
 
     ig_mu = 1.0 / np.sqrt(rho_l)
     log_mass_left = log_kappa_l + inverse_gaussian_log_cdf(x_c, ig_mu, n)
-    tail = sc.gammaincc(n, n * rho_r * x_c)
+    tail = gammaincc(n, n * rho_r * x_c)
     log_mass_right = (log_kappa_r + np.log(tail)) if tail > 0.0 else -np.inf
     log_total = np.logaddexp(log_mass_left, log_mass_right)
     left_fraction = float(np.exp(log_mass_left - log_total))
@@ -338,12 +338,12 @@ def sample_saddle_batch(n, z, size, rng, counters=None):
         counters)
 
     def accept(x):
-        log_u = np.log(rng.uniform(x.size))
-        return log_u + _log_envelope(env, x) <= _log_sp_vec(x, n, z)
+        xs = np.atleast_1d(x)  # a float is decided as a one-element array
+        ok = (np.log(rng.uniform(xs.size)) + _log_envelope(env, xs)
+              <= _log_sp_vec(xs, n, z))
+        return bool(ok[0]) if xs is not x else ok
 
-    x = n * _fill_by_rejection(1 if size is None else size, propose, accept,
-                               counters)
-    return float(x[0]) if size is None else x
+    return n * _fill_by_rejection(size, propose, accept, counters)
 
 
 def check_curvature_monotonicity(z):

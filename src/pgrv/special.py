@@ -1,20 +1,23 @@
-"""Numerically stable scalar special functions shared by every sampler.
+"""Numerically stable special functions shared by every sampler.
 
-All functions accept floats or numpy arrays and are pure; they are safe to
-call concurrently.  Log-gamma and normal log-CDF evaluations are backed
-by scipy.special.
+All functions are pure and safe to call concurrently.  ``utan`` and
+``log_cosh`` take numpy arrays too; the rest are float arithmetic on
+:mod:`math`, so that drawing loads no scipy.
 """
 
 import math
 
 import numpy as np
-from scipy import special as sc
+
+from .errors import ConvergenceError
 
 __all__ = [
     "utan",
     "log_cosh",
     "inverse_gaussian_log_cdf",
     "log_gamma_fn",
+    "log_ndtr",
+    "gammaincc",
     "UTAN_SINGULARITY",
 ]
 
@@ -26,6 +29,11 @@ UTAN_SINGULARITY = np.pi ** 2 / 4.0
 _UTAN_TAYLOR_CUT = 1e-6
 
 _LOG2 = np.log(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_EPS = 2.0 ** -52
+# Q(a, x) term cap: near x = a either expansion takes about sqrt(78 a) terms
+_GAMMAINCC_MAX_TERMS = 100_000
 
 
 def _logaddexp(a, b):
@@ -86,6 +94,19 @@ def log_cosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - _LOG2
 
 
+def log_ndtr(x):
+    """log Phi(x) of a float, by ``math.erfc`` down to -20 and below that
+    by ten terms of the asymptotic series in 1/x^2."""
+    if x > 0.0:  # Phi near 1
+        return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
+    series, r = 1.0, 1.0 / (x * x)
+    for k in range(19, 0, -2):  # Horner over (-1)^i (2i-1)!! x^{-2i}
+        series = 1.0 - k * r * series
+    return math.log(series) - 0.5 * x * x - math.log(-x) - 0.5 * _LOG_2PI
+
+
 def inverse_gaussian_log_cdf(x, mu, lam):
     """log of the inverse-Gaussian distribution function.
 
@@ -93,28 +114,58 @@ def inverse_gaussian_log_cdf(x, mu, lam):
         F(x) = Phi(sqrt(lam/x)(x/mu - 1)) + exp(2 lam/mu) Phi(-sqrt(lam/x)(x/mu + 1))
     with both terms combined in log space, so large lam/mu does not
     overflow.  ``mu=inf`` is accepted and gives the zero-drift limit
-    2 Phi(-sqrt(lam/x)).  Float arguments cost float arithmetic (with
-    the bits of the array path) and give a float; arrays broadcast.
+    2 Phi(-sqrt(lam/x)); other non-positive, infinite or NaN arguments
+    raise ValueError.  Arrays broadcast, element by element on floats.
     """
-    bad = (x <= 0.0) | (mu <= 0.0) | (lam <= 0.0)
-    floats = type(bad) is bool
-    if bad if floats else bad.any():
+    if np.ndarray in (type(x), type(mu), type(lam)):
+        return np.vectorize(inverse_gaussian_log_cdf, otypes=[float])(
+            x, mu, lam)
+    x, mu, lam = float(x), float(mu), float(lam)
+    if not (0.0 < x < math.inf and mu > 0.0 and 0.0 < lam < math.inf):
         raise ValueError("inverse_gaussian_log_cdf: arguments must be positive")
     # x/mu and 2 lam/mu are exactly 0 at mu=inf: the zero-drift limit
-    rt = math.sqrt(lam / x) if floats else np.sqrt(lam / x)
+    rt = math.sqrt(lam / x)
     ratio = x / mu
-    a = sc.log_ndtr(rt * (ratio - 1.0))
-    b = 2.0 * lam / mu + sc.log_ndtr(-rt * (ratio + 1.0))
-    if floats:
-        return _logaddexp(float(a), float(b))
-    out = np.logaddexp(a, b)
-    return float(out) if out.ndim == 0 else out
+    return _logaddexp(log_ndtr(rt * (ratio - 1.0)),
+                      2.0 * lam / mu + log_ndtr(-rt * (ratio + 1.0)))
 
 
 def log_gamma_fn(x):
-    """log Gamma(x) for x > 0."""
-    bad = x <= 0.0
-    if bad if type(bad) is bool else bad.any():
+    """log Gamma(x) of a float x > 0, by ``math.lgamma``."""
+    if not x > 0.0:  # NaN fails too
         raise ValueError("log_gamma_fn: argument must be positive")
-    out = sc.gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    return math.lgamma(x)
+
+
+def gammaincc(a, x):
+    """Regularised upper incomplete gamma Q(a, x) of finite a > 0, x >= 0:
+    e^-x at a = 1, erfc(sqrt x) at a = 1/2, else x^a e^-x/Gamma(a) times the
+    series of P = 1 - Q below x = a + 1 (x = 5 too at a >= 1), else
+    Legendre's continued fraction.  Within 1e-12 relative of scipy's
+    gammaincc for 1 <= a <= 170, 3e-11 up to a = 1e4, where Q > 1e-250 (the
+    prefactor's log cancels near x = a); ConvergenceError past the term cap."""
+    a, x = float(a), float(x)
+    if not (0.0 < a < math.inf and 0.0 <= x < math.inf):  # NaN fails too
+        raise ValueError("gammaincc: requires finite a > 0 and x >= 0")
+    if a == 1.0 or a == 0.5:
+        return math.exp(-x) if a == 1.0 else math.erfc(math.sqrt(x))
+    front = math.exp(a * math.log(x) - x - math.lgamma(a)) if x else 0.0
+    # cheaper terms win below x = 5 at a <= 4; there Q > e^-5 for a >= 1
+    if x < a + 1.0 or (a >= 1.0 and x < 5.0):
+        term = total = 1.0 / a
+        for n in range(1, _GAMMAINCC_MAX_TERMS):
+            term *= x / (a + n)
+            total += term
+            if term <= total * _EPS:
+                return 1.0 - front * total
+    else:
+        b, c = x + 1.0 - a, 1e300
+        cf = d = 1.0 / b
+        for n in range(1, _GAMMAINCC_MAX_TERMS):
+            an, b = n * (a - n), b + 2.0
+            d = 1.0 / ((an * d + b) or 1e-300)
+            c = (b + an / c) or 1e-300
+            cf *= d * c
+            if abs(d * c - 1.0) < _EPS:
+                return front * cf
+    raise ConvergenceError(f"gammaincc({a!r}, {x!r}) did not converge")

@@ -1,6 +1,8 @@
 """Real-shape sampler: cross-agreement with the unit-shape sampler,
 moments, acceptance rates, and the shape decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as spstats
@@ -15,10 +17,14 @@ from pgrv.alternate import (
 )
 from pgrv.density import (
     JStarParams,
+    _log_kernel_ell_unit,
+    _log_kernel_r_unit,
     build_mixture,
+    coef_ratio,
     density,
     jstar_mean,
     jstar_var,
+    tilt_rate,
     trunc_lookup,
 )
 from pgrv.devroye import sample_jstar1_batch
@@ -140,6 +146,32 @@ def test_series_decides_where_a0_underflows(h):
         x, RngStream(0), _RatioCoefficients(h, trunc_lookup(h)), counters)
     assert accept.tolist() == [True]
     assert counters["series_terms_max"] == 1
+
+
+@pytest.mark.parametrize("h", [1.0, 1.7, 2.5, 4.0])
+def test_policy_keeps_the_bits_of_the_full_expressions(h):
+    # the policy's cached x-free constants keep the bits of the full
+    # kernel and coef_ratio expressions, in its bound and its steps
+    t = trunc_lookup(h)
+    policy = _RatioCoefficients(h, t)
+    x = np.concatenate([np.geomspace(0.01, 50.0, 200),
+                        np.nextafter(t, [0.0, 1.0]), [t]])
+    log2, log_2pi = float(np.log(2.0)), float(np.log(2.0 * np.pi))
+    log_a0 = (h * log2 + np.log(h) - 0.5 * log_2pi
+              - 1.5 * np.log(x) - h * h / (2.0 * x))
+    log_r = (h * float(np.log(np.pi / 2.0)) - math.lgamma(h)
+             + (h - 1.0) * np.log(x) - tilt_rate(0.0) * x)
+    assert np.array_equal(_log_kernel_ell_unit(x, h), log_a0)
+    assert np.array_equal(_log_kernel_r_unit(x, h, tilt_rate(0.0)), log_r)
+    want = np.exp(np.where(x < t, log_a0, log_r) - log_a0)
+    assert np.array_equal(policy.bound(x), want)
+    assert [policy.bound(v) for v in x.tolist()] == want.tolist()
+    for n in range(1, 40):
+        r = coef_ratio(n - 1, x, h)
+        a, decreasing = policy.step(n, x, 1.0)
+        assert np.array_equal(a, r) and np.array_equal(decreasing, r < 1.0)
+        assert [policy.step(n, v, 1.0)[0] for v in x[::20].tolist()] == (
+            r[::20].tolist())
 
 
 def test_proposal_support_respects_paste_point():

@@ -636,6 +636,15 @@ class TestMixtureWeights:
         with pytest.raises(ValueError):
             build_mixture(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("trunc,h,z", [
+        (math.nan, 1.0, 0.5), (math.inf, 1.0, 0.5), (0.64, math.nan, 0.5),
+        (0.64, math.inf, 0.5), (0.64, 0.0, 0.5), (0.64, 1.0, math.nan),
+        (0.64, 1.0, math.inf), (0.64, 1.0, -math.inf)])
+    def test_non_finite_inputs_rejected(self, trunc, h, z):
+        # each of these used to give a NaN mixture without an error
+        with pytest.raises(ValueError):
+            build_mixture(trunc, h, z)
+
     def test_left_fraction_stored_bit_for_bit(self):
         # stored once, computed on floats, it equals numpy's formula bit
         # for bit; the grid reaches log_q = -inf (the right tail mass

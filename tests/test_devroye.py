@@ -223,6 +223,34 @@ def test_one_candidate_series_cap():
             _series_decide(cand, RngStream(5), _NeverDecreasing())
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_one_pending_slot_runs_on_floats(size):
+    # a round with one slot left proposes with k=None, and accept gets a
+    # float; values of at least 2 are kept
+    draws = iter([0.5, 2.5, 3.5, 1.5, 4.5] if size == 3 else [0.5, 2.5])
+    seen = []
+
+    def propose(k):
+        seen.append(k)
+        return next(draws) if k is None else np.array(
+            [next(draws) for _ in range(k)])
+
+    def accept(x):
+        seen.append(type(x))
+        return x >= 2.0
+
+    counters = {}
+    out = _fill_by_rejection(size, propose, accept, counters)
+    one_round = [None, float]
+    if size == 1:
+        assert seen == one_round * 2 and out.tolist() == [2.5]
+        assert counters == {"proposals": 2, "accepted": 1}
+    else:
+        assert seen == [3, np.ndarray] + one_round * 2
+        assert out.tolist() == [4.5, 2.5, 3.5]
+        assert counters == {"proposals": 5, "accepted": 3}
+
+
 def test_one_candidate_round_caps(monkeypatch):
     with pytest.raises(IterationCapError):
         _fill_by_rejection(None, lambda k: 1.0, lambda x: False, max_rounds=3)

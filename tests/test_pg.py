@@ -334,8 +334,8 @@ class TestSampling:
 
     def test_no_route_loads_a_root_finder(self):
         # a fresh interpreter draws on every route without loading
-        # scipy.optimize, and ``pgrv sample`` leaves scipy.stats to the
-        # KS suite
+        # scipy.optimize or scipy.special, and ``pgrv sample`` leaves
+        # scipy.stats to the KS suite
         proc = subprocess.run(
             [sys.executable, "-c", "import os, sys, pgrv\n"
              "from pgrv.cli import main\n"
@@ -344,13 +344,15 @@ class TestSampling:
              "    p = pgrv.PgParams(b, 0.3)\n"
              "    pgrv.sample_pg(p, rng) if n is None else "
              "pgrv.sample_pg_batch(p, rng, n)\n"
-             "print('scipy.optimize' in sys.modules)\n"
+             "print('scipy.optimize' in sys.modules, "
+             "'scipy.special' in sys.modules)\n"
              "main(['sample', '--b', '2.5', '--z', '1', '--n', '5', "
              "'--out', os.devnull])\n"
              "print('scipy.optimize' in sys.modules, "
+             "'scipy.special' in sys.modules, "
              "'scipy.stats' in sys.modules)"],
             capture_output=True, text=True)
-        assert proc.stdout == "False\nFalse False\n", proc.stderr
+        assert proc.stdout == "False False\nFalse False False\n", proc.stderr
 
 
 class TestNormalApprox:

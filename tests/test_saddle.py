@@ -386,6 +386,18 @@ class TestSampler:
         v = sample_saddle_batch(20.0, 0.5, 1, RngStream(33))
         assert v.shape == (1,) and v[0] > 0
 
+    def test_one_draw_matches_batch_of_one(self):
+        # both decide a float candidate, as a one-element array; same
+        # bits, and the same stream state afterwards
+        for seed in range(20):
+            results = []
+            for size in (None, 1):
+                rng = RngStream(seed)
+                x = sample_saddle_batch(20.0, 0.5, size, rng)
+                x = float(x if size is None else x[0])
+                results.append((x.hex(), rng.uniform()))
+            assert results[0] == results[1]
+
     def test_acceptance_rate_reasonable(self):
         counters = {}
         sample_saddle_batch(32.0, 0.5, 20_000, RngStream(34),

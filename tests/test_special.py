@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 from scipy.integrate import quad
 
+from pgrv import special
+from pgrv.errors import ConvergenceError
 from pgrv.special import (
     UTAN_SINGULARITY,
     _logaddexp,
+    gammaincc,
     inverse_gaussian_log_cdf,
     log_cosh,
     log_gamma_fn,
+    log_ndtr,
     utan,
 )
 
@@ -129,7 +134,10 @@ class TestInverseGaussianCdf:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_domain_errors(self):
-        for bad in [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)]:
+        for bad in [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0),
+                    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+                    (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                    (1.0, 1.0, math.inf)]:
             with pytest.raises(ValueError):
                 inverse_gaussian_log_cdf(*bad)
             with pytest.raises(ValueError):
@@ -191,7 +199,78 @@ class TestLogGammaFn:
         assert log_gamma_fn(10.0) == pytest.approx(math.log(fact), rel=1e-13)
 
     def test_domain_error(self):
+        for bad in (0.0, -3.0, math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                log_gamma_fn(bad)
+
+    def test_is_math_lgamma(self):
+        for x in np.geomspace(1e-4, 1e4, 200).tolist() + [math.inf]:
+            assert log_gamma_fn(x) == math.lgamma(x)
+
+
+class TestLogNdtr:
+    def test_matches_scipy(self):
+        # both branch cuts (-20, 0) and both ends of the range
+        xs = np.concatenate([
+            -np.geomspace(1e-8, 1e8, 2000), np.linspace(-40.0, 37.0, 5001),
+            np.geomspace(1e-8, 37.0, 500),
+            np.nextafter([-20.0, -20.0, 0.0, 0.0], [-21.0, 0.0, -1.0, 1.0])])
+        for x in xs.tolist():
+            want = sc.log_ndtr(x)
+            assert log_ndtr(x) == pytest.approx(want, rel=1e-12, abs=0), x
+
+    def test_values(self):
+        assert log_ndtr(0.0) == -math.log(2.0)
+        assert log_ndtr(40.0) == 0.0
+        assert log_ndtr(-1e200) == -math.inf
+
+
+class TestGammaincc:
+    @staticmethod
+    def worst_rel_error(shapes, xs):
+        worst = 0.0
+        for a in shapes:
+            for x in xs:
+                want = float(sc.gammaincc(a, x))
+                if want > 1e-250:
+                    got = gammaincc(a, x)
+                    worst = max(worst, abs(got - want) / want)
+        return worst
+
+    def test_matches_scipy(self):
+        # both expansions, either side of their switch at x = a + 1 (and
+        # x = 5 for a >= 1), and the closed forms
+        shapes = ([0.5] + np.linspace(1.0, 4.0, 25).tolist()
+                  + np.geomspace(1.0, 170.0, 40).tolist())
+        xs = np.geomspace(1e-2, 1e5, 150).tolist()
+        assert self.worst_rel_error(shapes, xs) < 1e-12
+        for a in shapes:
+            near = np.nextafter([a + 1.0, 5.0], [[0.0], [np.inf]]).ravel()
+            near = near.tolist() + [0.9 * a, a, 1.1 * a, a + 1.0, 5.0]
+            assert self.worst_rel_error([a], near) < 1e-12, a
+
+    def test_large_shapes_stated_bound(self):
+        # the prefactor's log cancels near x = a: 3e-11 up to a = 1e4
+        shapes = np.geomspace(170.0, 1e4, 12).tolist()
+        xs = np.geomspace(1e-2, 1e5, 120).tolist()
+        assert self.worst_rel_error(shapes, xs) < 3e-11
+
+    def test_closed_forms_and_ends(self):
+        for x in (0.0, 0.3, 7.0, 800.0):
+            assert gammaincc(1.0, x) == math.exp(-x)
+            assert gammaincc(0.5, x) == math.erfc(math.sqrt(x))
+        assert gammaincc(2.5, 0.0) == 1.0
+        assert gammaincc(2.5, 1e5) == 0.0
+
+    @pytest.mark.parametrize("a,x", [
+        (math.nan, 1.0), (2.0, math.nan), (0.0, 1.0), (-1.0, 1.0),
+        (math.inf, 1.0), (2.0, -1.0), (2.0, math.inf)])
+    def test_bad_arguments(self, a, x):
         with pytest.raises(ValueError):
-            log_gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            log_gamma_fn(-3.0)
+            gammaincc(a, x)
+
+    @pytest.mark.parametrize("x", [1.5, 40.0])  # series, continued fraction
+    def test_term_cap(self, x, monkeypatch):
+        monkeypatch.setattr(special, "_GAMMAINCC_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError):
+            gammaincc(2.5, x)

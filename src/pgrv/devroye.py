@@ -21,7 +21,11 @@ between the uniform's upper bound and the partial sums.
 The decider runs the series on whole arrays of candidates, except for
 one float candidate and for arrays of at most ``_SHORT`` candidates,
 such as the pieces of one multi-piece draw: those are decided slot by
-slot on floats, with the same mask, stream use and counters.
+slot on floats, with the same mask, stream use and counters.  A draw
+that fills one candidate slot (``size=None``) runs in :func:`_sample_one`,
+one flat float loop that picks the side, draws the piece and decides it
+each round; under devroye's policy the float decider is
+:func:`_decide_unit`, with the steps inlined.
 """
 
 import numpy as np
@@ -29,6 +33,8 @@ import numpy as np
 from .density import DOMINATION_SLACK, SUM_ROUNDING, build_mixture
 from .errors import DominationViolationError, IterationCapError
 from .rng import (
+    MAX_PROPOSAL_ROUNDS,
+    _budget_error,
     _fill_by_rejection,
     _two_piece,
     sample_truncated_inverse_gaussian,
@@ -54,6 +60,10 @@ _X_FLOOR = 1e-12
 # k = 12 the array path wins under the devroye policy and at h = 1.5.
 _SHORT = 8
 
+# a_n/a_0 = (2n + 1) e^{-n(n+1) r(x)}: r = 2/x left of the paste point,
+# pi^2 x/2 right of it
+_HALF_PI_SQ = 0.5 * np.pi ** 2
+
 
 class _PastedCoefficients:
     """Devroye's coefficient policy for shape 1: the bound is a_0(x)
@@ -61,21 +71,23 @@ class _PastedCoefficients:
 
     Every coefficient is divided by a_0(x), so the bound is 1: a_0
     underflows below x = 6.7e-4, where large tilts put the proposals,
-    but a_n/a_0 = (2n + 1) e^{-n(n+1) r(x)} does not.
+    but a_n/a_0 = (2n + 1) e^{-n(n+1) r(x)} does not.  The samplers use
+    the one instance ``_PASTED``, which :func:`_decide_unit` decides on
+    floats without calling it.
     """
 
     exact_sum = None
     counter_keys = ("series_index_sum", "series_index_max")
 
     def bound(self, x):
-        return 1.0 if isinstance(x, float) else np.ones(x.shape)
+        return 1.0
 
     def step(self, n, x, a_prev):
-        if isinstance(x, float):
-            rate = 2.0 / x if x <= TRUNC_POINT else 0.5 * np.pi ** 2 * x
-        else:
-            rate = np.where(x <= TRUNC_POINT, 2.0 / x, 0.5 * np.pi ** 2 * x)
+        rate = np.where(x <= TRUNC_POINT, 2.0 / x, _HALF_PI_SQ * x)
         return (2.0 * n + 1.0) * np.exp(-n * (n + 1.0) * rate), True
+
+
+_PASTED = _PastedCoefficients()
 
 
 def _series_decide(x, rng, policy, counters=None):
@@ -178,6 +190,8 @@ def _decide_one(x, u, policy, counters):
     It takes the same decisions at the same n and raises the same errors
     as the array path does for that slot.
     """
+    if policy is _PASTED:
+        return _decide_unit(x, u, counters)
     bound = policy.bound(max(x, _X_FLOOR))
     u = u * bound
     if not (x > _X_FLOOR and bound > 0.0):
@@ -210,6 +224,25 @@ def _decide_one(x, u, policy, counters):
     raise _series_cap_error()
 
 
+def _decide_unit(x, u, counters):
+    """:func:`_decide_one` under ``_PASTED``, with its steps inlined: the
+    bound is 1, every step decreases and the rate does not depend on n."""
+    if not x > _X_FLOOR:
+        return False
+    rate = 2.0 / x if x <= TRUNC_POINT else _HALF_PI_SQ * x
+    s = 1.0
+    for n in range(1, _MAX_SERIES_TERMS + 1):
+        a = (2.0 * n + 1.0) * np.exp(-n * (n + 1.0) * rate)
+        s = s - a if n % 2 else s + a
+        # an odd sum accepts at u <= s, an even one rejects at u >= s; once
+        # the terms vanish the current sum decides
+        if (u <= s if n % 2 else u >= s) or a <= 1e-300:
+            if counters is not None:
+                _count_terms(counters, _PASTED, n, n)
+            return bool(u <= s if n % 2 else u < s)
+    raise _series_cap_error()
+
+
 def _decide_exactly(x, u, lim, policy):
     f = policy.exact_sum(x)
     if f > lim:
@@ -237,7 +270,7 @@ def _count_terms(counters, policy, term_sum, term_max, n_exact=0):
 
 def _sample_pasted(mix, policy, draw_right, size, rng, counters):
     """Exact J*(h, z) draws for the (h, z) of the mixture ``mix``;
-    ``size=None`` gives one float.
+    ``size=None`` gives one float, from :func:`_sample_one`.
 
     A proposal comes from the truncated IG(h/z, h^2) left piece with
     probability ``mix.left_fraction``, else from ``draw_right(m)``
@@ -245,6 +278,8 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters):
     piece at h = 1), and ``policy`` decides it.
     """
     mu = np.inf if mix.z == 0.0 else mix.h / mix.z
+    if size is None:
+        return _sample_one(mix, mu, policy, draw_right, rng, counters)
     if draw_right is None:
         def draw_right(m):
             return mix.trunc + rng.exponential(m) / mix.lam_z
@@ -255,7 +290,32 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters):
         draw_right, counters)
     return _fill_by_rejection(
         size, propose, lambda x: _series_decide(x, rng, policy, counters),
-        counters)
+        counters, MAX_PROPOSAL_ROUNDS)
+
+
+def _sample_one(mix, mu, policy, draw_right, rng, counters):
+    """One draw of :func:`_sample_pasted` as a flat float loop: the rounds
+    that _fill_by_rejection, _two_piece and _series_decide run for one
+    slot, with their stream use, counters and round budget."""
+    for _ in range(MAX_PROPOSAL_ROUNDS):
+        left = rng.uniform() < mix.left_fraction
+        if counters is not None:
+            counters["proposals"] = counters.get("proposals", 0) + 1
+            counters["left_proposals"] = (counters.get("left_proposals", 0)
+                                          + left)
+        if left:
+            x = sample_truncated_inverse_gaussian(mu, mix.h * mix.h,
+                                                  mix.trunc, rng)
+        elif draw_right is None:
+            x = mix.trunc + rng.exponential() / mix.lam_z
+        else:
+            x = draw_right(None)
+        ok = bool(_decide_one(x, rng.uniform(), policy, counters))
+        if counters is not None:
+            counters["accepted"] = counters.get("accepted", 0) + ok
+        if ok:
+            return x
+    raise _budget_error(MAX_PROPOSAL_ROUNDS)
 
 
 def _sum_pieces(m, size, draw):
@@ -270,8 +330,8 @@ def _sum_pieces(m, size, draw):
 def sample_jstar1_batch(z, size, rng, counters=None):
     """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
     float."""
-    return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z),
-                          _PastedCoefficients(), None, size, rng, counters)
+    return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z), _PASTED, None,
+                          size, rng, counters)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):

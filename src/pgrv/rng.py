@@ -10,16 +10,17 @@ derive independent substreams with :meth:`RngStream.spawn` instead.
 truncated inverse-Gaussian and gamma draws (the gamma by Dagpunar's 1978
 rejection) differ only in the proposal and the accept test they hand it.  A
 batch runs its rounds on arrays, and the first round's candidates become the
-output without a copy.  One draw per call, as in a Gibbs sweep where every
-tilt differs, takes the one-candidate path: ``size=None`` (the convention of
-the :class:`RngStream` draws) runs every round on Python floats, through the
-same proposals and accept tests, each of which has a float branch; so does
-any round with one slot left.  A multi-piece draw (the alternate sampler at
-b > 4) fills a short array of J* candidates, one per piece: its rounds run
-on arrays, but the series decider takes an array that short slot by slot.
-All paths consume the stream identically and give bit-identical draws; the
-float branches use numpy's ``exp``/``log``, whose results can differ from
-:mod:`math` in the last ulp.
+output without a copy.  A round with one slot left runs on Python floats,
+through the float branches of the same proposals and accept tests.  One
+draw per call, as in a Gibbs sweep where every tilt differs, is ``size=None``
+(the convention of the :class:`RngStream` draws): the truncated draws then
+run their rounds as a straight float loop, without the engine, and the J*
+samplers run theirs in :func:`pgrv.devroye._sample_one`.  A multi-piece draw
+(the alternate sampler at b > 4) fills a short array of J* candidates, one
+per piece: its rounds run on arrays, but the series decider takes an array
+that short slot by slot.  All paths consume the stream identically and give
+bit-identical draws; the float code uses numpy's ``exp``/``log``, whose
+results can differ from :mod:`math` in the last ulp.
 """
 
 import math
@@ -140,9 +141,12 @@ def _fill_by_rejection(size, propose, accept, counters=None,
             pending = pending[~ok]
         if k > 1 and not pending.size:
             return out
-    raise IterationCapError(
-        f"rejection sampler exhausted its budget of {max_rounds} rounds"
-    )
+    raise _budget_error(max_rounds)
+
+
+def _budget_error(max_rounds):
+    return IterationCapError(
+        f"rejection sampler exhausted its budget of {max_rounds} rounds")
 
 
 def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
@@ -198,6 +202,24 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
     mu, right = mu / lam, right / lam
     # exactly 0 at mu=inf: no drift to thin with
     inv_two_musq = 0.5 / (mu * mu)
+    if size is None:
+        # the rounds of the kernels below on floats; a candidate the
+        # kernel rejects still draws its thinning uniform
+        for _ in range(MAX_REJECTION_ROUNDS):
+            if mu <= right:
+                x = rng.wald(mu, 1.0)
+                if x < right:
+                    return lam * x
+                continue
+            e1 = rng.exponential()
+            ok = e1 * e1 <= 2.0 * rng.exponential() / right
+            d = 1.0 + right * e1
+            x = right / (d * d)
+            if inv_two_musq > 0.0:
+                ok = rng.uniform() <= np.exp(-x * inv_two_musq) and ok
+            if ok:
+                return lam * x
+        raise _budget_error(MAX_REJECTION_ROUNDS)
 
     def propose_kernel(k):
         e1 = rng.exponential(k)
@@ -240,12 +262,26 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
     if not all(0.0 < v < math.inf for v in (shape, rate, left)):
         raise ValueError("sample_truncated_gamma: inputs must be finite, > 0")
     a, c = float(shape), rate * left
-    if c <= (a - 1.0 if a >= 1.0 else a * (1.0 - a)):
-        propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
-    else:
+    below_mode = c <= (a - 1.0 if a >= 1.0 else a * (1.0 - a))
+    if not below_mode:
         peak = 0.5 * (c + a + math.sqrt((c - a) ** 2 + 4 * c)) if a > 1 else c
         slope = max(a - 1.0, 0.0) / peak  # 1 - beta, without cancelling
-
+    if size is None:
+        # the rounds of propose and accept below, on floats
+        for _ in range(MAX_REJECTION_ROUNDS):
+            if below_mode:
+                y = rng.gamma(a)
+                if y > c:
+                    return y / rate
+            else:
+                y = c + rng.exponential() / (1.0 - slope)
+                if np.log(rng.uniform()) <= ((a - 1.0) * np.log(y / peak)
+                                             - slope * (y - peak)):
+                    return y / rate
+        raise _budget_error(MAX_REJECTION_ROUNDS)
+    if below_mode:
+        propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
+    else:
         def propose(k):
             return c + rng.exponential(k) / (1.0 - slope)
 

@@ -327,6 +327,31 @@ class TestTruncatedGamma:
                 results.append((x.hex(), rng.uniform()))
             assert results[0] == results[1]
 
+    @pytest.mark.parametrize("shape,left", [(2.5, 1.4), (2.5, 3.0)])
+    def test_one_draw_budget_matches_batch_of_one(self, shape, left,
+                                                  monkeypatch):
+        # a one-round budget, below the mode (Gamma proposals) and above
+        # it (shifted exponential): size=None raises where size=1 does,
+        # with the same message, and otherwise draws the same bits
+        monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 1)
+        outcomes = set()
+        for seed in range(60):
+            results = []
+            for size in (None, 1):
+                rng = RngStream(seed)
+                try:
+                    x = sample_truncated_gamma(shape, 1.0, left, rng,
+                                               size=size)
+                    x = float(x if size is None else x[0]).hex()
+                except IterationCapError as exc:
+                    x = str(exc)
+                results.append((x, rng.uniform()))
+            assert results[0] == results[1]
+            outcomes.add(results[0][0])
+        assert ("rejection sampler exhausted its budget of 1 rounds"
+                in outcomes)
+        assert len(outcomes) > 1
+
     @pytest.mark.parametrize("shape,rate,left", [
         (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan),
         (np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),

@@ -1,8 +1,12 @@
 """Unit-shape sampler: exactness against the gamma-convolution oracle,
 moments, proposal dominance, and acceptance-loop behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from pgrv.density import (
@@ -12,11 +16,14 @@ from pgrv.density import (
     jstar_var,
     trunc_lookup,
 )
-from pgrv import devroye
+from pgrv import alternate, devroye
 from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import (
     TRUNC_POINT,
+    _PASTED,
     _PastedCoefficients,
+    _decide_unit,
+    _sample_pasted,
     _series_decide,
     sample_jstar1_batch,
     sample_jstar_int_batch,
@@ -25,6 +32,7 @@ from pgrv.errors import DominationViolationError, IterationCapError
 from pgrv.rng import (
     RngStream,
     _fill_by_rejection,
+    sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
 
@@ -336,3 +344,88 @@ def test_short_and_long_arrays_check_domination(k):
 def test_short_and_long_arrays_series_cap(k):
     with pytest.raises(IterationCapError):
         _series_decide(np.full(k, 0.5), RngStream(5), _NeverDecreasing())
+
+
+# -- the one-candidate loop: a size=None J* draw runs devroye._sample_one,
+# a flat float loop that must replay the rounds of a size-1 array call
+
+# PG tilts, log-uniform over [1e-4, 1e5], and 0; the J* tilt is half of it
+_PG_TILTS = st.one_of(st.just(0.0),
+                      st.floats(-4.0, 5.0).map(lambda e: 10.0 ** e))
+
+
+def _jstar_draw(route, h, z, size, seed):
+    rng, counters = RngStream(seed), {}
+    if route == "devroye":
+        x = sample_jstar1_batch(z / 2.0, size, rng, counters=counters)
+    else:
+        x = alternate.sample_jstar_alt_batch(h, z / 2.0, size, rng,
+                                             counters=counters)
+    x = float(x if size is None else x[0])
+    return x.hex(), counters, rng.uniform()
+
+
+@settings(max_examples=300, deadline=None)
+@given(route=st.sampled_from(["devroye", "alternate"]),
+       h=st.floats(1.0, 4.0), z=_PG_TILTS, seed=st.integers(0, 2 ** 32 - 1))
+# at h = 1 the left piece switches to Wald draws at PG z = pi
+@example(route="devroye", h=1.0, z=math.pi * (1.0 - 1e-12), seed=1)
+@example(route="devroye", h=1.0, z=math.pi * (1.0 + 1e-12), seed=1)
+@example(route="alternate", h=1.0, z=math.pi * (1.0 + 1e-12), seed=1)
+@example(route="alternate", h=4.0, z=1e5, seed=2)
+@example(route="alternate", h=2.5, z=0.0, seed=3)
+def test_one_candidate_draw_matches_size_one(route, h, z, seed):
+    # devroye draws J*(1, z) whatever h is; the alternate sampler J*(h, z)
+    want = _jstar_draw(route, h, z, 1, seed)
+    assert _jstar_draw(route, h, z, None, seed) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.one_of(
+    st.floats(0.0, 2e-12),                       # about _X_FLOOR
+    st.floats(0.55, 0.75),                       # about TRUNC_POINT
+    st.floats(1e-4, 20.0),
+    st.sampled_from([devroye._X_FLOOR, TRUNC_POINT])),
+    min_size=devroye._SHORT + 1, max_size=40),
+    seed=st.integers(0, 2 ** 32 - 1))
+def test_unit_decider_matches_array_path(x, seed):
+    # more than _SHORT candidates take the array path with the array
+    # policy steps; _decide_unit gets each slot's uniform in turn
+    x = np.array(x)
+    want_counters, got_counters = {}, {}
+    want = _series_decide(x, RngStream(seed), _PASTED, want_counters)
+    u = RngStream(seed).uniform(x.size)
+    got = [_decide_unit(xi, ui, got_counters)
+           for xi, ui in zip(x.tolist(), u.tolist())]
+    assert want.tolist() == got
+    assert want_counters == got_counters
+
+
+class _Rejecting(_RatioCoefficients):
+    """Ratio policy with a zero bound: every candidate is rejected."""
+
+    def bound(self, x):
+        return 0.0 * super().bound(x)
+
+
+@pytest.mark.parametrize("h", [1.0, 2.5])
+def test_one_candidate_loop_budget(h, monkeypatch):
+    # the loop reads devroye.MAX_PROPOSAL_ROUNDS when it runs, as the
+    # array path does, and fills the counters a size-1 call fills
+    monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 5)
+    mix = build_mixture(trunc_lookup(h), h, 0.7)
+    results = []
+    for size in (None, 1):
+        rng, counters = RngStream(8), {}
+        draw_right = None if h == 1.0 else (
+            lambda k: sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng,
+                                             size=k))
+        with pytest.raises(IterationCapError, match="budget of 5 rounds$"):
+            _sample_pasted(mix, _Rejecting(h, mix.trunc), draw_right, size,
+                           rng, counters)
+        results.append((counters, rng.uniform()))
+    assert results[0] == results[1]
+    counters = results[0][0]
+    assert counters["proposals"] == 5 and counters["accepted"] == 0
+    assert set(counters) == {"proposals", "left_proposals", "accepted"}
+

@@ -111,8 +111,9 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     ``size=None`` gives one float.
 
     Shapes above 4 are drawn as a sum of m = ceil(h/4) independent
-    equal-shape pieces, all m*k of them from one mixture in one run of
-    the skeleton; equal pieces keep the worst per-piece acceptance
+    equal-shape pieces, all from one mixture: one draw (``size`` None or
+    1) sums them in the skeleton's float loop, a batch draws all m*k in
+    one run of it.  Equal pieces keep the worst per-piece acceptance
     constant as small as possible.
     """
     h = float(h)
@@ -123,8 +124,5 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     policy = _RatioCoefficients(piece, mix.trunc)
     draw_right = None if piece == 1.0 else (lambda k: sample_truncated_gamma(
         piece, mix.lam_z, mix.trunc, rng, size=k))
-    if m == 1:
-        return devroye._sample_pasted(mix, policy, draw_right, size, rng,
-                                      counters)
-    return devroye._sum_pieces(m, size, lambda k: devroye._sample_pasted(
-        mix, policy, draw_right, k, rng, counters))
+    return devroye._sample_pasted(mix, policy, draw_right, size, rng,
+                                  counters, m)

@@ -1,6 +1,6 @@
 """Exact J*(1, z) sampler, integer-shape J*(n, z) by summation, and the
 path both exact J* samplers share: one skeleton, the alternating-series
-decider it runs, and one sum of pieces for multi-piece shapes.
+decider it runs, and the sums of pieces for multi-piece shapes.
 
 The unit-shape density has two alternating-series representations whose
 coefficients decrease on overlapping intervals; pasting them at
@@ -20,12 +20,13 @@ between the uniform's upper bound and the partial sums.
 
 The decider runs the series on whole arrays of candidates, except for
 one float candidate and for arrays of at most ``_SHORT`` candidates,
-such as the pieces of one multi-piece draw: those are decided slot by
-slot on floats, with the same mask, stream use and counters.  A draw
-that fills one candidate slot (``size=None``) runs in :func:`_sample_one`,
-one flat float loop that picks the side, draws the piece and decides it
-each round; under devroye's policy the float decider is
-:func:`_decide_unit`, with the steps inlined.
+such as the last pending slots of a batch: those are decided slot by
+slot on floats, with the same mask, stream use and counters.  One draw
+(``size`` None or 1) runs in :func:`_sample_one`, one flat float loop
+that picks the side, draws the piece and decides it each round, and
+sums its pieces one after another; under devroye's policy the float
+decider is :func:`_decide_unit`, with the steps inlined.  Only a batch
+of multi-piece draws goes through :func:`_sum_pieces`.
 """
 
 import numpy as np
@@ -268,18 +269,23 @@ def _count_terms(counters, policy, term_sum, term_max, n_exact=0):
         counters[key] = counters.get(key, 0) + n_exact
 
 
-def _sample_pasted(mix, policy, draw_right, size, rng, counters):
-    """Exact J*(h, z) draws for the (h, z) of the mixture ``mix``;
-    ``size=None`` gives one float, from :func:`_sample_one`.
+def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
+    """Exact J*(h, z) draws for the (h, z) of the mixture ``mix``, each
+    the sum of ``pieces`` candidates; ``size=None`` gives one float.
 
     A proposal comes from the truncated IG(h/z, h^2) left piece with
     probability ``mix.left_fraction``, else from ``draw_right(m)``
     (``None``: the exponential tail right of ``mix.trunc``, the gamma
-    piece at h = 1), and ``policy`` decides it.
+    piece at h = 1), and ``policy`` decides it.  One draw (``size`` None
+    or 1) runs :func:`_sample_one`, a batch of sums :func:`_sum_pieces`.
     """
     mu = np.inf if mix.z == 0.0 else mix.h / mix.z
-    if size is None:
-        return _sample_one(mix, mu, policy, draw_right, rng, counters)
+    if size is None or size == 1:
+        x = _sample_one(mix, mu, policy, draw_right, rng, counters, pieces)
+        return x if size is None else np.array([x])
+    if pieces > 1:
+        return _sum_pieces(pieces, size, lambda k: _sample_pasted(
+            mix, policy, draw_right, k, rng, counters))
     if draw_right is None:
         def draw_right(m):
             return mix.trunc + rng.exponential(m) / mix.lam_z
@@ -293,45 +299,48 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters):
         counters, MAX_PROPOSAL_ROUNDS)
 
 
-def _sample_one(mix, mu, policy, draw_right, rng, counters):
-    """One draw of :func:`_sample_pasted` as a flat float loop: the rounds
-    that _fill_by_rejection, _two_piece and _series_decide run for one
-    slot, with their stream use, counters and round budget."""
-    for _ in range(MAX_PROPOSAL_ROUNDS):
-        left = rng.uniform() < mix.left_fraction
-        if counters is not None:
-            counters["proposals"] = counters.get("proposals", 0) + 1
-            counters["left_proposals"] = (counters.get("left_proposals", 0)
-                                          + left)
-        if left:
-            x = sample_truncated_inverse_gaussian(mu, mix.h * mix.h,
-                                                  mix.trunc, rng)
-        elif draw_right is None:
-            x = mix.trunc + rng.exponential() / mix.lam_z
+def _sample_one(mix, mu, policy, draw_right, rng, counters, pieces):
+    """One draw of :func:`_sample_pasted` as a flat float loop: the sum of
+    ``pieces`` accepted candidates, each found in the rounds that
+    _fill_by_rejection, _two_piece and _series_decide run for one slot,
+    with their stream use, counters and its own round budget."""
+    total = 0.0
+    for _ in range(pieces):
+        for _ in range(MAX_PROPOSAL_ROUNDS):
+            left = rng.uniform() < mix.left_fraction
+            if counters is not None:
+                counters["proposals"] = counters.get("proposals", 0) + 1
+                counters["left_proposals"] = (
+                    counters.get("left_proposals", 0) + left)
+            if left:
+                x = sample_truncated_inverse_gaussian(mu, mix.h * mix.h,
+                                                      mix.trunc, rng)
+            elif draw_right is None:
+                x = mix.trunc + rng.exponential() / mix.lam_z
+            else:
+                x = draw_right(None)
+            ok = bool(_decide_one(x, rng.uniform(), policy, counters))
+            if counters is not None:
+                counters["accepted"] = counters.get("accepted", 0) + ok
+            if ok:
+                break
         else:
-            x = draw_right(None)
-        ok = bool(_decide_one(x, rng.uniform(), policy, counters))
-        if counters is not None:
-            counters["accepted"] = counters.get("accepted", 0) + ok
-        if ok:
-            return x
-    raise _budget_error(MAX_PROPOSAL_ROUNDS)
+            raise _budget_error(MAX_PROPOSAL_ROUNDS)
+        total += x
+    return total
 
 
 def _sum_pieces(m, size, draw):
-    """Sums of ``m`` >= 2 independent pieces each, ``draw(k)`` giving an
-    array of k pieces; ``size=None`` gives one float.  A single piece
-    goes to its sampler directly."""
-    k = 1 if size is None else int(size)
-    sums = draw(m * k).reshape(k, m).sum(axis=1)
-    return float(sums[0]) if size is None else sums
+    """A batch of ``size`` sums of ``m`` >= 2 independent pieces each,
+    ``draw(k)`` giving an array of k pieces."""
+    return draw(m * size).reshape(size, m).sum(axis=1)
 
 
-def sample_jstar1_batch(z, size, rng, counters=None):
-    """Fill an array with exact J*(1, z) draws; ``size=None`` gives one
-    float."""
+def sample_jstar1_batch(z, size, rng, counters=None, pieces=1):
+    """Fill an array with exact J*(1, z) draws, or with sums of ``pieces``
+    of them; ``size=None`` gives one float."""
     return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z), _PASTED, None,
-                          size, rng, counters)
+                          size, rng, counters, pieces)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):
@@ -340,7 +349,4 @@ def sample_jstar_int_batch(n, z, size, rng, counters=None):
     n = int(n)
     if n < 1:
         raise ValueError("sample_jstar_int_batch: n must be an integer >= 1")
-    if n == 1:
-        return sample_jstar1_batch(z, size, rng, counters=counters)
-    return _sum_pieces(n, size, lambda k: sample_jstar1_batch(
-        z, k, rng, counters=counters))
+    return sample_jstar1_batch(z, size, rng, counters=counters, pieces=n)

@@ -121,6 +121,11 @@ def choose_method(b, size=None):
         raise ValueError("choose_method: b must be positive and finite")
     if size is not None:
         size = _batch_size(size, "choose_method")
+    return _route(b, size)
+
+
+def _route(b, size):
+    # choose_method for a checked float shape and int (or None) size
     if b < 1.0:
         return Method.GAMMA_SUM
     if b == int(b) and b <= DEVROYE_MAX:
@@ -143,7 +148,7 @@ def _validate_method(method, b):
 
 def _resolve_method(method, b, size):
     if method is None or method == "auto":
-        return choose_method(b, size)
+        return _route(b, size)
     method = Method(method)
     _validate_method(method, b)
     return method
@@ -196,9 +201,9 @@ def sample_pg(params, rng, method="auto"):
     The hybrid rule sees a batch of one, so it never picks the
     saddlepoint route.  ``method`` overrides the rule; invalid
     method/shape pairings (e.g. devroye with a non-integer shape) raise
-    ValueError.  Where the draw fills one J* candidate (devroye at b = 1,
-    the alternate sampler at b <= 4) it runs on floats end to end, with
-    the draws and stream state of a batch of one.
+    ValueError.  On the exact routes (devroye, alternate) the draw runs
+    on floats end to end, its J* pieces one after another, with the
+    draws and stream state of a batch of one.
     """
     m = _resolve_method(method, params.b, 1)
     return float(_draw(m, params, rng, None))

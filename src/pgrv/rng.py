@@ -15,12 +15,11 @@ through the float branches of the same proposals and accept tests.  One
 draw per call, as in a Gibbs sweep where every tilt differs, is ``size=None``
 (the convention of the :class:`RngStream` draws): the truncated draws then
 run their rounds as a straight float loop, without the engine, and the J*
-samplers run theirs in :func:`pgrv.devroye._sample_one`.  A multi-piece draw
-(the alternate sampler at b > 4) fills a short array of J* candidates, one
-per piece: its rounds run on arrays, but the series decider takes an array
-that short slot by slot.  All paths consume the stream identically and give
-bit-identical draws; the float code uses numpy's ``exp``/``log``, whose
-results can differ from :mod:`math` in the last ulp.
+samplers run theirs in :func:`pgrv.devroye._sample_one`, one piece after
+another for a multi-piece draw (devroye at b >= 2, the alternate sampler at
+b > 4).  The engine's float rounds and the straight loops consume the stream
+identically and give bit-identical draws; the float code uses numpy's
+``exp``/``log``, whose results can differ from :mod:`math` in the last ulp.
 """
 
 import math

@@ -32,6 +32,7 @@ from pgrv.errors import DominationViolationError, IterationCapError
 from pgrv.rng import (
     RngStream,
     _fill_by_rejection,
+    _two_piece,
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
@@ -346,17 +347,48 @@ def test_short_and_long_arrays_series_cap(k):
         _series_decide(np.full(k, 0.5), RngStream(5), _NeverDecreasing())
 
 
-# -- the one-candidate loop: a size=None J* draw runs devroye._sample_one,
-# a flat float loop that must replay the rounds of a size-1 array call
+# -- the one-candidate loop: a one-draw J* request runs devroye._sample_one,
+# a flat float loop that must replay the rounds the rejection engine runs
+# for one slot
 
 # PG tilts, log-uniform over [1e-4, 1e5], and 0; the J* tilt is half of it
 _PG_TILTS = st.one_of(st.just(0.0),
                       st.floats(-4.0, 5.0).map(lambda e: 10.0 ** e))
 
 
-def _jstar_draw(route, h, z, size, seed):
-    rng, counters = RngStream(seed), {}
+def _engine_one(route, h, z, rng, counters):
+    """Reference: a batch of one J* draw filled by the rejection engine,
+    as the skeleton's array path fills each slot of a batch."""
     if route == "devroye":
+        mix, policy = build_mixture(TRUNC_POINT, 1.0, z), _PASTED
+    else:
+        mix = build_mixture(trunc_lookup(h), h, z)
+        policy = _RatioCoefficients(h, mix.trunc)
+
+    def draw_right(m):
+        # the exponential tail at shape 1, else the truncated gamma
+        if mix.h == 1.0:
+            return mix.trunc + rng.exponential(m) / mix.lam_z
+        return sample_truncated_gamma(mix.h, mix.lam_z, mix.trunc, rng,
+                                      size=m)
+
+    mu = np.inf if mix.z == 0.0 else mix.h / mix.z
+    propose = _two_piece(
+        rng, mix.left_fraction,
+        lambda m: sample_truncated_inverse_gaussian(
+            mu, mix.h * mix.h, mix.trunc, rng, size=m),
+        draw_right, counters)
+    return _fill_by_rejection(
+        1, propose, lambda x: _series_decide(x, rng, policy, counters),
+        counters)
+
+
+def _jstar_draw(route, h, z, size, seed):
+    # size "engine" gives the reference
+    rng, counters = RngStream(seed), {}
+    if size == "engine":
+        x = _engine_one(route, h, z / 2.0, rng, counters)
+    elif route == "devroye":
         x = sample_jstar1_batch(z / 2.0, size, rng, counters=counters)
     else:
         x = alternate.sample_jstar_alt_batch(h, z / 2.0, size, rng,
@@ -376,8 +408,9 @@ def _jstar_draw(route, h, z, size, seed):
 @example(route="alternate", h=2.5, z=0.0, seed=3)
 def test_one_candidate_draw_matches_size_one(route, h, z, seed):
     # devroye draws J*(1, z) whatever h is; the alternate sampler J*(h, z)
-    want = _jstar_draw(route, h, z, 1, seed)
+    want = _jstar_draw(route, h, z, "engine", seed)
     assert _jstar_draw(route, h, z, None, seed) == want
+    assert _jstar_draw(route, h, z, 1, seed) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,3 +462,71 @@ def test_one_candidate_loop_budget(h, monkeypatch):
     assert counters["proposals"] == 5 and counters["accepted"] == 0
     assert set(counters) == {"proposals", "left_proposals", "accepted"}
 
+
+class _EveryFifth(_PastedCoefficients):
+    """Unit policy that accepts every fifth candidate it decides."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def bound(self, x):
+        self.calls += 1
+        return 1.0 if self.calls % 5 == 0 else 0.0
+
+    def step(self, n, x, a_prev):
+        return 0.0, True
+
+
+@pytest.mark.parametrize("size", [None, 1])
+def test_multi_piece_loop_budget_per_piece(size, monkeypatch):
+    # each of three pieces takes five rounds: a budget of five rounds per
+    # piece suffices, one of four raises on the first piece
+    mix = build_mixture(TRUNC_POINT, 1.0, 0.7)
+    monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 5)
+    counters = {}
+    x = _sample_pasted(mix, _EveryFifth(), None, size, RngStream(9),
+                       counters, 3)
+    assert np.all(np.isfinite(x) & (x > 0.0))
+    assert counters["proposals"] == 15 and counters["accepted"] == 3
+    monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 4)
+    counters = {}
+    with pytest.raises(IterationCapError, match="budget of 4 rounds$"):
+        _sample_pasted(mix, _EveryFifth(), None, size, RngStream(9),
+                       counters, 3)
+    assert counters["proposals"] == 4 and counters["accepted"] == 0
+
+
+@pytest.mark.parametrize("route,h,m", [
+    ("devroye", 1.0, 2), ("devroye", 1.0, 5), ("alternate", 3.65, 2),
+    ("alternate", 3.875, 4), ("alternate", 4.0, 10)])
+@pytest.mark.parametrize("z", [0.0, 1.5, 500.0])
+def test_multi_piece_draw_sums_single_draws(route, h, m, z):
+    # one multi-piece draw is its pieces drawn one after another: the sum,
+    # counters and stream state of m one-piece draws in a row
+    def draw(shape, rng, counters):
+        if route == "devroye":
+            return sample_jstar_int_batch(shape, z, None, rng, counters)
+        return alternate.sample_jstar_alt_batch(shape, z, None, rng,
+                                                counters)
+
+    rng, counters = RngStream(31), {}
+    got = (draw(h * m, rng, counters).hex(), counters, rng.uniform())
+    rng, counters, total = RngStream(31), {}, 0.0
+    for _ in range(m):
+        total += draw(h, rng, counters)
+    assert got == (total.hex(), counters, rng.uniform())
+
+
+def test_multi_piece_loop_checks_domination():
+    # under a halved bound the loop raises rather than return a biased sum
+    h = 3.875
+    mix = build_mixture(trunc_lookup(h), h, 0.5)
+    rng = RngStream(10)
+
+    def draw_right(k):
+        return sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=k)
+
+    with pytest.raises(DominationViolationError):
+        for _ in range(50):
+            _sample_pasted(mix, _HalfBound(h, mix.trunc), draw_right, None,
+                           rng, None, 4)

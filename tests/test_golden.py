@@ -8,9 +8,10 @@ state the call leaves behind.  The batch samplers' ``counters=`` dicts
 are pinned for the same cells.  Expected floats are stored as
 ``float.hex`` so the comparison is exact.
 
-A second, one-draw table pins ``sample_pg`` on the routes whose single
-draw fills one J* candidate slot (devroye at b = 1, alternate at
-b <= 4): 200 draws cycled over a tilt ladder, stored as the sha256 of
+A second, one-draw table pins ``sample_pg`` on the exact routes, whose
+single draw runs one flat float loop over its J* pieces (one piece at
+b = 1 and at b <= 4 on the alternate sampler, several at b = 2 and
+b > 4): 200 draws cycled over a tilt ladder, stored as the sha256 of
 their ``float.hex`` strings, plus the uniform drawn after them and the
 counters of one size-1 J* call.  A change that alters any of
 these values changes the draws a seed produces: regenerate the file
@@ -1276,15 +1277,15 @@ SCALAR = {
         "0x1.c2f65a086134fp-1",
     ),
     ("devroye", 2.0, 0.0): (
-        "0x1.54a94702263f8p-2 0x1.5d2e38409f0e1p-2 0x1.3721aae70ac72p-1",
-        "0x1.f036bc600f2a9p-1",
+        "0x1.1ef5d9c5f5e01p-2 0x1.b7c2c8a51ee6ap-2 0x1.1fb7d699ad5d6p-1",
+        "0x1.34a2190f53a3fp-1",
     ),
     ("devroye", 2.0, 1.0): (
-        "0x1.a9148aa5e712ap-3 0x1.717064cbba15fp-1 0x1.61ce65c7411c6p-3",
-        "0x1.ec6fe40c4daa9p-1",
+        "0x1.7c5acbf50d4d4p-2 0x1.f20c540667a1cp-1 0x1.0dc103ed7ca66p-2",
+        "0x1.61069e12b5698p-4",
     ),
     ("devroye", 2.0, 8.0): (
-        "0x1.914b62f6c17b7p-4 0x1.063e04a413a6dp-3 0x1.456bb39f10569p-4",
+        "0x1.0871a6b52bb6cp-4 0x1.11b3e14545264p-3 0x1.ac289a301aea5p-4",
         "0x1.7849b1696006fp-1",
     ),
     ("alternate", 1.0, 0.0): (
@@ -1324,64 +1325,64 @@ SCALAR = {
         "0x1.0827ee3ef3053p-1",
     ),
     ("alternate", 7.3, 0.0): (
-        "0x1.58b872d7deb6ap+1 0x1.b273e6b4d0726p+0 0x1.ad1217d9df72dp+0",
-        "0x1.e0d505acbec6dp-1",
+        "0x1.2e2ab9a58f78ep+1 0x1.86c55c4cd094cp+1 0x1.b33b597ab8836p+0",
+        "0x1.27f7c56895035p-1",
     ),
     ("alternate", 7.3, 1.0): (
-        "0x1.d6d49a11b5f08p+0 0x1.1bcfd29245615p+1 0x1.e79381acd082cp+0",
-        "0x1.b8bfa8ac12d3cp-1",
+        "0x1.e565fd81196cep+0 0x1.7bd28b80189dap+0 0x1.899fc8748485ep+0",
+        "0x1.1aa69fc1cc248p-4",
     ),
     ("alternate", 7.3, 8.0): (
-        "0x1.bc069da8cf9dfp-2 0x1.c88e1780e0fe4p-2 0x1.f4349efd1bb87p-2",
+        "0x1.f24bf98268edcp-2 0x1.27d9cf3d5ebd8p-1 0x1.51925d3806249p-2",
         "0x1.542e20b0483d0p-5",
     ),
     ("alternate", 12.0, 0.0): (
-        "0x1.799732d7b65b0p+1 0x1.e8caeb32acf2cp+1 0x1.2ba9d2e9a4ed8p+1",
-        "0x1.c83861693bb7ap-1",
+        "0x1.9d87e49c3410fp+1 0x1.d8691143084bcp+1 0x1.1d15611e200b2p+1",
+        "0x1.b9c077fbac550p-4",
     ),
     ("alternate", 12.0, 1.0): (
-        "0x1.38253c3725d96p+2 0x1.b602928d9e7b0p+1 0x1.b2318f06a6d8dp+1",
-        "0x1.2cca815dc2f18p-2",
+        "0x1.d0f193b5f09b2p+1 0x1.79fb4e17c254fp+1 0x1.736f83b7a3851p+1",
+        "0x1.0d2f529a5363ep-1",
     ),
     ("alternate", 12.0, 8.0): (
-        "0x1.2dcf9f8bffae2p-1 0x1.b9ce980cc4ec4p-1 0x1.55b802cd83dc8p-1",
+        "0x1.2c4fc0a9c57bcp-1 0x1.c1d089d34775cp-1 0x1.7aea14f6027dfp-1",
         "0x1.e7e9255d46b5cp-3",
     ),
     ("alternate", 13.0, 0.0): (
-        "0x1.95e7a0b75007fp+1 0x1.63e8917bafd89p+2 0x1.d2380c0ab7ef4p+1",
-        "0x1.56bfa4aa66d48p-4",
+        "0x1.519d765004903p+2 0x1.a321d8f1f5866p+1 0x1.cc06abe973ffcp+1",
+        "0x1.cba60b390abb6p-2",
     ),
     ("alternate", 13.0, 1.0): (
-        "0x1.5ddba53bd29bap+1 0x1.0e592ed860605p+1 0x1.9fa981b854afcp+1",
-        "0x1.184bc4a0b8402p-2",
+        "0x1.deb95f10c91f0p+1 0x1.89d6c078c3089p+1 0x1.ec07a3e273ddap+0",
+        "0x1.b955769ed79c0p-6",
     ),
     ("alternate", 13.0, 8.0): (
-        "0x1.6c5c476c245d7p-1 0x1.75a4b877dd8edp-1 0x1.85d96d9f92b31p-1",
+        "0x1.dde74f4abca1cp-1 0x1.9925745ccbf33p-1 0x1.e3376c1f8548dp-1",
         "0x1.805bf9fe36955p-1",
     ),
     ("alternate", 40.0, 0.0): (
-        "0x1.a9ed5be565914p+3 0x1.4c051e542498fp+3 0x1.3ef0f964d405cp+3",
-        "0x1.b2c8dcfdb2ba8p-3",
+        "0x1.2976bbfab5a4fp+3 0x1.510745a2dbdc6p+3 0x1.6097ebd5d4df5p+3",
+        "0x1.2d2821b176588p-4",
     ),
     ("alternate", 40.0, 1.0): (
-        "0x1.2e5a6acd9b852p+3 0x1.0154e21b6fd92p+3 0x1.f7fed370a8038p+2",
-        "0x1.d469cc7b3340ap-2",
+        "0x1.758bc1932b1a7p+3 0x1.3f0a7a8ff75e9p+3 0x1.072780e18dc9fp+3",
+        "0x1.d32449ebe094fp-1",
     ),
     ("alternate", 40.0, 8.0): (
-        "0x1.2c7aa47f8b3bcp+1 0x1.342b828016e0bp+1 0x1.65dd2ba746882p+1",
-        "0x1.c3bacd2cbf910p-2",
+        "0x1.4b43c57646d24p+1 0x1.1f0a65e004610p+1 0x1.2cc967d027e64p+1",
+        "0x1.5056c346cf144p-1",
     ),
     ("alternate", 170.0, 0.0): (
-        "0x1.4b72840a6e57bp+5 0x1.67bb25194ec26p+5 0x1.5db62340f3393p+5",
-        "0x1.eefc164b23ae9p-1",
+        "0x1.41327c0486697p+5 0x1.52262dbe0a53dp+5 0x1.39ead371b5dffp+5",
+        "0x1.36dbfcf6a411bp-1",
     ),
     ("alternate", 170.0, 1.0): (
-        "0x1.34d5ac2be2155p+5 0x1.5dd72a68273a9p+5 0x1.31b757b4b76f1p+5",
-        "0x1.bbb10df7fbee0p-4",
+        "0x1.4afef52248caep+5 0x1.3afd0ddd7d278p+5 0x1.3bff3e085ed5dp+5",
+        "0x1.15c9fb3a98b14p-1",
     ),
     ("alternate", 170.0, 8.0): (
-        "0x1.533ca901d02d2p+3 0x1.4d98d16a70de3p+3 0x1.72f3608ea40e7p+3",
-        "0x1.c3026c132eca6p-2",
+        "0x1.4b9cf3f90f3d7p+3 0x1.47a2733960472p+3 0x1.515c3d2c846fdp+3",
+        "0x1.defed8bcb43d5p-1",
     ),
     ("saddlepoint", 13.0, 0.0): (
         "0x1.7f8d9a10dba92p+1 0x1.b818c3a1dc887p+1 0x1.99a43ec81520cp+1",
@@ -1814,6 +1815,18 @@ ONE_DRAW = {
         "6062cb02fdeaab29869a2226840d0fa00af34f053ba1d9ad66279c2f89093402",
         "0x1.5fec1e3de0da4p-3",
     ),
+    ("devroye", 2.0): (
+        "4fa776571d02c94b89793508139b004ec1ab6f4f9f57c97c5e06b209b5fcd7fc",
+        "0x1.8cb8fb2c9a00ep-1",
+    ),
+    ("alternate", 7.3): (
+        "0f1522b824040a35e7ae3f3a180731e6276df6909941d63250a53216a21219c7",
+        "0x1.a0aa4cd92f50cp-1",
+    ),
+    ("alternate", 40.0): (
+        "521b4b61f3ef736a85d7afc647e68c366e87d5b150dd172769496bdc536e8230",
+        "0x1.47a8d9d0fb80bp-1",
+    ),
 }
 
 # (route, b, z): counters of one size-1 call of the J* sampler
@@ -1894,8 +1907,8 @@ def test_one_candidate_path_matches_batch_of_one(route, b):
         for size in (None, 1):
             rng, counters = RngStream(i), {}
             if route == "devroye":
-                x = devroye.sample_jstar1_batch(abs(z) / 2.0, size, rng,
-                                                counters=counters)
+                x = devroye.sample_jstar_int_batch(int(b), abs(z) / 2.0, size,
+                                                   rng, counters=counters)
             else:
                 x = alternate.sample_jstar_alt_batch(b, abs(z) / 2.0, size,
                                                      rng, counters=counters)

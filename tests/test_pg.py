@@ -303,20 +303,48 @@ class TestSampling:
         score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
         assert abs(score) <= 5.0
 
+    @pytest.mark.parametrize("b,z", [(2.0, 1.0), (7.3, 3.0), (40.5, 3.0),
+                                     (15.5, 1e3)])
+    def test_multi_piece_single_draw_moments(self, b, z):
+        # one draw at a time sums its pieces in the float loop, which the
+        # batch suites of ``pgrv validate`` never reach: the mean within
+        # 5 SE, the variance within 4 SE of the sample variance
+        p = PgParams(b, z)
+        rng = RngStream(23)
+        x = np.array([sample_pg(p, rng) for _ in range(4000)])
+        score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / x.size)
+        assert abs(score) <= 5.0, score
+        dev = x - x.mean()
+        var_se = np.sqrt((np.mean(dev ** 4) - np.mean(dev ** 2) ** 2)
+                         / x.size)
+        assert abs(x.var(ddof=1) - pg_var(p)) <= 4.0 * var_se
+
     def test_single_piece_draws_skip_the_piece_sum(self, monkeypatch):
         # one J* piece (devroye at b = 1, alternate at b <= 4) goes to
-        # its sampler directly; only multi-piece shapes sum pieces
-        def refuse(*_):
-            raise AssertionError("summed a single piece")
+        # its sampler directly; one multi-piece draw sums its pieces in
+        # the float loop, and only a batch of sums reaches the piece sum
+        # and the rejection engine
+        reached = []
 
-        monkeypatch.setattr(devroye, "_sum_pieces", refuse)
+        def spy(name):
+            real = getattr(devroye, name)
+            return lambda *args: reached.append(name) or real(*args)
+
+        for name in ("_sum_pieces", "_fill_by_rejection"):
+            monkeypatch.setattr(devroye, name, spy(name))
         rng = RngStream(5)
-        for b in (1.0, 2.5):
-            assert sample_pg(PgParams(b, 0.7), rng) > 0.0
         x = sample_pg_batch(PgParams(1.0, 0.7), rng, 50)
         assert x.shape == (50,) and x.min() > 0.0
-        with pytest.raises(AssertionError, match="single piece"):
-            sample_pg(PgParams(7.5, 0.7), rng)
+        assert reached == ["_fill_by_rejection"]
+        reached.clear()
+        for b in (1.0, 2.0, 2.5, 7.5, 40.5):
+            assert sample_pg(PgParams(b, 0.7), rng) > 0.0
+            assert sample_pg_batch(PgParams(b, 0.7), rng, 1)[0] > 0.0
+        assert reached == []
+        for b in (2.0, 7.5):
+            sample_pg_batch(PgParams(b, 0.7), rng, 2)
+            assert reached == ["_sum_pieces", "_fill_by_rejection"]
+            reached.clear()
 
     def test_no_draw_solves_a_trunc_point(self, monkeypatch):
         # t(h) comes from the shipped table: no route solves for it

@@ -39,18 +39,11 @@ from .rng import (
     # unused here: the benchmark tracer wraps this name
     sample_truncated_inverse_gaussian,
 )
-from .special import log_cosh
 
-__all__ = ["sample_jstar_alt_batch", "acceptance_probability"]
+__all__ = ["sample_jstar_alt_batch"]
 
 # untilted rate of the right kernel piece (pi^2/8)
 _LAM0 = np.pi ** 2 / 8.0
-
-
-def acceptance_probability(h, z):
-    """Exact acceptance probability sech^h(z)/(p+q) of one proposal."""
-    mix = build_mixture(trunc_lookup(h), h, z)
-    return float(np.exp(-h * log_cosh(z) - np.logaddexp(mix.log_p, mix.log_q)))
 
 
 class _RatioCoefficients:

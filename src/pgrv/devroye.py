@@ -19,14 +19,15 @@ untilted coefficients: the common factor cosh^h(z) e^{-x z^2/2} cancels
 between the uniform's upper bound and the partial sums.
 
 The decider runs the series on whole arrays of candidates, except for
-one float candidate and for arrays of at most ``_SHORT`` candidates,
-such as the last pending slots of a batch: those are decided slot by
-slot on floats, with the same mask, stream use and counters.  One draw
-(``size`` None or 1) runs in :func:`_sample_one`, one flat float loop
-that picks the side, draws the piece and decides it each round, and
-sums its pieces one after another; under devroye's policy the float
-decider is :func:`_decide_unit`, with the steps inlined.  Only a batch
-of multi-piece draws goes through :func:`_sum_pieces`.
+arrays of at most ``_SHORT`` candidates, such as the last pending slots
+of a batch, down to arrays of one: those are decided slot by slot on
+floats by :func:`_decide_one`, with the same mask, stream use and
+counters.  One draw (``size`` None or 1) runs in :func:`_sample_one`,
+one flat float loop that picks the side, draws the piece and decides it
+each round, and sums its pieces one after another; under devroye's
+policy the float decider is :func:`_decide_unit`, with the steps
+inlined.  Only a batch of multi-piece draws goes through
+:func:`_sum_pieces`.
 """
 
 import numpy as np
@@ -109,14 +110,12 @@ def _series_decide(x, rng, policy, counters=None):
     ``exact_decisions``: accept iff u <= f/a_0, and raise
     :class:`DominationViolationError` if f/a_0 exceeds k.
 
-    A float ``x`` gives a bool.  An array of at most ``_SHORT``
-    candidates draws its uniforms in one call, as a long one does, and
-    then decides slot by slot on floats: the array path's few dozen
-    numpy calls per series term cost more than it saves there.  Both
-    give the same mask, stream use and counters.
+    An array of at most ``_SHORT`` candidates draws its uniforms in one
+    call, as a long one does, and then decides slot by slot on floats:
+    the array path's few dozen numpy calls per series term cost more
+    than it saves there.  Both give the same mask, stream use and
+    counters.
     """
-    if isinstance(x, float):
-        return _decide_one(x, rng.uniform(), policy, counters)
     u = rng.uniform(x.size)
     if x.size <= _SHORT:
         return np.array([_decide_one(xi, ui, policy, counters)

@@ -173,9 +173,9 @@ def _sample_normal(params, rng, size=None):
     """
     mean = pg_mean(params)
     sd = np.sqrt(pg_var(params))
-    x = _fill_by_rejection(size, lambda k: mean + sd * rng.normal(k),
-                           lambda x: x > 0.0, max_rounds=MAX_REJECTION_ROUNDS)
-    return float(x) if size is None else x
+    return _fill_by_rejection(size, lambda k: mean + sd * rng.normal(k),
+                              lambda x: x > 0.0,
+                              max_rounds=MAX_REJECTION_ROUNDS)
 
 
 def _draw(m, params, rng, size):

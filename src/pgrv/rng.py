@@ -8,18 +8,19 @@ derive independent substreams with :meth:`RngStream.spawn` instead.
 
 :func:`_fill_by_rejection` is the one rejection loop: the samplers and the
 truncated inverse-Gaussian and gamma draws (the gamma by Dagpunar's 1978
-rejection) differ only in the proposal and the accept test they hand it.  A
-batch runs its rounds on arrays, and the first round's candidates become the
-output without a copy.  A round with one slot left runs on Python floats,
-through the float branches of the same proposals and accept tests.  One
-draw per call, as in a Gibbs sweep where every tilt differs, is ``size=None``
-(the convention of the :class:`RngStream` draws): the truncated draws then
-run their rounds as a straight float loop, without the engine, and the J*
-samplers run theirs in :func:`pgrv.devroye._sample_one`, one piece after
-another for a multi-piece draw (devroye at b >= 2, the alternate sampler at
-b > 4).  The engine's float rounds and the straight loops consume the stream
-identically and give bit-identical draws; the float code uses numpy's
-``exp``/``log``, whose results can differ from :mod:`math` in the last ulp.
+rejection) differ only in the proposal and the accept test they hand it.  It
+runs every round on arrays, the first round's candidates becoming the output
+without a copy; a batch's last pending slots run as arrays of one.  One draw
+per call, as in a Gibbs sweep where every tilt differs, is ``size=None`` (the
+convention of the :class:`RngStream` draws).  The engine runs it as an array
+of one and returns its float; the saddlepoint and normal routes take that
+path.  The truncated draws run their rounds as a straight float loop instead,
+without the engine, and the J* samplers run theirs in
+:func:`pgrv.devroye._sample_one`, one piece after another for a multi-piece
+draw (devroye at b >= 2, the alternate sampler at b > 4).  The straight loops
+consume the stream as the engine's arrays of one do and give bit-identical
+draws; the float code uses numpy's ``exp``/``log``, whose results can differ
+from :mod:`math` in the last ulp.
 """
 
 import math
@@ -105,14 +106,13 @@ def _fill_by_rejection(size, propose, accept, counters=None,
                        max_rounds=MAX_PROPOSAL_ROUNDS):
     """Fill ``size`` slots by rejection sampling and return them.
 
-    Each round ``propose(k)`` draws candidates for the k still-pending
-    slots and ``accept(x)`` returns the mask of those kept; the rest are
-    redrawn next round.  A round with one pending slot, and every round
-    of ``size=None``, runs on floats: ``propose(None)`` returns one float
-    candidate and ``accept`` one bool.  ``size=None`` returns the
-    accepted float.  Raises :class:`IterationCapError` when slots are
-    still pending after ``max_rounds`` rounds.  ``counters``, when
-    given, accumulates ``proposals`` and ``accepted``.
+    Each round ``propose(k)`` draws an array of candidates for the k
+    still-pending slots and ``accept(x)`` returns the mask of those kept;
+    the rest are redrawn next round.  ``size=None`` fills one slot as an
+    array of one and returns its float.  Raises
+    :class:`IterationCapError` when slots are still pending after
+    ``max_rounds`` rounds.  ``counters``, when given, accumulates
+    ``proposals`` and ``accepted``.
     """
     n, pending = (1 if size is None else int(size)), None
     if n == 0:
@@ -121,25 +121,19 @@ def _fill_by_rejection(size, propose, accept, counters=None,
         k = n if pending is None else pending.size
         if counters is not None:
             counters["proposals"] = counters.get("proposals", 0) + k
-        x = propose(None if k == 1 else k)
+        x = propose(k)
         ok = accept(x)
-        n_ok = bool(ok) if k == 1 else np.count_nonzero(ok)
+        n_ok = np.count_nonzero(ok)
         if counters is not None:
             counters["accepted"] = counters.get("accepted", 0) + n_ok
-        if k == 1:
-            if n_ok and pending is None:
-                return x if size is None else np.array([x])
-            if n_ok:
-                out[pending[0]] = x
-                return out
-        elif pending is None:
+        if pending is None:
             out = x  # first round: later ones redraw only rejected slots
             pending = np.nonzero(~ok)[0] if n_ok < k else ok[:0]
         elif n_ok:
             out[pending[ok]] = x[ok]
             pending = pending[~ok]
-        if k > 1 and not pending.size:
-            return out
+        if not pending.size:
+            return float(out[0]) if size is None else out
     raise _budget_error(max_rounds)
 
 
@@ -151,15 +145,8 @@ def _budget_error(max_rounds):
 def _two_piece(rng, left_fraction, draw_left, draw_right, counters=None):
     """``propose`` for :func:`_fill_by_rejection`: each candidate comes
     from ``draw_left(m)`` with probability ``left_fraction``, else from
-    ``draw_right(m)``; ``counters`` accumulates ``left_proposals``.  One
-    float candidate calls one side with ``m=None``."""
+    ``draw_right(m)``; ``counters`` accumulates ``left_proposals``."""
     def propose(k):
-        if k is None:
-            left = rng.uniform() < left_fraction
-            if counters is not None:
-                counters["left_proposals"] = (counters.get("left_proposals", 0)
-                                              + left)
-            return draw_left(None) if left else draw_right(None)
         take_left = rng.uniform(k) < left_fraction
         n_left = np.count_nonzero(take_left)
         if counters is not None:
@@ -223,19 +210,14 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
     def propose_kernel(k):
         e1 = rng.exponential(k)
         kernel_ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
-        # d * d, not d ** 2, so the float branch rounds as numpy's
-        # array square does; a candidate the kernel rejects is moved
-        # outside (0, right]
+        # a candidate the kernel rejects is moved outside (0, right]
         d = 1.0 + right * e1
-        if k is None:
-            return right / (d * d) if kernel_ok else math.inf
         return np.where(kernel_ok, right / (d * d), np.inf)
 
     def accept_kernel(x):
         ok = x <= right
         if inv_two_musq > 0.0:
-            u = rng.uniform(None if isinstance(x, float) else x.size)
-            ok &= u <= np.exp(-x * inv_two_musq)
+            ok &= rng.uniform(x.size) <= np.exp(-x * inv_two_musq)
         return ok
 
     if mu > right:
@@ -285,7 +267,7 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
             return c + rng.exponential(k) / (1.0 - slope)
 
         def accept(y):
-            u = rng.uniform(None if isinstance(y, float) else y.size)
+            u = rng.uniform(y.size)
             return np.log(u) <= ((a - 1.0) * np.log(y / peak)
                                  - slope * (y - peak))
     return _fill_by_rejection(size, propose, accept,

@@ -338,10 +338,8 @@ def sample_saddle_batch(n, z, size, rng, counters=None):
         counters)
 
     def accept(x):
-        xs = np.atleast_1d(x)  # a float is decided as a one-element array
-        ok = (np.log(rng.uniform(xs.size)) + _log_envelope(env, xs)
-              <= _log_sp_vec(xs, n, z))
-        return bool(ok[0]) if xs is not x else ok
+        return (np.log(rng.uniform(x.size)) + _log_envelope(env, x)
+                <= _log_sp_vec(x, n, z))
 
     return n * _fill_by_rejection(size, propose, accept, counters)
 

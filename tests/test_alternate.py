@@ -12,7 +12,6 @@ from pgrv import devroye
 from pgrv.alternate import (
     _RatioCoefficients,
     _pieces,
-    acceptance_probability,
     sample_jstar_alt_batch,
 )
 from pgrv.density import (
@@ -29,6 +28,7 @@ from pgrv.density import (
 )
 from pgrv.devroye import sample_jstar1_batch
 from pgrv.rng import RngStream
+from pgrv.special import log_cosh
 
 from gamma_sum_oracle import gamma_sum_oracle
 
@@ -129,6 +129,12 @@ class TestAcceptance:
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_exact_rate_formula_decreases(self):
+        # the exact acceptance probability sech^h(z)/(p+q) of one proposal
+        def acceptance_probability(h, z):
+            mix = build_mixture(trunc_lookup(h), h, z)
+            return float(np.exp(-h * log_cosh(z)
+                                - np.logaddexp(mix.log_p, mix.log_q)))
+
         vals = [acceptance_probability(h, 0.0) for h in (1.0, 2.0, 3.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 

@@ -355,7 +355,7 @@ class TestPartialSums:
     def test_decider_exact_in_far_right_tail(self, h):
         # past x ~ 30 the partial sums cancel in double precision; every
         # decision must still be u k <= f/a_0, with no domination raise,
-        # and the float, short-array and long-array paths must agree
+        # and the one-element, short-array and long-array paths must agree
         policy = _RatioCoefficients(h, trunc_lookup(h))
         xs = np.geomspace(20.0, 60.0, 2 * devroye._SHORT + 1)
         ref = [mp_ratio_ref(x, h) for x in xs.tolist()]
@@ -365,14 +365,14 @@ class TestPartialSums:
             u = RngStream(seed).uniform(xs.size) * bound
             want = [bool(ui <= f) for ui, f in zip(u.tolist(), ref)]
             runs = []
-            for chunks in ([float(x) for x in xs],        # one at a time
+            for chunks in (np.array_split(xs, xs.size),   # one at a time
                            np.array_split(xs, 3),         # <= _SHORT each
                            [xs]):                         # > _SHORT
                 rng, counters = RngStream(seed), {}
                 mask = []
                 for c in chunks:
-                    mask += np.atleast_1d(devroye._series_decide(
-                        c, rng, policy, counters)).tolist()
+                    mask += devroye._series_decide(c, rng, policy,
+                                                   counters).tolist()
                 runs.append((mask, counters, rng.uniform()))
             assert runs[0] == runs[1] == runs[2], seed
             assert runs[0][0] == want, seed

@@ -22,6 +22,7 @@ from pgrv.devroye import (
     TRUNC_POINT,
     _PASTED,
     _PastedCoefficients,
+    _decide_one,
     _decide_unit,
     _sample_pasted,
     _series_decide,
@@ -181,7 +182,7 @@ def test_support_strictly_positive():
     assert x.min() > 0.0
 
 
-# -- one-candidate path: a float candidate keeps every check of the array
+# -- one-candidate path: the float decider keeps every check of the array
 # path for a 1-element array, with the same stream use and counters
 
 class _HalfBound(_RatioCoefficients):
@@ -196,12 +197,18 @@ class _NeverDecreasing(_PastedCoefficients):
 
     def step(self, n, x, a_prev):
         coef, _ = super().step(n, x, a_prev)
-        return coef, (False if isinstance(x, float)
-                      else np.zeros(np.shape(x), bool))
+        return coef, np.zeros(np.shape(x), bool)
 
 
 def _float_and_array(x):
-    return [float(x), np.array([float(x)])]
+    """The two deciders of the candidate x, each called as decide(rng,
+    policy, counters): _decide_one on the float, with the uniform that
+    _series_decide draws for it, and _series_decide on x as a
+    one-element array."""
+    x = float(x)
+    return [lambda rng, policy, c: _decide_one(x, rng.uniform(), policy, c),
+            lambda rng, policy, c: _series_decide(np.array([x]), rng, policy,
+                                                  c)]
 
 
 @pytest.mark.parametrize("x,policy", [
@@ -211,9 +218,9 @@ def _float_and_array(x):
 ])
 def test_one_candidate_rejects_unusable_points(x, policy):
     results = []
-    for cand in _float_and_array(x):
+    for decide in _float_and_array(x):
         rng, counters = RngStream(3), {}
-        accept = _series_decide(cand, rng, policy, counters)
+        accept = decide(rng, policy, counters)
         results.append((bool(np.all(accept)), counters, rng.uniform()))
     assert results[0] == results[1]
     assert results[0][:2] == (False, {})
@@ -221,28 +228,28 @@ def test_one_candidate_rejects_unusable_points(x, policy):
 
 def test_one_candidate_checks_domination():
     policy = _HalfBound(2.5, trunc_lookup(2.5))
-    for cand in _float_and_array(0.2):
+    for decide in _float_and_array(0.2):
         with pytest.raises(DominationViolationError):
-            _series_decide(cand, RngStream(4), policy)
+            decide(RngStream(4), policy, None)
 
 
 def test_one_candidate_series_cap():
-    for cand in _float_and_array(0.5):
+    for decide in _float_and_array(0.5):
         with pytest.raises(IterationCapError):
-            _series_decide(cand, RngStream(5), _NeverDecreasing())
+            decide(RngStream(5), _NeverDecreasing(), None)
 
 
-@pytest.mark.parametrize("size", [1, 3])
-def test_one_pending_slot_runs_on_floats(size):
-    # a round with one slot left proposes with k=None, and accept gets a
-    # float; values of at least 2 are kept
+@pytest.mark.parametrize("size", [None, 1, 3])
+def test_one_pending_slot_runs_as_array_of_one(size):
+    # a round with one slot left proposes with k=1, and accept gets an
+    # ndarray; values of at least 2 are kept.  size=None runs the same
+    # rounds and returns the float
     draws = iter([0.5, 2.5, 3.5, 1.5, 4.5] if size == 3 else [0.5, 2.5])
     seen = []
 
     def propose(k):
         seen.append(k)
-        return next(draws) if k is None else np.array(
-            [next(draws) for _ in range(k)])
+        return np.array([next(draws) for _ in range(k)])
 
     def accept(x):
         seen.append(type(x))
@@ -250,8 +257,11 @@ def test_one_pending_slot_runs_on_floats(size):
 
     counters = {}
     out = _fill_by_rejection(size, propose, accept, counters)
-    one_round = [None, float]
-    if size == 1:
+    one_round = [1, np.ndarray]
+    if size is None:
+        assert seen == one_round * 2 and type(out) is float and out == 2.5
+        assert counters == {"proposals": 2, "accepted": 1}
+    elif size == 1:
         assert seen == one_round * 2 and out.tolist() == [2.5]
         assert counters == {"proposals": 2, "accepted": 1}
     else:
@@ -262,7 +272,7 @@ def test_one_pending_slot_runs_on_floats(size):
 
 def test_one_candidate_round_caps(monkeypatch):
     with pytest.raises(IterationCapError):
-        _fill_by_rejection(None, lambda k: 1.0, lambda x: False, max_rounds=3)
+        _fill_by_rejection(None, np.ones, lambda x: x < 0.0, max_rounds=3)
     monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 2)
     with pytest.raises(IterationCapError, match="budget of 2 rounds"):
         sample_truncated_inverse_gaussian(1e9, 1e-6, 1e8, RngStream(23))

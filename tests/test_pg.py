@@ -346,6 +346,21 @@ class TestSampling:
             assert reached == ["_sum_pieces", "_fill_by_rejection"]
             reached.clear()
 
+    @pytest.mark.parametrize("b,z,method", [(40.0, 1.0, "saddlepoint"),
+                                            (169.5, 30.0, "saddlepoint"),
+                                            (190.5, 1.0, "auto")])
+    def test_engine_single_draw_matches_batch_of_one(self, b, z, method):
+        # the rejection engine runs one draw as an array of one and
+        # returns its float: the saddlepoint route forced on one draw,
+        # and one draw on the normal route
+        p = PgParams(b, z)
+        for seed in range(50):
+            a, c = RngStream(seed), RngStream(seed)
+            x = sample_pg(p, a, method=method)
+            y = sample_pg_batch(p, c, 1, method=method)
+            assert type(x) is float and x.hex() == float(y[0]).hex()
+            assert a.uniform() == c.uniform()
+
     def test_no_draw_solves_a_trunc_point(self, monkeypatch):
         # t(h) comes from the shipped table: no route solves for it
         def solve(*_):

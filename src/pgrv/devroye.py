@@ -28,11 +28,18 @@ each round, and sums its pieces one after another; under devroye's
 policy the float decider is :func:`_decide_unit`, with the steps
 inlined.  Only a batch of multi-piece draws goes through
 :func:`_sum_pieces`.
+
+One J*(1, z) draw squeezes its side choice (Devroye 1986, II.3).  At
+h = 1 the left fraction lf = p/(p+q) depends on |z| alone and does not
+decrease in it: against x = 2/pi the tilt e^{-x z^2/2} weighs the left
+kernel up and the right one down, so p e^{z^2/pi} grows and q e^{z^2/pi}
+falls.  ``_LF_BANDS`` brackets lf on each cell of a |z| grid; only a side
+uniform inside its cell's bracket builds the mixture.
 """
 
 import numpy as np
 
-from .density import DOMINATION_SLACK, SUM_ROUNDING, build_mixture
+from .density import DOMINATION_SLACK, SUM_ROUNDING, build_mixture, tilt_rate
 from .errors import DominationViolationError, IterationCapError
 from .rng import (
     MAX_PROPOSAL_ROUNDS,
@@ -90,6 +97,16 @@ class _PastedCoefficients:
 
 
 _PASTED = _PastedCoefficients()
+
+# Node j of the squeeze is |z| = j / _LF_PER_UNIT; the band of cell i is
+# lf at nodes i, i + 1, widened to cover lf's rounding (seen at one ulp).
+_LF_PER_UNIT = 32
+_LF_END = 16.0
+_LF_MARGIN = 1e-12
+_LF_NODES = [build_mixture(TRUNC_POINT, 1.0, j / _LF_PER_UNIT).left_fraction
+             for j in range(int(_LF_END * _LF_PER_UNIT) + 1)]
+_LF_BANDS = [(lo - _LF_MARGIN, hi + _LF_MARGIN)
+             for lo, hi in zip(_LF_NODES, _LF_NODES[1:])]
 
 
 def _series_decide(x, rng, policy, counters=None):
@@ -278,13 +295,15 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
     piece at h = 1), and ``policy`` decides it.  One draw (``size`` None
     or 1) runs :func:`_sample_one`, a batch of sums :func:`_sum_pieces`.
     """
-    mu = np.inf if mix.z == 0.0 else mix.h / mix.z
     if size is None or size == 1:
-        x = _sample_one(mix, mu, policy, draw_right, rng, counters, pieces)
+        x = _sample_one(mix.trunc, mix.h, mix.z, mix.lam_z,
+                        (mix.left_fraction,) * 2, policy, draw_right, rng,
+                        counters, pieces)
         return x if size is None else np.array([x])
     if pieces > 1:
         return _sum_pieces(pieces, size, lambda k: _sample_pasted(
             mix, policy, draw_right, k, rng, counters))
+    mu = np.inf if mix.z == 0.0 else mix.h / mix.z
     if draw_right is None:
         def draw_right(m):
             return mix.trunc + rng.exponential(m) / mix.lam_z
@@ -298,24 +317,32 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
         counters, MAX_PROPOSAL_ROUNDS)
 
 
-def _sample_one(mix, mu, policy, draw_right, rng, counters, pieces):
+def _sample_one(trunc, h, z, lam_z, band, policy, draw_right, rng, counters,
+                pieces):
     """One draw of :func:`_sample_pasted` as a flat float loop: the sum of
     ``pieces`` accepted candidates, each found in the rounds that
     _fill_by_rejection, _two_piece and _series_decide run for one slot,
-    with their stream use, counters and its own round budget."""
+    with their stream use, counters and its own round budget.  A side
+    uniform below ``band`` goes left, one at or above it right; one inside
+    builds the mixture once, closing the band on its left fraction.
+    """
+    mu = np.inf if z == 0.0 else h / z
+    lo, hi = band
     total = 0.0
     for _ in range(pieces):
         for _ in range(MAX_PROPOSAL_ROUNDS):
-            left = rng.uniform() < mix.left_fraction
+            u = rng.uniform()
+            if lo <= u < hi:
+                lo = hi = build_mixture(trunc, h, z).left_fraction
+            left = u < lo
             if counters is not None:
                 counters["proposals"] = counters.get("proposals", 0) + 1
                 counters["left_proposals"] = (
                     counters.get("left_proposals", 0) + left)
             if left:
-                x = sample_truncated_inverse_gaussian(mu, mix.h * mix.h,
-                                                      mix.trunc, rng)
+                x = sample_truncated_inverse_gaussian(mu, h * h, trunc, rng)
             elif draw_right is None:
-                x = mix.trunc + rng.exponential() / mix.lam_z
+                x = trunc + rng.exponential() / lam_z
             else:
                 x = draw_right(None)
             ok = bool(_decide_one(x, rng.uniform(), policy, counters))
@@ -337,7 +364,14 @@ def _sum_pieces(m, size, draw):
 
 def sample_jstar1_batch(z, size, rng, counters=None, pieces=1):
     """Fill an array with exact J*(1, z) draws, or with sums of ``pieces``
-    of them; ``size=None`` gives one float."""
+    of them; ``size=None`` gives one float.  One draw at |z| < ``_LF_END``
+    runs the squeeze; any other call builds the mixture first."""
+    z = abs(float(z))
+    if (size is None or size == 1) and z < _LF_END:  # NaN and inf fail
+        x = _sample_one(TRUNC_POINT, 1.0, z, tilt_rate(z),
+                        _LF_BANDS[int(z * _LF_PER_UNIT)], _PASTED, None, rng,
+                        counters, pieces)
+        return x if size is None else np.array([x])
     return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z), _PASTED, None,
                           size, rng, counters, pieces)
 

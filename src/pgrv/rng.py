@@ -14,13 +14,13 @@ without a copy; a batch's last pending slots run as arrays of one.  One draw
 per call, as in a Gibbs sweep where every tilt differs, is ``size=None`` (the
 convention of the :class:`RngStream` draws).  The engine runs it as an array
 of one and returns its float; the saddlepoint and normal routes take that
-path.  The truncated draws run their rounds as a straight float loop instead,
-without the engine, and the J* samplers run theirs in
-:func:`pgrv.devroye._sample_one`, one piece after another for a multi-piece
-draw (devroye at b >= 2, the alternate sampler at b > 4).  The straight loops
-consume the stream as the engine's arrays of one do and give bit-identical
-draws; the float code uses numpy's ``exp``/``log``, whose results can differ
-from :mod:`math` in the last ulp.
+path.  The truncated draws run one draw (``size`` None, or 1 wrapped as an
+array) as a straight float loop instead, without the engine, and the J*
+samplers run theirs in :func:`pgrv.devroye._sample_one`, one piece after
+another for a multi-piece draw (devroye at b >= 2, the alternate sampler at
+b > 4).  The straight loops consume the stream as the engine's arrays of one
+do and give bit-identical draws; the float code uses numpy's ``exp``/``log``,
+whose results can differ from :mod:`math` in the last ulp.
 """
 
 import math
@@ -188,14 +188,14 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
     mu, right = mu / lam, right / lam
     # exactly 0 at mu=inf: no drift to thin with
     inv_two_musq = 0.5 / (mu * mu)
-    if size is None:
-        # the rounds of the kernels below on floats; a candidate the
-        # kernel rejects still draws its thinning uniform
+    if size is None or size == 1:
+        # the rounds of the kernels below on floats, size 1 as an array of
+        # one; a candidate the kernel rejects still draws its thinning uniform
         for _ in range(MAX_REJECTION_ROUNDS):
             if mu <= right:
                 x = rng.wald(mu, 1.0)
                 if x < right:
-                    return lam * x
+                    break
                 continue
             e1 = rng.exponential()
             ok = e1 * e1 <= 2.0 * rng.exponential() / right
@@ -204,8 +204,10 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
             if inv_two_musq > 0.0:
                 ok = rng.uniform() <= np.exp(-x * inv_two_musq) and ok
             if ok:
-                return lam * x
-        raise _budget_error(MAX_REJECTION_ROUNDS)
+                break
+        else:
+            raise _budget_error(MAX_REJECTION_ROUNDS)
+        return lam * x if size is None else np.array([lam * x])
 
     def propose_kernel(k):
         e1 = rng.exponential(k)
@@ -247,19 +249,21 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
     if not below_mode:
         peak = 0.5 * (c + a + math.sqrt((c - a) ** 2 + 4 * c)) if a > 1 else c
         slope = max(a - 1.0, 0.0) / peak  # 1 - beta, without cancelling
-    if size is None:
-        # the rounds of propose and accept below, on floats
+    if size is None or size == 1:
+        # propose and accept below, on floats; size 1 gets an array of one
         for _ in range(MAX_REJECTION_ROUNDS):
             if below_mode:
                 y = rng.gamma(a)
                 if y > c:
-                    return y / rate
+                    break
             else:
                 y = c + rng.exponential() / (1.0 - slope)
                 if np.log(rng.uniform()) <= ((a - 1.0) * np.log(y / peak)
                                              - slope * (y - peak)):
-                    return y / rate
-        raise _budget_error(MAX_REJECTION_ROUNDS)
+                    break
+        else:
+            raise _budget_error(MAX_REJECTION_ROUNDS)
+        return y / rate if size is None else np.array([y / rate])
     if below_mode:
         propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
     else:

@@ -11,6 +11,7 @@ from pgrv import PgParams, alternate, saddle, sample_pg, sample_pg_batch
 from pgrv.errors import IterationCapError
 from pgrv.rng import (
     RngStream,
+    _fill_by_rejection,
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
@@ -22,6 +23,66 @@ KS_LEVEL = 0.001
 
 def inverse_gaussian_cdf(x, mu, lam):
     return np.exp(inverse_gaussian_log_cdf(x, mu, lam))
+
+
+# References for one truncated draw: the rejection engine's array of one,
+# with the kernels of the truncated draws' batch path.  Since ``size`` None
+# and 1 both run the float loop, these pin that loop to the engine.
+
+def _engine_truncated_ig(mu, lam, right, rng):
+    mu, right = mu / lam, right / lam
+    inv_two_musq = 0.5 / (mu * mu)
+    if mu <= right:
+        propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
+                           lambda x: x < right)
+    else:
+        def propose(k):
+            e1 = rng.exponential(k)
+            ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
+            d = 1.0 + right * e1
+            return np.where(ok, right / (d * d), np.inf)
+
+        def accept(x):
+            ok = x <= right
+            if inv_two_musq > 0.0:
+                ok &= rng.uniform(x.size) <= np.exp(-x * inv_two_musq)
+            return ok
+    return lam * _fill_by_rejection(1, propose, accept)
+
+
+def _engine_truncated_gamma(a, rate, left, rng):
+    c = rate * left
+    if c <= (a - 1.0 if a >= 1.0 else a * (1.0 - a)):
+        propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
+    else:
+        peak = (0.5 * (c + a + np.sqrt((c - a) ** 2 + 4 * c)) if a > 1
+                else c)
+        slope = max(a - 1.0, 0.0) / peak
+
+        def propose(k):
+            return c + rng.exponential(k) / (1.0 - slope)
+
+        def accept(y):
+            return np.log(rng.uniform(y.size)) <= (
+                (a - 1.0) * np.log(y / peak) - slope * (y - peak))
+    return _fill_by_rejection(1, propose, accept) / rate
+
+
+def _one_draw_paths(draw, engine, args):
+    """(hex, next uniform) of one draw at size None, at size 1 and by the
+    engine reference, over 20 seeds."""
+    for seed in range(20):
+        results = []
+        for size in (None, 1, "engine"):
+            rng = RngStream(seed)
+            if size == "engine":
+                x = engine(*args, rng)
+            else:
+                x = draw(*args, rng, size=size)
+                assert type(x) is (float if size is None else np.ndarray)
+            x = float(x if size is None else x[0])
+            results.append((x.hex(), rng.uniform()))
+        assert results[0] == results[1] == results[2]
 
 
 def test_determinism_scalar_and_batch():
@@ -238,6 +299,16 @@ class TestTruncatedInverseGaussian:
             sample_truncated_inverse_gaussian(mu, lam, right, RngStream(0),
                                               size=4)
 
+    @pytest.mark.parametrize("mu,lam,right", [
+        (10.0, 1.0, 0.64), (0.3, 1.0, 0.64), (np.inf, 1.0, 0.64),
+        (2.0, 5.0, 1.5), (10.0, 5.0, 0.64)])
+    def test_one_draw_matches_batch_of_one(self, mu, lam, right):
+        # the zero-drift kernel with and without thinning, and Wald
+        # draws: size=None and size=1 run the float loop, with the bits
+        # and stream state of the engine's array of one
+        _one_draw_paths(sample_truncated_inverse_gaussian,
+                        _engine_truncated_ig, (mu, lam, right))
+
     def test_infinite_right_bound_accepted(self):
         # right=inf is the untruncated law (mu=inf: test_zero_drift_mu_inf)
         x = sample_truncated_inverse_gaussian(1.0, 1.0, np.inf, RngStream(26),
@@ -316,16 +387,10 @@ class TestTruncatedGamma:
         (40.0, 2.0, 15.0), (3.5, 1.4, 3.5), (1.0, 0.7, 2.0),
         (0.5, 2.0, 0.5), (0.5, 1.0, 0.1), (2.0, 1.0, 1e6)])
     def test_one_draw_matches_batch_of_one(self, shape, rate, left):
-        # size=None runs the rejection on floats; it must give the bits
-        # and leave the stream state of a size-1 call
-        for seed in range(20):
-            results = []
-            for size in (None, 1):
-                rng = RngStream(seed)
-                x = sample_truncated_gamma(shape, rate, left, rng, size=size)
-                x = float(x if size is None else x[0])
-                results.append((x.hex(), rng.uniform()))
-            assert results[0] == results[1]
+        # size=None and size=1 run the rejection on floats; they must give
+        # the bits and leave the stream state of the engine's array of one
+        _one_draw_paths(sample_truncated_gamma, _engine_truncated_gamma,
+                        (shape, rate, left))
 
     @pytest.mark.parametrize("shape,left", [(2.5, 1.4), (2.5, 3.0)])
     def test_one_draw_budget_matches_batch_of_one(self, shape, left,

@@ -16,7 +16,7 @@ from pgrv.density import (
     jstar_var,
     trunc_lookup,
 )
-from pgrv import alternate, devroye
+from pgrv import PgParams, alternate, devroye, sample_pg
 from pgrv.alternate import _RatioCoefficients
 from pgrv.devroye import (
     TRUNC_POINT,
@@ -416,6 +416,14 @@ def _jstar_draw(route, h, z, size, seed):
 @example(route="alternate", h=1.0, z=math.pi * (1.0 + 1e-12), seed=1)
 @example(route="alternate", h=4.0, z=1e5, seed=2)
 @example(route="alternate", h=2.5, z=0.0, seed=3)
+# devroye's left-fraction squeeze (PG z is twice the J* tilt): on a grid
+# node, one float below it, just under the last node and past it
+@example(route="devroye", h=1.0, z=1.0, seed=4)
+@example(route="devroye", h=1.0, z=math.nextafter(1.0, 0.0), seed=4)
+@example(route="devroye", h=1.0, z=math.nextafter(2.0 * devroye._LF_END, 0.0),
+         seed=5)
+@example(route="devroye", h=1.0, z=2.0 * devroye._LF_END, seed=5)
+@example(route="devroye", h=1.0, z=40.0, seed=6)
 def test_one_candidate_draw_matches_size_one(route, h, z, seed):
     # devroye draws J*(1, z) whatever h is; the alternate sampler J*(h, z)
     want = _jstar_draw(route, h, z, "engine", seed)
@@ -540,3 +548,52 @@ def test_multi_piece_loop_checks_domination():
         for _ in range(50):
             _sample_pasted(mix, _HalfBound(h, mix.trunc), draw_right, None,
                            rng, None, 4)
+
+
+# -- the left-fraction squeeze: one J*(1, z) draw builds its mixture only
+# when a side uniform falls inside its cell's band
+
+def test_left_fraction_bands_hold_the_exact_fraction():
+    # the certificate: on every cell, its closed ends, the floats next to
+    # them and 64 random tilts, the exact left fraction lies in the band,
+    # and every tilt of [z_i, z_{i+1}) indexes cell i
+    rng = np.random.default_rng(24)
+    per_unit = devroye._LF_PER_UNIT
+    bands = devroye._LF_BANDS
+    assert len(bands) == devroye._LF_END * per_unit
+    for i, (lo, hi) in enumerate(bands):
+        a, b = i / per_unit, (i + 1) / per_unit
+        inside = [a, math.nextafter(a, b), math.nextafter(b, a),
+                  *rng.uniform(a, b, 64).tolist()]
+        for z in inside + [b]:
+            lf = build_mixture(TRUNC_POINT, 1.0, z).left_fraction
+            assert lo <= lf <= hi, (i, z)
+        assert {int(z * per_unit) for z in inside} == {i}
+
+
+def test_squeeze_rarely_builds_a_mixture(monkeypatch):
+    # a band hit resolves devroye.build_mixture, the name perfbench's
+    # tracer wraps; without the squeeze every draw would build one
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_mixture(*args)
+
+    monkeypatch.setattr(devroye, "build_mixture", spy)
+    rng = RngStream(25)
+    zs = np.random.default_rng(25).normal(0.0, 2.0, 5000).tolist()
+    for z in zs:
+        sample_pg(PgParams(1.0, z), rng)
+    assert 0 < len(calls) < 0.02 * len(zs)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("size", [None, 1, 5])
+def test_non_finite_tilt_rejected(z, size):
+    # the squeeze reads the table only for a finite tilt below its end
+    match = "build_mixture: needs finite trunc, h > 0 and z"
+    with pytest.raises(ValueError, match=match):
+        sample_jstar1_batch(z, size, RngStream(26))
+    with pytest.raises(ValueError, match=match):
+        sample_jstar_int_batch(2, z, size, RngStream(26))

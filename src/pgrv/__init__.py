@@ -1,7 +1,7 @@
 """Polya-Gamma random variate generation.
 
 Exact samplers for J*(h, z) (unit-shape alternating-series method,
-direct real-shape method for h in [1, 4]), an approximate saddlepoint
+direct real-shape method for h in [1, 64]), an approximate saddlepoint
 sampler for large shapes, analytic moments, and a hybrid dispatcher that
 exposes everything through the PG(b, z) = J*(b, z/2)/4 scaling.
 """

@@ -1,4 +1,4 @@
-"""Direct J*(h, z) sampler for real shapes h in [1, 4], and the
+"""Direct J*(h, z) sampler for real shapes h in [1, 64], and the
 sum-decomposition that extends it to any h >= 1 in the same entry.
 
 The proposal pastes the inverse-Gaussian-type left kernel and the gamma
@@ -17,6 +17,7 @@ of returning biased output; decisions the double sums cannot resolve
 are taken against f/a_0 summed in mpmath.
 """
 
+import bisect
 import functools
 import math
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import devroye
 from .density import (
-    TRUNC_H_MAX,
     TRUNC_H_MIN,
     _coef_ratio_parts,
     _log_kernel_ell_unit,
@@ -93,9 +93,19 @@ class _RatioCoefficients:
 _cached_ratio_parts = functools.lru_cache(maxsize=4096)(_coef_ratio_parts)
 
 
-def _pieces(h):
-    """Equal-piece decomposition: m parts of shape h/m, each in (1, 4]."""
-    m = max(1, math.ceil(h / TRUNC_H_MAX))
+# H*(z), the largest piece shape of a one-draw request at J* tilt z:
+# _CAPS[i] on [_CAP_EDGES[i - 1], _CAP_EDGES[i]), fitted from the
+# single-draw costs in ROADMAP Measurements, "Tilt-adaptive pieces".  A
+# batch, and one draw below the first edge, keep pieces of at most 4.
+_CAP_EDGES = (1.0, 1.25, 1.75, 1.875, 2.5)
+_CAPS = (4.0, 8.0, 16.0, 24.0, 32.0, 64.0)
+
+
+def _pieces(h, z=None):
+    """Equal-piece decomposition: m = ceil(h/H) parts of shape h/m <= H,
+    with H = 4 for a batch (``z`` None) and H*(|z|) for one draw."""
+    cap = _CAPS[bisect.bisect_right(_CAP_EDGES, abs(z))] if z else 4.0
+    m = max(1, math.ceil(h / cap))
     return m, h / m
 
 
@@ -103,16 +113,21 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     """Fill an array with J*(h, z) draws for any real h >= 1;
     ``size=None`` gives one float.
 
-    Shapes above 4 are drawn as a sum of m = ceil(h/4) independent
-    equal-shape pieces, all from one mixture: one draw (``size`` None or
-    1) sums them in the skeleton's float loop, a batch draws all m*k in
-    one run of it.  Equal pieces keep the worst per-piece acceptance
-    constant as small as possible.
+    Shapes above the piece cap H are drawn as a sum of m = ceil(h/H)
+    independent equal-shape pieces, all from one mixture.  A batch has
+    H = 4 and draws all m*k pieces in one run of the skeleton.  One draw
+    (``size`` None or 1) sums its pieces in the skeleton's float loop,
+    with H = H*(|z|) from 4 up to 64: a large piece costs more per
+    candidate, but at high tilts it is still accepted almost always, so
+    fewer pieces cost less.  At low tilts the truncated inverse-Gaussian
+    left piece is accepted ever more rarely as its shape grows, so H* is
+    4 there.  Equal pieces keep the worst per-piece acceptance constant
+    as small as possible.
     """
     h = float(h)
     if not (TRUNC_H_MIN <= h < math.inf):
         raise ValueError("sample_jstar_alt_batch: h must be finite and >= 1")
-    m, piece = _pieces(h)
+    m, piece = _pieces(h, z if size is None or size == 1 else None)
     mix = build_mixture(trunc_lookup(piece), piece, z)
     policy = _RatioCoefficients(piece, mix.trunc)
     draw_right = None if piece == 1.0 else (lambda k: sample_truncated_gamma(

@@ -36,6 +36,7 @@ from .pg import (
     choose_method,
     pg_mean,
     pg_var,
+    sample_pg,
     sample_pg_batch,
 )
 from .rng import RngStream
@@ -229,18 +230,26 @@ def _suite_moments(records, n, seed):
     # the gamma-sum route at large tilts, where a dropped series tail
     # shows as bias
     cells += [(0.5, 1e3, 101 * 5), (0.5, 1e5, 101 * 5 + 1)]
-    for b, z, stream in cells:
+    # one draw at a time on the alternate route, with pieces above 4
+    # there (a batch keeps them at 4)
+    one_draw = [(40.5, 3.3, 101 * 6), (169.5, 6.0, 101 * 6 + 1)]
+    for b, z, stream in cells + one_draw:
         params = PgParams(b, z)
         rng = RngStream(seed ^ stream)
-        draws = sample_pg_batch(params, rng, size=n)
+        one = (b, z, stream) in one_draw
+        if one:
+            draws = np.array([sample_pg(params, rng) for _ in range(n)])
+        else:
+            draws = sample_pg_batch(params, rng, size=n)
         m_exact = pg_mean(params)
         v_exact = pg_var(params)
         se = np.sqrt(v_exact / n)
-        saddle_ran = choose_method(b, size=n) is Method.SADDLEPOINT
+        saddle_ran = not one and choose_method(b, n) is Method.SADDLEPOINT
         allow = 0.01 * m_exact if saddle_ran else 0.0
-        _record(records, "moments", "mean", b, z,
+        prefix = "one-draw-" if one else ""
+        _record(records, "moments", prefix + "mean", b, z,
                 abs(float(draws.mean()) - m_exact), 4.0 * se + allow)
-        _record(records, "moments", "variance", b, z,
+        _record(records, "moments", prefix + "variance", b, z,
                 abs(float(draws.var(ddof=1)) / v_exact - 1.0), 0.05)
 
 
@@ -258,7 +267,9 @@ def _suite_ks(records, n, seed):
 
 
 def _suite_domination(records, *_):
-    for h in np.arange(1.0, 4.0 + 1e-9, 0.1):
+    # [1, 4] by 0.1, then two nodes of the log segment, on the default
+    # grid stretched by h/4
+    for h in np.arange(1.0, 4.0 + 1e-9, 0.1).tolist() + [16.0, 64.0]:
         h = round(float(h), 10)
         report = verify_domination(h)
         _record(records, "domination", "max-f-over-left-kernel", h, 0.0,

@@ -6,10 +6,10 @@ module provides the density, the one coefficient-ratio recurrence and
 the one partial-sum routine built on it (numpy or mpmath arithmetic),
 the proposal mixture of the left/right bounding kernels, the
 truncation-point solver and the one t(h) table the samplers read ([1, 4]
-by 0.0025, which ``pgrv table`` prints), analytic moments, the
-gamma-convolution sampler (the route below shape 1, and the validation
-oracle; it sets its own term count), and the numerical domination check
-for the bounding kernels.  The series coefficients and the kernels are
+by 0.0025, then log-spaced to 64; ``pgrv table`` prints it), analytic
+moments, the gamma-convolution sampler (the route below shape 1, and the
+validation oracle; it sets its own term count), and the numerical
+domination check for the bounding kernels.  The series coefficients and the kernels are
 kept as untilted logs, the form the samplers use.
 The series cancels deep in the right tail (no correct double digit near
 x = 35); every caller that sums it goes through :func:`_trusted_ratio_sum`.
@@ -63,7 +63,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_HALF_PI = float(np.log(np.pi / 2.0))
 
 TRUNC_H_MIN = 1.0
-TRUNC_H_MAX = 4.0
+TRUNC_H_MAX = 64.0
 
 # Relative slack allowed before a bounding-kernel ratio counts as a
 # domination failure.
@@ -402,14 +402,15 @@ def solve_trunc_point(h):
     The same point minimizes the total envelope mass p + q, and it does
     not depend on the tilt (the tilt factor multiplies both kernels).
     The log-difference is strictly increasing on (0, inf) for h >= 1, so
-    the root is unique; it is bracketed by [0.05, 10] over h in [1, 4].
+    the root is unique; it is bracketed by [0.05, 10] over h in [1, 4]
+    and, as t(h) ~ 1.03 h, by [0.05, 2h] above.
     """
     from scipy.optimize import brentq  # only the t(h) table needs scipy
     from scipy.special import gammaln  # the shipped table has its bits
 
     h = float(h)
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
-        raise ValueError("solve_trunc_point: h must lie in [1, 4]")
+        raise ValueError("solve_trunc_point: h must lie in [1, 64]")
     lam0 = tilt_rate(0.0)
 
     def log_diff(x):
@@ -417,27 +418,33 @@ def solve_trunc_point(h):
                 - _log_kernel_r_unit(x, h, lam0, gammaln))
 
     try:
-        return brentq(log_diff, 0.05, 10.0, xtol=1e-13, rtol=8.9e-16,
-                      maxiter=200)
+        return brentq(log_diff, 0.05, max(10.0, 2.0 * h), xtol=1e-13,
+                      rtol=8.9e-16, maxiter=200)
     except RuntimeError as exc:  # pragma: no cover - brentq is reliable here
         raise ConvergenceError(f"solve_trunc_point failed for h={h}") from exc
 
 
-# the built-in t(h) grid: TRUNC_H_MIN + _TRUNC_STEP * i, i < _TRUNC_ROWS
+# the built-in t(h) grid: TRUNC_H_MIN + _TRUNC_STEP * i, i < _TRUNC_ROWS,
+# up to 4, then _TRUNC_LOG_ROWS nodes log-spaced on (4, TRUNC_H_MAX]
 _TRUNC_STEP = 0.0025
 _TRUNC_ROWS = 1201
+_TRUNC_LOG_ROWS = 32
 
 
 def build_trunc_table():
-    """Solve t(h) on the built-in grid: [1, 4] by 0.0025, 1,201 points.
+    """Solve t(h) on the built-in grid: [1, 4] by 0.0025 (1,201 points),
+    then 32 points log-spaced on (4, 64], 8 per doubling, each rounded to
+    a multiple of 1/1024 so that it is exact in binary.
 
     Returns the ``(h, t)`` arrays that ship as ``trunc_table.csv`` (the
     tests hold the file to them).  t(h) curves hardest just above h = 1
-    (second derivative around -39); at this step linear interpolation
+    (second derivative around -39); at these steps linear interpolation
     stays within 1e-4 of the direct solve everywhere.
     """
     hs = TRUNC_H_MIN + _TRUNC_STEP * np.arange(_TRUNC_ROWS)
-    hs[-1] = min(hs[-1], TRUNC_H_MAX)
+    hs[-1] = min(hs[-1], 4.0)
+    log_hs = np.geomspace(4.0, TRUNC_H_MAX, _TRUNC_LOG_ROWS + 1)[1:]
+    hs = np.concatenate([hs, np.round(log_hs * 1024.0) / 1024.0])
     ts = np.array([solve_trunc_point(h) for h in hs])
     return hs, ts
 
@@ -513,13 +520,15 @@ def verify_domination(h, x_grid=None):
     Both come from the ratio sum f/a_0 of :func:`_trusted_ratio_sum`, to
     a hundredth of DOMINATION_SLACK.  Past x ~ 580 ell/r overflows a
     double and f/ell underflows, so there f/r is summed directly, scaled
-    by ell/r, and f/ell follows from it.
+    by ell/r, and f/ell follows from it.  The default grid is 2,000
+    points on [0.01, 20], stretched by h/4 above h = 4.
     """
     h = float(h)
     if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
-        raise ValueError("verify_domination: h must lie in [1, 4]")
+        raise ValueError("verify_domination: h must lie in [1, 64]")
     if x_grid is None:
-        x_grid = np.logspace(np.log10(0.01), np.log10(20.0), 2000)
+        x_grid = (np.logspace(np.log10(0.01), np.log10(20.0), 2000)
+                  * max(1.0, h / 4.0))
     x = np.asarray(x_grid, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise ValueError("verify_domination: every x must be positive and "

@@ -44,20 +44,22 @@ __all__ = [
     "pg_var",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PgParams:
     """Shape b > 0 and tilt z (any sign) of a PG(b, z) target."""
 
     b: float
     z: float = 0.0
 
-    def __post_init__(self):
-        if not (self.b > 0.0) or not math.isfinite(self.b):
+    def __init__(self, b, z=0.0):
+        # one call, with no __post_init__ or object.__setattr__: the
+        # generated __init__ cost twice as much per PG call
+        if not (b > 0.0) or not math.isfinite(b):
             raise ValueError("PgParams: shape b must be positive and finite")
-        if not math.isfinite(self.z):
+        if not math.isfinite(z):
             raise ValueError("PgParams: tilt z must be finite")
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "z", float(self.z))
+        fields = self.__dict__  # frozen: __setattr__ raises
+        fields["b"], fields["z"] = float(b), float(z)
 
     @property
     def jstar(self):

@@ -10,11 +10,14 @@ from scipy.integrate import quad
 
 from pgrv import devroye
 from pgrv.alternate import (
+    _CAP_EDGES,
+    _CAPS,
     _RatioCoefficients,
     _pieces,
     sample_jstar_alt_batch,
 )
 from pgrv.density import (
+    TRUNC_H_MAX,
     JStarParams,
     _log_kernel_ell_unit,
     _log_kernel_r_unit,
@@ -99,6 +102,56 @@ class TestPieces:
         x = sample_jstar_alt_batch(7.2, 2.0, N, RngStream(9))
         se = x.std(ddof=1) / np.sqrt(N)
         assert abs(x.mean() - 7.2 * np.tanh(2.0) / 2.0) < 4 * se
+
+
+class TestTiltAdaptivePieces:
+    """One draw takes pieces of up to H*(|z|); a batch keeps ceil(h/4)."""
+
+    def test_cap_table(self):
+        # a step function starting at 4, rising, and inside the table
+        assert len(_CAPS) == len(_CAP_EDGES) + 1 and _CAPS[0] == 4.0
+        assert list(_CAP_EDGES) == sorted(set(_CAP_EDGES))
+        assert all(a < b for a, b in zip(_CAPS, _CAPS[1:]))
+        assert _CAPS[-1] <= TRUNC_H_MAX
+
+    @pytest.mark.parametrize("h", [4.0, 6.5, 40.5, 100.5, 169.5])
+    def test_each_step_edge(self, h):
+        # below an edge the lower cap holds, from the edge on the next one
+        for i, edge in enumerate(_CAP_EDGES):
+            for z, cap in ((np.nextafter(edge, 0.0), _CAPS[i]),
+                           (edge, _CAPS[i + 1]), (-edge, _CAPS[i + 1])):
+                m, piece = _pieces(h, z)
+                assert m == max(1, math.ceil(h / cap)), (edge, z)
+                assert piece == h / m and piece <= cap
+
+    @pytest.mark.parametrize("h", [4.0, 6.5, 40.5, 169.5])
+    def test_batches_and_low_tilts_keep_four(self, h):
+        four = (max(1, math.ceil(h / 4.0)), h / max(1, math.ceil(h / 4.0)))
+        assert _pieces(h) == _pieces(h, None) == _pieces(h, 0.0) == four
+        assert _pieces(h, np.nextafter(_CAP_EDGES[0], 0.0)) == four
+
+    def test_only_one_draw_takes_the_cap(self, monkeypatch):
+        # the skeleton sees m = ceil(h/H*) pieces for size None and 1 and
+        # m = ceil(h/4) for a batch
+        seen = []
+        real = devroye._sample_pasted
+
+        def spy(mix, policy, draw_right, size, rng, counters, pieces=1):
+            seen.append((size, pieces, mix.h))
+            return real(mix, policy, draw_right, size, rng, counters, pieces)
+
+        monkeypatch.setattr(devroye, "_sample_pasted", spy)
+        h, z = 100.5, 3.0
+        m, piece = _pieces(h, z)
+        assert m < math.ceil(h / 4.0) and piece > 4.0
+        first = []
+        for size in (None, 1, 2, 5):
+            sample_jstar_alt_batch(h, z, size, RngStream(3))
+            first.append(seen[0])  # a batch of sums recurses for k*m
+            seen.clear()
+        four = math.ceil(h / 4.0)
+        assert first == [(None, m, piece), (1, m, piece),
+                         (2, four, h / four), (5, four, h / four)]
 
 
 class TestAcceptance:

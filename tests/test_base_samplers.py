@@ -11,11 +11,16 @@ from pgrv import PgParams, alternate, saddle, sample_pg, sample_pg_batch
 from pgrv.errors import IterationCapError
 from pgrv.rng import (
     RngStream,
-    _fill_by_rejection,
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
 from pgrv.special import inverse_gaussian_log_cdf
+
+from truncated_reference import (
+    engine_truncated_gamma,
+    engine_truncated_ig,
+    one_draw_paths,
+)
 
 N = 100_000
 KS_LEVEL = 0.001
@@ -23,66 +28,6 @@ KS_LEVEL = 0.001
 
 def inverse_gaussian_cdf(x, mu, lam):
     return np.exp(inverse_gaussian_log_cdf(x, mu, lam))
-
-
-# References for one truncated draw: the rejection engine's array of one,
-# with the kernels of the truncated draws' batch path.  Since ``size`` None
-# and 1 both run the float loop, these pin that loop to the engine.
-
-def _engine_truncated_ig(mu, lam, right, rng):
-    mu, right = mu / lam, right / lam
-    inv_two_musq = 0.5 / (mu * mu)
-    if mu <= right:
-        propose, accept = (lambda k: rng.wald(mu, 1.0, size=k),
-                           lambda x: x < right)
-    else:
-        def propose(k):
-            e1 = rng.exponential(k)
-            ok = e1 * e1 <= 2.0 * rng.exponential(k) / right
-            d = 1.0 + right * e1
-            return np.where(ok, right / (d * d), np.inf)
-
-        def accept(x):
-            ok = x <= right
-            if inv_two_musq > 0.0:
-                ok &= rng.uniform(x.size) <= np.exp(-x * inv_two_musq)
-            return ok
-    return lam * _fill_by_rejection(1, propose, accept)
-
-
-def _engine_truncated_gamma(a, rate, left, rng):
-    c = rate * left
-    if c <= (a - 1.0 if a >= 1.0 else a * (1.0 - a)):
-        propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
-    else:
-        peak = (0.5 * (c + a + np.sqrt((c - a) ** 2 + 4 * c)) if a > 1
-                else c)
-        slope = max(a - 1.0, 0.0) / peak
-
-        def propose(k):
-            return c + rng.exponential(k) / (1.0 - slope)
-
-        def accept(y):
-            return np.log(rng.uniform(y.size)) <= (
-                (a - 1.0) * np.log(y / peak) - slope * (y - peak))
-    return _fill_by_rejection(1, propose, accept) / rate
-
-
-def _one_draw_paths(draw, engine, args):
-    """(hex, next uniform) of one draw at size None, at size 1 and by the
-    engine reference, over 20 seeds."""
-    for seed in range(20):
-        results = []
-        for size in (None, 1, "engine"):
-            rng = RngStream(seed)
-            if size == "engine":
-                x = engine(*args, rng)
-            else:
-                x = draw(*args, rng, size=size)
-                assert type(x) is (float if size is None else np.ndarray)
-            x = float(x if size is None else x[0])
-            results.append((x.hex(), rng.uniform()))
-        assert results[0] == results[1] == results[2]
 
 
 def test_determinism_scalar_and_batch():
@@ -306,8 +251,23 @@ class TestTruncatedInverseGaussian:
         # the zero-drift kernel with and without thinning, and Wald
         # draws: size=None and size=1 run the float loop, with the bits
         # and stream state of the engine's array of one
-        _one_draw_paths(sample_truncated_inverse_gaussian,
-                        _engine_truncated_ig, (mu, lam, right))
+        one_draw_paths(sample_truncated_inverse_gaussian,
+                       engine_truncated_ig, (mu, lam, right))
+
+    @pytest.mark.parametrize("mu,right", [(1e9, 0.64), (0.64, 0.64),
+                                          (2.0, 1.5)])
+    def test_one_draw_budget_matches_batch_of_one(self, mu, right,
+                                                  monkeypatch):
+        # a one-round budget, for the zero-drift kernel with and without
+        # thinning and for Wald draws: size None and 1 raise where the
+        # engine does, with its message, and otherwise draw its bits
+        monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 1)
+        outcomes = one_draw_paths(sample_truncated_inverse_gaussian,
+                                  engine_truncated_ig, (mu, 5.0, right),
+                                  seeds=60)
+        assert ("rejection sampler exhausted its budget of 1 rounds"
+                in outcomes)
+        assert len(outcomes) > 1
 
     def test_infinite_right_bound_accepted(self):
         # right=inf is the untruncated law (mu=inf: test_zero_drift_mu_inf)
@@ -389,30 +349,19 @@ class TestTruncatedGamma:
     def test_one_draw_matches_batch_of_one(self, shape, rate, left):
         # size=None and size=1 run the rejection on floats; they must give
         # the bits and leave the stream state of the engine's array of one
-        _one_draw_paths(sample_truncated_gamma, _engine_truncated_gamma,
-                        (shape, rate, left))
+        one_draw_paths(sample_truncated_gamma, engine_truncated_gamma,
+                       (shape, rate, left))
 
     @pytest.mark.parametrize("shape,left", [(2.5, 1.4), (2.5, 3.0)])
     def test_one_draw_budget_matches_batch_of_one(self, shape, left,
                                                   monkeypatch):
         # a one-round budget, below the mode (Gamma proposals) and above
-        # it (shifted exponential): size=None raises where size=1 does,
-        # with the same message, and otherwise draws the same bits
+        # it (shifted exponential): size None and 1 raise where the
+        # engine does, with its message, and otherwise draw its bits
         monkeypatch.setattr("pgrv.rng.MAX_REJECTION_ROUNDS", 1)
-        outcomes = set()
-        for seed in range(60):
-            results = []
-            for size in (None, 1):
-                rng = RngStream(seed)
-                try:
-                    x = sample_truncated_gamma(shape, 1.0, left, rng,
-                                               size=size)
-                    x = float(x if size is None else x[0]).hex()
-                except IterationCapError as exc:
-                    x = str(exc)
-                results.append((x, rng.uniform()))
-            assert results[0] == results[1]
-            outcomes.add(results[0][0])
+        outcomes = one_draw_paths(sample_truncated_gamma,
+                                  engine_truncated_gamma, (shape, 1.0, left),
+                                  seeds=60)
         assert ("rejection sampler exhausted its budget of 1 rounds"
                 in outcomes)
         assert len(outcomes) > 1

@@ -93,7 +93,7 @@ class TestTable:
     def test_row_count(self, capsys):
         code, out, _ = run_cli(["table"], capsys)
         assert code == EXIT_OK
-        assert len(out.splitlines()) == 1 + 1201
+        assert len(out.splitlines()) == 1 + 1201 + 32
 
     def test_prints_the_shipped_file(self, capsys):
         code, out, _ = run_cli(["table"], capsys)
@@ -106,7 +106,7 @@ class TestTable:
         code, _, _ = run_cli(["table", "--out", str(path)], capsys)
         assert code == EXIT_OK
         rows = list(csv.reader(path.open()))
-        assert rows[0] == ["h", "t"] and len(rows) == 1 + 1201
+        assert rows[0] == ["h", "t"] and len(rows) == 1 + 1201 + 32
         for h, t in rows[1:]:
             assert float(t) == trunc_lookup(float(h))
             assert float(t) == solve_trunc_point(float(h))
@@ -219,9 +219,10 @@ class TestValidate:
         assert code == EXIT_OK
         rows = [r for r in csv.reader(io.StringIO(out))][1:]
         # one left-kernel and one right-kernel ratio row per shape in
-        # {1.0, 1.1, ..., 4.0}, then the far right tail, x in [20, 200]
-        # and at 400, 600 and 1,000, for h in {1, 2.5, 4}
-        assert len(rows) == 2 * 31 + 2 * 3
+        # {1.0, 1.1, ..., 4.0} and {16, 64}, then the far right tail, x
+        # in [20, 200] and at 400, 600 and 1,000, for h in {1, 2.5, 4}
+        assert len(rows) == 2 * 31 + 2 * 2 + 2 * 3
+        assert [float(r[2]) for r in rows[62:66]] == [16.0, 16.0, 64.0, 64.0]
         tests = {r[1] for r in rows}
         assert tests == {"max-f-over-left-kernel", "max-f-over-right-kernel",
                          "max-f-over-right-kernel-far-tail",

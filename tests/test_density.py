@@ -11,7 +11,10 @@ stated next to them (quadrature, a second series representation, or the
 gamma-convolution series), computed here rather than trusted.
 """
 
+import hashlib
+from importlib import import_module
 import math
+from pathlib import Path
 import sys
 import warnings
 
@@ -23,6 +26,7 @@ from scipy.integrate import quad
 from pgrv.density import (
     DOMINATION_SLACK,
     JStarParams,
+    TRUNC_H_MAX,
     build_mixture,
     build_trunc_table,
     c_index,
@@ -51,6 +55,8 @@ from pgrv.rng import RngStream
 from gamma_sum_oracle import gamma_sum_oracle
 
 TRUNC1 = 2.0 / np.pi
+# by module name: the package namespace shadows ``pgrv.density``
+density_module = import_module("pgrv.density")
 
 
 def series_moment_oracle(h, z, n_terms=1_000_000):
@@ -665,12 +671,13 @@ class TestTruncationPoint:
     def test_unit_shape_value(self):
         assert solve_trunc_point(1.0) == pytest.approx(TRUNC1, abs=1e-6)
 
-    @pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
+    # 9.7 and above: the root lies past the [0.05, 10] bracket of [1, 4]
+    @pytest.mark.parametrize("h", [1.0, 2.0, 4.0, 9.7, 64.0])
     def test_kernels_equal_at_root(self, h):
         t = solve_trunc_point(h)
         assert ell_ref(t, h) == pytest.approx(r_ref(t, h), rel=1e-9)
 
-    @pytest.mark.parametrize("h", [1.5, 3.0])
+    @pytest.mark.parametrize("h", [1.5, 3.0, 20.0])
     def test_minimizes_total_mass(self, h):
         t = solve_trunc_point(h)
 
@@ -685,16 +692,31 @@ class TestTruncationPoint:
         with pytest.raises(ValueError):
             solve_trunc_point(0.9)
         with pytest.raises(ValueError):
-            solve_trunc_point(4.2)
+            solve_trunc_point(64.5)
 
 
 class TestTruncTable:
     """The one built-in t(h) table that trunc_lookup interpolates in."""
 
     def test_grid_shape(self):
+        # [1, 4] by 0.0025, then 8 nodes per doubling to 64, each a
+        # multiple of 1/1024
         hs, ts = default_trunc_table()
-        assert hs.size == ts.size == 1201
-        assert hs[0] == 1.0 and hs[-1] == 4.0
+        assert hs.size == ts.size == 1201 + 32
+        assert hs[0] == 1.0 and hs[1200] == 4.0 and hs[-1] == TRUNC_H_MAX
+        assert np.all(np.diff(hs) > 0.0)
+        log_hs = hs[1201:]
+        assert np.all(log_hs * 1024.0 == np.round(log_hs * 1024.0))
+        np.testing.assert_allclose(np.diff(np.log2(hs[1200:])), 1.0 / 8.0,
+                                   atol=2e-4)
+
+    def test_linear_segment_keeps_its_rows(self):
+        # the 1,201 rows on [1, 4] that alternate draws at b <= 4 (and
+        # at tilts below the first piece-cap step) read keep their bits
+        shipped = Path(density_module.__file__).with_name("trunc_table.csv")
+        head = "".join(shipped.read_text().splitlines(True)[:1202])
+        assert hashlib.sha256(head.encode()).hexdigest() == (
+            "d0e9c84c059c09f8a841863eae885b698de8386e310468056cff4a77a6dce64e")
 
     def test_on_grid_exact(self):
         # the shipped file is the solver's table, bit for bit
@@ -705,20 +727,27 @@ class TestTruncTable:
         assert np.array_equal(ts, solved_ts), stale
         assert all(trunc_lookup(h) == t for h, t in zip(hs, ts))
 
-    @pytest.mark.parametrize("h", [2.345, 1.019, 1.0042, 3.7771])
+    @pytest.mark.parametrize("h", [2.345, 1.019, 1.0042, 3.7771, 4.18,
+                                   9.9, 33.3, 63.2])
     def test_default_table_interpolation_error(self, h):
         # off the grid; t(h) curves hardest just above h = 1
         assert trunc_lookup(h) == pytest.approx(solve_trunc_point(h),
                                                 abs=1e-4)
 
     def test_smoothness(self):
-        assert np.all(np.abs(np.diff(default_trunc_table()[1])) < 0.05)
+        # t(h) rises and is concave: its secant slopes fall from about 4
+        # at h = 1 to about 1.03 at h = 64
+        hs, ts = default_trunc_table()
+        assert np.all(np.abs(np.diff(ts[:1201])) < 0.05)
+        slopes = np.diff(ts) / np.diff(hs)
+        assert np.all(np.diff(slopes) < 0.0)
+        assert 1.0 < slopes[-1] < slopes[0] < 4.1
 
     def test_range_error(self):
         with pytest.raises(ValueError):
             trunc_lookup(0.99)
         with pytest.raises(ValueError):
-            trunc_lookup(4.01)
+            trunc_lookup(64.01)
 
     def test_module_level_lookup(self):
         assert trunc_lookup(1.0) == pytest.approx(TRUNC1, abs=1e-6)
@@ -730,14 +759,15 @@ class TestTruncTable:
 
     def test_lookup_has_np_interp_bits(self):
         # every node, every midpoint, both float neighbours of each node
-        # and 200k uniform points
+        # and 200k uniform points on [1, 4], 20k on [4, 64]
         hs, ts = default_trunc_table()
         pts = np.concatenate([
             hs, (hs[:-1] + hs[1:]) / 2.0, np.nextafter(hs[1:], 0.0),
-            np.nextafter(hs[:-1], 5.0),
-            np.random.default_rng(0).uniform(1.0, 4.0, 200_000)])
+            np.nextafter(hs[:-1], 65.0),
+            np.random.default_rng(0).uniform(1.0, 4.0, 200_000),
+            np.random.default_rng(1).uniform(4.0, 64.0, 20_000)])
         got = np.array([trunc_lookup(h) for h in pts.tolist()])
-        assert pts.size == 204_801
+        assert pts.size == 204_801 + 4 * 32 + 20_000
         assert np.array_equal(got, np.interp(pts, hs, ts))
         assert type(trunc_lookup(2.0)) is float
 
@@ -817,14 +847,32 @@ class TestDomination:
     def test_kernels_dominate_at_every_table_node_and_midpoint(self):
         # the certificate behind the alternate sampler: both kernels
         # dominate on a 200-point grid over [0.02, 10] at each t(h) node
-        # and midpoint; the decider's odd-sum check guards every draw
-        hs, _ = default_trunc_table()
+        # and midpoint on [1, 4]; the decider's odd-sum check guards
+        # every draw
+        hs = default_trunc_table()[0][:1201]
         shapes = np.concatenate([hs, (hs[:-1] + hs[1:]) / 2.0])
         grid = np.logspace(np.log10(0.02), np.log10(10.0), 200)
         assert shapes.size == 2401
         failed = [h for h in shapes.tolist()
                   if not verify_domination(h, grid).passed]
         assert failed == []
+
+    def test_kernels_dominate_at_every_log_node_and_midpoint(self):
+        # the same certificate on (4, 64], with the grid scaled to the
+        # shape: 60 points over [0.01 h, 5 h], where the left kernel
+        # binds (f/ell -> 1 as x -> 0) and the proposals land, and x =
+        # 20 h, where f/r has climbed to 0.53 at h = 64 (0.97 at 4.36).
+        # A right kernel half as large fails there at every shape
+        hs = default_trunc_table()[0][1200:]
+        shapes = np.concatenate([hs[1:], (hs[:-1] + hs[1:]) / 2.0])
+        assert shapes.size == 64
+        worst_right = 1.0
+        for h in shapes.tolist():
+            grid = np.append(np.geomspace(0.01 * h, 5.0 * h, 60), 20.0 * h)
+            report = verify_domination(h, grid)
+            assert report.passed, h
+            worst_right = min(worst_right, report.max_rho_right)
+        assert worst_right > 0.5
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from pgrv.rng import (
 )
 
 from gamma_sum_oracle import gamma_sum_oracle
+from truncated_reference import engine_truncated_ig, one_draw_paths
 
 N = 100_000
 KS_LEVEL = 0.001
@@ -281,13 +282,11 @@ def test_one_candidate_round_caps(monkeypatch):
 @pytest.mark.parametrize("mu,right", [(10.0, 0.64), (0.3, 0.64),
                                       (np.inf, 0.64), (2.0, 1.5)])
 def test_one_candidate_truncated_ig_matches_array(mu, right):
-    # both regimes (zero-drift kernel with thinning, Wald) and mu=inf
-    for seed in range(200):
-        a, b = RngStream(seed), RngStream(seed)
-        x = sample_truncated_inverse_gaussian(mu, 5.0, right, a)
-        y = sample_truncated_inverse_gaussian(mu, 5.0, right, b, size=1)
-        assert type(x) is float and x.hex() == float(y[0]).hex()
-        assert a.uniform() == b.uniform()
+    # both regimes (zero-drift kernel with thinning, Wald) and mu=inf:
+    # size None and 1 give the bits and stream state of the engine's
+    # array of one
+    one_draw_paths(sample_truncated_inverse_gaussian, engine_truncated_ig,
+                   (mu, 5.0, right), seeds=200)
 
 
 # -- short candidate arrays: up to devroye._SHORT slots are decided one
@@ -520,7 +519,11 @@ def test_multi_piece_loop_budget_per_piece(size, monkeypatch):
 @pytest.mark.parametrize("z", [0.0, 1.5, 500.0])
 def test_multi_piece_draw_sums_single_draws(route, h, m, z):
     # one multi-piece draw is its pieces drawn one after another: the sum,
-    # counters and stream state of m one-piece draws in a row
+    # counters and stream state of m one-piece draws in a row.  On the
+    # alternate route one draw takes the pieces of its tilt's cap
+    if route == "alternate":
+        m, h = alternate._pieces(h * m, z)
+
     def draw(shape, rng, counters):
         if route == "devroye":
             return sample_jstar_int_batch(shape, z, None, rng, counters)

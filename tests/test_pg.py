@@ -1,7 +1,9 @@
 """Public PG interface: moments, hybrid dispatch, scaling, and the
 normal approximation."""
 
+import dataclasses
 from importlib import import_module
+import math
 import subprocess
 import sys
 
@@ -82,6 +84,44 @@ class TestMoments:
             PgParams(0.0, 1.0)
         with pytest.raises(ValueError):
             PgParams(1.0, np.inf)
+
+    @pytest.mark.parametrize("b,z", [
+        ("2", 1.0), (2.0, "1"), (None, 1.0), (2.0, None), (math.nan, 1.0),
+        (2.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (2.0, math.inf),
+        (2.0, -math.inf), (0.0, 1.0), (-0.0, 1.0), (-2.0, 1.0)])
+    def test_params_reject_as_the_generated_init_did(self, b, z):
+        # the hand-written __init__ raises the type and message of the
+        # dataclass-generated __init__ with its __post_init__ check
+        @dataclasses.dataclass(frozen=True)
+        class Generated:
+            b: float
+            z: float = 0.0
+
+            def __post_init__(self):
+                if not (self.b > 0.0) or not math.isfinite(self.b):
+                    raise ValueError(
+                        "PgParams: shape b must be positive and finite")
+                if not math.isfinite(self.z):
+                    raise ValueError("PgParams: tilt z must be finite")
+
+        with pytest.raises(Exception) as want:
+            Generated(b, z)
+        with pytest.raises(want.type) as got:
+            PgParams(b, z)
+        assert str(got.value) == str(want.value)
+        assert want.type in (TypeError, ValueError)
+
+    def test_params_stay_a_frozen_dataclass(self):
+        p = PgParams(2, -1)
+        assert type(p.b) is float and type(p.z) is float
+        assert repr(p) == "PgParams(b=2.0, z=-1.0)"
+        assert p == PgParams(2.0, -1.0) and p != PgParams(2.0, 1.0)
+        assert hash(p) == hash(PgParams(b=2.0, z=-1.0))
+        assert PgParams(3.5) == PgParams(3.5, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.b = 3.0
+        assert dataclasses.replace(p, z=0.5) == PgParams(2.0, 0.5)
+        assert [f.name for f in dataclasses.fields(p)] == ["b", "z"]
 
 
 class TestDispatch:
@@ -303,12 +343,14 @@ class TestSampling:
         score = (x.mean() - pg_mean(p)) / np.sqrt(pg_var(p) / n)
         assert abs(score) <= 5.0
 
+    # the last three take pieces above 4 (alternate._pieces), which a
+    # batch never does
     @pytest.mark.parametrize("b,z", [(2.0, 1.0), (7.3, 3.0), (40.5, 3.0),
-                                     (15.5, 1e3)])
+                                     (15.5, 1e3), (40.5, 3.3), (100.5, 4.0),
+                                     (169.5, 6.0)])
     def test_multi_piece_single_draw_moments(self, b, z):
-        # one draw at a time sums its pieces in the float loop, which the
-        # batch suites of ``pgrv validate`` never reach: the mean within
-        # 5 SE, the variance within 4 SE of the sample variance
+        # one draw at a time sums its pieces in the float loop: the mean
+        # within 5 SE, the variance within 4 SE of the sample variance
         p = PgParams(b, z)
         rng = RngStream(23)
         x = np.array([sample_pg(p, rng) for _ in range(4000)])

@@ -278,10 +278,12 @@ def _suite_domination(records, *_):
                 report.max_rho_right, 1.0 + DOMINATION_SLACK)
     # the far right tail, where a double sum has no correct digit left
     # and, past x ~ 580, ell/r overflows a double: f/r stays below 1 and
-    # rises towards it (0.88 at x = 20, h = 4)
+    # rises towards it (0.88 at x = 20, h = 4).  Log-segment shapes take
+    # x = 20h and 25h (f/r is 0.53 at 20h, h = 64; mpmath is slow past it)
     far = np.concatenate([np.geomspace(20.0, 200.0, 25), [400.0, 600.0, 1e3]])
-    for h in [1.0, 2.5, 4.0]:
-        rho = verify_domination(h, far).rho_right
+    for h in [1.0, 2.5, 4.0, 16.0, 64.0]:
+        xs = far if h <= 4.0 else h * np.array([20.0, 25.0])
+        rho = verify_domination(h, xs).rho_right
         _record(records, "domination", "max-f-over-right-kernel-far-tail",
                 h, 0.0, float(rho.max()), 1.0 + DOMINATION_SLACK)
         _record(records, "domination", "min-f-over-right-kernel-far-tail",

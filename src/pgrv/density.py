@@ -75,7 +75,8 @@ _SUM_MAX_TERMS = 10_000
 
 # Rounding bound of a ratio sum, per eps * sum |terms|: against mpmath,
 # double partial sums erred by at most 1.6 units over 24,000 random
-# (h, x) in [1, 4] x [1, 400]
+# (h, x) in [1, 4] x [1, 400], and 2.1 over 80,000 in (4, 64] x [0.01h,
+# 20h] at the sums the decider compares (earlier ones err by up to 5.9)
 _SUM_ULPS = 4.0
 SUM_ROUNDING = _SUM_ULPS * float(np.finfo(float).eps)
 

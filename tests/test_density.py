@@ -11,6 +11,7 @@ stated next to them (quadrature, a second series representation, or the
 gamma-convolution series), computed here rather than trusted.
 """
 
+import functools
 import hashlib
 from importlib import import_module
 import math
@@ -26,6 +27,7 @@ from scipy.integrate import quad
 from pgrv.density import (
     DOMINATION_SLACK,
     JStarParams,
+    SUM_ROUNDING,
     TRUNC_H_MAX,
     build_mixture,
     build_trunc_table,
@@ -357,13 +359,54 @@ class TestPartialSums:
                         else:
                             assert s >= f * (1 - 1e-12) - 1e-300
 
-    @pytest.mark.parametrize("h", [1.5, 2.5, 4.0])
+    def test_rounding_bound_on_log_segment(self):
+        # the decider trusts a double partial sum S_n only where it is
+        # farther than SUM_ROUNDING * sum_{k<=n} |t_k| from u.  On the log
+        # segment the terms rise far above S_0 before they fall; at every
+        # sum the decider compares (the ratio below one) the double sum
+        # is still within that bound of the exact one.  The exact terms
+        # come from the closed form of a_n/a_0 (see mp_ratio_ref)
+        import mpmath as mp
+
+        rs = np.random.default_rng(25)
+        hs = np.exp(rs.uniform(np.log(4.0), np.log(64.0), 150))
+        xs = hs * np.exp(rs.uniform(np.log(0.01), np.log(20.0), 150))
+        worst = 0.0
+        with mp.workdps(40):
+            for h, x in zip(hs.tolist(), xs.tolist()):
+                policy = _RatioCoefficients(h, trunc_lookup(h))
+                a = s = absum = 1.0
+                log_t, exact, H = mp.mpf(0), mp.mpf(1), mp.mpf(h)
+                for n in range(1, 1000):
+                    a, can = policy.step(n, x, a)
+                    s = s - a if n % 2 else s + a
+                    absum += a
+                    log_t += (mp.log((n - 1 + H) / n * (2 * n + H)
+                                     / (2 * n - 2 + H))
+                              - ((2 * n + H) ** 2 - (2 * n - 2 + H) ** 2)
+                              / (2 * mp.mpf(x)))
+                    exact += (-1) ** n * mp.exp(log_t)
+                    if can:
+                        worst = max(worst, float(abs(s - exact)) / absum)
+                        if a <= 1e-17 * abs(s):
+                            break
+                else:
+                    raise AssertionError("series did not converge")
+        # measured over 80,000 points: at most 2.1 eps
+        assert 0.0 < worst <= SUM_ROUNDING
+
+    @pytest.mark.parametrize("h", [1.5, 2.5, 4.0, 16.0, 64.0])
     def test_decider_exact_in_far_right_tail(self, h):
-        # past x ~ 30 the partial sums cancel in double precision; every
+        # past x ~ 30 (x ~ 4h on the log segment, whose terms rise far
+        # above S_0) the partial sums cancel in double precision; every
         # decision must still be u k <= f/a_0, with no domination raise,
-        # and the one-element, short-array and long-array paths must agree
+        # and the one-element, short-array and long-array paths must
+        # agree.  f/a_0 depends on x only, so each point is summed in
+        # mpmath once
         policy = _RatioCoefficients(h, trunc_lookup(h))
-        xs = np.geomspace(20.0, 60.0, 2 * devroye._SHORT + 1)
+        policy.exact_sum = functools.lru_cache(policy.exact_sum)
+        lo, hi = {16.0: (64.0, 160.0), 64.0: (256.0, 384.0)}.get(h, (20, 60))
+        xs = np.geomspace(lo, hi, 2 * devroye._SHORT + 1)
         ref = [mp_ratio_ref(x, h) for x in xs.tolist()]
         bound = policy.bound(xs)
         decided = []

@@ -519,10 +519,12 @@ def test_multi_piece_loop_budget_per_piece(size, monkeypatch):
 @pytest.mark.parametrize("z", [0.0, 1.5, 500.0])
 def test_multi_piece_draw_sums_single_draws(route, h, m, z):
     # one multi-piece draw is its pieces drawn one after another: the sum,
-    # counters and stream state of m one-piece draws in a row.  On the
-    # alternate route one draw takes the pieces of its tilt's cap
+    # counters and stream state of m one-piece draws in a row.  One
+    # alternate draw takes pieces up to its tilt's cap (4, 16 and 64 at
+    # these tilts), so its piece shapes scale with the cap and keep m
     if route == "alternate":
-        m, h = alternate._pieces(h * m, z)
+        h *= {0.0: 1.0, 1.5: 4.0, 500.0: 16.0}[z]
+        assert alternate._pieces(h * m, z) == (m, h) and m >= 2
 
     def draw(shape, rng, counters):
         if route == "devroye":

@@ -230,17 +230,16 @@ def _suite_moments(records, n, seed):
     # the gamma-sum route at large tilts, where a dropped series tail
     # shows as bias
     cells += [(0.5, 1e3, 101 * 5), (0.5, 1e5, 101 * 5 + 1)]
-    # one draw at a time on the alternate route, with pieces above 4
-    # there (a batch keeps them at 4)
-    one_draw = [(40.5, 3.3, 101 * 6), (169.5, 6.0, 101 * 6 + 1)]
+    # one draw at a time on the alternate route (pieces above 4; a batch
+    # keeps 4), at the squeeze grid's corners and at z_J = 0.99 below it
+    one_draw = [(b, z, 101 * 6 + i) for i, (b, z) in enumerate(
+        [(40.5, 3.3), (169.5, 6.0), (10.5, 2.0), (63.5, 7.9), (10.5, 1.98)])]
     for b, z, stream in cells + one_draw:
         params = PgParams(b, z)
         rng = RngStream(seed ^ stream)
         one = (b, z, stream) in one_draw
-        if one:
-            draws = np.array([sample_pg(params, rng) for _ in range(n)])
-        else:
-            draws = sample_pg_batch(params, rng, size=n)
+        draws = (np.array([sample_pg(params, rng) for _ in range(n)]) if one
+                 else sample_pg_batch(params, rng, size=n))
         m_exact = pg_mean(params)
         v_exact = pg_var(params)
         se = np.sqrt(v_exact / n)

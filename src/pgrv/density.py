@@ -370,6 +370,10 @@ class ProposalMixture(NamedTuple):
     z: float
     lam_z: float
 
+    @property
+    def band(self):  # a one-draw loop's side-choice band: here exact
+        return self.left_fraction, self.left_fraction
+
 
 def build_mixture(trunc, h, z):
     """The :class:`ProposalMixture` of J*(h, |z|) pasted at ``trunc``.

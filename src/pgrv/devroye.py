@@ -33,8 +33,9 @@ One J*(1, z) draw squeezes its side choice (Devroye 1986, II.3).  At
 h = 1 the left fraction lf = p/(p+q) depends on |z| alone and does not
 decrease in it: against x = 2/pi the tilt e^{-x z^2/2} weighs the left
 kernel up and the right one down, so p e^{z^2/pi} grows and q e^{z^2/pi}
-falls.  ``_LF_BANDS`` brackets lf on each cell of a |z| grid; only a side
-uniform inside its cell's bracket builds the mixture.
+falls.  ``_LF_BANDS`` brackets lf on each cell of a |z| grid, as
+:mod:`pgrv.alternate` does on an (h, z) grid; only a side uniform inside
+its cell's bracket builds the mixture.
 """
 
 import numpy as np
@@ -293,12 +294,12 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
     probability ``mix.left_fraction``, else from ``draw_right(m)``
     (``None``: the exponential tail right of ``mix.trunc``, the gamma
     piece at h = 1), and ``policy`` decides it.  One draw (``size`` None
-    or 1) runs :func:`_sample_one`, a batch of sums :func:`_sum_pieces`.
+    or 1) runs :func:`_sample_one` on ``mix.band``, so there ``mix`` may
+    be an ``alternate._Squeeze``; a batch of sums runs :func:`_sum_pieces`.
     """
     if size is None or size == 1:
-        x = _sample_one(mix.trunc, mix.h, mix.z, mix.lam_z,
-                        (mix.left_fraction,) * 2, policy, draw_right, rng,
-                        counters, pieces)
+        x = _sample_one(mix.trunc, mix.h, mix.z, mix.lam_z, mix.band, policy,
+                        draw_right, rng, counters, pieces)
         return x if size is None else np.array([x])
     if pieces > 1:
         return _sum_pieces(pieces, size, lambda k: _sample_pasted(

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as spstats
 from scipy.integrate import quad
 
-from pgrv import devroye
+from pgrv import PgParams, alternate, devroye, sample_pg
 from pgrv.alternate import (
     _CAP_EDGES,
     _CAPS,
@@ -30,7 +30,7 @@ from pgrv.density import (
     trunc_lookup,
 )
 from pgrv.devroye import sample_jstar1_batch
-from pgrv.rng import RngStream
+from pgrv.rng import RngStream, sample_truncated_gamma
 from pgrv.special import log_cosh
 
 from gamma_sum_oracle import gamma_sum_oracle
@@ -152,6 +152,100 @@ class TestTiltAdaptivePieces:
         four = math.ceil(h / 4.0)
         assert first == [(None, m, piece), (1, m, piece),
                          (2, four, h / four), (5, four, h / four)]
+
+
+def _exact_lf(h, z):
+    return build_mixture(trunc_lookup(h), h, z).left_fraction
+
+
+class TestSideChoiceSqueeze:
+    """One draw at 1 <= z_J < 4 and a piece below 64 takes its side from
+    the band of its (h, z_J) cell; only a uniform inside builds."""
+
+    H_NODES = [2.0 ** (i / 16) for i in range(97)]
+    Z_NODES = [1.0 + j / 32 for j in range(97)]
+
+    def test_bands_hold_the_exact_fraction(self):
+        # the certificate: at every node and the floats next to it on
+        # both axes, and at 40,000 random (h, z_J), the exact left
+        # fraction lies in the band of the cell that holds the point
+        assert alternate._LF_H_NODES == self.H_NODES
+        points = [(h, z) for h0 in self.H_NODES for z0 in self.Z_NODES
+                  for h in (math.nextafter(h0, 0.0), h0,
+                            math.nextafter(h0, 65.0))
+                  for z in (math.nextafter(z0, 0.0), z0,
+                            math.nextafter(z0, 5.0))
+                  if 1.0 <= h < 64.0 and 1.0 <= z < 4.0]
+        rng = np.random.default_rng(26)
+        points += zip((2.0 ** rng.uniform(0.0, 6.0, 40_000)).tolist(),
+                      rng.uniform(1.0, 4.0, 40_000).tolist())
+        for h, z in points:
+            lo, hi = alternate._lf_band(h, z)
+            assert lo <= _exact_lf(h, z) <= hi, (h, z)
+
+    def test_fraction_rises_with_shape(self):
+        # the band's premise between nodes: at every z_J node, lf does
+        # not fall along 8 shapes per cell.  It falls by 3.6e-15 once,
+        # where it rounds to 1; a fall past 1e-12 (a thousandth of the
+        # margin) would be more than rounding
+        hs = [2.0 ** (k / 128) for k in range(8 * 96 + 1)]
+        for z in self.Z_NODES:
+            lf = np.array([_exact_lf(h, z) for h in hs])
+            assert np.diff(lf).min() >= -1e-12, z
+
+    def test_draws_keep_their_bits(self):
+        # on a ladder over every h node and z_J across 1 and 4, and at
+        # pieces of 64, one draw gives the draws, counters and stream
+        # state of the exact mixture, whose band is (lf, lf)
+        def exact(h, z, size, rng, counters):
+            m, piece = _pieces(h, z)
+            mix = build_mixture(trunc_lookup(piece), piece, z)
+            draw_right = None if piece == 1.0 else (
+                lambda k: sample_truncated_gamma(piece, mix.lam_z, mix.trunc,
+                                                 rng, size=k))
+            return devroye._sample_pasted(
+                mix, _RatioCoefficients(piece, mix.trunc), draw_right, size,
+                rng, counters, m)
+
+        tilts = [math.nextafter(1.0, 0.0), 1.0, 1.6, 2.7,
+                 math.nextafter(4.0, 0.0), 4.0]
+        ladder = [(h, z) for h in self.H_NODES for z in tilts]
+        ladder += [(64.0, 3.0), (128.0, -3.5), (101.0, 2.5)]
+        for k, (h, z) in enumerate(ladder):
+            size = (None, 1)[k % 2]
+            got, want = [], []
+            for draw, out in ((sample_jstar_alt_batch, got), (exact, want)):
+                rng, counters = RngStream(k), {}
+                x = float(np.asarray(draw(h, z, size, rng, counters)).item())
+                out += [x.hex(), counters, rng.uniform()]
+            assert got == want, (h, z)
+
+    def test_few_draws_build_a_mixture(self, monkeypatch):
+        # after a warm-up pass has built the nodes, a build comes from a
+        # uniform inside a band or a tilt off the grid (z_J < 1 here)
+        zs = np.random.default_rng(27).normal(3.3, 0.5, 2000).tolist()
+        rng = RngStream(27)
+        for z in zs:
+            sample_pg(PgParams(10.5, z), rng)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return build_mixture(*args)
+
+        monkeypatch.setattr(alternate, "build_mixture", spy)
+        monkeypatch.setattr(devroye, "build_mixture", spy)
+        for z in zs:
+            sample_pg(PgParams(10.5, z), rng)
+        assert 0 < len(calls) < 0.03 * len(zs)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_non_finite_tilt_rejected(self, z, size):
+        # NaN fails the squeeze's range check, and the build rejects it
+        with pytest.raises(ValueError,
+                           match="build_mixture: needs finite trunc"):
+            sample_jstar_alt_batch(10.5, z, size, RngStream(28))
 
 
 class TestAcceptance:

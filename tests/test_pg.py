@@ -9,10 +9,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgrv.density import JStarParams, sample_gamma_sum
 from pgrv import devroye
 from pgrv.devroye import sample_jstar1_batch
+from pgrv.errors import (
+    ConvergenceError,
+    DominationViolationError,
+    EnvelopeValidityError,
+    IterationCapError,
+)
 from pgrv.pg import (
     ALTERNATE_MAX,
     DEVROYE_MAX,
@@ -456,3 +464,27 @@ class TestNormalApprox:
     def test_scalar(self):
         assert sample_pg(PgParams(300.0, 0.0), RngStream(22),
                          method="normal-approx") > 0.0
+
+
+# -- the whole domain, one draw at a time: b in [1e-4, 1e4] and |z| in
+# [0, 1e8], both log-uniform.  Batches are left out while the saddlepoint
+# still refuses some large tilts with EnvelopeValidityError
+
+_TYPED_ERRORS = (ConvergenceError, DominationViolationError,
+                 EnvelopeValidityError, IterationCapError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e),
+       z=st.one_of(st.just(0.0), st.floats(-4.0, 8.0).map(lambda e: 10.0 ** e)),
+       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(b=1e-4, z=0.0, sign=1.0, seed=0)
+@example(b=1e4, z=1e8, sign=-1.0, seed=0)
+@example(b=169.9, z=1e8, sign=1.0, seed=0)
+def test_one_draw_over_the_domain(b, z, sign, seed):
+    # a finite, positive draw, or one of the package's typed errors
+    try:
+        x = sample_pg(PgParams(b, sign * z), RngStream(seed))
+    except _TYPED_ERRORS:
+        return
+    assert isinstance(x, float) and math.isfinite(x) and x > 0.0

@@ -10,10 +10,6 @@ they decrease, so a slot takes no decision while its coefficient ratio
 is at least one; the ratio falls with n, so once it is below one the
 partial sums bracket the density.
 
-One draw at 1 <= z < 4 and a piece below 64 squeezes its side choice
-(:mod:`pgrv.devroye`): lf rises with z, as t(h) does not depend on z,
-and with h, as the tests certify, so two corners of its cell bracket it.
-
 Domination of the density by the pasted kernel is numerically verified
 (at every t(h) node and midpoint, by the test suite), not proven.  While
 sampling, a lower partial sum above the kernel aborts the draw instead
@@ -24,7 +20,6 @@ are taken against f/a_0 summed in mpmath.
 import bisect
 import functools
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -35,7 +30,7 @@ from .density import (
     _log_kernel_ell_unit,
     _log_kernel_r_unit,
     _trusted_ratio_sum,
-    build_mixture,
+    build_mixture,  # unused here: the benchmark tracer wraps this name
     tilt_rate,
     trunc_lookup,
     verify_domination,  # unused here: the benchmark tracer wraps this name
@@ -115,31 +110,6 @@ def _pieces(h, z=None):
     return m, h / m
 
 
-# The squeeze grid: h_i = 2^(i/16) on [1, 64], z_j = 1 + j/32 on [1, 4];
-# a cell's band is lf at nodes (i, j) and (i + 1, j + 1) widened to cover
-# lf's rounding.  Nodes are built on first use, so importing costs nothing.
-_LF_H_NODES = [2.0 ** (i / 16) for i in range(97)]
-_LF_Z_PER_UNIT = 32
-_LF_MARGIN = 1e-9
-
-
-@functools.lru_cache(maxsize=97 * 97)
-def _lf_node(i, j):
-    h, z = _LF_H_NODES[i], 1.0 + j / _LF_Z_PER_UNIT
-    return build_mixture(trunc_lookup(h), h, z).left_fraction
-
-
-def _lf_band(h, z):
-    """The band of the cell that holds (h, z), for 1 <= h < 64, 1 <= z < 4."""
-    i = bisect.bisect_right(_LF_H_NODES, h) - 1
-    j = int((z - 1.0) * _LF_Z_PER_UNIT)
-    return _lf_node(i, j) - _LF_MARGIN, _lf_node(i + 1, j + 1) + _LF_MARGIN
-
-
-# what a one-draw _sample_pasted reads of a mixture whose lf is in ``band``
-_Squeeze = namedtuple("_Squeeze", "trunc h z lam_z band")
-
-
 def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     """Fill an array with J*(h, z) draws for any real h >= 1;
     ``size=None`` gives one float.
@@ -161,12 +131,8 @@ def sample_jstar_alt_batch(h, z, size, rng, counters=None):
     one = size is None or size == 1
     m, piece = _pieces(h, z if one else None)
     trunc, z = trunc_lookup(piece), abs(float(z))
-    if one and 1.0 <= z < 4.0 and piece < _LF_H_NODES[-1]:  # NaN fails
-        mix = _Squeeze(trunc, piece, z, tilt_rate(z), _lf_band(piece, z))
-    else:
-        mix = build_mixture(trunc, piece, z)
-    policy = _RatioCoefficients(piece, trunc)
     draw_right = None if piece == 1.0 else (lambda k: sample_truncated_gamma(
-        piece, mix.lam_z, trunc, rng, size=k))
-    return devroye._sample_pasted(mix, policy, draw_right, size, rng,
-                                  counters, m)
+        piece, tilt_rate(z), trunc, rng, size=k))
+    return devroye._sample_pasted(trunc, piece, z,
+                                  _RatioCoefficients(piece, trunc),
+                                  draw_right, size, rng, counters, m)

@@ -359,7 +359,8 @@ class ProposalMixture(NamedTuple):
     is p/(p+q), the chance that a proposal comes from the left kernel.
 
     A tuple, not a frozen dataclass: the exact samplers build one per
-    call, and a tuple costs half as much to build.
+    batch, and a tuple costs half as much to build.  One draw builds one
+    only where its side choice cannot be squeezed (:mod:`pgrv.devroye`).
     """
 
     trunc: float
@@ -370,15 +371,11 @@ class ProposalMixture(NamedTuple):
     z: float
     lam_z: float
 
-    @property
-    def band(self):  # a one-draw loop's side-choice band: here exact
-        return self.left_fraction, self.left_fraction
-
 
 def build_mixture(trunc, h, z):
     """The :class:`ProposalMixture` of J*(h, |z|) pasted at ``trunc``.
 
-    The exact samplers build one per call, so it runs on floats.  Its
+    The exact samplers build one per batch, so it runs on floats.  Its
     values keep the bits of numpy's arithmetic: ``exp`` and ``log``
     stay numpy's, whose results can differ from :mod:`math`'s in the
     last ulp.  ``trunc`` and ``h`` must be finite and positive, ``z`` finite.

@@ -29,18 +29,23 @@ policy the float decider is :func:`_decide_unit`, with the steps
 inlined.  Only a batch of multi-piece draws goes through
 :func:`_sum_pieces`.
 
-One J*(1, z) draw squeezes its side choice (Devroye 1986, II.3).  At
-h = 1 the left fraction lf = p/(p+q) depends on |z| alone and does not
-decrease in it: against x = 2/pi the tilt e^{-x z^2/2} weighs the left
-kernel up and the right one down, so p e^{z^2/pi} grows and q e^{z^2/pi}
-falls.  ``_LF_BANDS`` brackets lf on each cell of a |z| grid, as
-:mod:`pgrv.alternate` does on an (h, z) grid; only a side uniform inside
-its cell's bracket builds the mixture.
+One draw squeezes its side choice (Devroye 1986, II.3) on a grid of
+nodes h_i = 2^(i/16), |z| = j/32, each the left fraction lf = p/(p+q)
+pasted at t(h_i).  lf rises with |z| at fixed h, as t(h) does not depend
+on z: against x = t the tilt e^{-x z^2/2} weighs the left kernel up and
+the right one down.  At |z| >= 1 it rises with h too (the tests certify
+it), so at h = 1 a cell's two nodes bracket lf, and between nodes its
+corners (i, j) and (i + 1, j + 1) do.  Only a side uniform inside its
+cell's band, or a request off the grid, builds the mixture.
 """
+
+import bisect
+import functools
 
 import numpy as np
 
-from .density import DOMINATION_SLACK, SUM_ROUNDING, build_mixture, tilt_rate
+from .density import (DOMINATION_SLACK, SUM_ROUNDING, build_mixture,
+                      tilt_rate, trunc_lookup)
 from .errors import DominationViolationError, IterationCapError
 from .rng import (
     MAX_PROPOSAL_ROUNDS,
@@ -99,15 +104,31 @@ class _PastedCoefficients:
 
 _PASTED = _PastedCoefficients()
 
-# Node j of the squeeze is |z| = j / _LF_PER_UNIT; the band of cell i is
-# lf at nodes i, i + 1, widened to cover lf's rounding (seen at one ulp).
+# the squeeze grid of the module docstring: h_i and |z| per unit
+_LF_H_NODES = [2.0 ** (i / 16) for i in range(97)]
 _LF_PER_UNIT = 32
 _LF_END = 16.0
-_LF_MARGIN = 1e-12
-_LF_NODES = [build_mixture(TRUNC_POINT, 1.0, j / _LF_PER_UNIT).left_fraction
-             for j in range(int(_LF_END * _LF_PER_UNIT) + 1)]
-_LF_BANDS = [(lo - _LF_MARGIN, hi + _LF_MARGIN)
-             for lo, hi in zip(_LF_NODES, _LF_NODES[1:])]
+_LF_MARGIN = 1e-9
+
+
+def _lf_band(h, z):
+    """The band of the cell that holds (h, |z| = ``z``): on the h = 1 row
+    below ``_LF_END``, between nodes at 1 <= z < 4, h < 64; else None."""
+    if h == 1.0 and z < _LF_END:  # NaN and inf fail
+        return _lf_cell(0, int(z * _LF_PER_UNIT), 0)
+    if 1.0 <= z < 4.0 and h < _LF_H_NODES[-1]:
+        return _lf_cell(bisect.bisect_right(_LF_H_NODES, h) - 1,
+                        int(z * _LF_PER_UNIT), 1)
+    return None
+
+
+@functools.lru_cache(maxsize=None)  # the grid bounds it: 9,728 cells
+def _lf_cell(i, j, di):
+    """lf at nodes (i, j) and (i + di, j + 1), widened by ``_LF_MARGIN``;
+    built on the cell's first use, so importing builds no cell."""
+    lo, hi = (build_mixture(trunc_lookup(h), h, k / _LF_PER_UNIT).left_fraction
+              for h, k in ((_LF_H_NODES[i], j), (_LF_H_NODES[i + di], j + 1)))
+    return lo - _LF_MARGIN, hi + _LF_MARGIN
 
 
 def _series_decide(x, rng, policy, counters=None):
@@ -286,24 +307,26 @@ def _count_terms(counters, policy, term_sum, term_max, n_exact=0):
         counters[key] = counters.get(key, 0) + n_exact
 
 
-def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
-    """Exact J*(h, z) draws for the (h, z) of the mixture ``mix``, each
-    the sum of ``pieces`` candidates; ``size=None`` gives one float.
+def _sample_pasted(trunc, h, z, policy, draw_right, size, rng, counters,
+                   pieces=1):
+    """Exact J*(h, z) draws from the mixture pasted at ``trunc``, each the
+    sum of ``pieces`` candidates; ``size=None`` gives one float.
 
     A proposal comes from the truncated IG(h/z, h^2) left piece with
-    probability ``mix.left_fraction``, else from ``draw_right(m)``
-    (``None``: the exponential tail right of ``mix.trunc``, the gamma
-    piece at h = 1), and ``policy`` decides it.  One draw (``size`` None
-    or 1) runs :func:`_sample_one` on ``mix.band``, so there ``mix`` may
-    be an ``alternate._Squeeze``; a batch of sums runs :func:`_sum_pieces`.
+    probability lf = p/(p+q), else from ``draw_right(m)`` (``None``: the
+    exponential tail right of ``trunc``, the gamma piece at h = 1), and
+    ``policy`` decides it.  One draw (``size`` None or 1) runs
+    :func:`_sample_one`; a batch builds the mixture once, and a batch of
+    sums runs :func:`_sum_pieces`.
     """
     if size is None or size == 1:
-        x = _sample_one(mix.trunc, mix.h, mix.z, mix.lam_z, mix.band, policy,
-                        draw_right, rng, counters, pieces)
+        x = _sample_one(trunc, h, z, policy, draw_right, rng, counters,
+                        pieces)
         return x if size is None else np.array([x])
     if pieces > 1:
         return _sum_pieces(pieces, size, lambda k: _sample_pasted(
-            mix, policy, draw_right, k, rng, counters))
+            trunc, h, z, policy, draw_right, k, rng, counters))
+    mix = build_mixture(trunc, h, z)
     mu = np.inf if mix.z == 0.0 else mix.h / mix.z
     if draw_right is None:
         def draw_right(m):
@@ -318,17 +341,18 @@ def _sample_pasted(mix, policy, draw_right, size, rng, counters, pieces=1):
         counters, MAX_PROPOSAL_ROUNDS)
 
 
-def _sample_one(trunc, h, z, lam_z, band, policy, draw_right, rng, counters,
-                pieces):
+def _sample_one(trunc, h, z, policy, draw_right, rng, counters, pieces):
     """One draw of :func:`_sample_pasted` as a flat float loop: the sum of
     ``pieces`` accepted candidates, each found in the rounds that
     _fill_by_rejection, _two_piece and _series_decide run for one slot,
-    with their stream use, counters and its own round budget.  A side
-    uniform below ``band`` goes left, one at or above it right; one inside
-    builds the mixture once, closing the band on its left fraction.
+    with their stream use, counters and its own round budget.  ``z`` is
+    |z|.  A side uniform below the band of :func:`_lf_band` goes left,
+    one at or above it right; one inside builds the mixture once, closing
+    the band on its left fraction.  Off the grid the mixture is built
+    first, and its band is the exact fraction.
     """
+    lo, hi = _lf_band(h, z) or (build_mixture(trunc, h, z).left_fraction,) * 2
     mu = np.inf if z == 0.0 else h / z
-    lo, hi = band
     total = 0.0
     for _ in range(pieces):
         for _ in range(MAX_PROPOSAL_ROUNDS):
@@ -343,7 +367,7 @@ def _sample_one(trunc, h, z, lam_z, band, policy, draw_right, rng, counters,
             if left:
                 x = sample_truncated_inverse_gaussian(mu, h * h, trunc, rng)
             elif draw_right is None:
-                x = trunc + rng.exponential() / lam_z
+                x = trunc + rng.exponential() / tilt_rate(z)
             else:
                 x = draw_right(None)
             ok = bool(_decide_one(x, rng.uniform(), policy, counters))
@@ -365,16 +389,13 @@ def _sum_pieces(m, size, draw):
 
 def sample_jstar1_batch(z, size, rng, counters=None, pieces=1):
     """Fill an array with exact J*(1, z) draws, or with sums of ``pieces``
-    of them; ``size=None`` gives one float.  One draw at |z| < ``_LF_END``
-    runs the squeeze; any other call builds the mixture first."""
+    of them; ``size=None`` gives one float."""
     z = abs(float(z))
-    if (size is None or size == 1) and z < _LF_END:  # NaN and inf fail
-        x = _sample_one(TRUNC_POINT, 1.0, z, tilt_rate(z),
-                        _LF_BANDS[int(z * _LF_PER_UNIT)], _PASTED, None, rng,
-                        counters, pieces)
-        return x if size is None else np.array([x])
-    return _sample_pasted(build_mixture(TRUNC_POINT, 1.0, z), _PASTED, None,
-                          size, rng, counters, pieces)
+    if size is None:
+        return _sample_one(TRUNC_POINT, 1.0, z, _PASTED, None, rng, counters,
+                           pieces)
+    return _sample_pasted(TRUNC_POINT, 1.0, z, _PASTED, None, size, rng,
+                          counters, pieces)
 
 
 def sample_jstar_int_batch(n, z, size, rng, counters=None):

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as spstats
 from scipy.integrate import quad
 
-from pgrv import PgParams, alternate, devroye, sample_pg
+from pgrv import PgParams, devroye, sample_pg
 from pgrv.alternate import (
     _CAP_EDGES,
     _CAPS,
@@ -30,7 +30,7 @@ from pgrv.density import (
     trunc_lookup,
 )
 from pgrv.devroye import sample_jstar1_batch
-from pgrv.rng import RngStream, sample_truncated_gamma
+from pgrv.rng import RngStream
 from pgrv.special import log_cosh
 
 from gamma_sum_oracle import gamma_sum_oracle
@@ -136,9 +136,11 @@ class TestTiltAdaptivePieces:
         seen = []
         real = devroye._sample_pasted
 
-        def spy(mix, policy, draw_right, size, rng, counters, pieces=1):
-            seen.append((size, pieces, mix.h))
-            return real(mix, policy, draw_right, size, rng, counters, pieces)
+        def spy(trunc, h, z, policy, draw_right, size, rng, counters,
+                pieces=1):
+            seen.append((size, pieces, h))
+            return real(trunc, h, z, policy, draw_right, size, rng, counters,
+                        pieces)
 
         monkeypatch.setattr(devroye, "_sample_pasted", spy)
         h, z = 100.5, 3.0
@@ -168,8 +170,9 @@ class TestSideChoiceSqueeze:
     def test_bands_hold_the_exact_fraction(self):
         # the certificate: at every node and the floats next to it on
         # both axes, and at 40,000 random (h, z_J), the exact left
-        # fraction lies in the band of the cell that holds the point
-        assert alternate._LF_H_NODES == self.H_NODES
+        # fraction lies in the band of the cell that holds the point (at
+        # h = 1, the band of the h = 1 row)
+        assert devroye._LF_H_NODES == self.H_NODES
         points = [(h, z) for h0 in self.H_NODES for z0 in self.Z_NODES
                   for h in (math.nextafter(h0, 0.0), h0,
                             math.nextafter(h0, 65.0))
@@ -180,7 +183,7 @@ class TestSideChoiceSqueeze:
         points += zip((2.0 ** rng.uniform(0.0, 6.0, 40_000)).tolist(),
                       rng.uniform(1.0, 4.0, 40_000).tolist())
         for h, z in points:
-            lo, hi = alternate._lf_band(h, z)
+            lo, hi = devroye._lf_band(h, z)
             assert lo <= _exact_lf(h, z) <= hi, (h, z)
 
     def test_fraction_rises_with_shape(self):
@@ -193,35 +196,32 @@ class TestSideChoiceSqueeze:
             lf = np.array([_exact_lf(h, z) for h in hs])
             assert np.diff(lf).min() >= -1e-12, z
 
-    def test_draws_keep_their_bits(self):
+    def test_draws_keep_their_bits(self, monkeypatch):
         # on a ladder over every h node and z_J across 1 and 4, and at
         # pieces of 64, one draw gives the draws, counters and stream
-        # state of the exact mixture, whose band is (lf, lf)
-        def exact(h, z, size, rng, counters):
-            m, piece = _pieces(h, z)
-            mix = build_mixture(trunc_lookup(piece), piece, z)
-            draw_right = None if piece == 1.0 else (
-                lambda k: sample_truncated_gamma(piece, mix.lam_z, mix.trunc,
-                                                 rng, size=k))
-            return devroye._sample_pasted(
-                mix, _RatioCoefficients(piece, mix.trunc), draw_right, size,
-                rng, counters, m)
-
+        # state of the exact mixture, the band of a draw off the grid
         tilts = [math.nextafter(1.0, 0.0), 1.0, 1.6, 2.7,
                  math.nextafter(4.0, 0.0), 4.0]
         ladder = [(h, z) for h in self.H_NODES for z in tilts]
         ladder += [(64.0, 3.0), (128.0, -3.5), (101.0, 2.5)]
-        for k, (h, z) in enumerate(ladder):
-            size = (None, 1)[k % 2]
-            got, want = [], []
-            for draw, out in ((sample_jstar_alt_batch, got), (exact, want)):
+
+        def draws():
+            out = []
+            for k, (h, z) in enumerate(ladder):
                 rng, counters = RngStream(k), {}
-                x = float(np.asarray(draw(h, z, size, rng, counters)).item())
-                out += [x.hex(), counters, rng.uniform()]
-            assert got == want, (h, z)
+                x = sample_jstar_alt_batch(h, z, (None, 1)[k % 2], rng,
+                                           counters)
+                out.append((float(np.asarray(x).item()).hex(), counters,
+                            rng.uniform()))
+            return out
+
+        got = draws()
+        monkeypatch.setattr(devroye, "_lf_band", lambda h, z: None)
+        for point, a, b in zip(ladder, got, draws(), strict=True):
+            assert a == b, point
 
     def test_few_draws_build_a_mixture(self, monkeypatch):
-        # after a warm-up pass has built the nodes, a build comes from a
+        # after a warm-up pass has built the cells, a build comes from a
         # uniform inside a band or a tilt off the grid (z_J < 1 here)
         zs = np.random.default_rng(27).normal(3.3, 0.5, 2000).tolist()
         rng = RngStream(27)
@@ -233,7 +233,6 @@ class TestSideChoiceSqueeze:
             calls.append(args)
             return build_mixture(*args)
 
-        monkeypatch.setattr(alternate, "build_mixture", spy)
         monkeypatch.setattr(devroye, "build_mixture", spy)
         for z in zs:
             sample_pg(PgParams(10.5, z), rng)

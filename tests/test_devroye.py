@@ -1,7 +1,10 @@
 """Unit-shape sampler: exactness against the gamma-convolution oracle,
 moments, proposal dominance, and acceptance-loop behavior."""
 
+import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from pgrv.density import (
     build_mixture,
     density,
     jstar_var,
+    tilt_rate,
     trunc_lookup,
 )
 from pgrv import PgParams, alternate, devroye, sample_pg
@@ -463,15 +467,15 @@ def test_one_candidate_loop_budget(h, monkeypatch):
     # the loop reads devroye.MAX_PROPOSAL_ROUNDS when it runs, as the
     # array path does, and fills the counters a size-1 call fills
     monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 5)
-    mix = build_mixture(trunc_lookup(h), h, 0.7)
+    t = trunc_lookup(h)
     results = []
     for size in (None, 1):
         rng, counters = RngStream(8), {}
         draw_right = None if h == 1.0 else (
-            lambda k: sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng,
+            lambda k: sample_truncated_gamma(h, tilt_rate(0.7), t, rng,
                                              size=k))
         with pytest.raises(IterationCapError, match="budget of 5 rounds$"):
-            _sample_pasted(mix, _Rejecting(h, mix.trunc), draw_right, size,
+            _sample_pasted(t, h, 0.7, _Rejecting(h, t), draw_right, size,
                            rng, counters)
         results.append((counters, rng.uniform()))
     assert results[0] == results[1]
@@ -498,18 +502,17 @@ class _EveryFifth(_PastedCoefficients):
 def test_multi_piece_loop_budget_per_piece(size, monkeypatch):
     # each of three pieces takes five rounds: a budget of five rounds per
     # piece suffices, one of four raises on the first piece
-    mix = build_mixture(TRUNC_POINT, 1.0, 0.7)
     monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 5)
     counters = {}
-    x = _sample_pasted(mix, _EveryFifth(), None, size, RngStream(9),
-                       counters, 3)
+    x = _sample_pasted(TRUNC_POINT, 1.0, 0.7, _EveryFifth(), None, size,
+                       RngStream(9), counters, 3)
     assert np.all(np.isfinite(x) & (x > 0.0))
     assert counters["proposals"] == 15 and counters["accepted"] == 3
     monkeypatch.setattr(devroye, "MAX_PROPOSAL_ROUNDS", 4)
     counters = {}
     with pytest.raises(IterationCapError, match="budget of 4 rounds$"):
-        _sample_pasted(mix, _EveryFifth(), None, size, RngStream(9),
-                       counters, 3)
+        _sample_pasted(TRUNC_POINT, 1.0, 0.7, _EveryFifth(), None, size,
+                       RngStream(9), counters, 3)
     assert counters["proposals"] == 4 and counters["accepted"] == 0
 
 
@@ -543,42 +546,122 @@ def test_multi_piece_draw_sums_single_draws(route, h, m, z):
 def test_multi_piece_loop_checks_domination():
     # under a halved bound the loop raises rather than return a biased sum
     h = 3.875
-    mix = build_mixture(trunc_lookup(h), h, 0.5)
+    t = trunc_lookup(h)
     rng = RngStream(10)
 
     def draw_right(k):
-        return sample_truncated_gamma(h, mix.lam_z, mix.trunc, rng, size=k)
+        return sample_truncated_gamma(h, tilt_rate(0.5), t, rng, size=k)
 
     with pytest.raises(DominationViolationError):
         for _ in range(50):
-            _sample_pasted(mix, _HalfBound(h, mix.trunc), draw_right, None,
+            _sample_pasted(t, h, 0.5, _HalfBound(h, t), draw_right, None,
                            rng, None, 4)
 
 
-# -- the left-fraction squeeze: one J*(1, z) draw builds its mixture only
-# when a side uniform falls inside its cell's band
+# -- the left-fraction squeeze: one J* draw builds its mixture only when a
+# side uniform falls inside its cell's band (the h = 1 row here; the cells
+# between nodes are certified in test_alternate.py)
 
-def test_left_fraction_bands_hold_the_exact_fraction():
-    # the certificate: on every cell, its closed ends, the floats next to
-    # them and 64 random tilts, the exact left fraction lies in the band,
-    # and every tilt of [z_i, z_{i+1}) indexes cell i
+@pytest.fixture
+def fresh_cells():
+    # a test that builds cells under a changed margin must not leave them
+    cells = devroye._lf_cell
+    cells.cache_clear()
+    yield
+    cells.cache_clear()
+
+
+def _out_of_band(points):
+    """The (h, |z|) points whose exact left fraction lies outside their
+    band; at h = 1 under devroye's paste point 2/pi and the table's t(1),
+    one ulp above it, which the alternate sampler pastes at."""
+    bad = []
+    for h, z in points:
+        lo, hi = devroye._lf_band(h, z)
+        pastes = (TRUNC_POINT, trunc_lookup(1.0)) if h == 1.0 else (
+            trunc_lookup(h),)
+        if any(not lo <= build_mixture(t, h, z).left_fraction <= hi
+               for t in pastes):
+            bad.append((h, z))
+    return bad
+
+
+def test_left_fraction_bands_hold_the_exact_fraction(fresh_cells):
+    # the certificate: on every cell of the h = 1 row, its closed ends,
+    # the floats next to them and 64 random tilts, the exact left fraction
+    # lies in the band, and every tilt of [z_i, z_{i+1}) takes cell i's
     rng = np.random.default_rng(24)
-    per_unit = devroye._LF_PER_UNIT
-    bands = devroye._LF_BANDS
-    assert len(bands) == devroye._LF_END * per_unit
-    for i, (lo, hi) in enumerate(bands):
+    per_unit, end = devroye._LF_PER_UNIT, devroye._LF_END
+    assert devroye._lf_band(1.0, math.nextafter(end, 0.0)) is not None
+    assert devroye._lf_band(1.0, end) is None
+    for i in range(int(end * per_unit)):
         a, b = i / per_unit, (i + 1) / per_unit
         inside = [a, math.nextafter(a, b), math.nextafter(b, a),
                   *rng.uniform(a, b, 64).tolist()]
+        lo, hi = band = devroye._lf_cell(0, i, 0)
+        assert {devroye._lf_band(1.0, z) for z in inside} == {band}, i
         for z in inside + [b]:
-            lf = build_mixture(TRUNC_POINT, 1.0, z).left_fraction
-            assert lo <= lf <= hi, (i, z)
-        assert {int(z * per_unit) for z in inside} == {i}
+            for t in (TRUNC_POINT, trunc_lookup(1.0)):
+                lf = build_mixture(t, 1.0, z).left_fraction
+                assert lo <= lf <= hi, (i, z, t)
+
+
+def _node_points():
+    # every node of the h = 1 row and every eighth node (i, j) between
+    # nodes, with the floats next to it on both axes, inside the domains
+    nodes = [(1.0, j / 32) for j in range(513)]
+    nodes += [(devroye._LF_H_NODES[i], j / 32) for i in range(0, 95, 8)
+              for j in range(32, 129, 8)]
+    return [(h, z) for h0, z0 in nodes
+            for h in ({1.0} if h0 == 1.0 else (
+                math.nextafter(h0, 0.0), h0, math.nextafter(h0, 65.0)))
+            for z in (math.nextafter(z0, 0.0), z0, math.nextafter(z0, 99.0))
+            if 0.0 <= z and (z < 16.0 if h == 1.0 else
+                             1.0 < h < 64.0 and 1.0 <= z < 4.0)]
+
+
+def test_certificate_catches_a_bad_table(fresh_cells, monkeypatch):
+    # the certificate's points fail a zero margin, and a grid shifted by
+    # one node either way on either axis, on the h = 1 row and between
+    # nodes; the row has no node below h = 1 to shift down to
+    points = _node_points()
+
+    def failed_domains():
+        return {"row" if h == 1.0 else "grid"
+                for h, _ in _out_of_band(points)}
+
+    assert failed_domains() == set()
+    monkeypatch.setattr(devroye, "_LF_MARGIN", 0.0)
+    devroye._lf_cell.cache_clear()
+    assert failed_domains() == {"row", "grid"}
+    monkeypatch.undo()
+    devroye._lf_cell.cache_clear()
+    real = devroye._lf_cell.__wrapped__
+    for di, dj, want in ((1, 0, {"row", "grid"}), (-1, 0, {"grid"}),
+                         (0, 1, {"row", "grid"}), (0, -1, {"row", "grid"})):
+        monkeypatch.setattr(devroye, "_lf_cell", functools.lru_cache(None)(
+            lambda i, j, d, di=di, dj=dj: real(max(i + di, 0), j + dj, d)))
+        assert failed_domains() == want, (di, dj)
+
+
+def test_import_builds_no_cell():
+    # the band cells are built on first use, not when pgrv is imported
+    proc = subprocess.run(
+        [sys.executable, "-c", "import pgrv, pgrv.devroye as d\n"
+         "print(d._lf_cell.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def test_squeeze_rarely_builds_a_mixture(monkeypatch):
-    # a band hit resolves devroye.build_mixture, the name perfbench's
-    # tracer wraps; without the squeeze every draw would build one
+    # after a warm-up pass has built the cells, a build comes from a band
+    # hit or a tilt past the row's end; it resolves devroye.build_mixture,
+    # the name perfbench's tracer wraps.  Without the squeeze every draw
+    # would build one
+    rng = RngStream(25)
+    zs = np.random.default_rng(25).normal(0.0, 2.0, 5000).tolist()
+    for z in zs:
+        sample_pg(PgParams(1.0, z), rng)
     calls = []
 
     def spy(*args):
@@ -586,8 +669,6 @@ def test_squeeze_rarely_builds_a_mixture(monkeypatch):
         return build_mixture(*args)
 
     monkeypatch.setattr(devroye, "build_mixture", spy)
-    rng = RngStream(25)
-    zs = np.random.default_rng(25).normal(0.0, 2.0, 5000).tolist()
     for z in zs:
         sample_pg(PgParams(1.0, z), rng)
     assert 0 < len(calls) < 0.02 * len(zs)

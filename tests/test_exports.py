@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import pgrv
-from pgrv import alternate, saddle
+from pgrv import alternate, devroye, saddle
 from pgrv.density import ProposalMixture, density, verify_domination
 from pgrv.rng import sample_truncated_inverse_gaussian
 
@@ -75,3 +75,10 @@ def test_removed_attributes_and_options_stay_removed():
     assert list(inspect.signature(
         density_module.sample_gamma_sum).parameters) == ["params", "rng",
                                                          "size"]
+    # one lazily built band table in devroye serves every one-draw
+    # side-choice squeeze
+    assert not hasattr(ProposalMixture, "band")
+    assert not hasattr(alternate, "_Squeeze")
+    assert not hasattr(alternate, "_lf_band")
+    assert not hasattr(devroye, "_LF_BANDS")
+    assert not hasattr(devroye, "_LF_NODES")

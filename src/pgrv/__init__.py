@@ -8,12 +8,10 @@ exposes everything through the PG(b, z) = J*(b, z/2)/4 scaling.
 
 from .density import (
     JStarParams,
-    build_trunc_table,
     density,
     jstar_mean,
     jstar_var,
     sample_gamma_sum,
-    solve_trunc_point,
     trunc_lookup,
     verify_domination,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "Method",
     "PgParams",
     "RngStream",
-    "build_trunc_table",
     "choose_method",
     "density",
     "jstar_mean",
@@ -55,7 +52,6 @@ __all__ = [
     "sample_gamma_sum",
     "sample_pg",
     "sample_pg_batch",
-    "solve_trunc_point",
     "trunc_lookup",
     "verify_domination",
     "__version__",

@@ -1,7 +1,8 @@
 """Command-line tool: draw samples, run the benchmark grid, run the
 validation suites, and print the paste points t(h).  All output is CSV.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
+Exit codes: 0 success, 1 validation failure, 2 usage error (an unusable
+``--out`` path, or the KS suite without scipy, among them), 3 numerical
 failure.  All statistical output is deterministic for a fixed seed; only
 the timing columns of ``bench`` vary between runs.
 """
@@ -343,6 +344,12 @@ def _cmd_validate(args):
         raise ValueError(f"validate: unknown suites {sorted(unknown)}")
     if args.n < 2:
         raise ValueError("validate: --n must be >= 2")
+    if "ks" in suites:
+        try:
+            import scipy.stats  # before any suite runs or prints
+        except ImportError as exc:
+            raise ValueError("validate: the ks suite needs scipy; install "
+                             "it with pip install 'pgrv[validate]'") from exc
     records = []
     for name, suite in _SUITES.items():
         if name in suites:
@@ -391,7 +398,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, IterationCapError, DominationViolationError,

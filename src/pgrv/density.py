@@ -4,21 +4,22 @@ The J*(h) density is an alternating series of inverse-Gaussian-type
 terms; tilting by z multiplies it by cosh^h(z) exp(-x z^2/2).  This
 module provides the density, the one coefficient-ratio recurrence and
 the one partial-sum routine built on it (numpy or mpmath arithmetic),
-the proposal mixture of the left/right bounding kernels, the
-truncation-point solver and the one t(h) table the samplers read ([1, 4]
-by 0.0025, then log-spaced to 64; ``pgrv table`` prints it), analytic
-moments, the gamma-convolution sampler (the route below shape 1, and the
-validation oracle; it sets its own term count), and the numerical
-domination check for the bounding kernels.  The series coefficients and the kernels are
-kept as untilted logs, the form the samplers use.
+the proposal mixture of the left/right bounding kernels, the one t(h)
+table the samplers read ([1, 4] by 0.0025, then log-spaced to 64;
+``pgrv table`` prints it), analytic moments, the gamma-convolution
+sampler (the route below shape 1, and the validation oracle; it sets its
+own term count), and the numerical domination check for the bounding
+kernels.  The series coefficients and the kernels are kept as untilted
+logs, the form the samplers use.
 The series cancels deep in the right tail (no correct double digit near
 x = 35); every caller that sums it goes through :func:`_trusted_ratio_sum`.
 
 Everything here is pure and thread-safe except :func:`sample_gamma_sum`,
 which consumes an RngStream.  The t(h) table ships as the package file
-``trunc_table.csv``, the solver's nodes as ``pgrv table`` prints them;
-it is read once at import and read-only afterwards, so no draw solves a
-root.
+``trunc_table.csv``, the roots of ell(x|h) = r(x|h) at zero tilt; the
+tests solve them with scipy and hold the file to that solver bit for
+bit.  It is read once at import and read-only afterwards, so no draw
+solves a root and the package needs no scipy to draw.
 """
 
 import bisect
@@ -49,8 +50,6 @@ __all__ = [
     "jstar_mean",
     "jstar_var",
     "tilt_rate",
-    "solve_trunc_point",
-    "build_trunc_table",
     "trunc_lookup",
     "default_trunc_table",
     "DominationReport",
@@ -325,10 +324,10 @@ def jstar_var(params):
 
 
 @functools.lru_cache(maxsize=1024)
-def _log_kernel_consts(h, log_gamma=log_gamma_fn):
+def _log_kernel_consts(h):
     # the x-free parts of the two log kernels below, as they sum them
     return (h * _LOG2 + np.log(h) - 0.5 * _LOG_2PI,
-            h * _LOG_HALF_PI - log_gamma(h))
+            h * _LOG_HALF_PI - log_gamma_fn(h))
 
 
 def _log_kernel_ell_unit(x, h):
@@ -339,12 +338,11 @@ def _log_kernel_ell_unit(x, h):
     return _log_kernel_consts(h)[0] - 1.5 * np.log(x) - h * h / (2.0 * x)
 
 
-def _log_kernel_r_unit(x, h, lam_z, log_gamma=log_gamma_fn):
+def _log_kernel_r_unit(x, h, lam_z):
     """log of the right bounding kernel (pi/2)^h x^{h-1} e^{-lam_z x}/Gamma(h),
     proportional to a Gamma(h, lam_z) density; the tilted kernel has
     lam_z = :func:`tilt_rate` (z) and a cosh^h(z) factor."""
-    return (_log_kernel_consts(h, log_gamma)[1]
-            + (h - 1.0) * np.log(x) - lam_z * x)
+    return _log_kernel_consts(h)[1] + (h - 1.0) * np.log(x) - lam_z * x
 
 
 class ProposalMixture(NamedTuple):
@@ -398,63 +396,10 @@ def build_mixture(trunc, h, z):
     return ProposalMixture(trunc, log_p, log_q, left_fraction, h, z, lam_z)
 
 
-def solve_trunc_point(h):
-    """Paste point t(h): the root of ell(x|h) = r(x|h) at zero tilt.
-
-    The same point minimizes the total envelope mass p + q, and it does
-    not depend on the tilt (the tilt factor multiplies both kernels).
-    The log-difference is strictly increasing on (0, inf) for h >= 1, so
-    the root is unique; it is bracketed by [0.05, 10] over h in [1, 4]
-    and, as t(h) ~ 1.03 h, by [0.05, 2h] above.
-    """
-    from scipy.optimize import brentq  # only the t(h) table needs scipy
-    from scipy.special import gammaln  # the shipped table has its bits
-
-    h = float(h)
-    if not (TRUNC_H_MIN <= h <= TRUNC_H_MAX):
-        raise ValueError("solve_trunc_point: h must lie in [1, 64]")
-    lam0 = tilt_rate(0.0)
-
-    def log_diff(x):
-        return (_log_kernel_ell_unit(x, h)
-                - _log_kernel_r_unit(x, h, lam0, gammaln))
-
-    try:
-        return brentq(log_diff, 0.05, max(10.0, 2.0 * h), xtol=1e-13,
-                      rtol=8.9e-16, maxiter=200)
-    except RuntimeError as exc:  # pragma: no cover - brentq is reliable here
-        raise ConvergenceError(f"solve_trunc_point failed for h={h}") from exc
-
-
-# the built-in t(h) grid: TRUNC_H_MIN + _TRUNC_STEP * i, i < _TRUNC_ROWS,
-# up to 4, then _TRUNC_LOG_ROWS nodes log-spaced on (4, TRUNC_H_MAX]
-_TRUNC_STEP = 0.0025
-_TRUNC_ROWS = 1201
-_TRUNC_LOG_ROWS = 32
-
-
-def build_trunc_table():
-    """Solve t(h) on the built-in grid: [1, 4] by 0.0025 (1,201 points),
-    then 32 points log-spaced on (4, 64], 8 per doubling, each rounded to
-    a multiple of 1/1024 so that it is exact in binary.
-
-    Returns the ``(h, t)`` arrays that ship as ``trunc_table.csv`` (the
-    tests hold the file to them).  t(h) curves hardest just above h = 1
-    (second derivative around -39); at these steps linear interpolation
-    stays within 1e-4 of the direct solve everywhere.
-    """
-    hs = TRUNC_H_MIN + _TRUNC_STEP * np.arange(_TRUNC_ROWS)
-    hs[-1] = min(hs[-1], 4.0)
-    log_hs = np.geomspace(4.0, TRUNC_H_MAX, _TRUNC_LOG_ROWS + 1)[1:]
-    hs = np.concatenate([hs, np.round(log_hs * 1024.0) / 1024.0])
-    ts = np.array([solve_trunc_point(h) for h in hs])
-    return hs, ts
-
-
 def _read_trunc_table():
     """(h array, t array, h list, t list) of the shipped table: the
-    ``%.17g`` rows of ``pgrv table``, which parse back to the bits of
-    :func:`build_trunc_table`."""
+    ``%.17g`` rows of ``pgrv table``, which parse back to the bits the
+    solver found."""
     path = Path(__file__).with_name("trunc_table.csv")
     hs, ts = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     hs.flags.writeable = ts.flags.writeable = False
@@ -468,6 +413,12 @@ def default_trunc_table():
     """The ``(h, t)`` table the samplers read, loaded at import from the
     package file and shared read-only."""
     return _TRUNC_TABLE[:2]
+
+
+# unused here: the benchmark tracer wraps this name (its
+# ``density.trunc_table`` span, which no draw reaches); it goes once the
+# tracer drops that target
+build_trunc_table = default_trunc_table
 
 
 def trunc_lookup(h):

@@ -20,7 +20,6 @@ from pgrv.density import (
     density,
     jstar_mean,
     sample_gamma_sum,
-    solve_trunc_point,
     verify_domination,
 )
 from pgrv.devroye import sample_jstar1_batch
@@ -28,6 +27,8 @@ from pgrv.pg import Method, PgParams, choose_method, pg_mean, pg_var, sample_pg_
 from pgrv.rng import RngStream
 from pgrv.saddle import U_MAX, build_envelope, cgf, cgf_p1, cgf_p2, sample_saddle_batch
 from pgrv.saddle import _log_envelope, _log_sp_vec
+
+from trunc_table_oracle import solve_trunc_point
 
 N = 100_000
 

@@ -11,8 +11,10 @@ import pytest
 
 from pgrv import cli
 from pgrv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from pgrv.density import solve_trunc_point, trunc_lookup
+from pgrv.density import trunc_lookup
 from pgrv.pg import SADDLE_MIN_SIZE, PgParams, pg_mean, pg_var
+
+from trunc_table_oracle import solve_trunc_point
 
 
 def run_cli(argv, capsys):
@@ -253,6 +255,29 @@ class TestValidate:
             ["validate", "--suites", "moments", "--n", n], capsys)
         assert code == EXIT_USAGE
         assert out == "" and "FAILED" not in err and "--n" in err
+
+    def test_ks_without_scipy_exits_usage(self, capsys, monkeypatch):
+        # scipy is an optional extra: without it the KS suite is refused
+        # before the moment suite runs, and no row is printed
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        code, out, err = run_cli(
+            ["validate", "--suites", "moments,ks", "--n", "100"], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "pip install 'pgrv[validate]'" in err
+
+
+@pytest.mark.parametrize("argv", [["sample", "--b", "1", "--n", "3"],
+                                  ["validate", "--suites", "cgf"],
+                                  ["table"]])
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_unusable_out_exits_usage(argv, missing_dir, tmp_path, capsys):
+    # a path in a missing directory, or a directory: exit 1 is kept for
+    # failed validation, so this is a usage error, not a traceback
+    out = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == EXIT_USAGE
+    assert stdout == "" and err.startswith("error: ")
 
 
 def test_console_script_runs():

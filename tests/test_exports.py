@@ -31,7 +31,10 @@ REMOVED = ["SamplerThresholds", "DEFAULT_THRESHOLDS", "load_trunc_table",
            "TailUnderflowError",
            # the alternate sampler's exact acceptance rate, which only a
            # test computes
-           "acceptance_probability"]
+           "acceptance_probability",
+           # the t(h) solver behind the shipped table, which only the
+           # tests run (tests/trunc_table_oracle.py)
+           "solve_trunc_point"]
 
 
 def _modules_with_all():
@@ -82,3 +85,12 @@ def test_removed_attributes_and_options_stay_removed():
     assert not hasattr(alternate, "_lf_band")
     assert not hasattr(devroye, "_LF_BANDS")
     assert not hasattr(devroye, "_LF_NODES")
+    # the t(h) table ships as data: its solver and the gamma function it
+    # needed live in the tests, and only the tracer's name for the table
+    # remains
+    assert "build_trunc_table" not in density_module.__all__
+    assert not hasattr(pgrv, "build_trunc_table")
+    assert list(inspect.signature(
+        density_module._log_kernel_consts).parameters) == ["h"]
+    assert list(inspect.signature(
+        density_module._log_kernel_r_unit).parameters) == ["x", "h", "lam_z"]

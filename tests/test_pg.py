@@ -412,12 +412,15 @@ class TestSampling:
             assert a.uniform() == c.uniform()
 
     def test_no_draw_solves_a_trunc_point(self, monkeypatch):
-        # t(h) comes from the shipped table: no route solves for it
+        # t(h) comes from the table read at import: the package has no
+        # solver, and no route reads or builds the table again
         def solve(*_):
             raise AssertionError("a draw solved t(h)")
 
-        monkeypatch.setattr(density, "build_trunc_table", solve)
-        monkeypatch.setattr(density, "solve_trunc_point", solve)
+        assert not hasattr(density, "solve_trunc_point")
+        for name in ("build_trunc_table", "default_trunc_table",
+                     "_read_trunc_table"):
+            monkeypatch.setattr(density, name, solve)
         assert {choose_method(b, n) for b, n in ROUTE_DRAWS} == set(Method)
         rng = RngStream(4)
         for b, n in ROUTE_DRAWS:

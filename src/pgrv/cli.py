@@ -2,9 +2,10 @@
 validation suites, and print the paste points t(h).  All output is CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (an unusable
-``--out`` path, or the KS suite without scipy, among them), 3 numerical
-failure.  All statistical output is deterministic for a fixed seed; only
-the timing columns of ``bench`` vary between runs.
+``--out`` path, which each command opens before its work, or the KS suite
+without scipy, among them), 3 numerical failure.  All statistical output
+is deterministic for a fixed seed; only the timing columns of ``bench``
+vary between runs.
 """
 
 import argparse
@@ -107,7 +108,8 @@ def _build_parser():
 
 
 def _out(spec):
-    """Output sink for ``with``: the file at ``spec``, or stdout for '-'."""
+    """Output sink for ``with``: the file at ``spec``, or stdout for '-'.
+    Commands open it before their work, so an unusable path fails at once."""
     if spec in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
     return open(spec, "w", newline="")
@@ -117,9 +119,9 @@ def _cmd_sample(args):
     params = PgParams(args.b, args.z)
     if args.n < 1:
         raise ValueError("sample: --n must be >= 1")
-    rng = RngStream(args.seed)
-    draws = sample_pg_batch(params, rng, size=args.n, method=args.method)
     with _out(args.out) as fh:
+        draws = sample_pg_batch(params, RngStream(args.seed), size=args.n,
+                                method=args.method)
         if args.format == "csv":
             fh.write("draw\n")
         for v in draws:
@@ -154,6 +156,34 @@ def _cmd_bench(args):
         raise ValueError("bench: --n must be >= 1")
     if args.reps < 1:
         raise ValueError("bench: --reps must be >= 1")
+    fields = ["method", "b", "z", "n_draws", "setup_seconds", "wall_seconds",
+              "draws_per_sec", "sample_mean", "sample_var", "seed"]
+    with _out(args.out) as fh:
+        rows = _bench_rows(args)
+        w = csv.DictWriter(fh, fieldnames=fields)
+        w.writeheader()
+        for r in rows:
+            w.writerow({k: (f"{v:.6g}" if isinstance(v, float) else v)
+                        for k, v in r.items()})
+    # best-method pivot (one row per b, one column per z)
+    best = {}
+    for r in rows:
+        key = (r["b"], r["z"])
+        if key not in best or r["draws_per_sec"] > best[key]["draws_per_sec"]:
+            best[key] = r
+    pivot_fh = sys.stdout
+    if args.out in (None, "-"):
+        pivot_fh.write("\n")
+    pivot = csv.writer(pivot_fh)
+    zs = sorted(set(z for (_, z) in best))
+    pivot.writerow(["b"] + [f"z={z:g}" for z in zs])
+    for b in sorted(set(b for (b, _) in best)):
+        pivot.writerow([f"{b:g}"] + [best[(b, z)]["method"] for z in zs])
+    return EXIT_OK
+
+
+def _bench_rows(args):
+    """One row per (method, b, z) cell of the grid, in sorted order."""
     cells = []
     for b in args.grid_b:
         for z in args.grid_z:
@@ -191,29 +221,7 @@ def _cmd_bench(args):
             "sample_var": float(draws.var(ddof=1)),
             "seed": cell_seed,
         })
-    fields = ["method", "b", "z", "n_draws", "setup_seconds", "wall_seconds",
-              "draws_per_sec", "sample_mean", "sample_var", "seed"]
-    with _out(args.out) as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: (f"{v:.6g}" if isinstance(v, float) else v)
-                        for k, v in r.items()})
-    # best-method pivot (one row per b, one column per z)
-    best = {}
-    for r in rows:
-        key = (r["b"], r["z"])
-        if key not in best or r["draws_per_sec"] > best[key]["draws_per_sec"]:
-            best[key] = r
-    pivot_fh = sys.stdout
-    if args.out in (None, "-"):
-        pivot_fh.write("\n")
-    pivot = csv.writer(pivot_fh)
-    zs = sorted(set(z for (_, z) in best))
-    pivot.writerow(["b"] + [f"z={z:g}" for z in zs])
-    for b in sorted(set(b for (b, _) in best)):
-        pivot.writerow([f"{b:g}"] + [best[(b, z)]["method"] for z in zs])
-    return EXIT_OK
+    return rows
 
 
 def _record(records, suite, test, b, z, statistic, threshold,
@@ -350,13 +358,11 @@ def _cmd_validate(args):
         except ImportError as exc:
             raise ValueError("validate: the ks suite needs scipy; install "
                              "it with pip install 'pgrv[validate]'") from exc
-    records = []
-    for name, suite in _SUITES.items():
-        if name in suites:
-            suite(records, args.n, args.seed)
-
-    failed = []
+    failed, records = [], []
     with _out(args.out) as fh:
+        for name, suite in _SUITES.items():
+            if name in suites:
+                suite(records, args.n, args.seed)
         w = csv.writer(fh)
         w.writerow(["suite", "test", "b", "z", "statistic", "threshold",
                     "pass"])

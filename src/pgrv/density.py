@@ -32,13 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .special import (
-    _logaddexp,
-    gammaincc,
-    inverse_gaussian_log_cdf,
-    log_cosh,
-    log_gamma_fn,
-)
+from .special import gammaincc, inverse_gaussian_log_cdf, log_cosh
 
 __all__ = [
     "JStarParams",
@@ -327,7 +321,7 @@ def jstar_var(params):
 def _log_kernel_consts(h):
     # the x-free parts of the two log kernels below, as they sum them
     return (h * _LOG2 + np.log(h) - 0.5 * _LOG_2PI,
-            h * _LOG_HALF_PI - log_gamma_fn(h))
+            h * _LOG_HALF_PI - math.lgamma(h))
 
 
 def _log_kernel_ell_unit(x, h):
@@ -392,7 +386,7 @@ def build_mixture(trunc, h, z):
     log_q = (h * (_LOG_HALF_PI - np.log(lam_z)) + np.log(q_tail)
              if q_tail > 0.0 else -math.inf)
     log_p, log_q = float(log_p), float(log_q)
-    left_fraction = float(np.exp(log_p - _logaddexp(log_p, log_q)))
+    left_fraction = float(np.exp(log_p - np.logaddexp(log_p, log_q)))
     return ProposalMixture(trunc, log_p, log_q, left_fraction, h, z, lam_z)
 
 

@@ -18,15 +18,14 @@ keeps every per-slot sum.  The accept/reject comparison uses the
 untilted coefficients: the common factor cosh^h(z) e^{-x z^2/2} cancels
 between the uniform's upper bound and the partial sums.
 
-The decider runs the series on whole arrays of candidates, except for
-arrays of at most ``_SHORT`` candidates, such as the last pending slots
-of a batch, down to arrays of one: those are decided slot by slot on
-floats by :func:`_decide_one`, with the same mask, stream use and
-counters.  One draw (``size`` None or 1) runs in :func:`_sample_one`,
-one flat float loop that picks the side, draws the piece and decides it
-each round, and sums its pieces one after another; under devroye's
-policy the float decider is :func:`_decide_unit`, with the steps
-inlined.  Only a batch of multi-piece draws goes through
+The decider :func:`_series_decide` runs the series on whole arrays of
+candidates, arrays of one included, such as the last pending slot of a
+batch.  One draw (``size`` None or 1) runs in :func:`_sample_one`, one
+flat float loop that picks the side, draws the piece and decides it
+each round on floats with :func:`_decide_one` (:func:`_decide_unit`
+under devroye's policy, with the steps inlined), and sums its pieces one
+after another; the float deciders take the array decider's decisions
+with its counters.  Only a batch of multi-piece draws goes through
 :func:`_sum_pieces`.
 
 One draw squeezes its side choice (Devroye 1986, II.3) on a grid of
@@ -66,14 +65,6 @@ _MAX_SERIES_TERMS = 500
 # Proposals this close to zero are rejected outright: their acceptance
 # probability is negligible and the series is numerically unstable there.
 _X_FLOOR = 1e-12
-
-# Longest candidate array the series decider takes slot by slot: the
-# largest k of the decider crossover table in ROADMAP (CPU us per call)
-# at which slot by slot wins under every policy.  At k = 8 it takes 15.0
-# vs 16.8 us for the array path under the devroye policy, 27.2 vs 39.5
-# under the alternate one at h = 3.875 and 26.6 vs 31.8 at h = 1.5; at
-# k = 12 the array path wins under the devroye policy and at h = 1.5.
-_SHORT = 8
 
 # a_n/a_0 = (2n + 1) e^{-n(n+1) r(x)}: r = 2/x left of the paste point,
 # pi^2 x/2 right of it
@@ -148,18 +139,8 @@ def _series_decide(x, rng, policy, counters=None):
     decided by f/a_0 = ``policy.exact_sum(x)`` and counted in
     ``exact_decisions``: accept iff u <= f/a_0, and raise
     :class:`DominationViolationError` if f/a_0 exceeds k.
-
-    An array of at most ``_SHORT`` candidates draws its uniforms in one
-    call, as a long one does, and then decides slot by slot on floats:
-    the array path's few dozen numpy calls per series term cost more
-    than it saves there.  Both give the same mask, stream use and
-    counters.
     """
     u = rng.uniform(x.size)
-    if x.size <= _SHORT:
-        return np.array([_decide_one(xi, ui, policy, counters)
-                         for xi, ui in zip(x.tolist(), u.tolist())],
-                        dtype=bool)
     bound = policy.bound(np.maximum(x, _X_FLOOR))
     u = u * bound
     accept = np.zeros(x.shape, dtype=bool)
@@ -224,7 +205,7 @@ def _series_decide(x, rng, policy, counters=None):
 
 def _decide_one(x, u, policy, counters):
     """:func:`_series_decide` for one float candidate ``x`` and its
-    uniform ``u`` on (0, 1), on floats.
+    uniform ``u`` on (0, 1), on floats, for :func:`_sample_one`.
 
     It takes the same decisions at the same n and raises the same errors
     as the array path does for that slot.

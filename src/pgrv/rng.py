@@ -10,17 +10,17 @@ derive independent substreams with :meth:`RngStream.spawn` instead.
 truncated inverse-Gaussian and gamma draws (the gamma by Dagpunar's 1978
 rejection) differ only in the proposal and the accept test they hand it.  It
 runs every round on arrays, the first round's candidates becoming the output
-without a copy; a batch's last pending slots run as arrays of one.  One draw
-per call, as in a Gibbs sweep where every tilt differs, is ``size=None`` (the
-convention of the :class:`RngStream` draws).  The engine runs it as an array
-of one and returns its float; the saddlepoint and normal routes take that
-path.  The truncated draws run one draw (``size`` None, or 1 wrapped as an
-array) as a straight float loop instead, without the engine, and the J*
-samplers run theirs in :func:`pgrv.devroye._sample_one`, one piece after
-another for a multi-piece draw (devroye at b >= 2, the alternate sampler at
-b > 4).  The straight loops consume the stream as the engine's arrays of one
-do and give bit-identical draws; the float code uses numpy's ``exp``/``log``,
-whose results can differ from :mod:`math` in the last ulp.
+without a copy; a batch's last pending slots run as arrays of one, as does
+``size=1``.  One draw per call, as in a Gibbs sweep where every tilt differs,
+is ``size=None`` (the convention of the :class:`RngStream` draws).  The
+engine runs it as an array of one and returns its float; the saddlepoint and
+normal routes take that path.  The truncated draws run ``size=None`` as a
+straight float loop instead, without the engine, and the J* samplers run one
+draw in :func:`pgrv.devroye._sample_one`, one piece after another for a
+multi-piece draw (devroye at b >= 2, the alternate sampler at b > 4).  The
+straight loops consume the stream as the engine's arrays of one do and give
+bit-identical draws; the float code uses numpy's ``exp``/``log``, whose
+results can differ from :mod:`math` in the last ulp.
 """
 
 import math
@@ -188,9 +188,9 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
     mu, right = mu / lam, right / lam
     # exactly 0 at mu=inf: no drift to thin with
     inv_two_musq = 0.5 / (mu * mu)
-    if size is None or size == 1:
-        # the rounds of the kernels below on floats, size 1 as an array of
-        # one; a candidate the kernel rejects still draws its thinning uniform
+    if size is None:
+        # the rounds of the kernels below on floats; a candidate the kernel
+        # rejects still draws its thinning uniform
         for _ in range(MAX_REJECTION_ROUNDS):
             if mu <= right:
                 x = rng.wald(mu, 1.0)
@@ -207,7 +207,7 @@ def sample_truncated_inverse_gaussian(mu, lam, right, rng, size=None):
                 break
         else:
             raise _budget_error(MAX_REJECTION_ROUNDS)
-        return lam * x if size is None else np.array([lam * x])
+        return lam * x
 
     def propose_kernel(k):
         e1 = rng.exponential(k)
@@ -249,8 +249,8 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
     if not below_mode:
         peak = 0.5 * (c + a + math.sqrt((c - a) ** 2 + 4 * c)) if a > 1 else c
         slope = max(a - 1.0, 0.0) / peak  # 1 - beta, without cancelling
-    if size is None or size == 1:
-        # propose and accept below, on floats; size 1 gets an array of one
+    if size is None:
+        # propose and accept below, on floats
         for _ in range(MAX_REJECTION_ROUNDS):
             if below_mode:
                 y = rng.gamma(a)
@@ -263,7 +263,7 @@ def sample_truncated_gamma(shape, rate, left, rng, size=None):
                     break
         else:
             raise _budget_error(MAX_REJECTION_ROUNDS)
-        return y / rate if size is None else np.array([y / rate])
+        return y / rate
     if below_mode:
         propose, accept = lambda k: rng.gamma(a, size=k), lambda y: y > c
     else:

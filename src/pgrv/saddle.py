@@ -25,6 +25,7 @@ the sampler's accept test solves its candidates the same way, inside
 :func:`_log_sp_vec`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,8 +39,7 @@ from .rng import (
     sample_truncated_gamma,
     sample_truncated_inverse_gaussian,
 )
-from .special import (gammaincc, inverse_gaussian_log_cdf, log_cosh,
-                      log_gamma_fn, utan)
+from .special import gammaincc, inverse_gaussian_log_cdf, log_cosh, utan
 
 __all__ = [
     "U_MAX",
@@ -276,7 +276,7 @@ def _build_envelope_cached(n, z):
                    + n * intercept_l - n * np.sqrt(rho_l))
     log_kappa_r = (0.5 * (np.log(n) - _LOG_2PI) - 0.5 * np.log(alpha_r)
                    - n * np.log(x_c) + n * intercept_r
-                   + log_gamma_fn(n) - n * np.log(n * rho_r))
+                   + math.lgamma(n) - n * np.log(n * rho_r))
 
     ig_mu = 1.0 / np.sqrt(rho_l)
     log_mass_left = log_kappa_l + inverse_gaussian_log_cdf(x_c, ig_mu, n)
@@ -310,13 +310,15 @@ def _build_envelope_cached(n, z):
 def build_envelope(n, z):
     """Envelope for the shape-n saddlepoint density, cached per (n, z).
 
-    Raises :class:`EnvelopeValidityError` if the construction fails its
+    Raises ValueError unless n is finite and positive and z finite, and
+    :class:`EnvelopeValidityError` if the construction fails its
     dominance spot check.
     """
-    n = float(n)
-    if n <= 0.0:
-        raise ValueError("build_envelope: n must be positive")
-    return _build_envelope_cached(n, float(abs(z)))
+    n, z = float(n), float(abs(z))
+    if not (0.0 < n < math.inf and z < math.inf):  # NaN fails too
+        raise ValueError("build_envelope: n must be finite and positive, "
+                         "z finite")
+    return _build_envelope_cached(n, z)
 
 
 def sample_saddle_batch(n, z, size, rng, counters=None):

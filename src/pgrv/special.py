@@ -15,7 +15,6 @@ __all__ = [
     "utan",
     "log_cosh",
     "inverse_gaussian_log_cdf",
-    "log_gamma_fn",
     "log_ndtr",
     "gammaincc",
     "UTAN_SINGULARITY",
@@ -34,21 +33,6 @@ _SQRT1_2 = math.sqrt(0.5)
 _EPS = 2.0 ** -52
 # Q(a, x) term cap: near x = a either expansion takes about sqrt(78 a) terms
 _GAMMAINCC_MAX_TERMS = 100_000
-
-
-def _logaddexp(a, b):
-    """``np.logaddexp`` of two floats, by the same steps: numpy computes
-    it with libm's exp and log1p, not its SIMD loops, so the bits agree
-    at a fraction of the cost of a ufunc call."""
-    if a == b:
-        # equal infinities give themselves, without a nan from inf - inf
-        return a + math.log(2.0)
-    d = a - b
-    if d > 0.0:
-        return a + math.log1p(math.exp(-d))
-    if d <= 0.0:
-        return b + math.log1p(math.exp(d))
-    return d  # nan
 
 
 def utan(s):
@@ -108,33 +92,23 @@ def log_ndtr(x):
 
 
 def inverse_gaussian_log_cdf(x, mu, lam):
-    """log of the inverse-Gaussian distribution function.
+    """log of the inverse-Gaussian distribution function at a float x.
 
     Uses the two-Phi representation
         F(x) = Phi(sqrt(lam/x)(x/mu - 1)) + exp(2 lam/mu) Phi(-sqrt(lam/x)(x/mu + 1))
     with both terms combined in log space, so large lam/mu does not
     overflow.  ``mu=inf`` is accepted and gives the zero-drift limit
     2 Phi(-sqrt(lam/x)); other non-positive, infinite or NaN arguments
-    raise ValueError.  Arrays broadcast, element by element on floats.
+    raise ValueError.
     """
-    if np.ndarray in (type(x), type(mu), type(lam)):
-        return np.vectorize(inverse_gaussian_log_cdf, otypes=[float])(
-            x, mu, lam)
     x, mu, lam = float(x), float(mu), float(lam)
     if not (0.0 < x < math.inf and mu > 0.0 and 0.0 < lam < math.inf):
         raise ValueError("inverse_gaussian_log_cdf: arguments must be positive")
     # x/mu and 2 lam/mu are exactly 0 at mu=inf: the zero-drift limit
     rt = math.sqrt(lam / x)
     ratio = x / mu
-    return _logaddexp(log_ndtr(rt * (ratio - 1.0)),
-                      2.0 * lam / mu + log_ndtr(-rt * (ratio + 1.0)))
-
-
-def log_gamma_fn(x):
-    """log Gamma(x) of a float x > 0, by ``math.lgamma``."""
-    if not x > 0.0:  # NaN fails too
-        raise ValueError("log_gamma_fn: argument must be positive")
-    return math.lgamma(x)
+    return float(np.logaddexp(log_ndtr(rt * (ratio - 1.0)),
+                              2.0 * lam / mu + log_ndtr(-rt * (ratio + 1.0))))
 
 
 def gammaincc(a, x):

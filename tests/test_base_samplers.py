@@ -27,7 +27,9 @@ KS_LEVEL = 0.001
 
 
 def inverse_gaussian_cdf(x, mu, lam):
-    return np.exp(inverse_gaussian_log_cdf(x, mu, lam))
+    # the function takes floats; arrays are evaluated element by element
+    return np.exp(np.vectorize(inverse_gaussian_log_cdf, otypes=[float])(
+        x, mu, lam))
 
 
 def test_determinism_scalar_and_batch():
@@ -249,8 +251,8 @@ class TestTruncatedInverseGaussian:
         (2.0, 5.0, 1.5), (10.0, 5.0, 0.64)])
     def test_one_draw_matches_batch_of_one(self, mu, lam, right):
         # the zero-drift kernel with and without thinning, and Wald
-        # draws: size=None and size=1 run the float loop, with the bits
-        # and stream state of the engine's array of one
+        # draws: size=None runs the float loop and size=1 the batch path,
+        # both with the bits and stream state of the engine's array of one
         one_draw_paths(sample_truncated_inverse_gaussian,
                        engine_truncated_ig, (mu, lam, right))
 
@@ -347,8 +349,9 @@ class TestTruncatedGamma:
         (40.0, 2.0, 15.0), (3.5, 1.4, 3.5), (1.0, 0.7, 2.0),
         (0.5, 2.0, 0.5), (0.5, 1.0, 0.1), (2.0, 1.0, 1e6)])
     def test_one_draw_matches_batch_of_one(self, shape, rate, left):
-        # size=None and size=1 run the rejection on floats; they must give
-        # the bits and leave the stream state of the engine's array of one
+        # size=None runs the rejection on floats and size=1 on arrays; both
+        # must give the bits and leave the stream state of the engine's
+        # array of one
         one_draw_paths(sample_truncated_gamma, engine_truncated_gamma,
                        (shape, rate, left))
 

@@ -280,6 +280,32 @@ def test_unusable_out_exits_usage(argv, missing_dir, tmp_path, capsys):
     assert stdout == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,target", [
+    (["sample", "--b", "1", "--n", "3"], "sample_pg_batch"),
+    (["bench", "--grid-b", "1", "--grid-z", "0", "--n", "10"],
+     "sample_pg_batch"),
+    (["validate", "--suites", "domination"], "domination")],
+    ids=["sample", "bench", "validate"])
+def test_unusable_out_fails_before_the_work(argv, target, tmp_path, capsys,
+                                            monkeypatch):
+    # the sink opens first, so a bad path costs no drawing, timing or
+    # validating (the domination suite takes seconds)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before the sink opened")
+
+    if target == "domination":
+        monkeypatch.setitem(cli._SUITES, "domination", spy)
+    else:
+        monkeypatch.setattr(cli, target, spy)
+    out = tmp_path / "missing" / "out.csv"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == EXIT_USAGE and err.startswith("error: ")
+    assert calls == []
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pgrv.cli", "sample", "--b", "1", "--n", "1"],

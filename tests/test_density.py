@@ -399,13 +399,13 @@ class TestPartialSums:
         # past x ~ 30 (x ~ 4h on the log segment, whose terms rise far
         # above S_0) the partial sums cancel in double precision; every
         # decision must still be u k <= f/a_0, with no domination raise,
-        # and the one-element, short-array and long-array paths must
-        # agree.  f/a_0 depends on x only, so each point is summed in
-        # mpmath once
+        # and the array decider on one-element, short and long arrays and
+        # the float decider of the one-draw loop must agree.  f/a_0
+        # depends on x only, so each point is summed in mpmath once
         policy = _RatioCoefficients(h, trunc_lookup(h))
         policy.exact_sum = functools.lru_cache(policy.exact_sum)
         lo, hi = {16.0: (64.0, 160.0), 64.0: (256.0, 384.0)}.get(h, (20, 60))
-        xs = np.geomspace(lo, hi, 2 * devroye._SHORT + 1)
+        xs = np.geomspace(lo, hi, 17)
         ref = [mp_ratio_ref(x, h) for x in xs.tolist()]
         bound = policy.bound(xs)
         decided = []
@@ -414,15 +414,20 @@ class TestPartialSums:
             want = [bool(ui <= f) for ui, f in zip(u.tolist(), ref)]
             runs = []
             for chunks in (np.array_split(xs, xs.size),   # one at a time
-                           np.array_split(xs, 3),         # <= _SHORT each
-                           [xs]):                         # > _SHORT
+                           np.array_split(xs, 3),
+                           [xs]):
                 rng, counters = RngStream(seed), {}
                 mask = []
                 for c in chunks:
                     mask += devroye._series_decide(c, rng, policy,
                                                    counters).tolist()
                 runs.append((mask, counters, rng.uniform()))
-            assert runs[0] == runs[1] == runs[2], seed
+            rng, counters = RngStream(seed), {}
+            mask = [bool(devroye._decide_one(x, ui, policy, counters))
+                    for x, ui in zip(xs.tolist(),
+                                     rng.uniform(xs.size).tolist())]
+            runs.append((mask, counters, rng.uniform()))
+            assert runs[0] == runs[1] == runs[2] == runs[3], seed
             assert runs[0][0] == want, seed
             assert runs[0][1]["exact_decisions"] > 0
             decided += want

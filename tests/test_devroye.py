@@ -293,42 +293,45 @@ def test_one_candidate_truncated_ig_matches_array(mu, right):
                    (mu, 5.0, right), seeds=200)
 
 
-# -- short candidate arrays: up to devroye._SHORT slots are decided one
-# by one on floats; _SHORT = 0 sends every array down the array path,
-# which is the reference
+# -- candidate arrays: the array decider and the float deciders of the
+# one-draw loop take the same decisions with the same counters, slot by
+# slot, when each float decider gets the uniform the array one draws
 
 def _policy(h):
     # h = 1 stands for the devroye policy, any other h for the alternate
-    return (_PastedCoefficients() if h == 1.0
-            else _RatioCoefficients(h, trunc_lookup(h)))
+    return _PASTED if h == 1.0 else _RatioCoefficients(h, trunc_lookup(h))
 
 
-def _decide(x, h, seed, short, monkeypatch):
-    monkeypatch.setattr(devroye, "_SHORT", short)
-    rng, counters = RngStream(seed), {}
-    accept = _series_decide(x, rng, _policy(h), counters)
-    assert accept.dtype == bool and accept.shape == x.shape
-    return accept.tolist(), counters, rng.uniform()
+def _decide(x, h, seed):
+    """(mask, counters) of _series_decide on the array x, and of
+    _decide_one on each of its floats in turn (_decide_unit under
+    _PASTED), fed the uniforms that _series_decide drew."""
+    policy = _policy(h)
+    want_counters, got_counters = {}, {}
+    want = _series_decide(x, RngStream(seed), policy, want_counters)
+    assert want.dtype == bool and want.shape == x.shape
+    u = RngStream(seed).uniform(x.size)
+    got = [_decide_one(xi, ui, policy, got_counters)
+           for xi, ui in zip(x.tolist(), u.tolist())]
+    return (want.tolist(), want_counters), (got, got_counters)
 
 
 @pytest.mark.parametrize("h", [1.0, 1.5, 2.5, 3.875])
 @pytest.mark.parametrize("hz", [0.0, 1.0, 20.0, 2000.0])
-def test_short_array_matches_array_path(h, hz, monkeypatch):
+def test_short_array_matches_array_path(h, hz):
     # candidates spread about the J*(h, z) mean, capped at 10 like the
     # domination guard's grid; at h z = 2,000 they sit where a_0
     # underflows, at z = 0 on both sides of the paste point
     z = hz / h
     mean = h * (np.tanh(z) / z if z else 1.0)
     draw = np.random.default_rng(int(10 * h + hz))
-    short = devroye._SHORT
     decided = []
-    for k in range(1, 2 * short + 1):
+    for k in range(1, 17):
         for seed in range(4):
             x = np.minimum(mean * np.exp(draw.normal(0.0, 0.8, k)), 10.0)
-            got = _decide(x, h, seed, short, monkeypatch)
-            want = _decide(x, h, seed, 0, monkeypatch)
+            want, got = _decide(x, h, seed)
             assert got == want, (k, seed)
-            decided += got[0]
+            decided += want[0]
     # both outcomes are compared where both occur: the devroye bound is
     # within 0.6% of the density, and at h z = 2,000 the first odd sum
     # accepts every proposal
@@ -338,23 +341,24 @@ def test_short_array_matches_array_path(h, hz, monkeypatch):
 
 
 @pytest.mark.parametrize("x,h", [(1e-13, 1.0), (1e-13, 2.5), (1e4, 2.5)])
-def test_short_array_rejects_unusable_points(x, h, monkeypatch):
+def test_short_array_rejects_unusable_points(x, h):
     # below _X_FLOOR, or where the alternate bound underflows, a slot is
     # rejected without a series term, next to slots that do decide
-    cand = np.array([x, 0.5, x, 0.3])
-    got = _decide(cand, h, 6, devroye._SHORT, monkeypatch)
-    assert got == _decide(cand, h, 6, 0, monkeypatch)
-    assert got[0][0] is False and got[0][2] is False
+    for seed in range(8):
+        want, got = _decide(np.array([x, 0.5, x, 0.3, 1.2, x, 2.5]), h, seed)
+        assert got == want, seed
+        assert want[0][0] is want[0][2] is want[0][5] is False
+        assert want[1]
 
 
-@pytest.mark.parametrize("k", [3, 2 * devroye._SHORT + 1])
+@pytest.mark.parametrize("k", [3, 17])
 def test_short_and_long_arrays_check_domination(k):
     policy = _HalfBound(2.5, trunc_lookup(2.5))
     with pytest.raises(DominationViolationError):
         _series_decide(np.full(k, 0.2), RngStream(4), policy)
 
 
-@pytest.mark.parametrize("k", [3, 2 * devroye._SHORT + 1])
+@pytest.mark.parametrize("k", [3, 17])
 def test_short_and_long_arrays_series_cap(k):
     with pytest.raises(IterationCapError):
         _series_decide(np.full(k, 0.5), RngStream(5), _NeverDecreasing())
@@ -440,11 +444,11 @@ def test_one_candidate_draw_matches_size_one(route, h, z, seed):
     st.floats(0.55, 0.75),                       # about TRUNC_POINT
     st.floats(1e-4, 20.0),
     st.sampled_from([devroye._X_FLOOR, TRUNC_POINT])),
-    min_size=devroye._SHORT + 1, max_size=40),
+    min_size=1, max_size=40),
     seed=st.integers(0, 2 ** 32 - 1))
 def test_unit_decider_matches_array_path(x, seed):
-    # more than _SHORT candidates take the array path with the array
-    # policy steps; _decide_unit gets each slot's uniform in turn
+    # the array path runs the array policy steps; _decide_unit gets each
+    # slot's uniform in turn
     x = np.array(x)
     want_counters, got_counters = {}, {}
     want = _series_decide(x, RngStream(seed), _PASTED, want_counters)

@@ -4,10 +4,11 @@ sampler inputs and test-only wrappers that were removed stay removed."""
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import pgrv
-from pgrv import alternate, devroye, saddle
+from pgrv import alternate, devroye, saddle, special
 from pgrv.density import ProposalMixture, density, verify_domination
 from pgrv.rng import sample_truncated_inverse_gaussian
 
@@ -94,3 +95,11 @@ def test_removed_attributes_and_options_stay_removed():
         density_module._log_kernel_consts).parameters) == ["h"]
     assert list(inspect.signature(
         density_module._log_kernel_r_unit).parameters) == ["x", "h", "lam_z"]
+    # candidate arrays of every length run the array decider, a mixture
+    # combines its masses with np.logaddexp, the callers check the shapes
+    # they pass to math.lgamma, and the IG log-CDF takes floats only
+    assert not hasattr(devroye, "_SHORT")
+    assert not hasattr(special, "_logaddexp")
+    assert not hasattr(special, "log_gamma_fn")
+    with pytest.raises(TypeError):
+        special.inverse_gaussian_log_cdf(np.array([0.5, 1.0]), 1.0, 1.0)

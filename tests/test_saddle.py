@@ -6,6 +6,7 @@ forms the sampler runs (``_solve_u_vec``, ``_log_sp_vec``); the dual
 phi and the corrected exponent eta are formed here from them.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -306,8 +307,15 @@ class TestEnvelope:
         assert len(calls) == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_envelope(0.0, 0.0)
+        # the envelope checks its own inputs: a non-finite n used to fail
+        # inside a special function, and a non-finite z as a numerical
+        # failure (ConvergenceError) instead of a usage error
+        bad = [(0.0, 0.0), (-3.0, 1.0), (-0.0, 1.0), (math.nan, 1.0),
+               (math.inf, 1.0), (-math.inf, 1.0), (8.0, math.nan),
+               (8.0, math.inf), (8.0, -math.inf)]
+        for n, z in bad:
+            with pytest.raises(ValueError, match="build_envelope"):
+                build_envelope(n, z)
 
 
 class TestSpDensity:

@@ -1,7 +1,8 @@
 """References for one truncated draw: the rejection engine's array of
 one, with the kernels of the truncated draws' batch path and the round
-budget the module holds when the reference runs.  ``size`` None and 1 both
-run the truncated draws' float loop; these pin that loop to the engine.
+budget the module holds when the reference runs.  ``size=None`` runs the
+truncated draws' float loop and ``size=1`` their batch path; these pin both
+to the engine.
 """
 
 import numpy as np
